@@ -18,7 +18,7 @@ from . import geometry, spectra
 from .equivalence import round_trip
 from .grvv import GrvvSolution, block_solution, gauge_dress, ground_state, grvv_residual, sphere_constraints
 from .harmonics import build_basis, decompose_bifundamental
-from .matcore import frobenius_norm, matrix_from_json, matrix_to_json, random_unitary
+from .matcore import matrix_from_json, matrix_to_json, random_unitary
 from .su2rep import (
     bilinears,
     direct_sum,
@@ -151,28 +151,23 @@ def _suite_intertwiner(n, seed):
 
 
 def _suite_harmonics(n, seed):
-    # the Gram matrix alone is n^2 x n^2 traces; keep the suite at desk scale
+    # the Gram matrix is an n^2 x n^2 product of dense elements; keep the
+    # suite at desk scale
     if n > spectra.MAX_KINETIC_SIZE:
         return
     rep = irrep(n)
     basis = build_basis(rep)
     keys = basis.keys()
-    gram = np.array(
-        [
-            [np.trace(basis[a].conj().T @ basis[b]) for b in keys]
-            for a in keys
-        ]
-    )
+    ys = np.stack([basis.elements[key] for key in keys])
+    flat = ys.reshape(len(keys), -1)
+    gram = flat.conj() @ flat.T
     yield ("gram", n, float(np.max(np.abs(gram - n * np.eye(len(keys))))))
-    adj = 0.0
-    for l, m in keys:
-        y = basis[(l, m)]
-        adj = max(adj, frobenius_norm(rep.j3 @ y - y @ rep.j3 - 2 * m * y))
-    yield ("adjoint_j3", n, adj)
-    if n <= 16:
-        ev = spectra.fuzzy_laplacian_spectrum(rep)
-        ref = np.sort(np.concatenate([[4 * l * (l + 1)] * (2 * l + 1) for l in range(n)]))
-        yield ("laplacian_spectrum", n, float(np.max(np.abs(ev - ref)) / max(ref[-1], 1)))
+    ms = np.array([m for _, m in keys])[:, None, None]
+    adj = np.linalg.norm(rep.j3 @ ys - ys @ rep.j3 - 2 * ms * ys, axis=(1, 2))
+    yield ("adjoint_j3", n, float(np.max(adj)))
+    ev = spectra.fuzzy_laplacian_spectrum(rep)
+    ref = np.sort(np.concatenate([[4 * l * (l + 1)] * (2 * l + 1) for l in range(n)]))
+    yield ("laplacian_spectrum", n, float(np.max(np.abs(ev - ref)) / max(ref[-1], 1)))
     rng = np.random.default_rng(seed + n)
     sol = ground_state(n)
     r = [
@@ -340,14 +335,9 @@ def cmd_spectrum(args):
                 f"laplacian spectrum is capped at size {spectra.MAX_LAPLACIAN_SIZE}"
             )
         ev = spectra.fuzzy_laplacian_spectrum(irrep(args.n))
-        rows = []
-        i = 0
-        while i < len(ev):
-            j = i
-            while j + 1 < len(ev) and abs(ev[j + 1] - ev[i]) < 1e-8 * max(1, abs(ev[i])):
-                j += 1
-            rows.append([f"{ev[i]:.12g}", j - i + 1, "scalar"])
-            i = j + 1
+        rows = [
+            [f"{ev[i]:.12g}", j - i, "scalar"] for i, j in spectra.group_eigenvalues(ev)
+        ]
         _write_csv(args.out, ["eigenvalue", "multiplicity", "family"], rows)
         return 0
     if args.which == "kinetic":

@@ -3,22 +3,37 @@ Matrix spherical harmonics for an irreducible spin representation, mode
 decompositions of adjoint and bifundamental matrices, and pointwise classical
 Y_lm evaluation used by the large-size comparisons.
 
-Basis construction: the top element of each ladder is
+Weight-frame storage: one eigh of J_3 gives the unitary U whose columns are
+the J_3 eigenvectors in ascending order, phased so that U^dag J_+ U has a
+positive real first sub-diagonal (the convention of ``irrep``).  In that
+frame every Y_lm is nonzero only on the diagonal row - column = m, so a basis
+stores one length-(N-|m|) vector per (l, m) together with U.  The dense
+matrix U D U^dag is materialised lazily: indexing builds one element,
+``elements`` builds them all once.  Decompositions and reconstructions work
+on the diagonals of U^dag A U: O(N^3) per call, except the bifundamental fit,
+which solves one least-squares system of size about 2(N-|m|) x (N-|m|) per
+m and per diagonal.
+
+Basis convention: the top element of each ladder is
 
     Y_ll  =  (-1)^l (J_+)^l * (positive normalization),
 
-lowered repeatedly by ad(J_-)/(2 alpha_{l,m}) and held at Tr(Y^dag Y) = N.
+lowered repeatedly by ad(J_-)/(2 alpha_{l,m}) and held at Tr(Y^dag Y) = N,
+which makes the entries sqrt(2l+1) times SU(2) Clebsch-Gordan coefficients.
 The (-1)^l prefix keeps the coherent-state symbol of every element aligned
-with the Condon-Shortley phases of the classical Y_lm.
+with the Condon-Shortley phases of the classical Y_lm.  The vectors are
+computed as eigenvectors of the Laplacian's tridiagonal block on each
+diagonal and only take their phases from the ladder, because running the
+ladder itself loses digits at every step.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import lpmv
 
-from .matcore import commutator, dagger, frobenius_norm
+from .matcore import dagger, frobenius_norm
 from .su2rep import Su2Representation, irrep
 
 __all__ = [
@@ -36,55 +51,166 @@ __all__ = [
     "classical_ylm_dtheta",
 ]
 
+# off-diagonal part of the rotated generators tolerated per unit of size,
+# relative to the largest generator norm; the rotation itself leaves about
+# one machine epsilon per unit of size
+_FRAME_TOL = 1e3 * np.finfo(float).eps
+
+
+def _diagonal_index(n, c):
+    """Row and column indices of the n x n entries with row - column = c."""
+    i = np.arange(max(n - abs(c), 0))
+    return i + max(c, 0), i + max(-c, 0)
+
+
+def _diagonal_map(x, k, c, left):
+    """Matrix of A -> X A (``left``) or A X from the row - column = c
+    diagonal of A to the c + k diagonal of the product, X read on its own
+    k diagonal."""
+    n = x.shape[0]
+    rows, cols = _diagonal_index(n, c)
+    out = np.zeros((max(n - abs(c + k), 0), rows.size), dtype=complex)
+    if left:  # X E_pq = X[p + k, p] E_{p + k, q}
+        ok = (rows + k >= 0) & (rows + k < n)
+        vals = x[rows[ok] + k, rows[ok]]
+        dest = cols[ok] - max(-(c + k), 0)
+    else:  # E_pq X = X[q, q - k] E_{p, q - k}
+        ok = (cols - k >= 0) & (cols - k < n)
+        vals = x[cols[ok], cols[ok] - k]
+        dest = rows[ok] - max(c + k, 0)
+    out[dest, np.flatnonzero(ok)] = vals
+    return out
+
+
+def _weight_frame(rep):
+    """The weight-frame unitary U and the rotated U^dag (J_3, J_+, J_-) U.
+
+    Raises ValueError unless, to rounding relative to the generator norm,
+    the rotation leaves J_3 diagonal, J_+ on the first sub-diagonal with no
+    zero entry and J_- on the first super-diagonal.  An input that is not an
+    exact irreducible representation is refused, never projected onto one.
+    """
+    n = rep.dim
+    jp = rep.j1 + 1j * rep.j2
+    jm = rep.j1 - 1j * rep.j2
+    _, u = np.linalg.eigh(rep.j3)
+    rot = [dagger(u) @ x @ u for x in (rep.j3, jp, jm)]
+    tol = _FRAME_TOL * n * max(frobenius_norm(g) for g in rep.generators)
+    s = np.diagonal(rot[1], -1)
+    if np.any(np.abs(s) <= tol):
+        raise ValueError(
+            "J_+ does not connect consecutive J_3 weights: not an irreducible "
+            "representation"
+        )
+    phase = np.concatenate([[1.0], np.cumprod(s / np.abs(s))])
+    u = u * phase
+    rot = [phase.conj()[:, None] * x * phase for x in rot]
+    off = max(
+        frobenius_norm(x - np.diag(np.diagonal(x, k), k))
+        for x, k in zip(rot, (0, -1, 1))
+    )
+    if off > tol:
+        raise ValueError(
+            f"generators leave the weight-frame diagonals by {off:.3e} "
+            f"(tolerance {tol:.3e}): not an irreducible representation"
+        )
+    return u, rot
+
+
+def _materialize(u, m, ys):
+    """Dense U D U^dag for each row of ``ys`` placed on the m diagonal of D."""
+    rows, cols = _diagonal_index(u.shape[0], m)
+    return (u[:, rows] * ys[:, None, :]) @ dagger(u[:, cols])
+
 
 @dataclass(frozen=True)
 class HarmonicBasis:
-    """Family {Y_lm} for one irreducible block, Tr(Y_lm^dag Y_l'm') = N d d."""
+    """Family {Y_lm} for one irreducible block, Tr(Y_lm^dag Y_l'm') = N d d.
+
+    ``frame`` is the weight-frame unitary U; row l - |m| of ``diagonals[m]``
+    holds the entries of U^dag Y_lm U on its diagonal row - column = m.
+    Dense elements are built on first use and kept.
+    """
 
     rep: Su2Representation
-    elements: dict  # (l, m) -> matrix
+    frame: np.ndarray
+    diagonals: dict  # m -> (N - |m|) x (N - |m|) array
+    _dense: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     @property
     def dim(self):
         return self.rep.dim
 
     def keys(self):
-        return sorted(self.elements.keys())
+        return [(l, m) for l in range(self.dim) for m in range(-l, l + 1)]
+
+    def vector(self, key):
+        """Weight-frame diagonal of Y_lm, length N - |m|."""
+        l, m = key
+        if not 0 <= abs(m) <= l < self.dim:
+            raise KeyError(key)
+        return self.diagonals[m][l - abs(m)]
 
     def __getitem__(self, key):
-        return self.elements[key]
+        if key not in self._dense:
+            self._dense[key] = _materialize(self.frame, key[1], self.vector(key)[None])[0]
+        return self._dense[key]
+
+    @property
+    def elements(self):
+        """Every element as a dense matrix: (l, m) -> N x N."""
+        if len(self._dense) < self.dim**2:
+            for m, ys in self.diagonals.items():
+                for i, y in enumerate(_materialize(self.frame, m, ys)):
+                    self._dense.setdefault((abs(m) + i, m), y)
+        return self._dense
+
+
+def _ad_diagonal(x, k, c):
+    """ad(X) = [X, .] from the c diagonal to the c + k diagonal."""
+    return _diagonal_map(x, k, c, left=True) - _diagonal_map(x, k, c, left=False)
+
+
+def _laplacian_block(gens, c):
+    """The adjoint Laplacian sum_i ad(J_i)^2 on the c diagonal of the weight
+    frame, as ad(J_3)^2 + (ad(J_+) ad(J_-) + ad(J_-) ad(J_+)) / 2; a
+    tridiagonal Hermitian matrix of size N - |c|."""
+    j3, jp, jm = gens
+    a3 = _ad_diagonal(j3, 0, c)
+    raise_lower = _ad_diagonal(jp, 1, c - 1) @ _ad_diagonal(jm, -1, c)
+    lower_raise = _ad_diagonal(jm, -1, c + 1) @ _ad_diagonal(jp, 1, c)
+    lap = a3 @ a3 + (raise_lower + lower_raise) / 2
+    return (lap + dagger(lap)) / 2
 
 
 def build_basis(rep):
+    """Eigenvectors of the Laplacian block on each diagonal m >= 0 give
+    Y_lm for l = m..N-1 in ascending order of 4 l (l + 1); each takes the
+    phase of its ladder reference, (-1)^l (J_+)^l for l = m and
+    [J_-, Y_{l,m+1}] below, so no rounding accumulates down the ladder."""
     if not rep.is_irreducible():
         raise ValueError("harmonic basis is defined per irreducible block")
     n = rep.dim
-    jp = rep.j1 + 1j * rep.j2
-    jm = rep.j1 - 1j * rep.j2
-    elements = {}
-    for l in range(n):
-        top = (-1) ** l * np.linalg.matrix_power(jp, l)
-        top = top * (math.sqrt(n) / frobenius_norm(top))
-        elements[(l, l)] = top
-        # lower only down to m = 0; negative m comes from the exact
-        # conjugation symmetry, which halves the ladder length
-        for m in range(l, 0, -1):
-            alpha = math.sqrt((l + m) * (l - m + 1))
-            elements[(l, m - 1)] = commutator(jm, elements[(l, m)]) / (2 * alpha)
-        for m in range(1, l + 1):
-            elements[(l, -m)] = (-1) ** m * dagger(elements[(l, m)])
-    # long ladders leave ~1e-13 cross-l contamination within an m sector,
-    # which the widely spread Laplacian eigenvalues would amplify; one
-    # Gram-Schmidt sweep in increasing l removes it
-    for m in range(-(n - 1), n):
-        ls = [l for l in range(abs(m), n)]
-        for i, l in enumerate(ls):
-            y = elements[(l, m)]
-            for lprev in ls[:i]:
-                z = elements[(lprev, m)]
-                y = y - (np.trace(dagger(z) @ y) / n) * z
-            elements[(l, m)] = y * (math.sqrt(n) / frobenius_norm(y))
-    return HarmonicBasis(rep=rep, elements=elements)
+    u, gens = _weight_frame(rep)
+    s = np.diagonal(gens[1], -1)  # J_+ e_k = s_k e_{k+1}
+    # (-1)^l (J_+)^l on the l diagonal, rescaled at every step so that the
+    # products of sub-diagonal entries cannot overflow
+    tops = [np.ones(n, dtype=complex)]
+    for l in range(1, n):
+        top = -tops[-1][:-1] * s[l - 1 :]
+        tops.append(top / np.linalg.norm(top))
+    diagonals = {}
+    for m in range(n - 1, -1, -1):
+        _, v = np.linalg.eigh(_laplacian_block(gens, m))
+        ref = tops[m][:, None]
+        if m < n - 1:
+            ref = np.hstack([ref, _ad_diagonal(gens[2], -1, m + 1) @ diagonals[m + 1].T])
+        overlap = np.sum(v.conj() * ref, axis=0)
+        diagonals[m] = (v * (math.sqrt(n) * overlap / np.abs(overlap))).T
+    # negative m from the exact conjugation symmetry Y_{l,-m} = (-1)^m Y_lm^dag
+    for m in range(1, n):
+        diagonals[-m] = (-1) ** m * diagonals[m].conj()
+    return HarmonicBasis(rep=rep, frame=u, diagonals=diagonals)
 
 
 def decompose_adjoint(a, basis):
@@ -93,17 +219,29 @@ def decompose_adjoint(a, basis):
     n = basis.dim
     if a.shape != (n, n):
         raise ValueError(f"expected a {n}x{n} matrix, got {a.shape}")
-    return {
-        key: complex(np.trace(dagger(y) @ a)) / n for key, y in basis.elements.items()
-    }
+    u = basis.frame
+    w = dagger(u) @ a @ u
+    out = {}
+    for m, ys in basis.diagonals.items():
+        coeffs = ys.conj() @ w[_diagonal_index(n, m)] / n
+        out.update(((abs(m) + i, m), complex(c)) for i, c in enumerate(coeffs))
+    return out
 
 
 def reconstruct_adjoint(coeffs, basis):
+    """sum_lm c_lm Y_lm as a dense matrix, summed on the weight-frame
+    diagonals and rotated back once."""
     n = basis.dim
-    out = np.zeros((n, n), dtype=complex)
-    for key, c in coeffs.items():
-        out += c * basis.elements[key]
-    return out
+    cs = {m: np.zeros(len(ys), dtype=complex) for m, ys in basis.diagonals.items()}
+    for (l, m), c in coeffs.items():
+        if not 0 <= abs(m) <= l < n:
+            raise KeyError((l, m))
+        cs[m][l - abs(m)] += c
+    w = np.zeros((n, n), dtype=complex)
+    for m, ys in basis.diagonals.items():
+        w[_diagonal_index(n, m)] = cs[m] @ ys
+    u = basis.frame
+    return u @ w @ dagger(u)
 
 
 @dataclass(frozen=True)
@@ -119,19 +257,6 @@ class UbarModes:
     a_lm: dict
     b: np.ndarray
     bbar: np.ndarray
-
-
-def _embedded_bar_basis(n):
-    """Harmonics of the (N-1)-dimensional block embedded at rows/cols 2..N."""
-    if n < 2:
-        return {}
-    sub = build_basis(irrep(n - 1))
-    out = {}
-    for key, y in sub.elements.items():
-        big = np.zeros((n, n), dtype=complex)
-        big[1:, 1:] = y
-        out[key] = big
-    return out
 
 
 def decompose_ubar(abar, sol):
@@ -179,70 +304,83 @@ class BifundamentalModes:
     residual: float
 
 
-def _mode_matrices(basis):
-    """Harmonics with l <= N-2, the range entering the bifundamental fit."""
-    keys = [(l, m) for l in range(basis.dim - 1) for m in range(-l, l + 1)]
-    ymats = {key: basis.elements[key] for key in keys}
-    return keys, ymats
+def _default_basis(sol):
+    from .su2rep import bilinears, su2_from_bilinears
+
+    return build_basis(su2_from_bilinears(bilinears(sol), partition=(sol.size,)))
 
 
 def decompose_bifundamental(r1, r2, sol, basis=None):
     """Fit (r, s, t) to a doublet with the trace mode extracted first.
 
-    The spanning family {Y_lm g^b} is overcomplete for N >= 3, so a gauge
-    choice is needed.  The edge part is read off column 1 exactly; the
-    shared trace coefficient is the least-squares fit of both rows at once;
-    the traceless part then absorbs the remainder (minimum-norm).  This
-    makes a pure fluctuation r^a = g^a come out as r = Y_00 exactly.
+    The spanning family {Y_lm g^b}, l <= N-2, is overcomplete for N >= 3, so
+    a gauge choice is needed.  The edge part is read off column 1 exactly;
+    the shared trace coefficient is the least-squares fit of both rows at
+    once; the traceless part then absorbs the remainder (minimum-norm).
+    This makes a pure fluctuation r^a = g^a come out as r = Y_00 exactly.
+
+    Both fits run with the left index in the weight frame, where Y_lm g^1
+    lies on the row - column = m diagonal and Y_lm g^2 on m - 1: the trace
+    fit splits into one small system per m and the traceless fit into one
+    per diagonal.  The reconstruction is checked against the dense input,
+    so a doublet without that structure fails the residual check.
     """
     if not sol.is_irreducible():
         raise ValueError("mode expansion is defined per irreducible block")
     n = sol.size
     if basis is None:
-        from .su2rep import bilinears, su2_from_bilinears
-
-        basis = build_basis(su2_from_bilinears(bilinears(sol), partition=(n,)))
+        basis = _default_basis(sol)
     r = [np.asarray(r1, dtype=complex), np.asarray(r2, dtype=complex)]
     for m in r:
         if m.shape != (n, n):
             raise ValueError(f"expected {n}x{n} fluctuation matrices")
     g = sol.matrices
+    u = basis.frame
 
     # edge part: g^b kills the first barred basis vector, so column 1 of the
     # fluctuation is carried by the E_{k1} modes alone
     t = np.stack([r[0][:, 0].copy(), r[1][:, 0].copy()])
-    rem = [m.copy() for m in r]
+    rem = [dagger(u) @ x for x in r]
     rem[0][:, 0] = 0.0
     rem[1][:, 0] = 0.0
+    h = [dagger(u) @ x for x in g]
 
-    keys, ymats = _mode_matrices(basis)
-    nk = len(keys)
+    # columns Y_lm g^1 (m diagonal) and Y_lm g^2 (m - 1 diagonal), l = |m|..N-2
+    top = n - 2
+    p1, p2 = {}, {}
+    for m in range(-top, top + 1):
+        ys = basis.diagonals[m][: n - 1 - abs(m)].T
+        p1[m] = _diagonal_map(h[0], 0, m, left=False) @ ys
+        p2[m] = _diagonal_map(h[1], -1, m, left=False) @ ys
 
-    # shared trace fit over both rows
-    cols = [
-        np.concatenate([(ymats[k] @ g[0]).reshape(-1), (ymats[k] @ g[1]).reshape(-1)])
-        for k in keys
-    ]
-    amat = np.array(cols).T
-    rhs = np.concatenate([rem[0].reshape(-1), rem[1].reshape(-1)])
-    rvec, *_ = np.linalg.lstsq(amat, rhs, rcond=None)
-    r_coeffs = dict(zip(keys, rvec))
+    # shared trace fit: rows (a=1, diagonal m) and (a=2, diagonal m-1) meet
+    # only the columns of that m
+    r_coeffs = {}
+    for m in range(-top, top + 1):
+        i1, i2 = _diagonal_index(n, m), _diagonal_index(n, m - 1)
+        amat = np.vstack([p1[m], p2[m]])
+        rhs = np.concatenate([rem[0][i1], rem[1][i2]])
+        x, *_ = np.linalg.lstsq(amat, rhs, rcond=None)
+        rem[0][i1] -= p1[m] @ x
+        rem[1][i2] -= p2[m] @ x
+        r_coeffs.update(((abs(m) + i, m), c) for i, c in enumerate(x))
 
-    # traceless remainder, row by row (rows do not couple)
-    for a in range(2):
-        rem[a] = rem[a] - sum(rvec[i] * (ymats[keys[i]] @ g[a]) for i in range(nk))
-    s_rows = []
-    for a in range(2):
-        cols = [(ymats[k] @ g[b]).reshape(-1) for k in keys for b in range(2)]
-        amat = np.array(cols).T
-        svec, *_ = np.linalg.lstsq(amat, rem[a].reshape(-1), rcond=None)
-        s_rows.append(svec.reshape(nk, 2))
-    s_full = {
-        keys[i]: np.array(
-            [[s_rows[0][i, 0], s_rows[0][i, 1]], [s_rows[1][i, 0], s_rows[1][i, 1]]]
-        )
-        for i in range(nk)
-    }
+    # traceless remainder, one system per diagonal c with both rows a as
+    # right-hand sides: columns Y_{l,c} g^1 and Y_{l,c+1} g^2
+    s_full = {key: np.zeros((2, 2), dtype=complex) for key in r_coeffs}
+    for c in range(-(n - 1), n):
+        parts = [(p[m], m, b) for p, m, b in ((p1, c, 0), (p2, c + 1, 1)) if m in p]
+        if not parts:
+            continue
+        idx = _diagonal_index(n, c)
+        amat = np.hstack([cols for cols, _, _ in parts])
+        rhs = np.stack([rem[0][idx], rem[1][idx]], axis=1)
+        x, *_ = np.linalg.lstsq(amat, rhs, rcond=None)
+        i = 0
+        for cols, m, b in parts:
+            for j in range(cols.shape[1]):
+                s_full[(abs(m) + j, m)][:, b] = x[i + j]
+            i += cols.shape[1]
     # enforce tracelessness by shifting any residual trace into r
     s_coeffs = {}
     for key, mat in s_full.items():
@@ -267,22 +405,20 @@ def decompose_bifundamental(r1, r2, sol, basis=None):
 
 
 def reconstruct_bifundamental(modes, sol, basis=None):
-    n = sol.size
+    """r^a = A g^a + S_ab g^b + T^a with A = sum r_lm Y_lm, S_ab = sum
+    s_ab,lm Y_lm summed once each; O(N^3)."""
     if basis is None:
-        from .su2rep import bilinears, su2_from_bilinears
-
-        basis = build_basis(su2_from_bilinears(bilinears(sol), partition=(n,)))
+        basis = _default_basis(sol)
     g = sol.matrices
-    out = [np.zeros((n, n), dtype=complex) for _ in range(2)]
-    for key, c in modes.r_coeffs.items():
-        y = basis.elements[key]
-        for a in range(2):
-            out[a] += c * (y @ g[a])
-    for key, s in modes.s_coeffs.items():
-        y = basis.elements[key]
-        for a in range(2):
-            for b in range(2):
-                out[a] += s[a, b] * (y @ g[b])
+    a_mat = reconstruct_adjoint(modes.r_coeffs, basis)
+    s_mat = [
+        [
+            reconstruct_adjoint({k: s[a, b] for k, s in modes.s_coeffs.items()}, basis)
+            for b in range(2)
+        ]
+        for a in range(2)
+    ]
+    out = [a_mat @ g[a] + s_mat[a][0] @ g[0] + s_mat[a][1] @ g[1] for a in range(2)]
     for a in range(2):
         out[a][:, 0] += modes.t_coeffs[a]
     return out

@@ -10,13 +10,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .harmonics import build_basis, classical_ylm, classical_ylm_dtheta
-from .matcore import spectral_norm
-from .su2rep import irrep
+from .harmonics import (
+    _ad_diagonal,
+    _diagonal_map,
+    _laplacian_block,
+    _weight_frame,
+    build_basis,
+    classical_ylm,
+    classical_ylm_dtheta,
+)
+from .matcore import commutator, dagger, spectral_norm
+from .su2rep import EPS3, irrep
 
 __all__ = [
     "adjoint_laplacian_matrix",
     "fuzzy_laplacian_spectrum",
+    "group_eigenvalues",
     "commutator_decay",
     "scalar_kinetic_matrix",
     "scalar_kinetic_spectrum",
@@ -47,13 +56,34 @@ def adjoint_laplacian_matrix(rep):
 
 
 def fuzzy_laplacian_spectrum(rep):
-    """Eigenvalues of A -> sum_i [J_i, [J_i, A]]: 4 l (l+1), each 2l+1 times."""
+    """Eigenvalues of A -> sum_i [J_i, [J_i, A]]: 4 l (l+1), each 2l+1 times.
+
+    The operator keeps each weight-frame diagonal of A, so the spectrum is
+    the union of 2N - 1 tridiagonal blocks of size N - |m|.
+    """
     if not rep.is_irreducible():
         raise ValueError("spectrum is stated per irreducible block")
     if rep.dim > MAX_LAPLACIAN_SIZE:
         raise ValueError(f"dense diagonalization capped at size {MAX_LAPLACIAN_SIZE}")
-    lap = adjoint_laplacian_matrix(rep)
-    return np.sort(np.linalg.eigvalsh((lap + lap.conj().T) / 2).real)
+    n = rep.dim
+    _, gens = _weight_frame(rep)
+    blocks = [np.linalg.eigvalsh(_laplacian_block(gens, m)) for m in range(1 - n, n)]
+    return np.sort(np.concatenate(blocks))
+
+
+def group_eigenvalues(ev, tol=1e-8):
+    """[(start, stop)] runs of sorted eigenvalues that count as one level: a
+    value joins the run while it lies within tol * max(1, |first|) of the
+    run's first value."""
+    runs = []
+    i = 0
+    while i < len(ev):
+        j = i + 1
+        while j < len(ev) and abs(ev[j] - ev[i]) < tol * max(1.0, abs(ev[i])):
+            j += 1
+        runs.append((i, j))
+        i = j
+    return runs
 
 
 def commutator_decay(n_list):
@@ -84,8 +114,6 @@ def scalar_kinetic_matrix(rep):
     k = np.zeros((3 * d, 3 * d), dtype=complex)
     for i in range(3):
         k[i * d : (i + 1) * d, i * d : (i + 1) * d] = np.eye(d) + lap
-    from .su2rep import EPS3
-
     for i in range(3):
         for j in range(3):
             for kk in range(3):
@@ -96,6 +124,20 @@ def scalar_kinetic_matrix(rep):
     return k
 
 
+def _kinetic_apply(rep, a):
+    """The kinetic operator on a triple of matrices, written with commutators."""
+    gens = rep.generators
+    out = []
+    for i in range(3):
+        v = a[i] + sum(commutator(g, commutator(g, a[i])) for g in gens)
+        for j in range(3):
+            for k in range(3):
+                if EPS3[i, j, k]:
+                    v = v - 1j * EPS3[i, j, k] * commutator(gens[k], a[j])
+        out.append(v)
+    return out
+
+
 @dataclass(frozen=True)
 class KineticSpectrum:
     eigenvalues: np.ndarray  # sorted
@@ -104,51 +146,116 @@ class KineticSpectrum:
     ji_triple_residual: float
 
 
-def _vector_family(rep):
-    """Orthonormal span of the triples (J_1 Y_lm, J_2 Y_lm, J_3 Y_lm)."""
-    n = rep.dim
-    basis = build_basis(rep)
-    cols = []
-    for key in basis.keys():
-        y = basis.elements[key]
-        cols.append(np.concatenate([(g @ y).reshape(-1) for g in rep.generators]))
-    v = np.array(cols).T
+# spherical components of the vector index: columns e_{+1} = (1, i, 0)/sqrt2,
+# e_0 = (0, 0, 1) and e_{-1} = (1, -i, 0)/sqrt2 diagonalise the spin-1 S_3
+_SPHERICAL = np.array([[1, 0, 1], [1j, 0, -1j], [0, math.sqrt(2), 0]]) / math.sqrt(2)
+_SIGMAS = (1, 0, -1)
+
+
+def _spherical(coeffs):
+    """C^dag (sum_i coeffs[i] S_i) C for the spin-1 matrices (S_i)_jk = -i eps_ijk."""
+    s = sum(c * -1j * EPS3[i] for i, c in enumerate(coeffs))
+    return dagger(_SPHERICAL) @ s @ _SPHERICAL
+
+
+# sum_i S_i ad(J_i) = S_3 ad(J_3) + S_- ad(J_+) / 2 + S_+ ad(J_-) / 2 as
+# (spherical coefficients, index into the rotated (J_3, J_+, J_-), charge shift)
+_SPIN_TERMS = (
+    (_spherical((0, 0, 1)), 0, 0),
+    (_spherical((0.5, -0.5j, 0)), 1, 1),
+    (_spherical((0.5, 0.5j, 0)), 2, -1),
+)
+# spherical components conj(C)^T (J_1, J_2, J_3) of the left action, laid
+# out like _SPIN_TERMS
+_TRIPLE_TERMS = (
+    (_SPHERICAL[2].conj(), 0, 0),
+    ((_SPHERICAL[0].conj() - 1j * _SPHERICAL[1].conj()) / 2, 1, 1),
+    ((_SPHERICAL[0].conj() + 1j * _SPHERICAL[1].conj()) / 2, 2, -1),
+)
+
+
+def _kinetic_block(gens, total):
+    """The kinetic operator on spherical components of total charge M: the
+    sigma component sits on the diagonal c = M - sigma of the weight frame."""
+    n = gens[0].shape[0]
+    charges = [total - sig for sig in _SIGMAS]
+    sizes = [max(n - abs(c), 0) for c in charges]
+    starts = np.concatenate([[0], np.cumsum(sizes)])
+    k = np.zeros((starts[-1], starts[-1]), dtype=complex)
+    for b, c in enumerate(charges):
+        if not sizes[b]:
+            continue
+        cols = slice(starts[b], starts[b + 1])
+        k[cols, cols] += np.eye(sizes[b]) + _laplacian_block(gens, c)
+        for coef, g, shift in _SPIN_TERMS:
+            for a, c2 in enumerate(charges):
+                if c2 == c + shift and sizes[a]:
+                    k[starts[a] : starts[a + 1], cols] += coef[a, b] * _ad_diagonal(
+                        gens[g], shift, c
+                    )
+    return (k + dagger(k)) / 2, starts
+
+
+def _vector_family(gens, basis, total, starts):
+    """Orthonormal span of the triples (J_1 Y_lm, J_2 Y_lm, J_3 Y_lm) with
+    m = M, in the spherical components of the charge-M block."""
+    n = basis.dim
+    if abs(total) >= n:
+        return np.zeros((starts[-1], 0))
+    ys = basis.diagonals[total].T
+    v = np.zeros((starts[-1], ys.shape[1]), dtype=complex)
+    for b, sig in enumerate(_SIGMAS):
+        for coef, g, shift in _TRIPLE_TERMS:
+            if shift == -sig:
+                v[starts[b] : starts[b + 1]] += coef[b] * (
+                    _diagonal_map(gens[g], shift, total, left=True) @ ys
+                )
     q, r = np.linalg.qr(v)
     keep = np.abs(np.diag(r)) > 1e-10 * np.abs(r).max()
     return q[:, keep]
 
 
-def scalar_kinetic_spectrum(rep, action_mode="adjoint", group_tol=1e-8):
-    """Dense spectrum of the fluctuation kinetic operator.
+def scalar_kinetic_spectrum(rep, group_tol=1e-8):
+    """Spectrum of the fluctuation kinetic operator, whose quadratic term is
+    the adjoint Casimir (J acting by commutators, not left multiplication).
 
-    ``action_mode`` records how the quadratic generator term acts; only the
-    adjoint action is shipped (the term is the adjoint Casimir, not left
-    multiplication).  Each degenerate eigenspace is split against the span
-    of the triples (J_1 Y_lm, J_2 Y_lm, J_3 Y_lm): ``vector_mult`` counts
-    directions lying fully inside that span, ``spinor_mult`` directions
-    fully orthogonal to it; at finite size partial overlaps occur and are
-    tagged mixed.  The triple (J_1, J_2, J_3) itself is an exact eigenvector
-    at every size and is certified separately.
+    The operator keeps the total charge M of a triple (weight-frame diagonal
+    plus spin-1 component), so it is diagonalised in 2N + 1 blocks of size
+    about 3 (N - |M|).  Each degenerate eigenspace is split against the
+    span of the triples (J_1 Y_lm, J_2 Y_lm, J_3 Y_lm): ``vector_mult``
+    counts directions lying fully inside that span, ``spinor_mult``
+    directions fully orthogonal to it; at finite size partial overlaps occur
+    and are tagged mixed.  The overlaps are taken per block and merged
+    across blocks per level.  The triple (J_1, J_2, J_3) itself is an exact
+    eigenvector at every size and is certified separately.
     """
-    if action_mode != "adjoint":
-        raise ValueError("only the adjoint action is implemented")
     if not rep.is_irreducible():
         raise ValueError("spectrum is stated per irreducible block")
     if rep.dim > MAX_KINETIC_SIZE:
         raise ValueError(f"dense diagonalization capped at size {MAX_KINETIC_SIZE}")
-    k = scalar_kinetic_matrix(rep)
-    k = (k + k.conj().T) / 2
-    w, vecs = np.linalg.eigh(k)
-    vfam = _vector_family(rep)
+    n = rep.dim
+    _, gens = _weight_frame(rep)
+    basis = build_basis(rep)
+    blocks = []
+    for total in range(-n, n + 1):
+        k, starts = _kinetic_block(gens, total)
+        w, vecs = np.linalg.eigh(k)
+        blocks.append((w, vecs, _vector_family(gens, basis, total, starts)))
+    w = np.concatenate([b[0] for b in blocks])
+    owner = np.concatenate([np.full(len(b[0]), i) for i, b in enumerate(blocks)])
+    column = np.concatenate([np.arange(len(b[0])) for b in blocks])
+    order = np.argsort(w, kind="stable")
+    w, owner, column = w[order], owner[order], column[order]
     groups = []
-    i = 0
-    while i < len(w):
-        j = i
-        while j + 1 < len(w) and abs(w[j + 1] - w[i]) < group_tol * max(1.0, abs(w[i])):
-            j += 1
-        space = vecs[:, i : j + 1]
-        sv = np.linalg.svd(vfam.conj().T @ space, compute_uv=False)
-        mult = j - i + 1
+    for i, j in group_eigenvalues(w, group_tol):
+        sv = []
+        for b in np.unique(owner[i:j]):
+            _, vecs, vfam = blocks[b]
+            if vfam.shape[1]:
+                space = vecs[:, column[i:j][owner[i:j] == b]]
+                sv.append(np.linalg.svd(vfam.conj().T @ space, compute_uv=False))
+        sv = np.concatenate(sv) if sv else np.zeros(0)
+        mult = j - i
         vec_mult = int(np.sum(sv > 1.0 - 1e-6))
         spinor_mult = mult - int(np.sum(sv > 1e-6))
         if vec_mult == mult:
@@ -158,17 +265,16 @@ def scalar_kinetic_spectrum(rep, action_mode="adjoint", group_tol=1e-8):
         else:
             family = "mixed"
         groups.append((float(w[i]), mult, vec_mult, spinor_mult, family))
-        i = j + 1
 
-    triple = np.concatenate([g.reshape(-1) for g in rep.generators])
-    image = k @ triple
-    nrm2 = float(np.real(triple.conj() @ triple))
-    eig = float(np.real(triple.conj() @ image) / nrm2) if nrm2 > 0 else 1.0
+    triple = np.stack(rep.generators).reshape(-1)
+    image = np.stack(_kinetic_apply(rep, rep.generators)).reshape(-1)
+    nrm2 = float(np.real(np.vdot(triple, triple)))
+    eig = float(np.real(np.vdot(triple, image)) / nrm2) if nrm2 > 0 else 1.0
     residual = (
         float(np.linalg.norm(image - eig * triple) / np.sqrt(nrm2)) if nrm2 > 0 else 0.0
     )
     return KineticSpectrum(
-        eigenvalues=np.sort(w.real),
+        eigenvalues=w,
         groups=tuple(groups),
         ji_triple_eigenvalue=eig,
         ji_triple_residual=residual,

@@ -1,0 +1,249 @@
+"""The weight-frame kernels against the dense oracles they replace.
+
+The oracles are the dense operators ``adjoint_laplacian_matrix`` and
+``scalar_kinetic_matrix``, a copy of the dense least-squares mode fit, and
+(at small size) SU(2) Clebsch-Gordan coefficients from sympy.
+"""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_allclose
+
+from fuzzball.cli import main as cli_main
+from fuzzball.grvv import GrvvSolution, gauge_dress, ground_state
+from fuzzball.harmonics import build_basis, decompose_bifundamental
+from fuzzball.matcore import dagger, matrix_to_json, random_unitary
+from fuzzball.spectra import (
+    adjoint_laplacian_matrix,
+    fuzzy_laplacian_spectrum,
+    group_eigenvalues,
+    scalar_kinetic_matrix,
+    scalar_kinetic_spectrum,
+)
+from fuzzball.su2rep import (
+    Su2Representation,
+    bilinears,
+    direct_sum,
+    irrep,
+    su2_from_bilinears,
+)
+
+SIZES = [1, 2, 3, 5, 8, 12]
+
+
+def rotated_irrep(n, seed):
+    u = random_unitary(n, np.random.default_rng(seed))
+    return Su2Representation(
+        *(u @ g @ dagger(u) for g in irrep(n).generators), partition=(n,)
+    ), u
+
+
+def inputs(n):
+    return [irrep(n), rotated_irrep(n, 100 + n)[0]]
+
+
+# ---------------------------------------------------------------------------
+# dense oracles
+
+
+def dense_laplacian_spectrum(rep):
+    lap = adjoint_laplacian_matrix(rep)
+    return np.sort(np.linalg.eigvalsh((lap + lap.conj().T) / 2))
+
+
+def dense_kinetic_groups(rep, tol=1e-8):
+    k = scalar_kinetic_matrix(rep)
+    w, vecs = np.linalg.eigh((k + k.conj().T) / 2)
+    basis = build_basis(rep)
+    cols = [
+        np.concatenate([(g @ basis[key]).reshape(-1) for g in rep.generators])
+        for key in basis.keys()
+    ]
+    q, r = np.linalg.qr(np.array(cols).T)
+    vfam = q[:, np.abs(np.diag(r)) > 1e-10 * np.abs(r).max()]
+    groups = []
+    for i, j in group_eigenvalues(w, tol):
+        sv = np.linalg.svd(vfam.conj().T @ vecs[:, i:j], compute_uv=False)
+        vec_mult = int(np.sum(sv > 1.0 - 1e-6))
+        spinor_mult = (j - i) - int(np.sum(sv > 1e-6))
+        family = "vector" if vec_mult == j - i else "spinor" if spinor_mult == j - i else "mixed"
+        groups.append((float(w[i]), j - i, vec_mult, spinor_mult, family))
+    return groups
+
+
+def dense_decompose(r1, r2, sol, basis):
+    """The dense trace and traceless least-squares fits, column by column."""
+    n = sol.size
+    g = sol.matrices
+    r = [np.asarray(r1, dtype=complex), np.asarray(r2, dtype=complex)]
+    rem = [x.copy() for x in r]
+    rem[0][:, 0] = 0.0
+    rem[1][:, 0] = 0.0
+    keys = [(l, m) for l in range(n - 1) for m in range(-l, l + 1)]
+    ys = {key: basis[key] for key in keys}
+    amat = np.array(
+        [np.concatenate([(ys[k] @ g[0]).reshape(-1), (ys[k] @ g[1]).reshape(-1)]) for k in keys]
+    ).T
+    rhs = np.concatenate([rem[0].reshape(-1), rem[1].reshape(-1)])
+    rvec, *_ = np.linalg.lstsq(amat, rhs, rcond=None)
+    r_coeffs = dict(zip(keys, rvec))
+    for a in range(2):
+        rem[a] = rem[a] - sum(c * (ys[k] @ g[a]) for k, c in r_coeffs.items())
+    amat = np.array([(ys[k] @ g[b]).reshape(-1) for k in keys for b in range(2)]).T
+    s_rows = [
+        np.linalg.lstsq(amat, rem[a].reshape(-1), rcond=None)[0].reshape(len(keys), 2)
+        for a in range(2)
+    ]
+    s_coeffs = {}
+    for i, key in enumerate(keys):
+        mat = np.array([s_rows[0][i], s_rows[1][i]])
+        tr = (mat[0, 0] + mat[1, 1]) / 2
+        r_coeffs[key] += tr
+        s_coeffs[key] = mat - tr * np.eye(2)
+    return r_coeffs, s_coeffs
+
+
+def doublets(n):
+    sol = ground_state(n)
+    u = random_unitary(n, np.random.default_rng(200 + n))
+    left = gauge_dress(sol, u, np.eye(n))
+    return [sol, left]
+
+
+# ---------------------------------------------------------------------------
+# comparisons
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_laplacian_matches_dense_oracle(n):
+    for rep in inputs(n):
+        ev = fuzzy_laplacian_spectrum(rep)
+        ref = dense_laplacian_spectrum(rep)
+        assert ev.shape == ref.shape
+        assert np.max(np.abs(ev - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_kinetic_groups_match_dense_oracle(n):
+    for rep in inputs(n):
+        ks = scalar_kinetic_spectrum(rep)
+        ref = dense_kinetic_groups(rep)
+        assert [g[1:] for g in ks.groups] == [g[1:] for g in ref]
+        for got, want in zip(ks.groups, ref):
+            assert abs(got[0] - want[0]) <= 1e-8 * max(1.0, abs(want[0]))
+        assert ks.eigenvalues.size == 3 * n * n
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_decompose_matches_dense_lstsq(n):
+    rng = np.random.default_rng(300 + n)
+    for sol in doublets(n):
+        basis = build_basis(su2_from_bilinears(bilinears(sol), partition=(n,)))
+        r1 = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        r2 = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        modes = decompose_bifundamental(r1, r2, sol)
+        assert modes.residual < 1e-10 * n
+        assert_allclose(modes.t_coeffs, np.stack([r1[:, 0], r2[:, 0]]))
+        if n == 1:
+            assert modes.r_coeffs == {} and modes.s_coeffs == {}
+            continue
+        r_ref, s_ref = dense_decompose(r1, r2, sol, basis)
+        assert set(modes.r_coeffs) == set(r_ref) == set(modes.s_coeffs)
+        for key in r_ref:
+            assert abs(modes.r_coeffs[key] - r_ref[key]) < 1e-10
+            assert np.max(np.abs(modes.s_coeffs[key] - s_ref[key])) < 1e-10
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_basis_is_clebsch_gordan(n):
+    from sympy import Rational
+    from sympy.physics.wigner import clebsch_gordan
+
+    basis = build_basis(irrep(n))
+    j = Rational(n - 1, 2)
+    for l, m in basis.keys():
+        ref = np.zeros((n, n))
+        for q in range(max(0, -m), min(n, n - m)):
+            mu = q - j
+            ref[q + m, q] = np.sqrt(2 * l + 1) * float(clebsch_gordan(j, l, j, mu, m, mu + m))
+        assert np.max(np.abs(basis[(l, m)] - ref)) < 1e-13
+
+
+def test_basis_follows_the_rotation():
+    rep, u = rotated_irrep(7, 1)
+    plain = build_basis(irrep(7))
+    rotated = build_basis(rep)
+    for key in plain.keys():
+        assert np.max(np.abs(rotated[key] - u @ plain[key] @ dagger(u))) < 1e-12
+
+
+def test_basis_stays_exact_past_the_ladder_range():
+    # a ladder run down from Y_ll loses digits at every step; the per-diagonal
+    # eigenvectors stay at rounding relative to the Laplacian scale
+    n = 40
+    rep = irrep(n)
+    basis = build_basis(rep)
+    worst = 0.0
+    for l, m in [(n - 1, 0), (n - 2, 1), (n // 2, -3)]:
+        y = basis[(l, m)]
+        lap = sum(g @ (g @ y - y @ g) - (g @ y - y @ g) @ g for g in rep.generators)
+        worst = max(worst, np.linalg.norm(lap - 4 * l * (l + 1) * y) / (4 * l * (l + 1)))
+    assert worst < 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(min_value=1, max_value=12), seed=st.integers(0, 2**32 - 1))
+def test_structured_kernels_property(n, seed):
+    rep, u = rotated_irrep(n, seed)
+    ref = np.sort(np.concatenate([[4.0 * l * (l + 1)] * (2 * l + 1) for l in range(n)]))
+    ev = fuzzy_laplacian_spectrum(rep)
+    assert np.max(np.abs(ev - ref)) <= 1e-12 * max(1.0, ref[-1])
+    basis = build_basis(rep)
+    keys = basis.keys()
+    flat = np.array([basis[key].reshape(-1) for key in keys])
+    assert np.max(np.abs(flat.conj() @ flat.T - n * np.eye(n * n))) < 1e-12 * n
+    sol = gauge_dress(ground_state(n), u, np.eye(n))
+    rng = np.random.default_rng(seed)
+    r1 = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    r2 = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    assert decompose_bifundamental(r1, r2, sol).residual < 1e-10 * n
+
+
+# ---------------------------------------------------------------------------
+# failure paths
+
+
+@pytest.mark.parametrize("blocks", [(3, 2), (2, 2), (1, 1), (4, 1)])
+def test_relabelled_direct_sum_is_refused(blocks):
+    ds = direct_sum([irrep(b) for b in blocks])
+    fake = Su2Representation(*ds.generators, partition=(ds.dim,))
+    for fn in (fuzzy_laplacian_spectrum, scalar_kinetic_spectrum, build_basis):
+        with pytest.raises(ValueError, match="not an irreducible representation"):
+            fn(fake)
+
+
+def test_right_dressed_doublet_fails_decompose(tmp_path):
+    n = 4
+    rng = np.random.default_rng(7)
+    sol = gauge_dress(ground_state(n), np.eye(n), random_unitary(n, rng))
+    r1 = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    r2 = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    with pytest.raises(ArithmeticError):
+        decompose_bifundamental(r1, r2, sol)
+
+    gfile = tmp_path / "g.json"
+    gfile.write_text(json.dumps(sol.to_json()))
+    paths = []
+    for k, r in enumerate((r1, r2)):
+        p = tmp_path / f"r{k}.json"
+        p.write_text(json.dumps(matrix_to_json(r)))
+        paths.append(str(p))
+    code = cli_main(
+        ["decompose", "--solution", str(gfile), "--matrix", ",".join(paths)]
+    )
+    assert code == 2
+    assert GrvvSolution.from_json(json.loads(gfile.read_text())).dressed
