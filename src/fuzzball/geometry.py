@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matcore import dagger
-from .su2rep import PAULI
+from .su2rep import EPS_LOWER, PAULI
 
 __all__ = [
     "SphereGrid",
@@ -58,7 +58,6 @@ SIGMA = np.stack(PAULI)  # (3, 2, 2)
 SIGMA_T = np.stack([s.T for s in PAULI])
 
 A_PHASE = np.exp(-0.25j * np.pi)
-EPS_LOWER = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
 C_MINUS = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)  # i sigma_2
 ID_PHASE = np.exp(0.25j * np.pi)  # constant phase in the section/spinor match
 

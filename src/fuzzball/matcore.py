@@ -135,7 +135,7 @@ def random_unitary(n, rng):
 def matrix_to_json(a):
     """Interchange form: {"rows", "cols", "data": [[re, im], ...] row-major}."""
     a = as_matrix(a)
-    data = [[float(z.real), float(z.imag)] for z in a.reshape(-1)]
+    data = np.ascontiguousarray(a).view(float).reshape(-1, 2).tolist()
     return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "data": data}
 
 

@@ -29,6 +29,7 @@ from .matcore import (
 __all__ = [
     "PAULI",
     "EPS3",
+    "EPS_LOWER",
     "Su2Representation",
     "BilinearSet",
     "irrep",
@@ -46,6 +47,9 @@ PAULI = (
     np.array([[0, -1j], [1j, 0]], dtype=complex),
     np.array([[1, 0], [0, -1]], dtype=complex),
 )
+
+# antisymmetric doublet metric: i * sigma_2^T = [[0, -1], [1, 0]]
+EPS_LOWER = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
 
 # Levi-Civita symbol on three indices
 EPS3 = np.zeros((3, 3, 3))

@@ -157,8 +157,16 @@ def test_decompose_identity_fluctuation(tmp_path):
     assert rows[0] == ["l", "m", "r_power", "s_power"]
 
 
-def test_verify_respects_thread_cap(tmp_path, monkeypatch):
-    monkeypatch.setenv("FUZZBALL_THREADS", "1")
+def test_verify_superalgebra_miss_keeps_rows(tmp_path):
     out = tmp_path / "r.json"
-    assert run(["verify", "--suite", "u2", "--n-list", "2,3", "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["passed"] is True
+    code = run(
+        ["verify", "--suite", "superalgebra", "--n-list", "3,8", "--tol", "1e-30", "--out", str(out)]
+    )
+    assert code == 1
+    rows = json.loads(out.read_text())["results"]
+    assert [(r["name"], r["n"], r["tol"]) for r in rows] == [
+        ("osp_closure", 3, 1e-30),
+        ("osp_closure", 8, 1e-30),
+    ]
+    assert not any(r["pass"] for r in rows)
+    assert all(0 < r["residual"] < 1e-10 for r in rows)

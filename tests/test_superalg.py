@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from fuzzball.grvv import GrvvSolution, ground_state
-from fuzzball.matcore import dagger, frobenius_norm
+from fuzzball.matcore import anticommutator, commutator, dagger, frobenius_norm
+from fuzzball.su2rep import EPS3, PAULI
 from fuzzball.superalg import (
     EPS_LOWER,
+    CalibrationResult,
+    SuperMatrixSet,
     build,
     calibrate,
     osp_closure_residual,
@@ -108,3 +113,139 @@ def test_calibration_report_json():
     assert obj["scale"] == 1.0
     assert obj["convention"] == "eps_left"
     assert len(obj["residuals"]) == 3
+
+
+# ---------------------------------------------------------------------------
+# dense reference: every bracket as a 2N x 2N product, every index pair, and
+# the supermatrices rebuilt for each (scale, convention) candidate
+
+
+def dense_residuals(sms, convention):
+    e = sms.even
+    q = sms.odd
+    ee = 0.0
+    for i in range(3):
+        for j in range(3):
+            rhs = sum(2j * EPS3[i, j, k] * e[k] for k in range(3))
+            ee = max(ee, frobenius_norm(commutator(e[i], e[j]) - rhs))
+    eo = 0.0
+    for i in range(3):
+        for a in range(2):
+            rhs = -sum(PAULI[i][a, d] * q[d] for d in range(2))
+            eo = max(eo, frobenius_norm(commutator(e[i], q[a]) - rhs))
+    if convention == "eps_left":
+        low = [EPS_LOWER @ p.T for p in PAULI]
+    else:
+        low = [p.T @ EPS_LOWER for p in PAULI]
+    oo = 0.0
+    for a in range(2):
+        for b in range(2):
+            rhs = -sum(low[i][a, b] * e[i] for i in range(3))
+            oo = max(oo, frobenius_norm(anticommutator(q[a], q[b]) - rhs))
+    return ee, eo, oo
+
+
+def dense_calibrate(sol, scales=None, tol=1e-10):
+    n = sol.size
+    if scales is None:
+        scales = sorted(
+            {0.25, 0.5, 1 / np.sqrt(2), 1.0, np.sqrt(2), 2.0, np.sqrt(n), 1 / np.sqrt(n)}
+        )
+    best = None
+    for convention in ("eps_left", "eps_right"):
+        for c in scales:
+            res = dense_residuals(build(sol, scale=c), convention)
+            if best is None or max(res) < best.total:
+                best = CalibrationResult(float(c), convention, tuple(res))
+    if best.total > tol:
+        raise ArithmeticError(f"best {best.total:.3e}")
+    return best
+
+
+def rounding_floor(n):
+    # where c * Q is not exact in floating point the two searches round it
+    # differently, so rounding-level residuals agree only to about eps times
+    # the size of the products (ee reaches 1.05e-10 at n=256)
+    return 1e-14 * n**2.5
+
+
+def assert_close_residuals(got, ref, floor=1e-15):
+    for x, y in zip(got, ref):
+        assert abs(x - y) <= 1e-12 * max(x, y) + floor, (got, ref)
+
+
+def assert_same_calibration(sol, got, ref, floor=1e-15):
+    assert_close_residuals(got.residuals, ref.residuals, floor)
+    if (got.scale, got.convention) != (ref.scale, ref.convention):
+        # only a tie up to rounding may pick another pair: the dense search
+        # must score that pair as well as its own pick
+        tied = dense_residuals(build(sol, got.scale), got.convention)
+        assert abs(max(tied) - ref.total) <= 1e-12 * ref.total + floor, (got, ref)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 16, 32])
+def test_calibrate_matches_dense_search(n):
+    sol = ground_state(n)
+    got, ref = calibrate(sol), dense_calibrate(sol)
+    assert (got.scale, got.convention) == (ref.scale, ref.convention) == (1.0, "eps_left")
+    assert_same_calibration(sol, got, ref)
+    # dyadic scales multiply exactly, so the residuals agree as strictly as
+    # at c = 1 although no candidate closes
+    grid = [0.25, 0.5, 2.0, 4.0]
+    got = calibrate(sol, scales=grid, tol=np.inf)
+    ref = dense_calibrate(sol, scales=grid, tol=np.inf)
+    assert (got.scale, got.convention) == (ref.scale, ref.convention)
+    assert_same_calibration(sol, got, ref)
+    grid = [0.3, 0.9, 1.7, -1.1, 2.5]
+    got = calibrate(sol, scales=grid, tol=np.inf)
+    ref = dense_calibrate(sol, scales=grid, tol=np.inf)
+    assert (got.scale, got.convention) == (ref.scale, ref.convention)
+    assert_same_calibration(sol, got, ref, rounding_floor(n))
+
+
+@pytest.mark.parametrize("n", [3, 8])
+@pytest.mark.parametrize("scale", [0.5, 1.0, 3.0])
+@pytest.mark.parametrize("convention", ["eps_left", "eps_right"])
+def test_closure_residual_matches_dense(n, scale, convention):
+    sms = build(ground_state(n), scale)
+    assert_close_residuals(
+        osp_closure_residual(sms, convention), dense_residuals(sms, convention)
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=12),
+    scales=st.lists(st.floats(min_value=0.05, max_value=4.0), min_size=1, max_size=5),
+    with_one=st.booleans(),
+)
+def test_calibrate_matches_dense_on_random_grids(n, scales, with_one):
+    if with_one:
+        scales = scales + [1.0]
+    sol = ground_state(n)
+    try:
+        ref = dense_calibrate(sol, scales)
+    except ArithmeticError:
+        with pytest.raises(ArithmeticError):
+            calibrate(sol, scales)
+        return
+    assert_same_calibration(sol, calibrate(sol, scales), ref, rounding_floor(n))
+
+
+def test_calibration_failure_names_the_bracket():
+    with pytest.raises(ArithmeticError, match=r"\boo\b.*tol 1\.0e-10"):
+        calibrate(ground_state(4), scales=[0.5, 2.0])
+
+
+@pytest.mark.parametrize("part, row, col", [("even", 0, 3), ("even", 4, 1), ("odd", 0, 0), ("odd", 5, 5)])
+def test_closure_refuses_broken_block_structure(part, row, col):
+    sms = build(ground_state(3))
+    mats = [m.copy() for m in getattr(sms, part)]
+    mats[1][row, col] = 1e-300
+    broken = SuperMatrixSet(
+        even=tuple(mats) if part == "even" else sms.even,
+        odd=tuple(mats) if part == "odd" else sms.odd,
+        scale=1.0,
+    )
+    with pytest.raises(ValueError, match="block"):
+        osp_closure_residual(broken)
