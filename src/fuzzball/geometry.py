@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import dagger
 from .su2rep import EPS_LOWER, PAULI
 
 __all__ = [
@@ -117,9 +116,13 @@ def sample_projected_spinor(grid):
 def hopf_s2(g):
     """x_i = g^dag sigma_i^T g for a 2-component complex vector (or stack)."""
     g = np.asarray(g, dtype=complex)
-    return np.real(
-        np.einsum("...a,iab,...b->...i", g.conj(), SIGMA_T, g)
-    )
+    g0, g1 = g[..., 0], g[..., 1]
+    z = g0 * g1.conj()
+    x = np.empty(g.shape[:-1] + (3,))
+    x[..., 0] = 2.0 * z.real
+    x[..., 1] = 2.0 * z.imag
+    x[..., 2] = (g0.real**2 + g0.imag**2) - (g1.real**2 + g1.imag**2)
+    return x
 
 
 def unit_vector(theta, phi):
@@ -127,13 +130,18 @@ def unit_vector(theta, phi):
 
     The transverse radius is sqrt(1 - x3^2) rather than sin(theta): the unit
     constraint then fails only in proportion to (1 + x3), which keeps the
-    polar charts (``section``) conditioned all the way to the poles.
+    polar charts (``section``) conditioned all the way to the poles.  Theta
+    and phi broadcast against each other.
     """
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
     x3 = np.cos(theta)
     rho = np.sqrt(np.clip((1.0 - x3) * (1.0 + x3), 0.0, None))
-    return np.stack([rho * np.cos(phi), rho * np.sin(phi), x3], axis=-1)
+    out = np.empty(np.broadcast_shapes(theta.shape, phi.shape) + (3,))
+    out[..., 0] = rho * np.cos(phi)
+    out[..., 1] = rho * np.sin(phi)
+    out[..., 2] = x3
+    return out
 
 
 def section(x, tol=1e-12):
@@ -185,12 +193,19 @@ def killing_vectors(theta, phi):
 def killing_spinor(theta, phi):
     """eta[..., alpha, I] = (S^dag E)[alpha, I] / sqrt(2)."""
     s = s_matrix(theta, phi)
-    return np.einsum("...ba,bc->...ac", s.conj(), EPS_LOWER) / np.sqrt(2.0)
+    # E = [[0, -1], [1, 0]]: column 0 of S^dag E is conj(S[1, :]), column 1
+    # is -conj(S[0, :])
+    return np.stack([s[..., 1, :], -s[..., 0, :]], axis=-1).conj() / np.sqrt(2.0)
 
 
 def weyl_plus(eta):
     """u^I = sqrt(2) (P_+ eta)^I: the surviving component of the projection."""
     return np.sqrt(2.0) * eta[..., 0, :]
+
+
+def _projected(theta, phi):
+    """sqrt(2) P_+ eta at (theta, phi)."""
+    return weyl_plus(killing_spinor(theta, phi))
 
 
 def spinor_dual(eta):
@@ -219,16 +234,78 @@ def random_majorana_spinor(rng):
 
 def rotation_reality_residual(theta, phi, chi):
     """Reality defect of chi after the frame rotation acts on its first index."""
-    s = s_matrix(theta, phi)
-    rotated = np.einsum("...ab,bc->...ac", dagger(s), chi)
-    return modified_majorana_residual(rotated)
+    return modified_majorana_residual(_mul2(_dag2(s_matrix(theta, phi)), chi))
+
+
+# ---------------------------------------------------------------------------
+# batched 2x2 kernels and the one finite-difference helper
+
+
+def _mul2(a, b):
+    """Batched 2x2 product a @ b over the trailing two axes (broadcasting)."""
+    return a[..., :, :1] * b[..., :1, :] + a[..., :, 1:] * b[..., 1:, :]
+
+
+def _apply2(m, v):
+    """Batched 2x2 matrix-vector product m v over the trailing axes."""
+    return m[..., :, 0] * v[..., None, 0] + m[..., :, 1] * v[..., None, 1]
+
+
+def _dag2(a):
+    """Conjugate transpose of a stack of 2x2 matrices."""
+    return np.swapaxes(a, -1, -2).conj()
+
+
+def _sigma_t_forms(x, y):
+    """x^dag sigma_i^T y for i = 1, 2, 3, stacked on a trailing axis."""
+    xc0, xc1 = x[..., 0].conj(), x[..., 1].conj()
+    y0, y1 = y[..., 0], y[..., 1]
+    return np.stack(
+        [xc0 * y1 + xc1 * y0, 1j * (xc0 * y1 - xc1 * y0), xc0 * y0 - xc1 * y1], axis=-1
+    )
+
+
+def _sup(a):
+    return float(np.max(np.abs(a)))
+
+
+def _central_difference(f, theta, phi, h, richardson=False):
+    """Central differences (d_theta f, d_phi f) of f(theta, phi) at step h.
+
+    With ``richardson`` the pair (h, h/2) is combined as (4 D(h/2) - D(h)) / 3,
+    pushing the O(h^2) truncation below roundoff.  Separable inputs (theta of
+    shape (n, 1), phi of shape (1, m)) keep every shifted angle separable.
+    """
+
+    def central(step):
+        return (
+            (f(theta + step, phi) - f(theta - step, phi)) / (2 * step),
+            (f(theta, phi + step) - f(theta, phi - step)) / (2 * step),
+        )
+
+    dth, dph = central(h)
+    if richardson:
+        dth2, dph2 = central(h / 2)
+        dth = (4.0 * dth2 - dth) / 3.0
+        dph = (4.0 * dph2 - dph) / 3.0
+    return dth, dph
 
 
 def _gamma_a(theta):
     """gamma_theta, gamma_phi = sigma_1, sin(theta) sigma_2 (lower index)."""
-    theta = np.asarray(theta, dtype=float)
-    gph = np.sin(theta)[..., None, None] * SIGMA[1]
-    return np.broadcast_to(SIGMA[0], gph.shape).copy(), gph
+    return SIGMA[0], np.sin(np.asarray(theta, dtype=float))[..., None, None] * SIGMA[1]
+
+
+def _killing_defect(theta, phi, h, connection_sign=-1.0, richardson=False):
+    """Pointwise sup-norm defect of D_a eta = (i/2) gamma_a eta."""
+    eta0 = killing_spinor(theta, phi)
+    dth, dph = _central_difference(killing_spinor, theta, phi, h, richardson)
+    gth, gph = _gamma_a(theta)
+    rt = dth - 0.5j * _mul2(gth, eta0)
+    # D_phi = d_phi + (1/2) omega^{12}_phi gamma_12, gamma_12 = i sigma_3
+    cos = np.asarray(np.cos(theta))[..., None, None]
+    rp = dph + 0.5j * connection_sign * cos * _mul2(SIGMA[2], eta0) - 0.5j * _mul2(gph, eta0)
+    return np.maximum(np.max(np.abs(rt), axis=(-2, -1)), np.max(np.abs(rp), axis=(-2, -1)))
 
 
 def killing_equation_residual(theta, phi, h=1e-4, connection_sign=-1.0, extrapolate=False):
@@ -239,30 +316,7 @@ def killing_equation_residual(theta, phi, h=1e-4, connection_sign=-1.0, extrapol
     the negative control.  With ``extrapolate`` the derivative uses a
     Richardson pair (h, h/2), pushing truncation below roundoff.
     """
-
-    def central(step):
-        dt = (killing_spinor(theta + step, phi) - killing_spinor(theta - step, phi)) / (
-            2 * step
-        )
-        dp = (killing_spinor(theta, phi + step) - killing_spinor(theta, phi - step)) / (
-            2 * step
-        )
-        return dt, dp
-
-    eta0 = killing_spinor(theta, phi)
-    dth, dph = central(h)
-    if extrapolate:
-        dth2, dph2 = central(h / 2)
-        dth = (4.0 * dth2 - dth) / 3.0
-        dph = (4.0 * dph2 - dph) / 3.0
-    gth, gph = _gamma_a(theta)
-    res_t = dth - 0.5j * np.einsum("...ab,...bI->...aI", gth, eta0)
-    # D_phi = d_phi + (1/2) omega^{12}_phi gamma_12, gamma_12 = i sigma_3
-    dph = dph + 0.5j * connection_sign * np.asarray(np.cos(theta))[
-        ..., None, None
-    ] * np.einsum("ab,...bI->...aI", SIGMA[2], eta0)
-    res_p = dph - 0.5j * np.einsum("...ab,...bI->...aI", gph, eta0)
-    return max(float(np.max(np.abs(res_t))), float(np.max(np.abs(res_p))))
+    return float(np.max(_killing_defect(theta, phi, h, connection_sign, extrapolate)))
 
 
 def _aligned_section(theta, phi):
@@ -277,10 +331,17 @@ def _aligned_section(theta, phi):
 def _rotated_gamma(theta, phi):
     """M_a = S gamma_a S^dag for a = theta, phi."""
     s = s_matrix(theta, phi)
+    sd = _dag2(s)
     gth, gph = _gamma_a(theta)
-    mth = np.einsum("...ab,...bc,...dc->...ad", s, gth, s.conj())
-    mph = np.einsum("...ab,...bc,...dc->...ad", s, gph, s.conj())
-    return mth, mph
+    return _mul2(_mul2(s, gth), sd), _mul2(_mul2(s, gph), sd)
+
+
+def _dx_from_law(m, v):
+    """(i/2) v^dag [M, sigma_i^T] v for i = 1, 2, 3: the d_a x_i implied by
+    the derivative law d_a v = -(i/2) M_a v."""
+    return 0.5j * (
+        _sigma_t_forms(_apply2(_dag2(m), v), v) - _sigma_t_forms(v, _apply2(m, v))
+    )
 
 
 @dataclass(frozen=True)
@@ -308,98 +369,71 @@ class IdentificationReport:
         }
 
 
-def _fd_residual_b(theta, phi, h):
-    u0 = weyl_plus(killing_spinor(theta, phi))
-    mth, mph = _rotated_gamma(theta, phi)
-    dth = (
-        weyl_plus(killing_spinor(theta + h, phi))
-        - weyl_plus(killing_spinor(theta - h, phi))
-    ) / (2 * h)
-    dph = (
-        weyl_plus(killing_spinor(theta, phi + h))
-        - weyl_plus(killing_spinor(theta, phi - h))
-    ) / (2 * h)
-    rt = dth + 0.5j * np.einsum("...IJ,...J->...I", mth, u0)
-    rp = dph + 0.5j * np.einsum("...IJ,...J->...I", mph, u0) - 0.5j * np.cos(
-        theta
-    )[..., None] * u0
-    return max(float(np.max(np.abs(rt))), float(np.max(np.abs(rp))))
-
-
-def _fd_residual_c(theta, phi, h):
-    g0 = _aligned_section(theta, phi)
-    mth, mph = _rotated_gamma(theta, phi)
-    dth = (_aligned_section(theta + h, phi) - _aligned_section(theta - h, phi)) / (2 * h)
-    dph = (_aligned_section(theta, phi + h) - _aligned_section(theta, phi - h)) / (2 * h)
-    res = 0.0
-    for d, m in ((dth, mth), (dph, mph)):
-        defect = d + 0.5j * np.einsum("...ab,...b->...a", m, g0)
-        # remove the i * real * g component: the representative is only
-        # defined up to the fibre phase and its theta-gradient is the
-        # non-integrable piece
-        coeff = np.imag(np.einsum("...a,...a->...", g0.conj(), defect))
-        defect = defect - 1j * coeff[..., None] * g0
-        res = max(res, float(np.max(np.abs(defect))))
-    return res
-
-
 def identification_check(n, grid, h=1e-4, phi_window=0.02):
     """Run the five identification checks on the interior of a grid.
 
     ``n`` is the matrix size whose large-size limit is being probed; it
     gates validity (n >= 2) and is recorded by callers, the residuals
-    themselves are classical.
+    themselves are classical.  The step-independent base quantities are
+    evaluated once and shared by every step size.
     """
     if n < 2:
         raise ValueError("identification needs n >= 2")
-    tt, pp = grid.mesh()
+    theta, phi = grid.theta[:, None], grid.phi[None, :]
+    x = unit_vector(theta, phi)
+    u0 = _projected(theta, phi)
+    g0 = section(x)
+    a0 = _aligned_section(theta, phi)
+    a0c = a0.conj()
+    mth, mph = _rotated_gamma(theta, phi)
 
     # (a) coordinates from the projected spinor
-    u = weyl_plus(killing_spinor(tt, pp))
-    xa = hopf_s2(u)
-    res_a = float(np.max(np.abs(xa - unit_vector(tt, pp))))
+    res_a = _sup(hopf_s2(u0) - x)
 
     # (b), (c) finite-difference derivative laws, plus convergence order
     # (orders measured at steps large enough that truncation beats roundoff)
-    res_b = _fd_residual_b(tt, pp, h)
-    res_c = _fd_residual_c(tt, pp, h)
+    law_bt = 0.5j * _apply2(mth, u0)
+    law_bp = 0.5j * _apply2(mph, u0)
+    law_bc = 0.5j * np.cos(theta)[..., None] * u0
+    law_c = (0.5j * _apply2(mth, a0), 0.5j * _apply2(mph, a0))
+
+    def fd_b(step):
+        dth, dph = _central_difference(_projected, theta, phi, step)
+        return max(_sup(dth + law_bt), _sup(dph + law_bp - law_bc))
+
+    def fd_c(step):
+        res = 0.0
+        for d, law in zip(_central_difference(_aligned_section, theta, phi, step), law_c):
+            defect = d + law
+            # remove the i * real * g component: the representative is only
+            # defined up to the fibre phase and its theta-gradient is the
+            # non-integrable piece
+            coeff = np.imag(a0c[..., 0] * defect[..., 0] + a0c[..., 1] * defect[..., 1])
+            res = max(res, _sup(defect - 1j * coeff[..., None] * a0))
+        return res
+
     h_ord = max(h, 2e-3)
-    order_b = float(
-        np.log2(_fd_residual_b(tt, pp, h_ord) / _fd_residual_b(tt, pp, h_ord / 2))
-    )
-    order_c = float(
-        np.log2(_fd_residual_c(tt, pp, h_ord) / _fd_residual_c(tt, pp, h_ord / 2))
-    )
+    order_b = float(np.log2(fd_b(h_ord) / fd_b(h_ord / 2)))
+    order_c = float(np.log2(fd_c(h_ord) / fd_c(h_ord / 2)))
 
     # (d) local phase match near phi = 0: the projected spinor equals the
     # aligned representative times exp(i phi cos(theta) / 2) and one fixed
     # constant phase
-    phis = np.linspace(-phi_window, phi_window, 9)
-    tloc, ploc = np.meshgrid(grid.theta, phis, indexing="ij")
-    uloc = weyl_plus(killing_spinor(tloc, ploc))
+    phis = np.linspace(-phi_window, phi_window, 9)[None, :]
     match = (
         ID_PHASE
-        * np.exp(0.5j * ploc * np.cos(tloc))[..., None]
-        * _aligned_section(tloc, ploc)
+        * np.exp(0.5j * phis * np.cos(theta))[..., None]
+        * _aligned_section(theta, phis)
     )
-    res_d = float(np.max(np.abs(uloc - match)))
+    res_d = _sup(_projected(theta, phis) - match)
 
     # (e) d_a x_i from either derivative law: (i/2) v^dag [M_a, sigma~_i] v
-    mth, mph = _rotated_gamma(tt, pp)
-    g0 = section(unit_vector(tt, pp))
-    res_e = 0.0
-    for m in (mth, mph):
-        comm = np.einsum("...ab,ibc->...iac", m, SIGMA_T) - np.einsum(
-            "iab,...bc->...iac", SIGMA_T, m
-        )
-        via_b = 0.5j * np.einsum("...a,...iab,...b->...i", u.conj(), comm, u)
-        via_c = 0.5j * np.einsum("...a,...iab,...b->...i", g0.conj(), comm, g0)
-        res_e = max(res_e, float(np.max(np.abs(via_b - via_c))))
+    res_e = max(_sup(_dx_from_law(m, u0) - _dx_from_law(m, g0)) for m in (mth, mph))
 
     return IdentificationReport(
         coordinate=res_a,
-        projected_derivative=res_b,
-        section_derivative=res_c,
+        projected_derivative=fd_b(h),
+        section_derivative=fd_c(h),
         local_phase=res_d,
         dx_agreement=res_e,
         order_b=order_b,
@@ -408,52 +442,25 @@ def identification_check(n, grid, h=1e-4, phi_window=0.02):
 
 
 def grid_report(grid, n=2, h=1e-4):
-    """Per-point residual rows (theta, phi, identity name, residual).
+    """Per-point residuals: one (n_theta, n_phi) array per identity, keyed by
+    identity name in the row order of the grid CSV.
 
     Covers the pointwise identities: chart round trip, the rotated gamma_3
     relation, coordinate reproduction from the projected spinor, and the
     Killing equation (Richardson-extrapolated derivative).
     """
-    tt, pp = grid.mesh()
-    x = unit_vector(tt, pp)
-    rows = []
-
-    def emit(name, res):
-        for i in range(tt.shape[0]):
-            for j in range(tt.shape[1]):
-                rows.append((float(tt[i, j]), float(pp[i, j]), name, float(res[i, j])))
-
-    emit("hopf_section_roundtrip", np.max(np.abs(hopf_s2(section(x)) - x), axis=-1))
-    s = s_matrix(tt, pp)
-    g3 = np.einsum("...ab,bc,...dc->...ad", s, SIGMA[2], s.conj()) + np.einsum(
-        "...i,iab->...ab", x, SIGMA_T
-    )
-    emit("gamma3_relation", np.max(np.abs(g3), axis=(-2, -1)))
-    u = weyl_plus(killing_spinor(tt, pp))
-    emit("spinor_coordinates", np.max(np.abs(hopf_s2(u) - x), axis=-1))
-
-    eta0 = killing_spinor(tt, pp)
-    def central(step):
-        dt = (killing_spinor(tt + step, pp) - killing_spinor(tt - step, pp)) / (2 * step)
-        dp = (killing_spinor(tt, pp + step) - killing_spinor(tt, pp - step)) / (2 * step)
-        return dt, dp
-
-    dth, dph = central(h)
-    dth2, dph2 = central(h / 2)
-    dth = (4.0 * dth2 - dth) / 3.0
-    dph = (4.0 * dph2 - dph) / 3.0
-    gth, gph = _gamma_a(tt)
-    rt = dth - 0.5j * np.einsum("...ab,...bI->...aI", gth, eta0)
-    rp = (
-        dph
-        - 0.5j * np.cos(tt)[..., None, None] * np.einsum("ab,...bI->...aI", SIGMA[2], eta0)
-        - 0.5j * np.einsum("...ab,...bI->...aI", gph, eta0)
-    )
-    emit(
-        "killing_equation",
-        np.maximum(np.max(np.abs(rt), axis=(-2, -1)), np.max(np.abs(rp), axis=(-2, -1))),
-    )
-    return rows
+    theta, phi = grid.theta[:, None], grid.phi[None, :]
+    x = unit_vector(theta, phi)
+    s = s_matrix(theta, phi)
+    # S gamma_3 S^dag + x_i sigma_i^T vanishes pointwise
+    x_sigma_t = (x @ SIGMA_T.reshape(3, 4)).reshape(x.shape[:-1] + (2, 2))
+    g3 = _mul2(_mul2(s, SIGMA[2]), _dag2(s)) + x_sigma_t
+    return {
+        "hopf_section_roundtrip": np.max(np.abs(hopf_s2(section(x)) - x), axis=-1),
+        "gamma3_relation": np.max(np.abs(g3), axis=(-2, -1)),
+        "spinor_coordinates": np.max(np.abs(hopf_s2(_projected(theta, phi)) - x), axis=-1),
+        "killing_equation": _killing_defect(theta, phi, h, richardson=True),
+    }
 
 
 # ---------------------------------------------------------------------------

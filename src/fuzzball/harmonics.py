@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import lpmv
 
 from .matcore import dagger, frobenius_norm
 from .su2rep import Su2Representation, irrep
@@ -429,6 +428,10 @@ def classical_ylm(l, m, theta, phi):
 
     Condon-Shortley phases; Y_00 = 1, Y_10 = sqrt(3) cos(theta).
     """
+    # imported here: scipy.special costs most of the package import time and
+    # only this function needs it
+    from scipy.special import lpmv
+
     if abs(m) > l:
         raise ValueError("|m| must not exceed l")
     theta = np.asarray(theta, dtype=float)

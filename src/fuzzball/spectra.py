@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import _apply2, _central_difference, killing_spinor
 from .harmonics import (
     _ad_diagonal,
     _diagonal_map,
@@ -20,7 +21,7 @@ from .harmonics import (
     classical_ylm_dtheta,
 )
 from .matcore import commutator, dagger, spectral_norm
-from .su2rep import EPS3, irrep
+from .su2rep import EPS3, PAULI, irrep
 
 __all__ = [
     "adjoint_laplacian_matrix",
@@ -336,12 +337,6 @@ def spherical_spinor(j, l, m, theta, phi):
 # Dirac square on the spinorial harmonics
 
 
-def _eta_pair(theta, phi):
-    from .geometry import killing_spinor
-
-    return killing_spinor(theta, phi)
-
-
 def _ylm_pack(l, m, theta, phi):
     """Y, dY/dtheta, d2Y/dtheta2 (the second from the defining ODE)."""
     y = classical_ylm(l, m, theta, phi)
@@ -357,8 +352,6 @@ def _xi_and_dirac(l, m, sign, theta, phi):
     sign=+1 pairs Y_l with the chirality-flipped spinors, sign=-1 pairs
     Y_{l+1} with the plain ones; both families square to (l+1)^2.
     """
-    from .su2rep import PAULI
-
     s1, s2, s3 = PAULI
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
@@ -370,7 +363,7 @@ def _xi_and_dirac(l, m, sign, theta, phi):
     sin = np.sin(theta)
     cos = np.cos(theta)
 
-    eta = _eta_pair(theta, phi)[..., :, 0]  # one global component suffices
+    eta = killing_spinor(theta, phi)[..., :, 0]  # one global component suffices
     base = np.einsum("ab,...b->...a", s3, eta) if sign > 0 else eta
     # d_a eta from the Killing equation (with its torsion-free phi term)
     deta_t = 0.5j * np.einsum("ab,...b->...a", s1, eta)
@@ -397,15 +390,19 @@ def _xi_and_dirac(l, m, sign, theta, phi):
     # every Y-factor in M carries exp(i m phi)
     dxi_p = 1j * m * xi + np.einsum("...ab,...b->...a", mm, dbase_p)
 
-    dirac = -1j * (
-        np.einsum("ab,...b->...a", s1, dxi_t)
-        + np.einsum("ab,...b->...a", s2, dxi_p)
-        / sin[..., None]
-        - 0.5j
-        * (cos / sin)[..., None]
-        * np.einsum("ab,bc,...c->...a", s2, s3, xi)
+    return xi, _dirac(xi, dxi_t, dxi_p, theta)
+
+
+def _dirac(f, f_theta, f_phi, theta):
+    """Dirac operator on a spinor field from its value and first derivatives:
+    -i (sigma_1 d_theta + sigma_2 d_phi / sin - (i/2) cot sigma_2 sigma_3) f."""
+    sin = np.sin(theta)
+    cos = np.cos(theta)
+    return -1j * (
+        _apply2(PAULI[0], f_theta)
+        + _apply2(PAULI[1], f_phi) / sin[..., None]
+        - 0.5j * (cos / sin)[..., None] * _apply2(PAULI[1] @ PAULI[2], f)
     )
-    return xi, dirac
 
 
 def spinorial_harmonic(l, m, sign, theta, phi):
@@ -422,23 +419,10 @@ def spinorial_harmonic(l, m, sign, theta, phi):
     return xi
 
 
-def _dirac_fd(field, theta, phi, h):
+def _dirac_fd(field, theta, phi, h, richardson=False):
     """One finite-difference Dirac application of a callable spinor field."""
-    from .su2rep import PAULI
-
-    s1, s2, s3 = PAULI
-    sin = np.sin(theta)
-    cos = np.cos(theta)
-    f0 = field(theta, phi)
-    ft = (field(theta + h, phi) - field(theta - h, phi)) / (2 * h)
-    fp = (field(theta, phi + h) - field(theta, phi - h)) / (2 * h)
-    return -1j * (
-        np.einsum("ab,...b->...a", s1, ft)
-        + np.einsum("ab,...b->...a", s2, fp) / sin[..., None]
-        - 0.5j
-        * (cos / sin)[..., None]
-        * np.einsum("ab,bc,...c->...a", s2, s3, f0)
-    )
+    d_theta, d_phi = _central_difference(field, theta, phi, h, richardson)
+    return _dirac(field(theta, phi), d_theta, d_phi, theta)
 
 
 @dataclass(frozen=True)
@@ -467,10 +451,7 @@ def dirac_square_check(l, sign, grid, fd_step=None):
         return _xi_and_dirac(l, 0, sign, theta, phi)[1]
 
     if fd_step is None:
-        h = 1e-3
-        coarse = _dirac_fd(first, tt, pp, h)
-        fine = _dirac_fd(first, tt, pp, h / 2)
-        second = (4.0 * fine - coarse) / 3.0
+        second = _dirac_fd(first, tt, pp, 1e-3, richardson=True)
     else:
         second = _dirac_fd(first, tt, pp, fd_step)
 

@@ -202,7 +202,7 @@ def calibrate(sol, scales=None, tol=1e-10):
     Every candidate is scored; the minimizing pair is returned. If even the
     best pair leaves a bracket family above ``tol``, raises
     ``ArithmeticError`` naming that family (``ee``, ``eo`` or ``oo``) and its
-    residual.
+    residual. An empty ``scales`` raises ``ValueError``.
     """
     if not sol.is_irreducible() or sol.size < 2:
         raise ValueError("calibration expects one irreducible block of size >= 2")
@@ -211,6 +211,8 @@ def calibrate(sol, scales=None, tol=1e-10):
         scales = sorted(
             {0.25, 0.5, 1 / np.sqrt(2), 1.0, np.sqrt(2), 2.0, np.sqrt(n), 1 / np.sqrt(n)}
         )
+    if len(scales) == 0:
+        raise ValueError("empty scale grid: calibrate needs at least one scale")
     br = _Brackets(build(sol, scale=1.0))
     best = None
     for convention in CONVENTIONS:

@@ -1,11 +1,16 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fuzzball.cli import main
+import fuzzball
+from fuzzball import geometry
+from fuzzball.cli import _write_grid_csv, main
 from fuzzball.grvv import GrvvSolution
 from fuzzball.matcore import matrix_from_json, matrix_to_json
 
@@ -88,6 +93,55 @@ def test_verify_geometry_grid(tmp_path):
     report = json.loads(out.read_text())
     names = {r["name"] for r in report["results"]}
     assert "hopf_section_roundtrip" in names and "clifford_so9" in names
+
+
+GRID_ROWS = ("hopf_section_roundtrip", "gamma3_relation", "killing_equation")
+
+
+def test_verify_geometry_rows_are_grid_maxima(tmp_path):
+    out = tmp_path / "geo.json"
+    grid_csv = tmp_path / "grid.csv"
+    args = ["verify", "--suite", "geometry", "--grid", "8x16", "--n-list", "2"]
+    assert run(args + ["--out", str(out), "--grid-csv", str(grid_csv)]) == 0
+    rows = {r["name"]: r["residual"] for r in json.loads(out.read_text())["results"]}
+    residuals = geometry.grid_report(geometry.SphereGrid.make(8, 16))
+    for name in GRID_ROWS:
+        assert rows[name] == float(np.max(residuals[name]))
+    lines = grid_csv.read_text().splitlines()
+    assert lines[0] == "theta,phi,identity,residual"
+    assert len(lines) == 1 + 4 * 8 * 16
+
+
+def test_grid_csv_bytes_match_csv_writer(tmp_path):
+    grid = geometry.SphereGrid.make(8, 16)
+    residuals = geometry.grid_report(grid)
+    # spread the magnitudes so every exponent width is exercised
+    residuals["killing_equation"] = residuals["killing_equation"] * np.logspace(
+        -300, 300, 8 * 16
+    ).reshape(8, 16)
+    ours = tmp_path / "ours.csv"
+    _write_grid_csv(str(ours), grid, residuals)
+    ref = tmp_path / "ref.csv"
+    tt, pp = grid.mesh()
+    with open(ref, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["theta", "phi", "identity", "residual"])
+        for name, res in residuals.items():
+            for i in range(tt.shape[0]):
+                for j in range(tt.shape[1]):
+                    t, p = float(tt[i, j]), float(pp[i, j])
+                    writer.writerow([f"{t:.10g}", f"{p:.10g}", name, f"{res[i, j]:.6e}"])
+    assert ours.read_bytes() == ref.read_bytes()
+
+
+def test_cli_import_leaves_scipy_special_unloaded():
+    src = os.path.dirname(os.path.dirname(fuzzball.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, fuzzball.cli; print('scipy.special' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert proc.stdout.strip() == "False"
 
 
 def test_spectrum_laplacian(tmp_path):

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from fuzzball import geometry
 from fuzzball.geometry import (
     C_MINUS,
     EPS_LOWER,
     SphereGrid,
     gamma_so5,
     gamma_so9,
+    grid_report,
     hopf_s2,
     hopf_s4,
     hopf_s8,
@@ -267,3 +269,128 @@ def test_spinor_field_sampling():
     assert np.max(np.abs(hopf_s2(sec.values) - hopf_s2(proj.values))) < 1e-13
     with pytest.raises(ValueError):
         SpinorField(values=np.zeros((4, 2)), kind="nonsense")
+
+
+# ---------------------------------------------------------------------------
+# dense einsum oracles for the closed-form 2x2 kernels
+
+
+def dense_killing_spinor(theta, phi):
+    return np.einsum("...ba,bc->...ac", s_matrix(theta, phi).conj(), EPS_LOWER) / np.sqrt(2.0)
+
+
+def dense_hopf_s2(g):
+    return np.real(np.einsum("...a,iab,...b->...i", g.conj(), SIGT, g))
+
+
+def dense_rotated_gamma(theta, phi):
+    s = s_matrix(theta, phi)
+    gth = np.broadcast_to(PAULI[0], s.shape)
+    gph = np.sin(theta)[..., None, None] * PAULI[1]
+    return tuple(np.einsum("...ab,...bc,...dc->...ad", s, g, s.conj()) for g in (gth, gph))
+
+
+def dense_dx_from_law(m, v):
+    comm = np.einsum("...ab,ibc->...iac", m, SIGT) - np.einsum("iab,...bc->...iac", SIGT, m)
+    return 0.5j * np.einsum("...a,...iab,...b->...i", v.conj(), comm, v)
+
+
+def dense_gamma3_relation(theta, phi):
+    s = s_matrix(theta, phi)
+    x = unit_vector(theta, phi)
+    g3 = np.einsum("...ab,bc,...dc->...ad", s, PAULI[2], s.conj())
+    return np.max(np.abs(g3 + np.einsum("...i,iab->...ab", x, SIGT)), axis=(-2, -1))
+
+
+def oracle_points():
+    """Scattered random points and a small grid (full mesh and separable)."""
+    theta, phi = random_points(200, seed=21)
+    grid = SphereGrid.make(16, 32)
+    tt, pp = grid.mesh()
+    return [(theta, phi), (tt, pp), (grid.theta[:, None], grid.phi[None, :])]
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_2x2_kernels_match_dense_oracles(case):
+    theta, phi = oracle_points()[case]
+    eta = killing_spinor(theta, phi)
+    assert np.max(np.abs(eta - dense_killing_spinor(theta, phi))) == 0.0
+    u = weyl_plus(eta)
+    g = section(unit_vector(theta, phi))
+    assert np.max(np.abs(hopf_s2(u) - dense_hopf_s2(u))) < 1e-14
+    assert np.max(np.abs(hopf_s2(g) - dense_hopf_s2(g))) < 1e-14
+    for m, ref in zip(geometry._rotated_gamma(theta, phi), dense_rotated_gamma(theta, phi)):
+        assert m.shape == ref.shape
+        assert np.max(np.abs(m - ref)) < 1e-14
+        for v in (u, g):
+            assert np.max(np.abs(geometry._dx_from_law(m, v) - dense_dx_from_law(m, v))) < 1e-14
+
+
+def test_batched_2x2_helpers():
+    rng = np.random.default_rng(22)
+    a = rng.normal(size=(5, 3, 2, 2)) + 1j * rng.normal(size=(5, 3, 2, 2))
+    b = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
+    v = rng.normal(size=(5, 3, 2)) + 1j * rng.normal(size=(5, 3, 2))
+    assert np.max(np.abs(geometry._mul2(a, b) - a @ b)) < 1e-14
+    assert np.max(np.abs(geometry._apply2(a, v) - (a @ v[..., None])[..., 0])) < 1e-14
+    assert np.max(np.abs(geometry._apply2(PAULI[1], v) - v @ PAULI[1].T)) == 0.0
+    assert np.array_equal(geometry._dag2(a), np.conj(np.swapaxes(a, -1, -2)))
+
+
+def test_central_difference_helper():
+    theta, phi = random_points(50, seed=23)
+
+    def f(t, p):
+        return np.sin(t) * np.exp(2j * p)
+
+    dth, dph = geometry._central_difference(f, theta, phi, 1e-3)
+    assert np.max(np.abs(dth - np.cos(theta) * np.exp(2j * phi))) < 1e-6
+    assert np.max(np.abs(dph - 2j * f(theta, phi))) < 1e-5
+    rth, rph = geometry._central_difference(f, theta, phi, 1e-3, richardson=True)
+    assert np.max(np.abs(rth - np.cos(theta) * np.exp(2j * phi))) < 1e-11
+    assert np.max(np.abs(rph - 2j * f(theta, phi))) < 1e-11
+
+
+def test_unit_vector_broadcasts_like_s_matrix():
+    grid = SphereGrid.make(6, 10)
+    tt, pp = grid.mesh()
+    sep = unit_vector(grid.theta[:, None], grid.phi[None, :])
+    assert sep.shape == (6, 10, 3)
+    assert np.array_equal(sep, unit_vector(tt, pp))
+    assert s_matrix(grid.theta[:, None], grid.phi[None, :]).shape == (6, 10, 2, 2)
+    assert unit_vector(0.3, grid.phi).shape == (10, 3)
+
+
+def test_rotation_reality_residual_batched():
+    theta, phi = random_points(2, seed=24)
+    chi = random_majorana_spinor(np.random.default_rng(25))
+    batched = rotation_reality_residual(theta, phi, chi)
+    assert batched < 1e-13
+    assert batched == max(rotation_reality_residual(t, p, chi) for t, p in zip(theta, phi))
+
+
+def test_grid_report_arrays():
+    grid = SphereGrid.make(12, 24)
+    tt, pp = grid.mesh()
+    res = grid_report(grid)
+    assert list(res) == [
+        "hopf_section_roundtrip",
+        "gamma3_relation",
+        "spinor_coordinates",
+        "killing_equation",
+    ]
+    for arr in res.values():
+        assert arr.shape == (12, 24) and arr.dtype == float
+    x = unit_vector(tt, pp)
+    assert np.array_equal(
+        res["hopf_section_roundtrip"], np.max(np.abs(hopf_s2(section(x)) - x), axis=-1)
+    )
+    assert np.max(np.abs(res["gamma3_relation"] - dense_gamma3_relation(tt, pp))) < 1e-14
+    u = weyl_plus(killing_spinor(tt, pp))
+    coords = np.max(np.abs(hopf_s2(u) - x), axis=-1)
+    assert np.max(np.abs(res["spinor_coordinates"] - coords)) < 1e-15
+    # the Killing array holds the per-point value of killing_equation_residual
+    for i, j in ((0, 0), (5, 7), (11, 23)):
+        point = killing_equation_residual(tt[i, j], pp[i, j], extrapolate=True)
+        assert abs(res["killing_equation"][i, j] - point) < 1e-15
+    assert np.max(res["killing_equation"]) == killing_equation_residual(tt, pp, extrapolate=True)

@@ -107,6 +107,11 @@ def test_calibrate_requires_block():
         calibrate(block_solution([2, 2]))
 
 
+def test_calibrate_empty_scale_grid():
+    with pytest.raises(ValueError, match="empty scale grid"):
+        calibrate(ground_state(2), scales=[])
+
+
 def test_calibration_report_json():
     cal = calibrate(ground_state(2))
     obj = cal.to_json()
