@@ -167,11 +167,17 @@ def _suite_intertwiner(n, seed):
     yield ("intertwiner_dressed", n, intertwiner_residual(_dressed(n, seed)))
 
 
+class _Skip(Exception):
+    """Raised by a per-size suite before its first row: the size is listed
+    under ``skipped`` with this reason instead of being checked."""
+
+
 def _suite_harmonics(n, seed):
-    # the Gram matrix is an n^2 x n^2 product of dense elements; keep the
-    # suite at desk scale
     if n > spectra.MAX_KINETIC_SIZE:
-        return
+        raise _Skip(
+            f"n > {spectra.MAX_KINETIC_SIZE}: the Gram check multiplies n^2 dense "
+            "n x n elements"
+        )
     rep = irrep(n)
     basis = build_basis(rep)
     keys = basis.keys()
@@ -197,7 +203,7 @@ def _suite_harmonics(n, seed):
 
 def _suite_superalgebra(n, seed):
     if n < 2:
-        return
+        raise _Skip("n < 2: the ground-state doublet is zero, there is no bracket to close")
     # no tolerance inside calibrate: the row is judged at --tol like any other
     cal = calibrate(ground_state(n), tol=np.inf)
     yield ("osp_closure", n, cal.total)
@@ -267,7 +273,7 @@ def _run_suite(suite, n_list, seed, grid, residuals):
         "superalgebra": _suite_superalgebra,
         "equivalence": _suite_equivalence,
     }
-    results = []
+    results, skipped = [], []
 
     def normalize(item):
         # rows are (name, n, residual) with an optional per-row tolerance
@@ -277,13 +283,16 @@ def _run_suite(suite, n_list, seed, grid, residuals):
 
     if suite in per_n:
         for n in n_list:
-            results.extend(normalize(item) for item in per_n[suite](n, seed))
+            try:
+                results.extend(normalize(item) for item in per_n[suite](n, seed))
+            except _Skip as why:
+                skipped.append({"suite": suite, "n": n, "reason": str(why)})
     elif suite == "geometry":
         n = max(n_list) if n_list else 2
         results.extend(normalize(item) for item in _suite_geometry(n, seed, grid, residuals))
     else:
         raise ValueError(f"unknown suite {suite!r}")
-    return results
+    return results, skipped
 
 
 def cmd_verify(args):
@@ -294,9 +303,11 @@ def cmd_verify(args):
         # and the grid CSV
         grid = geometry.SphereGrid.make(*args.grid)
         residuals = geometry.grid_report(grid, n=max(args.n_list) if args.n_list else 2)
-    results = []
+    results, skipped = [], []
     for suite in suites:
-        results.extend(_run_suite(suite, args.n_list, args.seed, grid, residuals))
+        rows, skips = _run_suite(suite, args.n_list, args.seed, grid, residuals)
+        results.extend(rows)
+        skipped.extend(skips)
     if args.grid_csv and residuals is not None:
         _write_grid_csv(args.grid_csv, grid, residuals)
     report = {
@@ -317,8 +328,10 @@ def cmd_verify(args):
             }
             for suite, name, n, res, row_tol in results
         ],
+        "skipped": skipped,
     }
-    report["passed"] = all(r["pass"] for r in report["results"])
+    # a report that checked nothing does not pass
+    report["passed"] = bool(results) and all(r["pass"] for r in report["results"])
     _write_json(args.out, report)
     return 0 if report["passed"] else 1
 
@@ -438,6 +451,8 @@ def build_parser():
         help="run a residual suite",
         epilog="JSON report rows: suite, name, n, residual, tol, pass. "
         "Residual rows pass at --tol; convergence-order rows at 0.1. "
+        "Sizes a suite does not check are listed under skipped (suite, n, reason); "
+        "a report with no checked row fails. "
         "--grid-csv (geometry suite) writes rows: theta, phi, identity, residual.",
     )
     ver.add_argument("--suite", choices=SUITES, required=True)

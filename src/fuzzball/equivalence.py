@@ -28,7 +28,6 @@ from .matcore import (
     pseudo_inverse,
 )
 from .su2rep import (
-    EPS3,
     Su2Representation,
     bilinears,
     casimir,
@@ -49,24 +48,12 @@ __all__ = [
 ]
 
 
-def _quadratic_closure_residual(gens):
-    """max_k || J_k + (i/2) eps_ijk J_i J_j ||_F (equivalent to the commutator form)."""
-    res = 0.0
-    for k in range(3):
-        acc = sum(
-            0.5j * EPS3[i, j, k] * (gens[i] @ gens[j])
-            for i in range(3)
-            for j in range(3)
-        )
-        res = max(res, frobenius_norm(gens[k] + acc))
-    return res
-
-
 def grvv_to_su2(sol, tol=1e-8):
     """Extract (J_i, Jbar_i) from a doublet and certify both su(2) closures.
 
-    Returns (rep, rep_bar, residuals) where residuals holds the quadratic
-    closure defects and the commutation of the u(1) traces with the triples.
+    Returns (rep, rep_bar, residuals) where residuals holds the closure
+    defects max_ij ||[J_i, J_j] - 2i eps_ijk J_k||_F and the commutation of
+    the u(1) traces with the triples.
     """
     res0 = grvv_residual(sol)
     scale = max(1.0, frobenius_norm(sol.g1) + frobenius_norm(sol.g2))
@@ -75,8 +62,8 @@ def grvv_to_su2(sol, tol=1e-8):
     b = bilinears(sol)
     residuals = {
         "input": res0,
-        "closure_j": _quadratic_closure_residual(b.j),
-        "closure_jbar": _quadratic_closure_residual(b.jbar_i),
+        "closure_j": su2_closure_residual(b.j),
+        "closure_jbar": su2_closure_residual(b.jbar_i),
         "trace_commutes": max(
             frobenius_norm(commutator(b.trace_j, b.j[i])) for i in range(3)
         ),

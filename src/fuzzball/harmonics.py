@@ -1,7 +1,9 @@
 """
 Matrix spherical harmonics for an irreducible spin representation, mode
 decompositions of adjoint and bifundamental matrices, and pointwise classical
-Y_lm evaluation used by the large-size comparisons.
+Y_lm evaluation used by the large-size comparisons.  The classical Y_lm come
+from the normalized associated-Legendre recurrence in numpy; nothing here
+needs scipy.
 
 Weight-frame storage: one eigh of J_3 gives the unitary U whose columns are
 the J_3 eigenvectors in ascending order, phased so that U^dag J_+ U has a
@@ -426,19 +428,31 @@ def reconstruct_bifundamental(modes, sol, basis=None):
 def classical_ylm(l, m, theta, phi):
     """Y_lm(theta, phi) normalized to unit mean square over the sphere.
 
-    Condon-Shortley phases; Y_00 = 1, Y_10 = sqrt(3) cos(theta).
-    """
-    # imported here: scipy.special costs most of the package import time and
-    # only this function needs it
-    from scipy.special import lpmv
+    Condon-Shortley phases; Y_00 = 1, Y_10 = sqrt(3) cos(theta).  The
+    normalized associated Legendre function P_l^|m| comes from the three-term
+    recurrence in l started at
 
+        P_mm = (-1)^m sqrt((2m+1) prod_{i<=m} (2i-1)/(2i)) sin(theta)^m,
+        P_{m+1,m} = sqrt(2m+3) cos(theta) P_mm,
+        P_lm = a_lm (cos(theta) P_{l-1,m} - P_{l-2,m} / a_{l-1,m}),
+        a_lm = sqrt((4l^2 - 1) / (l^2 - m^2)),
+
+    whose terms stay of order sqrt(2l+1), so no factorial ratio is formed.
+    """
     if abs(m) > l:
         raise ValueError("|m| must not exceed l")
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
     ma = abs(m)
-    norm = math.sqrt((2 * l + 1) * math.factorial(l - ma) / math.factorial(l + ma))
-    val = norm * lpmv(ma, l, np.cos(theta)) * np.exp(1j * ma * phi)
+    x, sin = np.cos(theta), np.sin(theta)
+    p = np.full_like(x, math.sqrt(2 * ma + 1))
+    for i in range(1, ma + 1):
+        p = p * (-math.sqrt((2 * i - 1) / (2 * i)) * sin)
+    prev, a_prev = np.zeros_like(x), math.inf
+    for ll in range(ma + 1, l + 1):
+        a = math.sqrt((4 * ll * ll - 1) / (ll * ll - ma * ma))
+        prev, p, a_prev = p, a * (x * p - prev / a_prev), a
+    val = p * np.exp(1j * ma * phi)
     if m < 0:
         val = (-1) ** ma * np.conj(val)
     return val

@@ -140,9 +140,20 @@ def matrix_to_json(a):
 
 
 def matrix_from_json(obj):
-    rows, cols = int(obj["rows"]), int(obj["cols"])
-    data = obj["data"]
-    if len(data) != rows * cols:
-        raise ValueError("data length does not match rows*cols")
-    flat = np.array([complex(re, im) for re, im in data])
+    """Inverse of matrix_to_json.  Raises ValueError unless ``data`` is a
+    rows*cols x 2 table of finite JSON numbers: strings, nulls and ragged
+    pairs are refused."""
+    try:
+        rows, cols = int(obj["rows"]), int(obj["cols"])
+        data = np.asarray(obj["data"])
+    except (TypeError, ValueError) as exc:  # ragged pairs land here too
+        raise ValueError(f"malformed matrix: {exc}") from exc
+    if data.dtype.kind not in "iuf":
+        raise ValueError(f"matrix data must be JSON numbers, got {data.dtype} entries")
+    if data.shape != (rows * cols, 2):
+        raise ValueError(
+            f"matrix data has shape {data.shape}, expected a {rows * cols} x 2 "
+            "table of [re, im] pairs"
+        )
+    flat = np.ascontiguousarray(data, dtype=float).view(complex)
     return as_matrix(flat.reshape(rows, cols))

@@ -472,20 +472,35 @@ def dirac_square_check(l, sign, grid, fd_step=None):
 def coherent_state(rep, theta, phi):
     """Top eigenvector of x . J at each point: the rotated highest weight.
 
-    Defined intrinsically through the representation's own generators, so no
-    Euler-angle convention enters; the overall phase cancels in symbols.
+    Closed form in the representation's own weight frame U (``J_3`` ascending,
+    ``J_+`` with a positive sub-diagonal, as used by ``build_basis``), so no
+    Euler-angle convention enters and no eigensolve runs per point: the state
+    is U psi with
+
+        psi_k = sqrt(C(N-1, k)) cos(theta/2)^k sin(theta/2)^(N-1-k)
+                * exp(-i (k - (N-1)/2) phi),      k = 0..N-1.
+
+    The magnitudes are summed in logs, with every zero power read as a factor
+    1, so the poles give the extreme weights and no size overflows.  The
+    overall phase cancels in symbols.  Raises ValueError unless ``rep`` is
+    an exact irreducible representation.
     """
-    x = np.stack(
-        [
-            np.sin(theta) * np.cos(phi),
-            np.sin(theta) * np.sin(phi),
-            np.cos(theta),
-        ],
-        axis=-1,
-    )
-    h = np.einsum("...i,inm->...nm", x, np.stack(rep.generators))
-    _, vecs = np.linalg.eigh(h)
-    return vecs[..., :, -1]
+    u, _ = _weight_frame(rep)
+    n = rep.dim
+    k = np.arange(n)
+    log_binom = np.array([math.log(math.comb(n - 1, i)) for i in range(n)])
+    half = np.asarray(theta, dtype=float)[..., None] / 2
+    c, s = np.cos(half), np.sin(half)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_mag = (
+            0.5 * log_binom
+            + np.where(k > 0, k * np.log(np.abs(c)), 0.0)
+            + np.where(k < n - 1, (n - 1 - k) * np.log(np.abs(s)), 0.0)
+        )
+    sign = np.sign(c) ** k * np.sign(s) ** (n - 1 - k)
+    phase = -(k - (n - 1) / 2) * np.asarray(phi, dtype=float)[..., None]
+    psi = sign * np.exp(log_mag + 1j * phase)
+    return psi @ u.T
 
 
 def symbol_map(a, rep, theta, phi):

@@ -224,3 +224,64 @@ def test_verify_superalgebra_miss_keeps_rows(tmp_path):
     ]
     assert not any(r["pass"] for r in rows)
     assert all(0 < r["residual"] < 1e-10 for r in rows)
+
+
+def test_converge_modes_frozen_values(tmp_path):
+    # the sup errors of the eigensolve-based coherent states, to 1e-12
+    out = tmp_path / "m.csv"
+    args = ["converge", "modes", "--n-list", "4,8,16,32", "--l", "2", "--m", "1"]
+    assert run(args + ["--out", str(out)]) == 0
+    rows = list(csv.reader(out.read_text().splitlines()))
+    assert rows[0] == ["n", "l", "m", "sup_error"]
+    assert [r[:3] for r in rows[1:]] == [[n, "2", "1"] for n in ("4", "8", "16", "32")]
+    frozen = [0.750458283124987, 0.430180040457951, 0.232939848774015, 0.121603805538394]
+    assert_allclose([float(r[3]) for r in rows[1:]], frozen, rtol=0, atol=1e-12)
+
+
+def test_verify_with_nothing_checked_fails(tmp_path):
+    out = tmp_path / "r.json"
+    code = run(["verify", "--suite", "harmonics", "--n-list", "32,64", "--out", str(out)])
+    assert code == 1
+    report = json.loads(out.read_text())
+    assert report["results"] == [] and report["passed"] is False
+    assert [(s["suite"], s["n"]) for s in report["skipped"]] == [
+        ("harmonics", 32),
+        ("harmonics", 64),
+    ]
+    assert all("n > 16" in s["reason"] for s in report["skipped"])
+
+
+def test_verify_lists_skipped_sizes_apart_from_results(tmp_path):
+    out = tmp_path / "r.json"
+    code = run(["verify", "--suite", "superalgebra", "--n-list", "1,3", "--out", str(out)])
+    assert code == 0
+    report = json.loads(out.read_text())
+    assert [(r["name"], r["n"]) for r in report["results"]] == [("osp_closure", 3)]
+    assert [(s["suite"], s["n"]) for s in report["skipped"]] == [("superalgebra", 1)]
+    assert report["skipped"][0]["reason"]
+    assert report["passed"] is True
+
+
+def test_verify_report_without_skips_has_empty_list(tmp_path):
+    out = tmp_path / "r.json"
+    assert run(["verify", "--suite", "grvv", "--n-list", "2", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["skipped"] == []
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [["1", 2], [None, 1], [3], [1, 2, 3]],
+    ids=["string", "null", "short-pair", "long-pair"],
+)
+def test_decompose_refuses_malformed_matrix_json(tmp_path, capsys, entry):
+    gfile = tmp_path / "g.json"
+    assert run(["gen", "grvv", "--n", "2", "--out", str(gfile)]) == 0
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"rows": 2, "cols": 2, "data": [[0, 0]] * 4}))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"rows": 2, "cols": 2, "data": [entry] + [[0, 0]] * 3}))
+    capsys.readouterr()
+    code = run(["decompose", "--solution", str(gfile), "--matrix", f"{bad},{good}"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "matrix" in err

@@ -17,7 +17,15 @@ from fuzzball.grvv import (
     sphere_constraints,
 )
 from fuzzball.matcore import frobenius_norm, random_unitary
-from fuzzball.su2rep import Su2Representation, casimir, direct_sum, irrep
+from fuzzball.su2rep import (
+    EPS3,
+    Su2Representation,
+    bilinears,
+    casimir,
+    direct_sum,
+    irrep,
+    su2_closure_residual,
+)
 
 
 def dressed_rep(partition, seed):
@@ -39,6 +47,30 @@ def test_grvv_to_su2_dressed_blocks():
     sol = gauge_dress(block_solution([2, 3]), random_unitary(5, rng), random_unitary(5, rng))
     _, _, res = grvv_to_su2(sol)
     assert res["closure_j"] < 1e-11 and res["closure_jbar"] < 1e-11
+
+
+def quadratic_closure_residual(gens):
+    """max_k || J_k + (i/2) eps_ijk J_i J_j ||_F, the form grvv_to_su2 used to
+    report: half of the commutator defect."""
+    return max(
+        frobenius_norm(
+            gens[k]
+            + sum(0.5j * EPS3[i, j, k] * (gens[i] @ gens[j]) for i in range(3) for j in range(3))
+        )
+        for k in range(3)
+    )
+
+
+def test_grvv_to_su2_closure_is_the_commutator_defect():
+    rng = np.random.default_rng(9)
+    sol = gauge_dress(block_solution([3, 2]), random_unitary(5, rng), random_unitary(5, rng))
+    _, _, res = grvv_to_su2(sol)
+    b = bilinears(sol)
+    assert res["closure_j"] == su2_closure_residual(b.j)
+    assert res["closure_jbar"] == su2_closure_residual(b.jbar_i)
+    assert res["closure_j"] > 0
+    assert_allclose(res["closure_j"], 2 * quadratic_closure_residual(b.j), rtol=1e-6)
+    assert_allclose(res["closure_jbar"], 2 * quadratic_closure_residual(b.jbar_i), rtol=1e-6)
 
 
 def test_grvv_to_su2_zero_solution():

@@ -132,6 +132,40 @@ def test_matrix_json_roundtrip():
         matrix_from_json({"rows": 2, "cols": 2, "data": [[0.0, 0.0]]})
 
 
+def test_matrix_json_roundtrip_is_exact():
+    rng = np.random.default_rng(4)
+    a = rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2))
+    assert np.array_equal(matrix_from_json(matrix_to_json(a)), a)
+    # integer entries are JSON numbers too
+    one = matrix_from_json({"rows": 1, "cols": 2, "data": [[1, 0], [0, -2]]})
+    assert np.array_equal(one, np.array([[1.0, -2j]]))
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        [["1", 2]],
+        [[None, 1]],
+        [[1, 2], [3]],
+        [[True, False]],
+        [[1, 2, 3]],
+        [1, 2],
+        [[float("nan"), 0.0]],
+        "12",
+        None,
+    ],
+)
+def test_matrix_from_json_refuses_malformed_data(data):
+    rows = 2 if isinstance(data, list) and len(data) == 2 and isinstance(data[0], list) else 1
+    with pytest.raises(ValueError):
+        matrix_from_json({"rows": rows, "cols": 1, "data": data})
+
+
+def test_matrix_from_json_refuses_bad_shape_fields():
+    with pytest.raises(ValueError):
+        matrix_from_json({"rows": None, "cols": 1, "data": [[0, 0]]})
+
+
 def test_non_finite_rejected():
     with pytest.raises(ValueError):
         pseudo_inverse(np.array([[np.nan, 0.0], [0.0, 1.0]]))
