@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 residual above tolerance, 2 usage error.
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
@@ -296,6 +297,8 @@ def _run_suite(suite, n_list, seed, grid, residuals):
 
 
 def cmd_verify(args):
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise ValueError(f"--tol must be finite and positive, got {args.tol}")
     suites = list(SUITES[:-1]) if args.suite == "all" else [args.suite]
     grid = residuals = None
     if "geometry" in suites:

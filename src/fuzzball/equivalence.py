@@ -7,9 +7,10 @@ rebuild the doublet through the half-step square root
 
     T = sqrt((J + J3) / 2),   g1 = (J + J3) T^+ / 2,   g2 = (J1 - i J2) T^+ / 2.
 
-T is singular on every block's lowest-weight state, so the Moore-Penrose
-inverse stands in for the inverse; the kernel column of the result vanishes,
-which is exactly where the ground-state doublet vanishes too.
+In the canonical form of ``su2rep.weight_frame``, (J + J3)/2 and its barred
+counterpart are diag(0, 1, ..., N_k - 1) on each block, so T and its
+Moore-Penrose inverse are taken entrywise; T^+ is 0 on each lowest-weight
+state, so the kernel column of the result vanishes, as in the ground state.
 """
 
 from dataclasses import dataclass, field
@@ -23,9 +24,7 @@ from .matcore import (
     commutator,
     dagger,
     frobenius_norm,
-    hermitian_sqrt,
     is_unitary,
-    pseudo_inverse,
 )
 from .su2rep import (
     Su2Representation,
@@ -34,6 +33,7 @@ from .su2rep import (
     direct_sum,
     irrep,
     su2_closure_residual,
+    weight_frame,
 )
 
 __all__ = [
@@ -76,60 +76,25 @@ def grvv_to_su2(sol, tol=1e-8):
     return rep, rep_bar, residuals
 
 
-def canonicalize(rep, tol=1e-9):
+def canonicalize(rep):
     """Rotate a representation to block-diagonal form with J3 ascending.
 
-    Lowest-weight vectors are the null space of J_-; raising each one and
-    normalizing generates orthonormal chains, one per irreducible block.
-    Blocks are sorted by size.  Returns (canonical rep, unitary V) with
-    generators_canonical = V^dag generators V.
+    Returns (canonical rep, V) with generators_canonical = V^dag generators V,
+    the partition derived and blocks ascending in size (``su2rep.weight_frame``).
+    Raises ValueError unless they equal the exact direct sum of irreps to
+    1e3 * eps * N * max_i ||J_i||_F: a non-representation is refused, never
+    projected.
     """
-    jm = rep.j1 - 1j * rep.j2
-    jp = rep.j1 + 1j * rep.j2
-    d = rep.dim
-    u, s, vh = np.linalg.svd(jm)
-    smax = s[0] if s.size and s[0] > 0 else 1.0
-    nnull = int(np.sum(s <= tol * smax)) + (d - s.size)
-    if nnull == 0:
-        raise ValueError("no lowest-weight vectors found; not an su(2) representation")
-    null = dagger(vh)[:, d - nnull :]
-    # J3 preserves the lowest-weight space; diagonalize it there
-    h = dagger(null) @ rep.j3 @ null
-    w, v = np.linalg.eigh((h + dagger(h)) / 2)
-    lows = null @ v
-    blocks = []
-    for col in range(nnull):
-        size = int(round(1.0 - w[col]))
-        if size < 1 or abs((1.0 - w[col]) - size) > 1e-6:
-            raise ValueError(f"lowest weight {w[col]} is not of the form 1 - N")
-        vec = lows[:, col]
-        chain = [vec / np.linalg.norm(vec)]
-        for _ in range(size - 1):
-            nxt = jp @ chain[-1]
-            chain.append(nxt / np.linalg.norm(nxt))
-        blocks.append((size, chain))
-    blocks.sort(key=lambda item: item[0])
-    vmat = np.column_stack([vec for _, chain in blocks for vec in chain])
-    partition = tuple(size for size, _ in blocks)
-    if sum(partition) != d:
-        raise ValueError("chains do not exhaust the space; not an su(2) representation")
-    gens = [dagger(vmat) @ g @ vmat for g in rep.generators]
-    return Su2Representation(*gens, partition=partition), vmat
+    v, canon, _ = weight_frame(rep)
+    return canon, v
 
 
 def canonical_traces(partition):
     """u(1) parts J = diag((N_k-1) 1) and Jbar = diag(N_k (1 - E_11))."""
-    total = sum(partition)
-    jtr = np.zeros((total, total), dtype=complex)
-    jbtr = np.zeros((total, total), dtype=complex)
-    offset = 0
-    for n in partition:
-        jtr[offset : offset + n, offset : offset + n] = (n - 1) * np.eye(n)
-        blk = n * np.eye(n, dtype=complex)
-        blk[0, 0] = 0.0
-        jbtr[offset : offset + n, offset : offset + n] = blk
-        offset += n
-    return jtr, jbtr
+    size = np.repeat(partition, partition).astype(complex)
+    bar = size.copy()
+    bar[np.cumsum((0,) + tuple(partition[:-1]))] = 0  # each block's first row
+    return np.diag(size - 1), np.diag(bar)
 
 
 def barred_generators(partition):
@@ -144,6 +109,14 @@ def barred_generators(partition):
                 gens[i][offset + 1 : offset + n, offset + 1 : offset + n] = g
         offset += n
     return tuple(gens)
+
+
+def _half_step(partition):
+    """Diagonals of T = sqrt(diag(k)) and of T^+, k = 0..N_k-1 on each block:
+    the canonical (J + J3)/2 and its barred counterpart both."""
+    k = np.concatenate([np.arange(n, dtype=float) for n in partition])
+    t = np.sqrt(k)
+    return t, np.divide(1.0, t, out=np.zeros_like(t), where=k > 0)
 
 
 def _require_canonical(rep, tol=1e-8):
@@ -168,22 +141,19 @@ class Su2ToGrvvResult:
     residuals: dict
 
 
-def su2_to_grvv(rep, tol=DEFAULT_TOL):
+def su2_to_grvv(rep):
     """Rebuild the doublet from a canonical block-diagonal representation."""
     _require_canonical(rep)
     partition = rep.partition
     jtr, jbtr = canonical_traces(partition)
     jb = barred_generators(partition)
-    t = hermitian_sqrt((jtr + rep.j3) / 2, tol)
-    tp = pseudo_inverse(t, tol)
-    g1 = (jtr + rep.j3) @ tp / 2
-    g2 = (rep.j1 - 1j * rep.j2) @ tp / 2
+    _, tp = _half_step(partition)  # T^+ = Ttilde^+, diagonal: scales columns or rows
+    g1 = (jtr + rep.j3) * tp / 2
+    g2 = (rep.j1 - 1j * rep.j2) * tp / 2
     sol = GrvvSolution(g1=g1, g2=g2, partition=partition)
 
-    ttil = hermitian_sqrt((jbtr + jb[2]) / 2, tol)
-    ttp = pseudo_inverse(ttil, tol)
-    ghat1 = ttp @ (jbtr + jb[2]) / 2
-    ghat2 = ttp @ (jb[0] - 1j * jb[1]) / 2
+    ghat1 = tp[:, None] * (jbtr + jb[2]) / 2
+    ghat2 = tp[:, None] * (jb[0] - 1j * jb[1]) / 2
 
     b = bilinears(sol)
     offsets = np.cumsum((0,) + partition[:-1])
@@ -211,21 +181,16 @@ def compatibility_residual(rep, u, tol=DEFAULT_TOL):
     u = as_matrix(u)
     if not is_unitary(u, tol):
         raise ValueError("compatibility requires a unitary argument")
-    partition = rep.partition
-    jtr, jbtr = canonical_traces(partition)
-    jb = barred_generators(partition)
-    t = hermitian_sqrt((jtr + rep.j3) / 2, tol)
-    ttil = hermitian_sqrt((jbtr + jb[2]) / 2, tol)
-    tp = pseudo_inverse(t, tol)
-    ttp = pseudo_inverse(ttil, tol)
-
-    uhat = t @ u @ ttp
-    support = ttil @ ttp
-    r1 = frobenius_norm(support @ dagger(uhat) @ uhat @ support - support)
+    jb = barred_generators(rep.partition)
+    # T and Ttilde share their diagonal t, and so do their pseudo-inverses
+    t, tp = _half_step(rep.partition)
+    uhat = t[:, None] * u * tp
+    support = t * tp  # diagonal of Ttilde Ttilde^+
+    r1 = frobenius_norm(support[:, None] * (dagger(uhat) @ uhat) * support - np.diag(support))
 
     jm = rep.j1 - 1j * rep.j2
     jbm = jb[0] - 1j * jb[1]
-    r2 = frobenius_norm(jbm - ttil @ ttil @ dagger(u) @ tp @ jm @ tp @ u)
+    r2 = frobenius_norm(jbm - (t**2)[:, None] * (dagger(u) @ (tp[:, None] * jm * tp) @ u))
     return max(r1, r2)
 
 
@@ -266,12 +231,15 @@ def round_trip(obj, tol=1e-10):
     A representation is pushed to a doublet and back; a doublet is pushed to
     its representation and rebuilt.  Equality is asserted on unitary
     invariants (Casimir spectra, bilinear spectra), never on raw entries.
+    The ``canonical_frame`` step is the relative defect of the weight frame
+    that canonicalizes the representation.
     """
     steps = []
     if isinstance(obj, Su2Representation):
         rep = obj
         steps.append(("input_closure", su2_closure_residual(rep.generators)))
-        canon, _ = canonicalize(rep)
+        _, canon, defect = weight_frame(rep)
+        steps.append(("canonical_frame", defect))
         jtr, jbtr = canonical_traces(canon.partition)
         jb = barred_generators(canon.partition)
         steps.append(
@@ -303,7 +271,8 @@ def round_trip(obj, tol=1e-10):
         rep, rep_bar, res = grvv_to_su2(sol)
         steps.append(("closure_j", res["closure_j"]))
         steps.append(("closure_jbar", res["closure_jbar"]))
-        canon, _ = canonicalize(rep)
+        _, canon, defect = weight_frame(rep)
+        steps.append(("canonical_frame", defect))
         result = su2_to_grvv(canon)
         steps.append(("rebuilt_grvv", result.residuals["grvv"]))
         b1 = bilinears(sol)

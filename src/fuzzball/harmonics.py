@@ -5,13 +5,14 @@ Y_lm evaluation used by the large-size comparisons.  The classical Y_lm come
 from the normalized associated-Legendre recurrence in numpy; nothing here
 needs scipy.
 
-Weight-frame storage: one eigh of J_3 gives the unitary U whose columns are
-the J_3 eigenvectors in ascending order, phased so that U^dag J_+ U has a
-positive real first sub-diagonal (the convention of ``irrep``).  In that
-frame every Y_lm is nonzero only on the diagonal row - column = m, so a basis
-stores one length-(N-|m|) vector per (l, m) together with U.  The dense
-matrix U D U^dag is materialised lazily: indexing builds one element,
-``elements`` builds them all once.  Decompositions and reconstructions work
+Weight-frame storage: the unitary U is ``su2rep.weight_frame``, the frame
+``equivalence.canonicalize`` uses too: J_3 eigenvectors in ascending order,
+phased so that U^dag J_+ U has a positive real first sub-diagonal (the
+convention of ``irrep``); an input whose derived partition is not one block
+is refused.  In that frame every Y_lm is nonzero only on the diagonal
+row - column = m, so a basis stores one length-(N-|m|) vector per (l, m)
+together with U.  The dense matrix U D U^dag is materialised lazily: indexing
+builds one element, ``elements`` builds them all once.  Decompositions and reconstructions work
 on the diagonals of U^dag A U: O(N^3) per call, except the bifundamental fit,
 which solves one least-squares system of size about 2(N-|m|) x (N-|m|) per
 m and per diagonal.
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .matcore import dagger, frobenius_norm
-from .su2rep import Su2Representation, irrep
+from .su2rep import Su2Representation, irrep, weight_frame
 
 __all__ = [
     "HarmonicBasis",
@@ -51,12 +52,6 @@ __all__ = [
     "classical_ylm",
     "classical_ylm_dtheta",
 ]
-
-# off-diagonal part of the rotated generators tolerated per unit of size,
-# relative to the largest generator norm; the rotation itself leaves about
-# one machine epsilon per unit of size
-_FRAME_TOL = 1e3 * np.finfo(float).eps
-
 
 def _diagonal_index(n, c):
     """Row and column indices of the n x n entries with row - column = c."""
@@ -84,38 +79,14 @@ def _diagonal_map(x, k, c, left):
 
 
 def _weight_frame(rep):
-    """The weight-frame unitary U and the rotated U^dag (J_3, J_+, J_-) U.
-
-    Raises ValueError unless, to rounding relative to the generator norm,
-    the rotation leaves J_3 diagonal, J_+ on the first sub-diagonal with no
-    zero entry and J_- on the first super-diagonal.  An input that is not an
-    exact irreducible representation is refused, never projected onto one.
-    """
-    n = rep.dim
-    jp = rep.j1 + 1j * rep.j2
-    jm = rep.j1 - 1j * rep.j2
-    _, u = np.linalg.eigh(rep.j3)
-    rot = [dagger(u) @ x @ u for x in (rep.j3, jp, jm)]
-    tol = _FRAME_TOL * n * max(frobenius_norm(g) for g in rep.generators)
-    s = np.diagonal(rot[1], -1)
-    if np.any(np.abs(s) <= tol):
-        raise ValueError(
-            "J_+ does not connect consecutive J_3 weights: not an irreducible "
-            "representation"
-        )
-    phase = np.concatenate([[1.0], np.cumprod(s / np.abs(s))])
-    u = u * phase
-    rot = [phase.conj()[:, None] * x * phase for x in rot]
-    off = max(
-        frobenius_norm(x - np.diag(np.diagonal(x, k), k))
-        for x, k in zip(rot, (0, -1, 1))
-    )
-    if off > tol:
-        raise ValueError(
-            f"generators leave the weight-frame diagonals by {off:.3e} "
-            f"(tolerance {tol:.3e}): not an irreducible representation"
-        )
-    return u, rot
+    """U = ``su2rep.weight_frame`` of ``rep`` and the rotated
+    U^dag (J_3, J_+, J_-) U; raises ValueError unless the derived partition
+    is one block, so a direct sum is refused even when labelled irreducible."""
+    u, canon, _ = weight_frame(rep)
+    if canon.partition != (rep.dim,):
+        raise ValueError(f"partition {canon.partition}: not an irreducible representation")
+    j1, j2, j3 = canon.generators
+    return u, [j3, j1 + 1j * j2, j1 - 1j * j2]
 
 
 def _materialize(u, m, ys):
@@ -189,8 +160,6 @@ def build_basis(rep):
     Y_lm for l = m..N-1 in ascending order of 4 l (l + 1); each takes the
     phase of its ladder reference, (-1)^l (J_+)^l for l = m and
     [J_-, Y_{l,m+1}] below, so no rounding accumulates down the ladder."""
-    if not rep.is_irreducible():
-        raise ValueError("harmonic basis is defined per irreducible block")
     n = rep.dim
     u, gens = _weight_frame(rep)
     s = np.diagonal(gens[1], -1)  # J_+ e_k = s_k e_{k+1}

@@ -6,6 +6,7 @@ row-major layout.  Constructors validate shape and finiteness; everything
 else is a pure function of its inputs.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,19 +142,22 @@ def matrix_to_json(a):
 
 def matrix_from_json(obj):
     """Inverse of matrix_to_json.  Raises ValueError unless ``data`` is a
-    rows*cols x 2 table of finite JSON numbers: strings, nulls and ragged
-    pairs are refused."""
+    rows*cols x 2 table of finite JSON numbers: strings, nulls, booleans and
+    ragged pairs are refused; integers of any size are read as floats."""
     try:
         rows, cols = int(obj["rows"]), int(obj["cols"])
-        data = np.asarray(obj["data"])
-    except (TypeError, ValueError) as exc:  # ragged pairs land here too
+        # types are checked first: the conversion reads true as 1 and "1" as 1.0
+        kinds = set(map(type, itertools.chain.from_iterable(obj["data"])))
+        if not kinds <= {int, float}:
+            names = sorted(k.__name__ for k in kinds)
+            raise ValueError(f"data must be JSON numbers, got {names} entries")
+        data = np.asarray(obj["data"], dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:  # ragged pairs land here too
         raise ValueError(f"malformed matrix: {exc}") from exc
-    if data.dtype.kind not in "iuf":
-        raise ValueError(f"matrix data must be JSON numbers, got {data.dtype} entries")
     if data.shape != (rows * cols, 2):
         raise ValueError(
             f"matrix data has shape {data.shape}, expected a {rows * cols} x 2 "
             "table of [re, im] pairs"
         )
-    flat = np.ascontiguousarray(data, dtype=float).view(complex)
+    flat = np.ascontiguousarray(data).view(complex)
     return as_matrix(flat.reshape(rows, cols))

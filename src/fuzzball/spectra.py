@@ -62,8 +62,6 @@ def fuzzy_laplacian_spectrum(rep):
     The operator keeps each weight-frame diagonal of A, so the spectrum is
     the union of 2N - 1 tridiagonal blocks of size N - |m|.
     """
-    if not rep.is_irreducible():
-        raise ValueError("spectrum is stated per irreducible block")
     if rep.dim > MAX_LAPLACIAN_SIZE:
         raise ValueError(f"dense diagonalization capped at size {MAX_LAPLACIAN_SIZE}")
     n = rep.dim
@@ -230,8 +228,6 @@ def scalar_kinetic_spectrum(rep, group_tol=1e-8):
     across blocks per level.  The triple (J_1, J_2, J_3) itself is an exact
     eigenvector at every size and is certified separately.
     """
-    if not rep.is_irreducible():
-        raise ValueError("spectrum is stated per irreducible block")
     if rep.dim > MAX_KINETIC_SIZE:
         raise ValueError(f"dense diagonalization capped at size {MAX_KINETIC_SIZE}")
     n = rep.dim

@@ -34,6 +34,7 @@ __all__ = [
     "BilinearSet",
     "irrep",
     "direct_sum",
+    "weight_frame",
     "casimir",
     "su2_closure_residual",
     "bilinears",
@@ -95,9 +96,6 @@ class Su2Representation:
     def generators(self):
         return (self.j1, self.j2, self.j3)
 
-    def is_irreducible(self):
-        return len(self.partition) == 1
-
     def to_json(self):
         return {
             "schema": 1,
@@ -150,6 +148,65 @@ def direct_sum(reps):
         partition.extend(r.partition)
         offset += n
     return Su2Representation(*gens, partition=tuple(partition))
+
+
+# defect tolerated per unit of size, relative to the largest generator norm;
+# the rotation itself leaves about one machine epsilon per unit of size
+_FRAME_TOL = 1e3 * np.finfo(float).eps
+
+
+def weight_frame(rep):
+    """(V, canonical, defect): V^dag J_i V = direct_sum(irrep(n) for n in
+    partition), blocks ascending in size, J_3 ascending within each block and
+    J_+ with a positive sub-diagonal; ``canonical`` holds the rotated
+    generators and the derived partition, ``defect`` their distance to the
+    exact direct sum relative to max_i ||J_i||_F.
+
+    One eigh of J_3 gives the integer weight spaces.  Walking the weights
+    upwards, the open chain ends are raised by J_+, projected onto the next
+    weight space and re-orthonormalised by a QR with a positive diagonal; the
+    rest of that space (the complete-QR complement) starts new chains.
+    Raises ValueError unless the defect is within _FRAME_TOL * N: an input
+    that is not a representation is refused, never projected onto one.
+    """
+    scale = max(frobenius_norm(g) for g in rep.generators)
+    tol = _FRAME_TOL * rep.dim * scale
+    w, u = np.linalg.eigh(rep.j3)
+    weights = np.rint(w).astype(int)
+    if np.any(np.abs(w - weights) > tol):
+        raise ValueError(f"J_3 weights are not integers to {tol:.3e}: "
+                         "not an su(2) representation")
+    jp = rep.j1 + 1j * rep.j2
+    chains = []  # [lowest weight, [vectors]]
+    ends = {}  # weight -> (ids of the chains there, in ascending lowest weight; their vectors)
+    values, starts = np.unique(weights, return_index=True)
+    for wt, space in zip(values.tolist(), np.split(u, starts[1:], axis=1)):
+        prev_ids, prev = ends.get(wt - 2, ([], u[:, :0]))
+        ids = [cid for cid in prev_ids if chains[cid][0] <= -wt]  # a prefix of prev_ids
+        q, r = np.linalg.qr(dagger(space) @ (jp @ prev[:, : len(ids)]), mode="complete")
+        diag = np.diagonal(r)
+        if len(ids) > len(q) or np.any(np.abs(diag) <= tol):
+            raise ValueError(f"J_+ does not raise {len(ids)} independent chains into "
+                             f"weight {wt}: not an su(2) representation")
+        q[:, : len(ids)] *= diag / np.abs(diag)
+        fresh = len(q) - len(ids)
+        ids += range(len(chains), len(chains) + fresh)
+        chains += [[wt, []] for _ in range(fresh)]
+        vecs = space @ q
+        for k, cid in enumerate(ids):
+            chains[cid][1].append(vecs[:, k])
+        ends[wt] = (ids, vecs)
+    # a chain cut short gets a block whose weights miss, which the check refuses
+    chains.sort(key=lambda chain: len(chain[1]))
+    v = np.column_stack([vec for _, vecs in chains for vec in vecs])
+    partition = tuple(len(vecs) for _, vecs in chains)
+    gens = [dagger(v) @ g @ v for g in rep.generators]
+    exact = direct_sum([irrep(size) for size in partition]).generators
+    defect = max(frobenius_norm(g - e) for g, e in zip(gens, exact))
+    if not defect <= tol:
+        raise ValueError(f"generators leave the canonical direct sum by {defect:.3e} "
+                         f"(tolerance {tol:.3e}): not an su(2) representation")
+    return v, Su2Representation(*gens, partition=partition), defect / scale if scale else 0.0
 
 
 def casimir(rep):

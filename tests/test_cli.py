@@ -270,8 +270,8 @@ def test_verify_report_without_skips_has_empty_list(tmp_path):
 
 @pytest.mark.parametrize(
     "entry",
-    [["1", 2], [None, 1], [3], [1, 2, 3]],
-    ids=["string", "null", "short-pair", "long-pair"],
+    [["1", 2], [None, 1], [3], [1, 2, 3], [True, 0]],
+    ids=["string", "null", "short-pair", "long-pair", "boolean"],
 )
 def test_decompose_refuses_malformed_matrix_json(tmp_path, capsys, entry):
     gfile = tmp_path / "g.json"
@@ -285,3 +285,22 @@ def test_decompose_refuses_malformed_matrix_json(tmp_path, capsys, entry):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "matrix" in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf", "-inf"])
+def test_verify_refuses_bad_tolerance(capsys, tol):
+    # nan and -1 used to fail every row (exit 1), inf to pass every row (exit 0)
+    assert run(["verify", "--suite", "grvv", "--n-list", "2", f"--tol={tol}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --tol")
+    assert captured.out == ""
+
+
+def test_verify_equivalence_large_sizes_report(tmp_path):
+    # canonicalize used to raise at n >= 128, which made the whole call exit 2
+    out = tmp_path / "r.json"
+    code = run(["verify", "--suite", "equivalence", "--n-list", "128", "--out", str(out)])
+    rows = json.loads(out.read_text())["results"]
+    assert code in (0, 1)
+    names = [(r["name"], r["n"]) for r in rows]
+    assert names == [("round_trip_rep", 128), ("round_trip_sol", 128)]

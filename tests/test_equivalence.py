@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from fuzzball.equivalence import (
+    barred_generators,
+    canonical_traces,
     canonicalize,
     compatibility_residual,
     grvv_to_su2,
@@ -16,7 +20,13 @@ from fuzzball.grvv import (
     ground_state,
     sphere_constraints,
 )
-from fuzzball.matcore import frobenius_norm, random_unitary
+from fuzzball.matcore import (
+    dagger,
+    frobenius_norm,
+    hermitian_sqrt,
+    pseudo_inverse,
+    random_unitary,
+)
 from fuzzball.su2rep import (
     EPS3,
     Su2Representation,
@@ -25,6 +35,7 @@ from fuzzball.su2rep import (
     direct_sum,
     irrep,
     su2_closure_residual,
+    weight_frame,
 )
 
 
@@ -212,3 +223,134 @@ def test_canonicalize_degenerate_and_singleton_blocks(partition, seed):
     result = su2_to_grvv(canon)
     assert result.residuals["grvv"] < 1e-11
     assert round_trip(canon).passed
+
+
+# ---------------------------------------------------------------------------
+# the block-aware weight frame behind canonicalize
+
+
+def relative_defect(rep, canon, v):
+    """max_i ||V^dag J_i V - exact||_F / max_i ||J_i||_F, recomputed from V
+    (the absolute defect when every block is a singlet and J vanishes)."""
+    exact = direct_sum([irrep(n) for n in canon.partition])
+    defect = max(
+        frobenius_norm(dagger(v) @ g @ v - e) for g, e in zip(rep.generators, exact.generators)
+    )
+    return defect / (max(frobenius_norm(g) for g in rep.generators) or 1.0)
+
+
+@pytest.mark.parametrize(
+    "partition",
+    [(32,), (64,), (128,), (256,), (3, 5, 5, 8), (20, 40, 60), (64, 64, 128),
+     (2, 2, 2, 3, 3), (1, 1, 2), (1, 4, 4, 1)],
+)
+def test_canonicalize_relative_defect(partition):
+    exact = direct_sum([irrep(n) for n in partition])
+    for rep in (exact, dressed_rep(list(partition), seed=11)):
+        canon, v = canonicalize(rep)
+        assert canon.partition == tuple(sorted(partition))
+        assert relative_defect(rep, canon, v) <= 1e-13
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    partition=st.lists(st.integers(min_value=1, max_value=16), min_size=1, max_size=5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_weight_frame_property(partition, seed):
+    rep = dressed_rep(partition, seed)
+    v, canon, defect = weight_frame(rep)
+    assert canon.partition == tuple(sorted(partition))
+    assert frobenius_norm(dagger(v) @ v - np.eye(rep.dim)) <= 1e-12
+    assert defect <= 1e-13
+    assert relative_defect(rep, canon, v) <= 1e-13
+    report = round_trip(rep)
+    assert report.passed, report.to_json()
+    assert dict(report.steps)["canonical_frame"] == defect
+
+
+def noisy(rep, seed, size=1e-6):
+    """rep with independent Hermitian noise of entry size ``size`` on each J_i."""
+    rng = np.random.default_rng(seed)
+    gens = []
+    for g in rep.generators:
+        z = rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)
+        gens.append(g + size * (z + dagger(z)) / 2)
+    return Su2Representation(*gens)
+
+
+@pytest.mark.parametrize(
+    "rep",
+    [
+        Su2Representation(*[1.5 * g for g in irrep(4).generators]),  # weights +-1.5, +-4.5
+        Su2Representation(*[1.5 * g for g in irrep(3).generators]),  # integer weights 0, +-3
+        Su2Representation(*[1.5 * g for g in dressed_rep([2, 3], seed=4).generators]),
+        noisy(irrep(6), seed=0),
+        noisy(dressed_rep([3, 4], 5), seed=1),
+    ],
+    ids=["scaled-4", "scaled-3", "scaled-dressed", "noisy-6", "noisy-dressed"],
+)
+def test_canonicalize_refuses_non_representations(rep):
+    with pytest.raises(ValueError, match="not an su\\(2\\) representation"):
+        canonicalize(rep)
+    with pytest.raises(ValueError):
+        round_trip(rep)
+
+
+def dense_su2_to_grvv(rep):
+    """The dense form su2_to_grvv used to take: eigensolver square roots and
+    SVD pseudo-inverses of the full matrices (J + J3)/2 and its barred
+    counterpart."""
+    jtr, jbtr = canonical_traces(rep.partition)
+    jb = barred_generators(rep.partition)
+    tp = pseudo_inverse(hermitian_sqrt((jtr + rep.j3) / 2))
+    ttp = pseudo_inverse(hermitian_sqrt((jbtr + jb[2]) / 2))
+    return (
+        (jtr + rep.j3) @ tp / 2,
+        (rep.j1 - 1j * rep.j2) @ tp / 2,
+        ttp @ (jbtr + jb[2]) / 2,
+        ttp @ (jb[0] - 1j * jb[1]) / 2,
+    )
+
+
+def dense_compatibility_residual(rep, u):
+    jtr, jbtr = canonical_traces(rep.partition)
+    jb = barred_generators(rep.partition)
+    t = hermitian_sqrt((jtr + rep.j3) / 2)
+    ttil = hermitian_sqrt((jbtr + jb[2]) / 2)
+    tp, ttp = pseudo_inverse(t), pseudo_inverse(ttil)
+    uhat = t @ u @ ttp
+    support = ttil @ ttp
+    r1 = frobenius_norm(support @ dagger(uhat) @ uhat @ support - support)
+    jm = rep.j1 - 1j * rep.j2
+    jbm = jb[0] - 1j * jb[1]
+    return max(r1, frobenius_norm(jbm - ttil @ ttil @ dagger(u) @ tp @ jm @ tp @ u))
+
+
+@pytest.mark.parametrize(
+    "partition", [(1,), (2,), (7,), (2, 3, 3), (1, 4, 4, 1)],
+)
+def test_entrywise_half_step_matches_dense_oracle(partition):
+    for rep in (
+        direct_sum([irrep(n) for n in partition]),
+        canonicalize(dressed_rep(list(partition), seed=3))[0],
+    ):
+        result = su2_to_grvv(rep)
+        ours = (result.solution.g1, result.solution.g2, result.ghat1, result.ghat2)
+        for a, b in zip(ours, dense_su2_to_grvv(rep)):
+            assert np.max(np.abs(a - b), initial=0.0) <= 1e-13
+        u = np.eye(rep.dim)
+        ours = compatibility_residual(rep, u)
+        assert abs(ours - dense_compatibility_residual(rep, u)) <= 1e-13
+        u = random_unitary(rep.dim, np.random.default_rng(1))
+        assert_allclose(
+            compatibility_residual(rep, u), dense_compatibility_residual(rep, u), rtol=1e-12
+        )
+
+
+@pytest.mark.parametrize("n", [48, 64])
+@pytest.mark.parametrize("make", [irrep, ground_state], ids=["rep", "sol"])
+def test_round_trip_regression_sizes(n, make):
+    report = round_trip(make(n))
+    assert report.passed, report.to_json()
+    assert dict(report.steps)["canonical_frame"] <= 1e-13

@@ -153,12 +153,20 @@ def test_matrix_json_roundtrip_is_exact():
         [[float("nan"), 0.0]],
         "12",
         None,
+        [[True, 0]],
+        [[1.0, False], [0.0, 0.0]],
+        [[10**400, 0]],
     ],
 )
 def test_matrix_from_json_refuses_malformed_data(data):
     rows = 2 if isinstance(data, list) and len(data) == 2 and isinstance(data[0], list) else 1
     with pytest.raises(ValueError):
         matrix_from_json({"rows": rows, "cols": 1, "data": data})
+
+
+def test_matrix_from_json_reads_large_integers_as_floats():
+    big = matrix_from_json({"rows": 1, "cols": 2, "data": [[10**20, 0], [0, -(2**63)]]})
+    assert np.array_equal(big, np.array([[1e20, -(2.0**63) * 1j]]))
 
 
 def test_matrix_from_json_refuses_bad_shape_fields():

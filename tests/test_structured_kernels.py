@@ -226,6 +226,19 @@ def test_relabelled_direct_sum_is_refused(blocks):
             fn(fake)
 
 
+def test_derived_partition_decides_irreducibility():
+    # an irreducible input without a recorded partition is accepted: the frame
+    # derives the partition instead of reading it
+    rep, _ = rotated_irrep(5, 1)
+    bare = Su2Representation(*rep.generators)
+    assert_allclose(fuzzy_laplacian_spectrum(bare), fuzzy_laplacian_spectrum(rep), atol=1e-12)
+    assert_allclose(
+        scalar_kinetic_spectrum(bare).eigenvalues, scalar_kinetic_spectrum(rep).eigenvalues,
+        atol=1e-12,
+    )
+    assert build_basis(bare).keys() == build_basis(rep).keys()
+
+
 def test_right_dressed_doublet_fails_decompose(tmp_path):
     n = 4
     rng = np.random.default_rng(7)
