@@ -160,8 +160,12 @@ def build_basis(rep):
     Y_lm for l = m..N-1 in ascending order of 4 l (l + 1); each takes the
     phase of its ladder reference, (-1)^l (J_+)^l for l = m and
     [J_-, Y_{l,m+1}] below, so no rounding accumulates down the ladder."""
+    return _basis_in_frame(rep, *_weight_frame(rep))
+
+
+def _basis_in_frame(rep, u, gens):
+    """``build_basis`` on the frame ``(u, gens) = _weight_frame(rep)``."""
     n = rep.dim
-    u, gens = _weight_frame(rep)
     s = np.diagonal(gens[1], -1)  # J_+ e_k = s_k e_{k+1}
     # (-1)^l (J_+)^l on the l diagonal, rescaled at every step so that the
     # products of sub-diagonal entries cannot overflow

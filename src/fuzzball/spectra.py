@@ -13,6 +13,7 @@ import numpy as np
 from .geometry import _apply2, _central_difference, killing_spinor
 from .harmonics import (
     _ad_diagonal,
+    _basis_in_frame,
     _diagonal_map,
     _laplacian_block,
     _weight_frame,
@@ -231,8 +232,8 @@ def scalar_kinetic_spectrum(rep, group_tol=1e-8):
     if rep.dim > MAX_KINETIC_SIZE:
         raise ValueError(f"dense diagonalization capped at size {MAX_KINETIC_SIZE}")
     n = rep.dim
-    _, gens = _weight_frame(rep)
-    basis = build_basis(rep)
+    u, gens = _weight_frame(rep)
+    basis = _basis_in_frame(rep, u, gens)
     blocks = []
     for total in range(-n, n + 1):
         k, starts = _kinetic_block(gens, total)

@@ -13,6 +13,7 @@ i.e. both contractions use the transposed Pauli matrices; for Jbar the
 dagger factor sits on the left.
 """
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,12 +65,11 @@ def pauli_contract(blocks):
 
     Reading blocks[b][a] as a tensor with upper index b and lower index a,
     this contracts with the transposed Pauli matrices; the same helper serves
-    J_i and Jbar_i, the caller supplies the matching block table.
+    J_i and Jbar_i, the caller supplies the matching block table.  Only the
+    two nonzero entries of each sigma_i enter the sum.
     """
-    out = []
-    for sig in PAULI:
-        out.append(sum(sig[b, a] * blocks[b][a] for a in range(2) for b in range(2)))
-    return out
+    return [sum(sig[b, a] * blocks[b][a] for a in range(2) for b in range(2) if sig[b, a])
+            for sig in PAULI]
 
 
 @dataclass(frozen=True)
@@ -214,12 +214,12 @@ def casimir(rep):
 
 
 def su2_closure_residual(gens):
-    """max_ij || [J_i, J_j] - 2i eps_ijk J_k ||_F."""
+    """max_ij || [J_i, J_j] - 2i eps_ijk J_k ||_F, formed for i < j only: i = j
+    gives exactly 0 and (j, i) the exact negation of (i, j)."""
     res = 0.0
-    for i in range(3):
-        for j in range(3):
-            rhs = sum(2j * EPS3[i, j, k] * gens[k] for k in range(3))
-            res = max(res, frobenius_norm(commutator(gens[i], gens[j]) - rhs))
+    for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
+        rhs = 2j * EPS3[i, j, k] * gens[k]
+        res = max(res, frobenius_norm(commutator(gens[i], gens[j]) - rhs))
     return res
 
 
@@ -264,17 +264,18 @@ def u2_structure_residual(b):
     i.e. J^a_b = g^a gd_b and K^a_b = gd_b g^a, both copies satisfy
 
         [T^a_b, T^m_n] = d^m_b T^a_n - d^a_n T^m_b.
+
+    Only the 6 pairs (a, b) < (m, n) are formed, 12 products per table: equal
+    pairs give exactly 0 and swapped ones the exact negation, so the result
+    is the maximum over all 16 choices to the last bit.
     """
     kbar = tuple(tuple(b.jbar[bb][a] for bb in range(2)) for a in range(2))
     res = 0.0
     for table in (b.jmat, kbar):
-        for a in range(2):
-            for bb in range(2):
-                for m in range(2):
-                    for n in range(2):
-                        lhs = commutator(table[a][bb], table[m][n])
-                        rhs = (m == bb) * table[a][n] - (a == n) * table[m][bb]
-                        res = max(res, frobenius_norm(lhs - rhs))
+        for (a, bb), (m, n) in itertools.combinations(itertools.product(range(2), repeat=2), 2):
+            lhs = commutator(table[a][bb], table[m][n])
+            rhs = (m == bb) * table[a][n] - (a == n) * table[m][bb]
+            res = max(res, frobenius_norm(lhs - rhs))
     return res
 
 
@@ -282,49 +283,40 @@ def doublet_covariance_residual(sol, b=None):
     """Residual of the doublet transformation laws of (g1, g2).
 
     Checks, for all free indices:
-      J_i g^a - g^a Jb_i           = sigma_i[b, a] g^b
-      gd_a J_i - Jb_i gd_a         = sigma_i[a, b] gd_b
-      J^a_b g^c - g^c Jb^a_b       = d^c_b g^a - d^a_b g^c
-      Jb^a_b gd_c - gd_c J^a_b     = -d^a_c gd_b + d^a_b gd_c
+      (1) J_i g^a - g^a Jb_i           = sigma_i[b, a] g^b
+      (2) gd_a J_i - Jb_i gd_a         = sigma_i[a, b] gd_b
+      (3) J^a_b g^c - g^c Jb^a_b       = d^c_b g^a - d^a_b g^c
+      (4) Jb^a_b gd_c - gd_c J^a_b     = -d^a_c gd_b + d^a_b gd_c
     where Jb^a_b denotes gd_b g^a.
+
+    (3) reads g^a gd_b g^c - g^c gd_b g^a = ..., from jmat[a][b] @ g^c; its
+    defect is exactly 0 at c = a and negated under a <-> c, leaving A_b at
+    (0, b, 1).  Expanding J_i and Jb_i, (1) at (i, a) is exactly A_b, -A_b or
+    -i A_b (b = a for sigma_1,2, 1 - a for sigma_3), so ||A_0||, ||A_1|| give
+    the maximum over (1) and (3) to the last bit; (2) and (4) likewise from
+    jbar[a][b] @ gd_c.  8 products in all.
     """
     if b is None:
         b = bilinears(sol)
-    g = sol.matrices
-    gd = sol.daggers
     res = 0.0
-    for i in range(3):
-        for a in range(2):
-            rhs = sum(PAULI[i][bb, a] * g[bb] for bb in range(2))
-            res = max(res, frobenius_norm(b.j[i] @ g[a] - g[a] @ b.jbar_i[i] - rhs))
-            rhs = sum(PAULI[i][a, bb] * gd[bb] for bb in range(2))
-            res = max(res, frobenius_norm(gd[a] @ b.j[i] - b.jbar_i[i] @ gd[a] - rhs))
-    for a in range(2):
-        for bb in range(2):
-            jbar_ab = b.jbar[bb][a]  # gd_b g^a
-            for c in range(2):
-                lhs = b.jmat[a][bb] @ g[c] - g[c] @ jbar_ab
-                rhs = (c == bb) * g[a] - (a == bb) * g[c]
-                res = max(res, frobenius_norm(lhs - rhs))
-                lhs = jbar_ab @ gd[c] - gd[c] @ b.jmat[a][bb]
-                rhs = -(a == c) * gd[bb] + (a == bb) * gd[c]
-                res = max(res, frobenius_norm(lhs - rhs))
+    for table, x, s in ((b.jmat, sol.matrices, 1), (b.jbar, sol.daggers, -1)):
+        d = [table[0][y] @ x[1] - table[1][y] @ x[0] for y in range(2)]
+        res = max(res, frobenius_norm(d[0] + s * x[1]), frobenius_norm(d[1] - s * x[0]))
     return res
 
 
 def intertwiner_residual(sol, b=None):
-    """Residuals of gd_c J_i g^c = (N+1) Jb_i and g^c Jb_i gd_c = (N-2) J_i."""
+    """Residuals of gd_c J_i g^c = (N+1) Jb_i and g^c Jb_i gd_c = (N-2) J_i;
+    the left sides are the Pauli contractions over (b, a) of
+    sum_c jbar[c][b] @ jbar[a][c] and sum_c jmat[c][a] @ jmat[b][c]."""
     if not sol.is_irreducible():
         raise ValueError("intertwiner factors are only stated for one block")
     if b is None:
         b = bilinears(sol)
     n = sol.size
-    g = sol.matrices
-    gd = sol.daggers
-    res = 0.0
-    for i in range(3):
-        lhs = sum(gd[c] @ b.j[i] @ g[c] for c in range(2))
-        res = max(res, frobenius_norm(lhs - (n + 1) * b.jbar_i[i]))
-        lhs = sum(g[c] @ b.jbar_i[i] @ gd[c] for c in range(2))
-        res = max(res, frobenius_norm(lhs - (n - 2) * b.j[i]))
-    return res
+    left = pauli_contract([[sum(b.jbar[c][x] @ b.jbar[y][c] for c in range(2))
+                            for y in range(2)] for x in range(2)])
+    right = pauli_contract([[sum(b.jmat[c][y] @ b.jmat[x][c] for c in range(2))
+                             for y in range(2)] for x in range(2)])
+    return max(max(frobenius_norm(left[i] - (n + 1) * b.jbar_i[i]),
+                   frobenius_norm(right[i] - (n - 2) * b.j[i])) for i in range(3))

@@ -239,6 +239,19 @@ def test_derived_partition_decides_irreducibility():
     assert build_basis(bare).keys() == build_basis(rep).keys()
 
 
+def test_kinetic_spectrum_finds_the_frame_once(monkeypatch):
+    import fuzzball.harmonics as harmonics
+
+    calls = []
+    frame = harmonics.weight_frame
+    monkeypatch.setattr(harmonics, "weight_frame", lambda rep: calls.append(1) or frame(rep))
+    rep, _ = rotated_irrep(6, 2)
+    spec = scalar_kinetic_spectrum(rep)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert np.array_equal(spec.eigenvalues, scalar_kinetic_spectrum(rep).eigenvalues)
+
+
 def test_right_dressed_doublet_fails_decompose(tmp_path):
     n = 4
     rng = np.random.default_rng(7)
