@@ -7,9 +7,10 @@ Per-kernel timing ladder for the spin-map kernels of ``fuzzball.su2rep``.
 Times ``bilinears`` and the four residual evaluators (``u2_structure_residual``,
 ``su2_closure_residual`` on J, ``doublet_covariance_residual`` and
 ``intertwiner_residual``) on the ground-state doublet and on a gauge-dressed
-copy of it, for N in ``--sizes``.  Each entry is the median of ``--repeats``
-calls; ``n_exp`` is the least-squares slope of log t against log N over the
-sizes from 64 on, below which call overhead dominates.  The evaluators are
+copy of it (``fuzzball.cli._dressed``, the dressing ``verify`` checks), for
+N in ``SIZES``.  Each entry is the median of ``REPEATS`` calls; ``n_exp`` is
+the least-squares slope of log t against log N over the sizes from
+``FIT_FROM`` on, below which call overhead dominates.  The evaluators are
 handed precomputed bilinears, so their times exclude ``bilinears``.
 
 ``fuzzball`` is imported from ``--src`` (default: this checkout's ``src``),
@@ -32,6 +33,9 @@ import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEFAULT_SRC = os.path.join(ROOT, "src")
+SIZES = [16, 32, 64, 128, 256, 512]
+REPEATS = 7
+SEED = 0
 FIT_FROM = 64
 
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -69,15 +73,12 @@ def kernels():
     }
 
 
-def doublets(n, seed):
-    """The ground state of size n and the dressing ``verify`` applies to it."""
-    from fuzzball.grvv import gauge_dress, ground_state
-    from fuzzball.matcore import random_unitary
+def doublets(n):
+    """The ground state of size n and the dressed copy ``verify`` checks."""
+    from fuzzball.cli import _dressed
+    from fuzzball.grvv import ground_state
 
-    rng = np.random.default_rng(seed + n)
-    sol = ground_state(n)
-    return {"plain": sol,
-            "dressed": gauge_dress(sol, random_unitary(n, rng), random_unitary(n, rng))}
+    return {"plain": ground_state(n), "dressed": _dressed(n, SEED)}
 
 
 def exponent(sizes, seconds):
@@ -88,7 +89,7 @@ def exponent(sizes, seconds):
     return float(np.polyfit(x, y, 1)[0])
 
 
-def measure(sizes, repeats, seed):
+def measure():
     from fuzzball.su2rep import bilinears
 
     table = kernels()
@@ -97,13 +98,13 @@ def measure(sizes, repeats, seed):
     warm = np.ones((256, 256), dtype=complex)
     for _ in range(10):
         warm @ warm
-    for n in sizes:
-        for kind, sol in doublets(n, seed).items():
+    for n in SIZES:
+        for kind, sol in doublets(n).items():
             b = bilinears(sol)
             for name, fn in table.items():
                 fn(sol, b)  # warm-up: first-touch allocation
                 ts = []
-                for _ in range(repeats):
+                for _ in range(REPEATS):
                     t0 = time.perf_counter()
                     fn(sol, b)
                     ts.append(time.perf_counter() - t0)
@@ -112,8 +113,8 @@ def measure(sizes, repeats, seed):
     return {
         name: {
             kind: {
-                "median_s": dict(zip(map(str, sizes), secs)),
-                "n_exp": exponent(sizes, secs),
+                "median_s": dict(zip(map(str, SIZES), secs)),
+                "n_exp": exponent(SIZES, secs),
             }
             for kind, secs in per.items()
         }
@@ -126,25 +127,18 @@ def main(argv=None):
     ap.add_argument("--label", required=True, help="key of this run in the output file")
     ap.add_argument("--out", required=True, help="JSON file to create or update")
     ap.add_argument("--src", default=DEFAULT_SRC, help="directory holding the fuzzball package")
-    ap.add_argument("--sizes", default="16,32,64,128,256,512")
-    ap.add_argument("--repeats", type=int, default=7)
-    ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
-    sizes = [int(s) for s in args.sizes.split(",")]
-    if args.repeats < 1 or any(n < 2 for n in sizes):
-        ap.error("--repeats must be positive and every size at least 2")
     src = os.path.abspath(args.src)
     sys.path.insert(0, src)
 
     t0 = time.perf_counter()
-    results = measure(sizes, args.repeats, args.seed)
-    env = environment(args)
+    results = measure()
+    env = environment(argparse.Namespace(seed=SEED))
     env["git_commit"] = _git_commit(src)
     run = {
         "env": env,
-        "sizes": sizes,
-        "repeats": args.repeats,
-        "seed": args.seed,
+        "sizes": SIZES,
+        "repeats": REPEATS,
         "fit_from": FIT_FROM,
         "seconds": round(time.perf_counter() - t0, 3),
         "kernels": results,

@@ -306,17 +306,19 @@ def doublet_covariance_residual(sol, b=None):
 
 
 def intertwiner_residual(sol, b=None):
-    """Residuals of gd_c J_i g^c = (N+1) Jb_i and g^c Jb_i gd_c = (N-2) J_i;
-    the left sides are the Pauli contractions over (b, a) of
-    sum_c jbar[c][b] @ jbar[a][c] and sum_c jmat[c][a] @ jmat[b][c]."""
+    """Residuals of gd_c J_i g^c = (N+1) Jb_i and g^c Jb_i gd_c = (N-2) J_i,
+    each side formed directly: 4 products per side and generator, 24 in all."""
     if not sol.is_irreducible():
         raise ValueError("intertwiner factors are only stated for one block")
     if b is None:
         b = bilinears(sol)
     n = sol.size
-    left = pauli_contract([[sum(b.jbar[c][x] @ b.jbar[y][c] for c in range(2))
-                            for y in range(2)] for x in range(2)])
-    right = pauli_contract([[sum(b.jmat[c][y] @ b.jmat[x][c] for c in range(2))
-                             for y in range(2)] for x in range(2)])
-    return max(max(frobenius_norm(left[i] - (n + 1) * b.jbar_i[i]),
-                   frobenius_norm(right[i] - (n - 2) * b.j[i])) for i in range(3))
+    g = sol.matrices
+    gd = sol.daggers
+    res = 0.0
+    for i in range(3):
+        lhs = sum(gd[c] @ b.j[i] @ g[c] for c in range(2))
+        res = max(res, frobenius_norm(lhs - (n + 1) * b.jbar_i[i]))
+        lhs = sum(g[c] @ b.jbar_i[i] @ gd[c] for c in range(2))
+        res = max(res, frobenius_norm(lhs - (n - 2) * b.j[i]))
+    return res

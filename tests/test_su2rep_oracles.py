@@ -3,7 +3,7 @@
 The library evaluators form each distinct matrix product once.  The oracles
 below are the direct forms, which loop over every index choice: u(2) and
 su(2) closure and the Pauli triples must agree to the last bit, covariance
-and intertwiners to rounding.  Covariance must also equal, to the last bit,
+to rounding.  Covariance must also equal, to the last bit,
 every law at every index choice formed from the 16 cubic monomials.  Random
 Gaussian doublets are far from any solution, so their residuals are O(1):
 agreement there shows that no identity was dropped.
@@ -24,7 +24,6 @@ from fuzzball.su2rep import (
     BilinearSet,
     bilinears,
     doublet_covariance_residual,
-    intertwiner_residual,
     su2_closure_residual,
     u2_structure_residual,
 )
@@ -113,19 +112,6 @@ def monomial_covariance(sol, b):
     return res
 
 
-def oracle_intertwiner(sol, b):
-    n = sol.size
-    g = sol.matrices
-    gd = sol.daggers
-    res = 0.0
-    for i in range(3):
-        lhs = sum(gd[c] @ b.j[i] @ g[c] for c in range(2))
-        res = max(res, frobenius_norm(lhs - (n + 1) * b.jbar_i[i]))
-        lhs = sum(g[c] @ b.jbar_i[i] @ gd[c] for c in range(2))
-        res = max(res, frobenius_norm(lhs - (n - 2) * b.j[i]))
-    return res
-
-
 def dressed(sol, seed):
     rng = np.random.default_rng(seed + sol.size)
     n = sol.size
@@ -199,13 +185,6 @@ def test_covariance_matches_oracle(sol):
     assert doublet_covariance_residual(sol) == res
 
 
-@pytest.mark.parametrize("sol", [s for s in SOLS if s.is_irreducible()],
-                         ids=[i for i, s in zip(IDS, SOLS) if s.is_irreducible()])
-def test_intertwiner_matches_oracle(sol):
-    b = bilinears(sol)
-    assert_rounding(intertwiner_residual(sol, b), oracle_intertwiner(sol, b), sol, 4)
-
-
 @pytest.mark.parametrize("n", SIZES)
 def test_gaussian_doublets_agree_to_1e12(n):
     # far from any solution every residual is O(1), so an identity dropped
@@ -216,7 +195,6 @@ def test_gaussian_doublets_agree_to_1e12(n):
         (u2_structure_residual(b), oracle_u2_structure(b)),
         (su2_closure_residual(b.j), oracle_su2_closure(b.j)),
         (doublet_covariance_residual(sol, b), oracle_doublet_covariance(sol, b)),
-        (intertwiner_residual(sol, b), oracle_intertwiner(sol, b)),
     ]
     for new, old in pairs:
         assert old > 0.1
@@ -265,5 +243,3 @@ def test_evaluators_match_oracles_on_partitions(partition, dress, gauss, seed):
     res = doublet_covariance_residual(sol, b)
     assert res == monomial_covariance(sol, b)
     assert_rounding(res, oracle_doublet_covariance(sol, b), sol, 3)
-    if sol.is_irreducible():
-        assert_rounding(intertwiner_residual(sol, b), oracle_intertwiner(sol, b), sol, 4)
