@@ -145,17 +145,13 @@ IDS = [name for name, _ in DOUBLETS]
 SOLS = [sol for _, sol in DOUBLETS]
 
 
-def rounding(sol, degree):
-    """Rounding bound for a residual of degree-``degree`` products: a few
-    epsilon on the bound ||x||_2^(degree-1) ||x||_F of a product's norm."""
+def assert_rounding(new, old, sol):
+    """Covariance residuals of cubic products agree to a few epsilon on the
+    bound ||x||_2^2 ||x||_F of a product's norm; far from a solution the
+    residual itself is the scale (1e-12 relative)."""
     s = max(spectral_norm(x) for x in sol.matrices)
     f = max(frobenius_norm(x) for x in sol.matrices)
-    return 16 * EPS * s ** (degree - 1) * max(f, 1.0)
-
-
-def assert_rounding(new, old, sol, degree):
-    # far from a solution the residual itself is the scale (1e-12 relative)
-    tol = max(rounding(sol, degree), 1e-12 * old)
+    tol = max(16 * EPS * s ** 2 * max(f, 1.0), 1e-12 * old)
     assert abs(new - old) <= tol, (new, old, tol)
 
 
@@ -181,7 +177,7 @@ def test_covariance_matches_oracle(sol):
     b = bilinears(sol)
     res = doublet_covariance_residual(sol, b)
     assert res == monomial_covariance(sol, b)
-    assert_rounding(res, oracle_doublet_covariance(sol, b), sol, 3)
+    assert_rounding(res, oracle_doublet_covariance(sol, b), sol)
     assert doublet_covariance_residual(sol) == res
 
 
@@ -242,4 +238,4 @@ def test_evaluators_match_oracles_on_partitions(partition, dress, gauss, seed):
     assert u2_structure_residual(b) == oracle_u2_structure(b)
     res = doublet_covariance_residual(sol, b)
     assert res == monomial_covariance(sol, b)
-    assert_rounding(res, oracle_doublet_covariance(sol, b), sol, 3)
+    assert_rounding(res, oracle_doublet_covariance(sol, b), sol)
