@@ -1,5 +1,6 @@
 """
-Per-kernel timing ladder for the spin-map kernels of ``fuzzball.su2rep``.
+Per-kernel timing ladder for the spin-map kernels of ``fuzzball.su2rep`` and
+the JSON writer of ``fuzzball gen``.
 
     python3 benchmarks/ladder.py --label change --out benchmarks/ladder.json
     python3 benchmarks/ladder.py --label parent --src ../parent/src --out benchmarks/ladder.json
@@ -8,10 +9,15 @@ Times ``bilinears`` and the four residual evaluators (``u2_structure_residual``,
 ``su2_closure_residual`` on J, ``doublet_covariance_residual`` and
 ``intertwiner_residual``) on the ground-state doublet and on a gauge-dressed
 copy of it (``fuzzball.cli._dressed``, the dressing ``verify`` checks), for
-N in ``SIZES``.  Each entry is the median of ``REPEATS`` calls; ``n_exp`` is
-the least-squares slope of log t against log N over the sizes from
-``FIT_FROM`` on, below which call overhead dominates.  The evaluators are
-handed precomputed bilinears, so their times exclude ``bilinears``.
+N in ``SIZES``.  The ``gen_grvv_dressed`` rung runs the CLI in process,
+``main(["gen", "grvv", "--n", N, "--dress", SEED, "--out", <temp file>])``:
+building, dressing and writing the doublet; ``tracemalloc_peak_mb`` is the
+traced peak (MiB) of one more call, made apart from the timed ones.  Each
+entry is the median of ``REPEATS`` calls with its quartiles (``q1_s``,
+``q3_s``: run-to-run spread); ``n_exp`` is the least-squares slope of
+log t against log N over the sizes from ``FIT_FROM`` on, below which call
+overhead dominates.  The evaluators are handed precomputed bilinears, so
+their times exclude ``bilinears``.
 
 ``fuzzball`` is imported from ``--src`` (default: this checkout's ``src``),
 so two checkouts can be measured into one file on the same machine.  The run
@@ -27,7 +33,9 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -89,11 +97,48 @@ def exponent(sizes, seconds):
     return float(np.polyfit(x, y, 1)[0])
 
 
+def timed(fn):
+    """(q1, median, q3) seconds of REPEATS calls of fn after one warm-up
+    call (first-touch allocation)."""
+    fn()
+    ts = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        fn()
+        ts.append(time.perf_counter() - t0)
+    return statistics.quantiles(ts, n=4)
+
+
+def row(stats):
+    """Ladder row of per-size (q1, median, q3) triples."""
+    q1, med, q3 = (dict(zip(map(str, SIZES), col)) for col in zip(*stats))
+    return {"median_s": med, "q1_s": q1, "q3_s": q3,
+            "n_exp": exponent(SIZES, list(med.values()))}
+
+
+def gen_grvv_dressed(tmp):
+    """Row of the in-process ``gen grvv --n N --dress SEED`` rung."""
+    from fuzzball.cli import main
+
+    out = os.path.join(tmp, "gen.json")
+    stats, peaks = [], {}
+    for n in SIZES:
+        argv = ["gen", "grvv", "--n", str(n), "--dress", str(SEED), "--out", out]
+        stats.append(timed(lambda: main(argv)))
+        tracemalloc.start()
+        try:
+            main(argv)
+            peaks[str(n)] = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+    return dict(row(stats), tracemalloc_peak_mb=peaks)
+
+
 def measure():
     from fuzzball.su2rep import bilinears
 
     table = kernels()
-    times = {k: {"plain": [], "dressed": []} for k in table}
+    stats = {k: {"plain": [], "dressed": []} for k in table}
     # the BLAS starts its threads on the first large product: not timed
     warm = np.ones((256, 256), dtype=complex)
     for _ in range(10):
@@ -102,24 +147,13 @@ def measure():
         for kind, sol in doublets(n).items():
             b = bilinears(sol)
             for name, fn in table.items():
-                fn(sol, b)  # warm-up: first-touch allocation
-                ts = []
-                for _ in range(REPEATS):
-                    t0 = time.perf_counter()
-                    fn(sol, b)
-                    ts.append(time.perf_counter() - t0)
-                times[name][kind].append(statistics.median(ts))
+                stats[name][kind].append(timed(lambda: fn(sol, b)))
         print(f"n={n} done", file=sys.stderr)
-    return {
-        name: {
-            kind: {
-                "median_s": dict(zip(map(str, SIZES), secs)),
-                "n_exp": exponent(SIZES, secs),
-            }
-            for kind, secs in per.items()
-        }
-        for name, per in times.items()
-    }
+    results = {name: {kind: row(s) for kind, s in per.items()} for name, per in stats.items()}
+    with tempfile.TemporaryDirectory() as tmp:
+        results["gen_grvv_dressed"] = {"cli": gen_grvv_dressed(tmp)}
+    print("gen_grvv_dressed done", file=sys.stderr)
+    return results
 
 
 def main(argv=None):
@@ -152,9 +186,9 @@ def main(argv=None):
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
     for name, per in results.items():
-        for kind, row in per.items():
-            total = sum(row["median_s"].values())
-            exp = row["n_exp"]
+        for kind, r in per.items():
+            total = sum(r["median_s"].values())
+            exp = r["n_exp"]
             print(f"{name:28s} {kind:8s} sum {total:8.4f} s  "
                   f"n_exp {'-' if exp is None else f'{exp:.2f}'}")
     return 0

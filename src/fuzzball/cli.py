@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 residual above tolerance, 2 usage error.
 """
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -17,7 +18,7 @@ from . import geometry, spectra
 from .equivalence import round_trip
 from .grvv import GrvvSolution, block_solution, gauge_dress, ground_state, grvv_residual, sphere_constraints
 from .harmonics import build_basis, decompose_bifundamental
-from .matcore import matrix_from_json, matrix_to_json, random_unitary
+from .matcore import matrix_from_json, random_unitary, write_json
 from .su2rep import (
     bilinears,
     direct_sum,
@@ -59,53 +60,65 @@ def _parse_grid(text):
         raise argparse.ArgumentTypeError(f"bad grid size {text!r}, want e.g. 64x128") from exc
 
 
-def _write_json(path, obj):
-    payload = json.dumps(obj, separators=(",", ":"))
+@contextlib.contextmanager
+def _output(path):
+    """Text stream for an output option: stdout for None or "-", else the file."""
     if path is None or path == "-":
-        print(payload)
+        yield sys.stdout
     else:
-        with open(path, "w") as fh:
-            fh.write(payload + "\n")
+        with open(path, "w", newline="") as fh:
+            yield fh
+
+
+def _write_json(path, obj):
+    """Compact JSON of ``obj`` plus a newline; arrays in ``obj`` are written
+    in the matrix_to_json layout, a block of rows at a time."""
+    with _output(path) as fh:
+        write_json(fh, obj)
+        fh.write("\n")
 
 
 def _write_csv(path, header, rows):
-    if path is None or path == "-":
-        writer = csv.writer(sys.stdout)
+    with _output(path) as fh:
+        writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
-    else:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
 
 
 def _write_grid_csv(path, grid, residuals):
     """Write the grid CSV: rows (theta, phi, identity, residual) ordered by
-    identity, then theta, then phi.  Each angle is formatted once; the bytes
-    are those of csv.writer (no field needs quoting, lines end in CRLF)."""
+    identity, then theta, then phi, one write per theta row.  Each angle is
+    formatted once; the bytes are those of csv.writer (no field needs
+    quoting, lines end in CRLF)."""
     thetas = [f"{t:.10g}," for t in grid.theta.tolist()]
     phis = [f"{p:.10g}," for p in grid.phi.tolist()]
-    points = [t + p for t in thetas for p in phis]
-    chunks = ["theta,phi,identity,residual\r\n"]
-    for name, res in residuals.items():
-        chunks.append(
-            "".join(f"{pt}{name},{r:.6e}\r\n" for pt, r in zip(points, res.ravel().tolist()))
-        )
-    if path is None or path == "-":
-        sys.stdout.writelines(chunks)
-    else:
-        with open(path, "w", newline="") as fh:
-            fh.writelines(chunks)
+    with _output(path) as fh:
+        fh.write("theta,phi,identity,residual\r\n")
+        for name, res in residuals.items():
+            line = ("%s%s" + name + ",%.6e\r\n").__mod__
+            for t, row in zip(thetas, res):
+                fh.write("".join(map(line, zip([t] * len(phis), phis, row.tolist()))))
 
 
 # ---------------------------------------------------------------------------
 # gen
 
 
+# the options each generator reads; giving any other one is a usage error
+_GEN_OPTIONS = {"grvv": ("n", "partition", "dress"), "su2": ("dims",), "gamma": ("group",)}
+
+
 def cmd_gen(args):
+    for opt in ("n", "partition", "dims", "dress", "group"):
+        if getattr(args, opt) is not None and opt not in _GEN_OPTIONS[args.kind]:
+            raise ValueError(f"gen {args.kind} takes no --{opt}")
     if args.kind == "grvv":
         if args.partition:
+            if args.n is not None and args.n != sum(args.partition):
+                raise ValueError(
+                    f"--n {args.n} disagrees with --partition of total size "
+                    f"{sum(args.partition)}"
+                )
             sol = block_solution(args.partition)
         else:
             if args.n is None:
@@ -115,22 +128,18 @@ def cmd_gen(args):
             rng = np.random.default_rng(args.dress)
             n = sol.size
             sol = gauge_dress(sol, random_unitary(n, rng), random_unitary(n, rng))
-        _write_json(args.out, sol.to_json())
+        _write_json(args.out, sol._record())
         return 0
     if args.kind == "su2":
         if not args.dims:
             raise ValueError("gen su2 needs --dims")
         rep = direct_sum([irrep(n) for n in args.dims])
-        _write_json(args.out, rep.to_json())
+        _write_json(args.out, rep._record())
         return 0
-    if args.kind == "gamma":
-        gammas = geometry.gamma_so5() if args.group == "so5" else geometry.gamma_so9()
-        _write_json(
-            args.out,
-            {"schema": 1, "group": args.group, "matrices": [matrix_to_json(g) for g in gammas]},
-        )
-        return 0
-    raise ValueError(f"unknown generator {args.kind!r}")
+    group = args.group or "so5"
+    gammas = geometry.gamma_so5() if group == "so5" else geometry.gamma_so9()
+    _write_json(args.out, {"schema": 1, "group": group, "matrices": gammas})
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +309,8 @@ def cmd_verify(args):
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise ValueError(f"--tol must be finite and positive, got {args.tol}")
     suites = list(SUITES[:-1]) if args.suite == "all" else [args.suite]
+    if args.grid_csv and "geometry" not in suites:
+        raise ValueError("--grid-csv needs --suite geometry or all")
     grid = residuals = None
     if "geometry" in suites:
         # one evaluation of the per-point residuals feeds both the suite rows
@@ -311,7 +322,7 @@ def cmd_verify(args):
         rows, skips = _run_suite(suite, args.n_list, args.seed, grid, residuals)
         results.extend(rows)
         skipped.extend(skips)
-    if args.grid_csv and residuals is not None:
+    if args.grid_csv:
         _write_grid_csv(args.grid_csv, grid, residuals)
     report = {
         "schema": 1,
@@ -445,7 +456,7 @@ def build_parser():
     gen.add_argument("--partition", type=_parse_int_list)
     gen.add_argument("--dims", type=_parse_int_list)
     gen.add_argument("--dress", type=int, help="seed for a random gauge dressing")
-    gen.add_argument("--group", choices=("so5", "so9"), default="so5")
+    gen.add_argument("--group", choices=("so5", "so9"), help="gamma only (default so5)")
     gen.add_argument("--out", default=None)
     gen.set_defaults(func=cmd_gen)
 
@@ -513,6 +524,9 @@ def main(argv=None):
         return args.func(args)
     except (ValueError, OSError, KeyError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

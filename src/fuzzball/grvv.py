@@ -18,7 +18,7 @@ from .matcore import (
     frobenius_norm,
     is_unitary,
     matrix_from_json,
-    matrix_to_json,
+    plain_json,
 )
 
 __all__ = [
@@ -70,14 +70,18 @@ class GrvvSolution:
     def is_irreducible(self):
         return len(self.partition) == 1
 
-    def to_json(self):
+    def _record(self):
+        """The JSON layout with the matrices left as arrays, for write_json."""
         return {
             "schema": 1,
             "partition": list(self.partition),
-            "g1": matrix_to_json(self.g1),
-            "g2": matrix_to_json(self.g2),
+            "g1": self.g1,
+            "g2": self.g2,
             "dressed": self.dressed,
         }
+
+    def to_json(self):
+        return plain_json(self._record())
 
     @classmethod
     def from_json(cls, obj):

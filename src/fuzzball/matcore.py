@@ -7,6 +7,7 @@ else is a pure function of its inputs.
 """
 
 import itertools
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,13 @@ __all__ = [
     "random_unitary",
     "matrix_to_json",
     "matrix_from_json",
+    "plain_json",
+    "write_json",
 ]
+
+# rows of a matrix formatted per write in write_json: the text and the
+# float objects held at once cover JSON_BLOCK_ROWS rows, not the matrix
+JSON_BLOCK_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -161,3 +168,68 @@ def matrix_from_json(obj):
         )
     flat = np.ascontiguousarray(data).view(complex)
     return as_matrix(flat.reshape(rows, cols))
+
+
+def _holds_array(obj):
+    if isinstance(obj, np.ndarray):
+        return True
+    if isinstance(obj, dict):
+        return any(map(_holds_array, obj.values()))
+    if isinstance(obj, (list, tuple)):
+        return any(map(_holds_array, obj))
+    return False
+
+
+def plain_json(obj):
+    """``obj`` with every ndarray in its dicts, lists and tuples replaced by
+    ``matrix_to_json`` of it: the value whose compact ``json.dumps`` is what
+    ``write_json`` writes."""
+    if isinstance(obj, np.ndarray):
+        return matrix_to_json(obj)
+    if not _holds_array(obj):
+        return obj
+    if isinstance(obj, dict):
+        return {key: plain_json(value) for key, value in obj.items()}
+    return [plain_json(value) for value in obj]
+
+
+def _write_matrix(fh, a):
+    """``matrix_to_json(a)`` as compact JSON, JSON_BLOCK_ROWS rows per write.
+    ``%r`` is the ``float.__repr__`` the json encoder uses, and as_matrix
+    has refused non-finite entries, so the bytes are those of json.dumps."""
+    a = as_matrix(a)
+    rows, cols = a.shape
+    fh.write(f'{{"rows":{rows},"cols":{cols},"data":[')
+    for start in range(0, rows if cols else 0, JSON_BLOCK_ROWS):
+        block = np.ascontiguousarray(a[start : start + JSON_BLOCK_ROWS])
+        flat = block.view(float).ravel().tolist()
+        pairs = "],[".join(map("%r,%r".__mod__, zip(flat[0::2], flat[1::2])))
+        fh.write(("[" if start == 0 else "],[") + pairs)
+    fh.write("]]}" if a.size else "]}")
+
+
+def write_json(fh, obj):
+    """Write ``json.dumps(plain_json(obj), separators=(",", ":"))`` to the
+    text stream ``fh`` without forming it: each ndarray is formatted
+    JSON_BLOCK_ROWS rows at a time, and each subtree that holds no array is
+    one json.dumps call.  Dicts that hold arrays need string keys."""
+    if isinstance(obj, np.ndarray):
+        _write_matrix(fh, obj)
+    elif not _holds_array(obj):
+        fh.write(json.dumps(obj, separators=(",", ":")))
+    elif isinstance(obj, dict):
+        sep = "{"
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys of a dict holding arrays must be str, got {key!r}")
+            fh.write(sep + json.dumps(key) + ":")
+            write_json(fh, value)
+            sep = ","
+        fh.write("}")
+    else:
+        sep = "["
+        for value in obj:
+            fh.write(sep)
+            write_json(fh, value)
+            sep = ","
+        fh.write("]")

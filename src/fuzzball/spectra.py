@@ -482,8 +482,12 @@ def coherent_state(rep, theta, phi):
     overall phase cancels in symbols.  Raises ValueError unless ``rep`` is
     an exact irreducible representation.
     """
-    u, _ = _weight_frame(rep)
-    n = rep.dim
+    return _coherent_in_frame(_weight_frame(rep)[0], theta, phi)
+
+
+def _coherent_in_frame(u, theta, phi):
+    """``coherent_state`` of the irrep whose weight frame is ``u``."""
+    n = u.shape[0]
     k = np.arange(n)
     log_binom = np.array([math.log(math.comb(n - 1, i)) for i in range(n)])
     half = np.asarray(theta, dtype=float)[..., None] / 2
@@ -502,7 +506,10 @@ def coherent_state(rep, theta, phi):
 
 def symbol_map(a, rep, theta, phi):
     """Pointwise coherent expectation psi^dag A psi."""
-    psi = coherent_state(rep, theta, phi)
+    return _expectation(a, coherent_state(rep, theta, phi))
+
+
+def _expectation(a, psi):
     return np.einsum("...n,nm,...m->...", psi.conj(), np.asarray(a, dtype=complex), psi)
 
 
@@ -518,6 +525,7 @@ def mode_convergence(n_list, l, m, n_theta=24, n_phi=48):
             raise ValueError(f"l = {l} is not resolved at size {n}")
         rep = irrep(n)
         basis = build_basis(rep)
-        sym = symbol_map(basis[(l, m)], rep, tt, pp)
+        # the basis's frame is the one coherent_state would find again
+        sym = _expectation(basis[(l, m)], _coherent_in_frame(basis.frame, tt, pp))
         out.append((int(n), float(np.max(np.abs(sym - ref)))))
     return out

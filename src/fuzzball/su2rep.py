@@ -24,7 +24,7 @@ from .matcore import (
     dagger,
     frobenius_norm,
     matrix_from_json,
-    matrix_to_json,
+    plain_json,
 )
 
 __all__ = [
@@ -96,14 +96,18 @@ class Su2Representation:
     def generators(self):
         return (self.j1, self.j2, self.j3)
 
-    def to_json(self):
+    def _record(self):
+        """The JSON layout with the matrices left as arrays, for write_json."""
         return {
             "schema": 1,
             "partition": list(self.partition),
-            "j1": matrix_to_json(self.j1),
-            "j2": matrix_to_json(self.j2),
-            "j3": matrix_to_json(self.j3),
+            "j1": self.j1,
+            "j2": self.j2,
+            "j3": self.j3,
         }
+
+    def to_json(self):
+        return plain_json(self._record())
 
     @classmethod
     def from_json(cls, obj):

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ from numpy.testing import assert_allclose
 import fuzzball
 from fuzzball import geometry
 from fuzzball.cli import _write_grid_csv, main
-from fuzzball.grvv import GrvvSolution
-from fuzzball.matcore import matrix_from_json, matrix_to_json
+from fuzzball.grvv import GrvvSolution, gauge_dress, ground_state
+from fuzzball.matcore import JSON_BLOCK_ROWS, matrix_from_json, matrix_to_json, random_unitary
+from fuzzball.su2rep import direct_sum, irrep
 
 
 def run(args):
@@ -304,3 +306,73 @@ def test_verify_equivalence_large_sizes_report(tmp_path):
     assert code in (0, 1)
     names = [(r["name"], r["n"]) for r in rows]
     assert names == [("round_trip_rep", 128), ("round_trip_sol", 128)]
+
+
+def _dressed_ground_state(n, seed):
+    rng = np.random.default_rng(seed)
+    return gauge_dress(ground_state(n), random_unitary(n, rng), random_unitary(n, rng))
+
+
+@pytest.mark.parametrize(
+    "args, expected",
+    [
+        # a row count that is not a multiple of the write block
+        (["gen", "grvv", "--n", str(2 * JSON_BLOCK_ROWS + 6), "--dress", "1"],
+         lambda: _dressed_ground_state(2 * JSON_BLOCK_ROWS + 6, 1).to_json()),
+        (["gen", "su2", "--dims", f"2,{JSON_BLOCK_ROWS + 1}"],
+         lambda: direct_sum([irrep(2), irrep(JSON_BLOCK_ROWS + 1)]).to_json()),
+        (["gen", "gamma", "--group", "so9"],
+         lambda: {"schema": 1, "group": "so9",
+                  "matrices": [matrix_to_json(g) for g in geometry.gamma_so9()]}),
+    ],
+)
+def test_gen_json_bytes_match_dumps(tmp_path, capsys, args, expected):
+    want = json.dumps(expected(), separators=(",", ":")) + "\n"
+    out = tmp_path / "out.json"
+    assert run(args + ["--out", str(out)]) == 0
+    assert out.read_text() == want
+    capsys.readouterr()
+    assert run(args) == 0
+    assert capsys.readouterr().out == want
+
+
+def test_gen_grvv_memory_is_bounded_by_a_block(tmp_path):
+    # writing the whole text at once peaked at 35 MB here (per-entry float
+    # lists and the payload string); streamed, about 9 MB: the matrices,
+    # the dressing's temporaries and one block
+    out = tmp_path / "g.json"
+    tracemalloc.start()
+    try:
+        assert run(["gen", "grvv", "--n", "256", "--dress", "0", "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6, f"traced peak {peak / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["verify", "--suite", "u2", "--n-list", "2"], "--grid-csv needs --suite geometry"),
+        (["gen", "grvv", "--n", "4", "--partition", "2,3"], "disagrees with --partition"),
+        (["gen", "su2", "--dims", "2", "--dress", "3"], "gen su2 takes no --dress"),
+    ],
+)
+def test_ignored_options_are_usage_errors(tmp_path, capsys, args, message):
+    csv_path = tmp_path / "grid.csv"
+    if args[0] == "verify":
+        args = args + ["--grid-csv", str(csv_path)]
+    assert run(args) == 2
+    assert message in capsys.readouterr().err
+    assert not csv_path.exists()
+
+
+def test_out_of_memory_is_a_usage_error(monkeypatch, capsys):
+    def exhausted(grid, n=2):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array with shape (100000, 100000)")
+
+    monkeypatch.setattr(geometry, "grid_report", exhausted)
+    assert run(["verify", "--suite", "geometry", "--grid", "100000x100000"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: Unable to allocate")
+    assert "Traceback" not in err

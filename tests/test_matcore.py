@@ -1,8 +1,12 @@
+import io
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from fuzzball.matcore import (
+    JSON_BLOCK_ROWS,
     Tolerance,
     dagger,
     frobenius_distance,
@@ -10,8 +14,10 @@ from fuzzball.matcore import (
     hermitian_sqrt,
     matrix_from_json,
     matrix_to_json,
+    plain_json,
     pseudo_inverse,
     random_unitary,
+    write_json,
 )
 
 
@@ -177,3 +183,56 @@ def test_matrix_from_json_refuses_bad_shape_fields():
 def test_non_finite_rejected():
     with pytest.raises(ValueError):
         pseudo_inverse(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+# float.__repr__ edge cases: signed zero, subnormal, the exponent switches
+# of repr (1e-05, 1e16) and a value with no short decimal form
+EDGE_VALUES = [-0.0, 5e-324, 1e-05, 1e16, 1e22, 0.1, 1 / 3]
+
+
+def _streamed(obj):
+    fh = io.StringIO()
+    write_json(fh, obj)
+    return fh.getvalue()
+
+
+def _edge_matrix(rows, cols):
+    k = np.arange(2 * rows * cols)
+    vals = np.array(EDGE_VALUES)[k % len(EDGE_VALUES)] * np.where(k % 3, 1.0, -1.0)
+    return vals.view(complex).reshape(rows, cols)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(1, 1), (1, 7), (7, 1), (0, 3), (3, 0), (JSON_BLOCK_ROWS, 2),
+     (2 * JSON_BLOCK_ROWS + 3, 5)],
+)
+def test_write_json_matches_dumps_of_matrix_to_json(shape):
+    a = _edge_matrix(*shape)
+    assert _streamed(a) == json.dumps(matrix_to_json(a), separators=(",", ":"))
+    if a.size:
+        assert np.array_equal(matrix_from_json(json.loads(_streamed(a))), a)
+
+
+def test_write_json_streams_arrays_nested_in_plain_values():
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(40, 3)) + 1j * rng.normal(size=(40, 3))
+    obj = {
+        "schema": 1,
+        "label": "caf\u00e9 \"q\"",
+        "partition": (2, 3),
+        "matrices": [a, np.eye(2), {"inner": [a.real[:2]], "x": None}],
+        "plain": {"edge": EDGE_VALUES, "ok": True},
+    }
+    plain = plain_json(obj)
+    assert plain["matrices"][0] == matrix_to_json(a)
+    assert _streamed(obj) == json.dumps(plain, separators=(",", ":"))
+    # a subtree without arrays is left as it is
+    assert plain["plain"] is obj["plain"]
+
+
+def test_write_json_refuses_what_matrix_to_json_refuses():
+    with pytest.raises(ValueError):
+        _streamed({"g": np.array([[np.inf, 0.0]])})
+    with pytest.raises(TypeError):
+        _streamed({1: np.eye(2)})

@@ -15,14 +15,16 @@ from numpy.testing import assert_allclose
 
 from fuzzball.cli import main as cli_main
 from fuzzball.grvv import GrvvSolution, gauge_dress, ground_state
-from fuzzball.harmonics import build_basis, decompose_bifundamental
+from fuzzball.harmonics import build_basis, classical_ylm, decompose_bifundamental
 from fuzzball.matcore import dagger, matrix_to_json, random_unitary
 from fuzzball.spectra import (
     adjoint_laplacian_matrix,
     fuzzy_laplacian_spectrum,
     group_eigenvalues,
+    mode_convergence,
     scalar_kinetic_matrix,
     scalar_kinetic_spectrum,
+    symbol_map,
 )
 from fuzzball.su2rep import (
     Su2Representation,
@@ -250,6 +252,24 @@ def test_kinetic_spectrum_finds_the_frame_once(monkeypatch):
     assert len(calls) == 1
     monkeypatch.undo()
     assert np.array_equal(spec.eigenvalues, scalar_kinetic_spectrum(rep).eigenvalues)
+
+
+def test_mode_convergence_finds_each_frame_once(monkeypatch):
+    import fuzzball.harmonics as harmonics
+
+    calls = []
+    frame = harmonics.weight_frame
+    monkeypatch.setattr(harmonics, "weight_frame", lambda rep: calls.append(1) or frame(rep))
+    table = mode_convergence([8, 16], 2, 1)
+    assert len(calls) == 2
+    monkeypatch.undo()
+    # the same numbers as the public symbol_map path on mode_convergence's grid
+    theta = (np.arange(24) + 0.5) * np.pi / 24
+    tt, pp = np.meshgrid(theta, np.arange(48) * 2 * np.pi / 48, indexing="ij")
+    for n, err in table:
+        rep = irrep(n)
+        sym = symbol_map(build_basis(rep)[(2, 1)], rep, tt, pp)
+        assert err == float(np.max(np.abs(sym - classical_ylm(2, 1, tt, pp))))
 
 
 def test_right_dressed_doublet_fails_decompose(tmp_path):
