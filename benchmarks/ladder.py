@@ -1,6 +1,6 @@
 """
-Per-kernel timing ladder for the spin-map kernels of ``fuzzball.su2rep`` and
-the JSON writer of ``fuzzball gen``.
+Per-kernel timing ladder for the spin-map kernels of ``fuzzball.su2rep``, the
+harmonics and spectra kernels, and the JSON writer of ``fuzzball gen``.
 
     python3 benchmarks/ladder.py --label change --out benchmarks/ladder.json
     python3 benchmarks/ladder.py --label parent --src ../parent/src --out benchmarks/ladder.json
@@ -17,7 +17,11 @@ entry is the median of ``REPEATS`` calls with its quartiles (``q1_s``,
 ``q3_s``: run-to-run spread); ``n_exp`` is the least-squares slope of
 log t against log N over the sizes from ``FIT_FROM`` on, below which call
 overhead dominates.  The evaluators are handed precomputed bilinears, so
-their times exclude ``bilinears``.
+their times exclude ``bilinears``.  The ``build_basis``,
+``fuzzy_laplacian_spectrum`` and ``scalar_kinetic_spectrum`` rungs call the
+kernel on ``irrep(N)`` for N in ``SPECTRA_SIZES``; a size the measured tree
+refuses (``ValueError``, as a size cap raises) is recorded as null, with the
+message under ``refused``.
 
 ``fuzzball`` is imported from ``--src`` (default: this checkout's ``src``),
 so two checkouts can be measured into one file on the same machine.  The run
@@ -42,6 +46,7 @@ import numpy as np
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEFAULT_SRC = os.path.join(ROOT, "src")
 SIZES = [16, 32, 64, 128, 256, 512]
+SPECTRA_SIZES = [16, 32, 64, 128, 256]
 REPEATS = 7
 SEED = 0
 FIT_FROM = 64
@@ -90,7 +95,7 @@ def doublets(n):
 
 
 def exponent(sizes, seconds):
-    pts = [(n, t) for n, t in zip(sizes, seconds) if n >= FIT_FROM and t > 0]
+    pts = [(n, t) for n, t in zip(sizes, seconds) if n >= FIT_FROM and t]
     if len(pts) < 2:
         return None
     x, y = np.log([p[0] for p in pts]), np.log([p[1] for p in pts])
@@ -109,11 +114,33 @@ def timed(fn):
     return statistics.quantiles(ts, n=4)
 
 
-def row(stats):
+def row(stats, sizes=SIZES):
     """Ladder row of per-size (q1, median, q3) triples."""
-    q1, med, q3 = (dict(zip(map(str, SIZES), col)) for col in zip(*stats))
+    q1, med, q3 = (dict(zip(map(str, sizes), col)) for col in zip(*stats))
     return {"median_s": med, "q1_s": q1, "q3_s": q3,
-            "n_exp": exponent(SIZES, list(med.values()))}
+            "n_exp": exponent(sizes, list(med.values()))}
+
+
+def irrep_rows():
+    """Rows of the harmonics and spectra kernels on ``irrep(N)``, N in
+    SPECTRA_SIZES; a refused size reads (None, None, None)."""
+    from fuzzball.harmonics import build_basis
+    from fuzzball.spectra import fuzzy_laplacian_spectrum, scalar_kinetic_spectrum
+    from fuzzball.su2rep import irrep
+
+    out = {}
+    for fn in (build_basis, fuzzy_laplacian_spectrum, scalar_kinetic_spectrum):
+        stats, refused = [], {}
+        for n in SPECTRA_SIZES:
+            rep = irrep(n)
+            try:
+                stats.append(timed(lambda: fn(rep)))
+            except ValueError as exc:
+                stats.append((None, None, None))
+                refused[str(n)] = str(exc)
+        out[fn.__name__] = {"irrep": dict(row(stats, SPECTRA_SIZES), refused=refused)}
+        print(f"{fn.__name__} done", file=sys.stderr)
+    return out
 
 
 def gen_grvv_dressed(tmp):
@@ -153,6 +180,7 @@ def measure():
     with tempfile.TemporaryDirectory() as tmp:
         results["gen_grvv_dressed"] = {"cli": gen_grvv_dressed(tmp)}
     print("gen_grvv_dressed done", file=sys.stderr)
+    results.update(irrep_rows())
     return results
 
 
@@ -172,6 +200,7 @@ def main(argv=None):
     run = {
         "env": env,
         "sizes": SIZES,
+        "spectra_sizes": SPECTRA_SIZES,
         "repeats": REPEATS,
         "fit_from": FIT_FROM,
         "seconds": round(time.perf_counter() - t0, 3),
@@ -187,7 +216,7 @@ def main(argv=None):
         fh.write("\n")
     for name, per in results.items():
         for kind, r in per.items():
-            total = sum(r["median_s"].values())
+            total = sum(t for t in r["median_s"].values() if t is not None)
             exp = r["n_exp"]
             print(f"{name:28s} {kind:8s} sum {total:8.4f} s  "
                   f"n_exp {'-' if exp is None else f'{exp:.2f}'}")

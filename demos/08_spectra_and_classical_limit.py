@@ -1,7 +1,8 @@
 """Spectral diagnostics and the approach to the round sphere.
 
 The adjoint Laplacian carries the exact classical spectrum at every size;
-the coordinate commutators decay as 2/(N+1); coherent-state symbols of the
+the kinetic operator's levels are labelled by the orbital l and the total
+j; the coordinate commutators decay as 2/(N+1); coherent-state symbols of the
 matrix harmonics converge to the classical Y_lm; and the spinorial
 harmonics square to (l+1)^2 under the Dirac operator.
 """
@@ -22,10 +23,10 @@ print("\ncoordinate noncommutativity:")
 for n, value in commutator_decay([4, 8, 16, 32, 64, 128, 256]):
     print(f"  n={n:4d}  ||[x1,x2]|| = {value:.6f}   2/(n+1) = {2/(n+1):.6f}")
 
-print("\nfluctuation kinetic operator, n = 2:")
-ks = scalar_kinetic_spectrum(irrep(2))
-for eig, mult, vec, spin, family in ks.groups:
-    print(f"  eigenvalue {eig:6.2f} multiplicity {mult}  [{family}]")
+print("\nfluctuation kinetic operator, n = 3 (levels 3l(l+1) + j(j+1) - 1):")
+ks = scalar_kinetic_spectrum(irrep(3))
+for eig, mult, l, j, res in ks.groups:
+    print(f"  eigenvalue {eig:6.2f} multiplicity {mult}  (l={l}, j={j})  residual {res:.1e}")
 print("  generator triple eigenvalue:", ks.ji_triple_eigenvalue,
       "residual:", ks.ji_triple_residual)
 

@@ -17,8 +17,8 @@ import numpy as np
 from . import geometry, spectra
 from .equivalence import round_trip
 from .grvv import GrvvSolution, block_solution, gauge_dress, ground_state, grvv_residual, sphere_constraints
-from .harmonics import build_basis, decompose_bifundamental
-from .matcore import matrix_from_json, random_unitary, write_json
+from .harmonics import _diagonal_index, build_basis, decompose_bifundamental
+from .matcore import dagger, matrix_from_json, random_unitary, write_json
 from .su2rep import (
     bilinears,
     direct_sum,
@@ -40,6 +40,7 @@ SUITES = (
     "geometry",
     "all",
 )
+DEFAULT_GRID = (64, 128)
 
 
 def _parse_int_list(text):
@@ -183,21 +184,27 @@ class _Skip(Exception):
 
 
 def _suite_harmonics(n, seed):
-    if n > spectra.MAX_KINETIC_SIZE:
-        raise _Skip(
-            f"n > {spectra.MAX_KINETIC_SIZE}: the Gram check multiplies n^2 dense "
-            "n x n elements"
-        )
     rep = irrep(n)
     basis = build_basis(rep)
-    keys = basis.keys()
-    ys = np.stack([basis.elements[key] for key in keys])
-    flat = ys.reshape(len(keys), -1)
-    gram = flat.conj() @ flat.T
-    yield ("gram", n, float(np.max(np.abs(gram - n * np.eye(len(keys))))))
-    ms = np.array([m for _, m in keys])[:, None, None]
-    adj = np.linalg.norm(rep.j3 @ ys - ys @ rep.j3 - 2 * ms * ys, axis=(1, 2))
-    yield ("adjoint_j3", n, float(np.max(adj)))
+    u = basis.frame
+    # Y_lm = U D U^dag with D on the m diagonal: Tr(Y^dag Y') is the product
+    # of the stored vectors when U is unitary, and a defect d of U^dag U
+    # moves it by about N d
+    gram = n * np.max(np.abs(dagger(u) @ u - np.eye(n)))
+    # U^dag (J_3 Y - Y J_3 - 2 m Y) U with the full U^dag J_3 U, built for
+    # one diagonal's elements at a time
+    w = dagger(u) @ rep.j3 @ u
+    adj = 0.0
+    for m, ys in basis.diagonals.items():
+        gram = max(gram, np.max(np.abs(ys.conj() @ ys.T - n * np.eye(len(ys)))))
+        rows, cols = _diagonal_index(n, m)
+        r = np.zeros((len(ys), n, n), dtype=complex)
+        r[:, :, cols] = w[:, rows] * ys[:, None, :]
+        r[:, rows, :] -= ys[:, :, None] * w[cols, :]
+        r[:, rows, cols] -= 2 * m * ys
+        adj = max(adj, np.max(np.linalg.norm(r, axis=(1, 2))))
+    yield ("gram", n, float(gram))
+    yield ("adjoint_j3", n, float(adj))
     ev = spectra.fuzzy_laplacian_spectrum(rep)
     ref = np.sort(np.concatenate([[4 * l * (l + 1)] * (2 * l + 1) for l in range(n)]))
     yield ("laplacian_spectrum", n, float(np.max(np.abs(ev - ref)) / max(ref[-1], 1)))
@@ -309,13 +316,15 @@ def cmd_verify(args):
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise ValueError(f"--tol must be finite and positive, got {args.tol}")
     suites = list(SUITES[:-1]) if args.suite == "all" else [args.suite]
-    if args.grid_csv and "geometry" not in suites:
-        raise ValueError("--grid-csv needs --suite geometry or all")
+    for opt in ("grid", "grid_csv"):
+        if getattr(args, opt) is not None and "geometry" not in suites:
+            raise ValueError(f"--{opt.replace('_', '-')} needs --suite geometry or all")
+    shape = args.grid or DEFAULT_GRID
     grid = residuals = None
     if "geometry" in suites:
         # one evaluation of the per-point residuals feeds both the suite rows
         # and the grid CSV
-        grid = geometry.SphereGrid.make(*args.grid)
+        grid = geometry.SphereGrid.make(*shape)
         residuals = geometry.grid_report(grid, n=max(args.n_list) if args.n_list else 2)
     results, skipped = [], []
     for suite in suites:
@@ -330,7 +339,7 @@ def cmd_verify(args):
         "n_list": args.n_list,
         "tol": args.tol,
         "seed": args.seed,
-        "grid": f"{args.grid[0]}x{args.grid[1]}",
+        "grid": f"{shape[0]}x{shape[1]}",
         "results": [
             {
                 "suite": suite,
@@ -356,10 +365,6 @@ def cmd_verify(args):
 
 def cmd_spectrum(args):
     if args.which == "laplacian":
-        if args.n > spectra.MAX_LAPLACIAN_SIZE:
-            raise ValueError(
-                f"laplacian spectrum is capped at size {spectra.MAX_LAPLACIAN_SIZE}"
-            )
         ev = spectra.fuzzy_laplacian_spectrum(irrep(args.n))
         rows = [
             [f"{ev[i]:.12g}", j - i, "scalar"] for i, j in spectra.group_eigenvalues(ev)
@@ -367,18 +372,9 @@ def cmd_spectrum(args):
         _write_csv(args.out, ["eigenvalue", "multiplicity", "family"], rows)
         return 0
     if args.which == "kinetic":
-        if args.n > spectra.MAX_KINETIC_SIZE:
-            raise ValueError(f"kinetic spectrum is capped at size {spectra.MAX_KINETIC_SIZE}")
         ks = spectra.scalar_kinetic_spectrum(irrep(args.n))
-        rows = [
-            [f"{eig:.12g}", mult, vec_mult, spin_mult, family]
-            for eig, mult, vec_mult, spin_mult, family in ks.groups
-        ]
-        _write_csv(
-            args.out,
-            ["eigenvalue", "multiplicity", "vector_mult", "spinor_mult", "family"],
-            rows,
-        )
+        rows = [[f"{eig:.12g}", mult, l, j, f"{res:.3e}"] for eig, mult, l, j, res in ks.groups]
+        _write_csv(args.out, ["eigenvalue", "multiplicity", "l", "j", "residual"], rows)
         return 0
     raise ValueError(f"unknown spectrum {args.which!r}")
 
@@ -473,16 +469,18 @@ def build_parser():
     ver.add_argument("--n-list", type=_parse_int_list, default=[2, 3, 4, 8])
     ver.add_argument("--tol", type=float, default=1e-10)
     ver.add_argument("--seed", type=int, default=0)
-    ver.add_argument("--grid", type=_parse_grid, default=(64, 128))
+    ver.add_argument("--grid", type=_parse_grid, help="geometry suite only (default 64x128)")
     ver.add_argument("--grid-csv", default=None, help="per-point geometry residual CSV")
     ver.add_argument("--out", default=None)
     ver.set_defaults(func=cmd_verify)
 
     spect = sub.add_parser(
         "spectrum",
-        help="dense spectra as CSV",
-        epilog="laplacian columns: eigenvalue, multiplicity, family; kinetic adds "
-        "vector_mult and spinor_mult (eigenspace split against the J_i Y_lm span).",
+        help="spectra as CSV",
+        epilog="laplacian columns: eigenvalue, multiplicity, family. kinetic columns: "
+        "eigenvalue, multiplicity, l, j, residual: one row per level "
+        "3l(l+1) + j(j+1) - 1 (multiplicity 2j+1), with the largest ||Kv - lambda v|| "
+        "of its coupled vectors relative to the top level.",
     )
     spect.add_argument("which", choices=("laplacian", "kinetic"))
     spect.add_argument("--n", type=int, required=True)

@@ -12,7 +12,7 @@ convention of ``irrep``); an input whose derived partition is not one block
 is refused.  In that frame every Y_lm is nonzero only on the diagonal
 row - column = m, so a basis stores one length-(N-|m|) vector per (l, m)
 together with U.  The dense matrix U D U^dag is materialised lazily: indexing
-builds one element, ``elements`` builds them all once.  Decompositions and reconstructions work
+builds one element and keeps it.  Decompositions and reconstructions work
 on the diagonals of U^dag A U: O(N^3) per call, except the bifundamental fit,
 which solves one least-squares system of size about 2(N-|m|) x (N-|m|) per
 m and per diagonal.
@@ -89,10 +89,10 @@ def _weight_frame(rep):
     return u, [j3, j1 + 1j * j2, j1 - 1j * j2]
 
 
-def _materialize(u, m, ys):
-    """Dense U D U^dag for each row of ``ys`` placed on the m diagonal of D."""
+def _materialize(u, m, y):
+    """Dense U D U^dag for the vector ``y`` placed on the m diagonal of D."""
     rows, cols = _diagonal_index(u.shape[0], m)
-    return (u[:, rows] * ys[:, None, :]) @ dagger(u[:, cols])
+    return (u[:, rows] * y) @ dagger(u[:, cols])
 
 
 @dataclass(frozen=True)
@@ -125,17 +125,8 @@ class HarmonicBasis:
 
     def __getitem__(self, key):
         if key not in self._dense:
-            self._dense[key] = _materialize(self.frame, key[1], self.vector(key)[None])[0]
+            self._dense[key] = _materialize(self.frame, key[1], self.vector(key))
         return self._dense[key]
-
-    @property
-    def elements(self):
-        """Every element as a dense matrix: (l, m) -> N x N."""
-        if len(self._dense) < self.dim**2:
-            for m, ys in self.diagonals.items():
-                for i, y in enumerate(_materialize(self.frame, m, ys)):
-                    self._dense.setdefault((abs(m) + i, m), y)
-        return self._dense
 
 
 def _ad_diagonal(x, k, c):

@@ -14,7 +14,6 @@ from .geometry import _apply2, _central_difference, killing_spinor
 from .harmonics import (
     _ad_diagonal,
     _basis_in_frame,
-    _diagonal_map,
     _laplacian_block,
     _weight_frame,
     build_basis,
@@ -25,11 +24,9 @@ from .matcore import commutator, dagger, spectral_norm
 from .su2rep import EPS3, PAULI, irrep
 
 __all__ = [
-    "adjoint_laplacian_matrix",
     "fuzzy_laplacian_spectrum",
     "group_eigenvalues",
     "commutator_decay",
-    "scalar_kinetic_matrix",
     "scalar_kinetic_spectrum",
     "KineticSpectrum",
     "vector_harmonics",
@@ -42,20 +39,6 @@ __all__ = [
     "mode_convergence",
 ]
 
-MAX_LAPLACIAN_SIZE = 64
-MAX_KINETIC_SIZE = 16
-
-
-def _ad(j, n):
-    """ad(J) as an n^2 x n^2 matrix on row-major vectorized matrices."""
-    eye = np.eye(n)
-    return np.kron(j, eye) - np.kron(eye, j.T)
-
-
-def adjoint_laplacian_matrix(rep):
-    n = rep.dim
-    return sum(_ad(g, n) @ _ad(g, n) for g in rep.generators)
-
 
 def fuzzy_laplacian_spectrum(rep):
     """Eigenvalues of A -> sum_i [J_i, [J_i, A]]: 4 l (l+1), each 2l+1 times.
@@ -63,8 +46,6 @@ def fuzzy_laplacian_spectrum(rep):
     The operator keeps each weight-frame diagonal of A, so the spectrum is
     the union of 2N - 1 tridiagonal blocks of size N - |m|.
     """
-    if rep.dim > MAX_LAPLACIAN_SIZE:
-        raise ValueError(f"dense diagonalization capped at size {MAX_LAPLACIAN_SIZE}")
     n = rep.dim
     _, gens = _weight_frame(rep)
     blocks = [np.linalg.eigvalsh(_laplacian_block(gens, m)) for m in range(1 - n, n)]
@@ -104,26 +85,6 @@ def commutator_decay(n_list):
     return out
 
 
-def scalar_kinetic_matrix(rep):
-    """(1 + J^2) d_ij - i eps_ijk J_k on triples of matrices, J acting in the
-    adjoint; Hermitian under the trace inner product."""
-    n = rep.dim
-    d = n * n
-    ads = [_ad(g, n) for g in rep.generators]
-    lap = sum(a @ a for a in ads)
-    k = np.zeros((3 * d, 3 * d), dtype=complex)
-    for i in range(3):
-        k[i * d : (i + 1) * d, i * d : (i + 1) * d] = np.eye(d) + lap
-    for i in range(3):
-        for j in range(3):
-            for kk in range(3):
-                if EPS3[i, j, kk]:
-                    k[i * d : (i + 1) * d, j * d : (j + 1) * d] += (
-                        -1j * EPS3[i, j, kk] * ads[kk]
-                    )
-    return k
-
-
 def _kinetic_apply(rep, a):
     """The kinetic operator on a triple of matrices, written with commutators."""
     gens = rep.generators
@@ -140,8 +101,8 @@ def _kinetic_apply(rep, a):
 
 @dataclass(frozen=True)
 class KineticSpectrum:
-    eigenvalues: np.ndarray  # sorted
-    groups: tuple  # (eigenvalue, multiplicity, vector_mult, spinor_mult, family)
+    eigenvalues: np.ndarray  # sorted Rayleigh quotients v^dag K v
+    groups: tuple  # (eigenvalue, multiplicity, l, j, residual)
     ji_triple_eigenvalue: float  # eigenvalue carried by the (J_1, J_2, J_3) triple
     ji_triple_residual: float
 
@@ -164,13 +125,6 @@ _SPIN_TERMS = (
     (_spherical((0, 0, 1)), 0, 0),
     (_spherical((0.5, -0.5j, 0)), 1, 1),
     (_spherical((0.5, 0.5j, 0)), 2, -1),
-)
-# spherical components conj(C)^T (J_1, J_2, J_3) of the left action, laid
-# out like _SPIN_TERMS
-_TRIPLE_TERMS = (
-    (_SPHERICAL[2].conj(), 0, 0),
-    ((_SPHERICAL[0].conj() - 1j * _SPHERICAL[1].conj()) / 2, 1, 1),
-    ((_SPHERICAL[0].conj() + 1j * _SPHERICAL[1].conj()) / 2, 2, -1),
 )
 
 
@@ -196,73 +150,91 @@ def _kinetic_block(gens, total):
     return (k + dagger(k)) / 2, starts
 
 
-def _vector_family(gens, basis, total, starts):
-    """Orthonormal span of the triples (J_1 Y_lm, J_2 Y_lm, J_3 Y_lm) with
-    m = M, in the spherical components of the charge-M block."""
+def _cg1(l, dj, total, sig):
+    """Clebsch-Gordan <l, M - sig; 1, sig | l + dj, M> with Condon-Shortley
+    phases for an integer array of l, written as sign(t) sqrt(|t| / d)."""
+    p, q = l + total, l - total
+    if dj == 1:
+        t = (q * (q + 1), 2 * (p + 1) * (q + 1), p * (p + 1))[sig + 1]
+        d = (2 * l + 1) * (2 * l + 2)
+    elif dj == 0:
+        t = (q * (p + 1), 2 * total * abs(total), -p * (q + 1))[sig + 1]
+        d = 2 * l * (l + 1)
+    else:
+        t = (p * (p + 1), -2 * p * q, q * (q + 1))[sig + 1]
+        d = 2 * l * (2 * l + 1)
+    return np.sign(t) * np.sqrt(np.abs(t) / d)
+
+
+def _coupled_block(basis, total, starts):
+    """Unit vectors |l j M> = sum_sigma <l, M - sigma; 1, sigma | j, M>
+    Y_{l, M - sigma} e_sigma in the layout of ``_kinetic_block(gens, M)``,
+    as columns, with their l and j; for j in {l - 1, l, l + 1} (only j = 1
+    at l = 0) and j >= |M| they fill the block.  ``_SPHERICAL``'s e_{+1} =
+    (1, i, 0)/sqrt2 lacks the Condon-Shortley sign, so sigma = +1 takes a
+    factor -1."""
     n = basis.dim
-    if abs(total) >= n:
-        return np.zeros((starts[-1], 0))
-    ys = basis.diagonals[total].T
-    v = np.zeros((starts[-1], ys.shape[1]), dtype=complex)
-    for b, sig in enumerate(_SIGMAS):
-        for coef, g, shift in _TRIPLE_TERMS:
-            if shift == -sig:
-                v[starts[b] : starts[b + 1]] += coef[b] * (
-                    _diagonal_map(gens[g], shift, total, left=True) @ ys
-                )
-    q, r = np.linalg.qr(v)
-    keep = np.abs(np.diag(r)) > 1e-10 * np.abs(r).max()
-    return q[:, keep]
+    ls = [np.arange(max(abs(total) - dj, int(dj < 1)), n) for dj in (-1, 0, 1)]
+    v = np.zeros((starts[-1], sum(l.size for l in ls)), dtype=complex)
+    end = 0
+    for dj, l in zip((-1, 0, 1), ls):
+        end += l.size
+        for b, sig in enumerate(_SIGMAS):
+            c = total - sig
+            l_c = l[l >= abs(c)]  # the l whose Y_{l, c} exist, a tail of l
+            if l_c.size:
+                coef = (-1 if sig == 1 else 1) * _cg1(l_c, dj, total, sig)
+                ys = basis.diagonals[c][l_c - abs(c)]
+                v[starts[b] : starts[b + 1], end - l_c.size : end] = (coef[:, None] * ys).T
+    l = np.concatenate(ls)
+    return v / math.sqrt(n), l, l + np.repeat([-1, 0, 1], [x.size for x in ls])
 
 
-def scalar_kinetic_spectrum(rep, group_tol=1e-8):
-    """Spectrum of the fluctuation kinetic operator, whose quadratic term is
-    the adjoint Casimir (J acting by commutators, not left multiplication).
+def scalar_kinetic_spectrum(rep):
+    """Spectrum of the fluctuation kinetic operator K = 1 + ad(J)^2 + S.ad(J),
+    whose quadratic term is the adjoint Casimir (J acting by commutators, not
+    left multiplication) and S the spin 1 of the vector index, certified
+    level by level instead of diagonalised.
 
-    The operator keeps the total charge M of a triple (weight-frame diagonal
-    plus spin-1 component), so it is diagonalised in 2N + 1 blocks of size
-    about 3 (N - |M|).  Each degenerate eigenspace is split against the
-    span of the triples (J_1 Y_lm, J_2 Y_lm, J_3 Y_lm): ``vector_mult``
-    counts directions lying fully inside that span, ``spinor_mult``
-    directions fully orthogonal to it; at finite size partial overlaps occur
-    and are tagged mixed.  The overlaps are taken per block and merged
-    across blocks per level.  The triple (J_1, J_2, J_3) itself is an exact
-    eigenvector at every size and is certified separately.
+    K commutes with the orbital l and with the total j (l coupled to 1), so
+    every level is 3 l(l+1) + j(j+1) - 1 with multiplicity 2j + 1, for j in
+    {l - 1, l, l + 1} (only j = 1 at l = 0); no two (l, j) share a value.
+    In each total-charge block M (weight-frame diagonal plus spherical
+    component, ``_kinetic_block``) the coupled vectors |l j M> of
+    ``_coupled_block`` are applied to K.  ``groups`` lists (eigenvalue,
+    multiplicity, l, j, residual) in ascending order: the exact level, the
+    number of vectors carrying it, and the largest ||K v - lambda v|| over
+    them relative to ||K||, the top level (N - 1, N).  ``eigenvalues`` holds
+    the 3N^2 Rayleigh quotients v^dag K v, sorted.
+
+    The paper's families hold exactly: the triples ([J_1, Y_lm], [J_2, Y_lm],
+    [J_3, Y_lm]) are eigenvectors with eigenvalue 4 l(l+1) - 1, which is
+    j = l, and (J_1, J_2, J_3) itself is the l = 1, j = 0 level 5, certified
+    separately on the dense triple.  The left products (J_1 Y_lm, J_2 Y_lm,
+    J_3 Y_lm) do not span an invariant subspace: K moves 0.09 to 0.57 of
+    their norm out of that span at N = 6, so splitting levels against it
+    gives no families.
     """
-    if rep.dim > MAX_KINETIC_SIZE:
-        raise ValueError(f"dense diagonalization capped at size {MAX_KINETIC_SIZE}")
     n = rep.dim
     u, gens = _weight_frame(rep)
     basis = _basis_in_frame(rep, u, gens)
-    blocks = []
+    norm = 4 * n * n - 2 * n - 1  # the top level: K is positive
+    parts = []
     for total in range(-n, n + 1):
         k, starts = _kinetic_block(gens, total)
-        w, vecs = np.linalg.eigh(k)
-        blocks.append((w, vecs, _vector_family(gens, basis, total, starts)))
-    w = np.concatenate([b[0] for b in blocks])
-    owner = np.concatenate([np.full(len(b[0]), i) for i, b in enumerate(blocks)])
-    column = np.concatenate([np.arange(len(b[0])) for b in blocks])
-    order = np.argsort(w, kind="stable")
-    w, owner, column = w[order], owner[order], column[order]
-    groups = []
-    for i, j in group_eigenvalues(w, group_tol):
-        sv = []
-        for b in np.unique(owner[i:j]):
-            _, vecs, vfam = blocks[b]
-            if vfam.shape[1]:
-                space = vecs[:, column[i:j][owner[i:j] == b]]
-                sv.append(np.linalg.svd(vfam.conj().T @ space, compute_uv=False))
-        sv = np.concatenate(sv) if sv else np.zeros(0)
-        mult = j - i
-        vec_mult = int(np.sum(sv > 1.0 - 1e-6))
-        spinor_mult = mult - int(np.sum(sv > 1e-6))
-        if vec_mult == mult:
-            family = "vector"
-        elif spinor_mult == mult:
-            family = "spinor"
-        else:
-            family = "mixed"
-        groups.append((float(w[i]), mult, vec_mult, spinor_mult, family))
+        v, l, j = _coupled_block(basis, total, starts)
+        kv = k @ v
+        lam = 3 * l * (l + 1) + j * (j + 1) - 1
+        res = np.linalg.norm(kv - lam * v, axis=0) / norm
+        parts.append((l, j, np.real(np.sum(v.conj() * kv, axis=0)), res))
+    l, j, quotients, res = (np.concatenate(x) for x in zip(*parts))
+    levels, level = np.unique(np.stack([l, j]), axis=1, return_inverse=True)
+    worst = np.zeros(levels.shape[1])
+    np.maximum.at(worst, level, res)
+    groups = sorted(
+        (3 * ll * (ll + 1) + jj * (jj + 1) - 1.0, int(mult), ll, jj, float(w))
+        for (ll, jj), mult, w in zip(levels.T.tolist(), np.bincount(level), worst)
+    )
 
     triple = np.stack(rep.generators).reshape(-1)
     image = np.stack(_kinetic_apply(rep, rep.generators)).reshape(-1)
@@ -272,7 +244,7 @@ def scalar_kinetic_spectrum(rep, group_tol=1e-8):
         float(np.linalg.norm(image - eig * triple) / np.sqrt(nrm2)) if nrm2 > 0 else 0.0
     )
     return KineticSpectrum(
-        eigenvalues=w,
+        eigenvalues=np.sort(quotients),
         groups=tuple(groups),
         ji_triple_eigenvalue=eig,
         ji_triple_residual=residual,

@@ -13,6 +13,7 @@ import fuzzball
 from fuzzball import geometry
 from fuzzball.cli import _write_grid_csv, main
 from fuzzball.grvv import GrvvSolution, gauge_dress, ground_state
+from fuzzball.harmonics import build_basis
 from fuzzball.matcore import JSON_BLOCK_ROWS, matrix_from_json, matrix_to_json, random_unitary
 from fuzzball.su2rep import direct_sum, irrep
 
@@ -156,9 +157,21 @@ def test_spectrum_laplacian(tmp_path):
     assert abs(float(rows[2][0]) - 8.0) < 1e-9
 
 
-def test_spectrum_kinetic_bound(capsys):
-    assert run(["spectrum", "kinetic", "--n", "40"]) == 2
-    assert "capped" in capsys.readouterr().err
+def test_spectrum_kinetic_large_size(tmp_path):
+    # n = 40 was refused while the spectrum was capped at 16
+    n = 40
+    out = tmp_path / "k.csv"
+    assert run(["spectrum", "kinetic", "--n", str(n), "--out", str(out)]) == 0
+    rows = list(csv.reader(out.read_text().splitlines()))
+    assert rows[0] == ["eigenvalue", "multiplicity", "l", "j", "residual"]
+    mult = sum(int(r[1]) for r in rows[1:])
+    trace = sum(float(r[0]) * int(r[1]) for r in rows[1:])
+    ref = 3 * (n * n + sum(4 * l * (l + 1) * (2 * l + 1) for l in range(n)))
+    assert mult == 3 * n * n and abs(trace - ref) <= 1e-9 * ref
+    for eig, mult, l, j, res in rows[1:]:
+        l, j = int(l), int(j)
+        assert float(eig) == 3 * l * (l + 1) + j * (j + 1) - 1 and int(mult) == 2 * j + 1
+        assert float(res) < 1e-13
 
 
 def test_converge_commutator(tmp_path):
@@ -242,15 +255,56 @@ def test_converge_modes_frozen_values(tmp_path):
 
 def test_verify_with_nothing_checked_fails(tmp_path):
     out = tmp_path / "r.json"
-    code = run(["verify", "--suite", "harmonics", "--n-list", "32,64", "--out", str(out)])
+    code = run(["verify", "--suite", "superalgebra", "--n-list", "1", "--out", str(out)])
     assert code == 1
     report = json.loads(out.read_text())
     assert report["results"] == [] and report["passed"] is False
-    assert [(s["suite"], s["n"]) for s in report["skipped"]] == [
-        ("harmonics", 32),
-        ("harmonics", 64),
+    assert [(s["suite"], s["n"]) for s in report["skipped"]] == [("superalgebra", 1)]
+    assert all("n < 2" in s["reason"] for s in report["skipped"])
+
+
+HARMONICS_ROWS = ["gram", "adjoint_j3", "laplacian_spectrum", "bifundamental_reconstruction"]
+
+
+def test_verify_harmonics_checks_every_size(tmp_path):
+    # sizes above 16 used to be skipped
+    out = tmp_path / "r.json"
+    assert run(["verify", "--suite", "harmonics", "--n-list", "3,32", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert [(r["name"], r["n"]) for r in report["results"]] == [
+        (name, n) for n in (3, 32) for name in HARMONICS_ROWS
     ]
-    assert all("n > 16" in s["reason"] for s in report["skipped"])
+    assert report["skipped"] == [] and report["passed"] is True
+
+
+@pytest.mark.parametrize(
+    "frame, failing",
+    [
+        # unitary but not the weight frame: U^dag J_3 U is not diagonal
+        (lambda u, rng: u @ random_unitary(u.shape[0], rng), "adjoint_j3"),
+        # the weight frame, 1e-8 away from unitary
+        (lambda u, rng: u @ (np.eye(u.shape[0]) + 1e-8 * np.diag(rng.normal(size=u.shape[0]))),
+         "gram"),
+    ],
+)
+def test_verify_harmonics_checks_the_frame(tmp_path, monkeypatch, frame, failing):
+    import dataclasses
+
+    import fuzzball.cli as cli
+
+    def spoiled(rep):
+        basis = build_basis(rep)
+        return dataclasses.replace(basis, frame=frame(basis.frame, np.random.default_rng(5)))
+
+    monkeypatch.setattr(cli, "build_basis", spoiled)
+    # the mode fit on its own basis, so only the two frame rows see the change
+    fit = cli.decompose_bifundamental
+    monkeypatch.setattr(cli, "decompose_bifundamental", lambda r1, r2, sol, basis: fit(r1, r2, sol))
+    out = tmp_path / "r.json"
+    assert run(["verify", "--suite", "harmonics", "--n-list", "6", "--out", str(out)]) == 1
+    rows = {r["name"]: r["pass"] for r in json.loads(out.read_text())["results"]}
+    assert rows[failing] is False
+    assert rows["laplacian_spectrum"] and rows["bifundamental_reconstruction"]
 
 
 def test_verify_lists_skipped_sizes_apart_from_results(tmp_path):
@@ -365,6 +419,15 @@ def test_ignored_options_are_usage_errors(tmp_path, capsys, args, message):
     assert run(args) == 2
     assert message in capsys.readouterr().err
     assert not csv_path.exists()
+
+
+def test_verify_grid_needs_geometry(capsys):
+    assert run(["verify", "--suite", "u2", "--n-list", "2", "--grid", "8x8"]) == 2
+    captured = capsys.readouterr()
+    assert "--grid needs --suite geometry" in captured.err and captured.out == ""
+    # unset, the report still names the default grid
+    assert run(["verify", "--suite", "u2", "--n-list", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["grid"] == "64x128"
 
 
 def test_out_of_memory_is_a_usage_error(monkeypatch, capsys):

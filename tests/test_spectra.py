@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
+from dense_oracles import scalar_kinetic_matrix
 from numpy.testing import assert_allclose
 
 from fuzzball.geometry import SphereGrid
+from fuzzball.matcore import commutator
 from fuzzball.spectra import (
+    _kinetic_apply,
     commutator_decay,
     dirac_square_check,
     fuzzy_laplacian_spectrum,
     mode_convergence,
-    scalar_kinetic_matrix,
     scalar_kinetic_spectrum,
     spherical_spinor,
     symbol_map,
@@ -34,8 +36,9 @@ def test_laplacian_spectrum(n):
 
 
 def test_laplacian_bounds():
-    with pytest.raises(ValueError):
-        fuzzy_laplacian_spectrum(irrep(65))
+    # no size cap: 65 was refused while the spectrum was capped at 64
+    ev = fuzzy_laplacian_spectrum(irrep(65))
+    assert np.max(np.abs(ev - laplacian_reference(65))) < 1e-12 * 4 * 65 * 66
     with pytest.raises(ValueError):
         fuzzy_laplacian_spectrum(direct_sum([irrep(2), irrep(2)]))
 
@@ -64,9 +67,9 @@ def test_kinetic_fixture_n2():
     # generator triple is an exact eigenvector
     assert ks.ji_triple_eigenvalue == pytest.approx(5.0, abs=1e-12)
     assert ks.ji_triple_residual < 1e-12
-    # top group is fully orthogonal to the product family
+    # the top level is l = 1 coupled to spin 1 into j = 2
     top = ks.groups[-1]
-    assert top[0] == pytest.approx(11.0) and top[4] == "spinor"
+    assert top[:4] == (11.0, 5, 1, 2) and top[4] < 1e-15
 
 
 def test_kinetic_hermitian():
@@ -81,9 +84,51 @@ def test_ji_triple_membership(n):
     assert ks.ji_triple_residual < 1e-11
 
 
-def test_kinetic_bound():
-    with pytest.raises(ValueError):
-        scalar_kinetic_spectrum(irrep(17))
+def kinetic_levels(n):
+    """Closed-form (eigenvalue, multiplicity, l, j) in ascending order."""
+    pairs = [(l, j) for l in range(n) for j in (l - 1, l, l + 1) if j >= 0 and (l or j == 1)]
+    return sorted((3 * l * (l + 1) + j * (j + 1) - 1.0, 2 * j + 1, l, j) for l, j in pairs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 12, 16, 17, 32, 64, 128])
+def test_kinetic_levels_are_exact(n):
+    # 17 and 32 were refused while the spectrum was capped at 16
+    ks = scalar_kinetic_spectrum(irrep(n))
+    assert [g[:4] for g in ks.groups] == kinetic_levels(n)
+    assert max(g[4] for g in ks.groups) <= 1e-13
+    ref = np.sort(np.concatenate([[eig] * mult for eig, mult, _, _ in kinetic_levels(n)]))
+    assert ks.eigenvalues.size == 3 * n * n
+    assert np.max(np.abs(ks.eigenvalues - ref)) <= 1e-13 * ref[-1]
+
+
+@pytest.mark.parametrize("n", [3, 6, 12])
+def test_adjoint_triples_are_the_j_equals_l_family(n):
+    rep = irrep(n)
+    basis = build_basis(rep)
+    scale = 4 * n * n - 2 * n - 1  # ||K||, the top level
+    for l, m in basis.keys():
+        if l == 0:
+            continue
+        t = np.stack([commutator(g, basis[(l, m)]) for g in rep.generators])
+        kt = np.stack(_kinetic_apply(rep, t))
+        lam = 4 * l * (l + 1) - 1
+        assert np.linalg.norm(kt - lam * t) <= 1e-14 * scale * np.linalg.norm(t)
+
+
+def test_left_product_span_is_not_invariant():
+    # K moves 0.09 (l = 5) to 0.57 (l = 1) of each J_i Y_lm triple out of the
+    # span of all such triples at n = 6; only the l = 0 triple (J_1, J_2, J_3)
+    # stays inside
+    n = 6
+    rep = irrep(n)
+    basis = build_basis(rep)
+    triples = {key: np.stack([g @ basis[key] for g in rep.generators]) for key in basis.keys()}
+    q, r = np.linalg.qr(np.array([t.reshape(-1) for t in triples.values()]).T)
+    q = q[:, np.abs(np.diag(r)) > 1e-10 * np.abs(r).max()]
+    for (l, m), t in triples.items():
+        kt = np.stack(_kinetic_apply(rep, t)).reshape(-1)
+        leak = np.linalg.norm(kt - q @ (q.conj().T @ kt)) / np.linalg.norm(kt)
+        assert leak < 1e-12 if l == 0 else leak > 0.05, (l, m, leak)
 
 
 def gl_grid(nt=200, npq=400):

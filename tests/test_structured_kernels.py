@@ -1,28 +1,37 @@
 """The weight-frame kernels against the dense oracles they replace.
 
 The oracles are the dense operators ``adjoint_laplacian_matrix`` and
-``scalar_kinetic_matrix``, a copy of the dense least-squares mode fit, and
-(at small size) SU(2) Clebsch-Gordan coefficients from sympy.
+``scalar_kinetic_matrix`` (``dense_oracles``), a copy of the dense
+least-squares mode fit, and (at small size) SU(2) Clebsch-Gordan
+coefficients from sympy.
 """
 
 import json
 
 import numpy as np
 import pytest
+from dense_oracles import adjoint_laplacian_matrix, scalar_kinetic_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from fuzzball.cli import main as cli_main
 from fuzzball.grvv import GrvvSolution, gauge_dress, ground_state
-from fuzzball.harmonics import build_basis, classical_ylm, decompose_bifundamental
+from fuzzball.harmonics import (
+    _basis_in_frame,
+    _weight_frame,
+    build_basis,
+    classical_ylm,
+    decompose_bifundamental,
+)
 from fuzzball.matcore import dagger, matrix_to_json, random_unitary
 from fuzzball.spectra import (
-    adjoint_laplacian_matrix,
+    _cg1,
+    _coupled_block,
+    _kinetic_block,
     fuzzy_laplacian_spectrum,
     group_eigenvalues,
     mode_convergence,
-    scalar_kinetic_matrix,
     scalar_kinetic_spectrum,
     symbol_map,
 )
@@ -57,24 +66,16 @@ def dense_laplacian_spectrum(rep):
     return np.sort(np.linalg.eigvalsh((lap + lap.conj().T) / 2))
 
 
-def dense_kinetic_groups(rep, tol=1e-8):
+def dense_kinetic_spectrum(rep):
     k = scalar_kinetic_matrix(rep)
-    w, vecs = np.linalg.eigh((k + k.conj().T) / 2)
-    basis = build_basis(rep)
-    cols = [
-        np.concatenate([(g @ basis[key]).reshape(-1) for g in rep.generators])
-        for key in basis.keys()
-    ]
-    q, r = np.linalg.qr(np.array(cols).T)
-    vfam = q[:, np.abs(np.diag(r)) > 1e-10 * np.abs(r).max()]
-    groups = []
-    for i, j in group_eigenvalues(w, tol):
-        sv = np.linalg.svd(vfam.conj().T @ vecs[:, i:j], compute_uv=False)
-        vec_mult = int(np.sum(sv > 1.0 - 1e-6))
-        spinor_mult = (j - i) - int(np.sum(sv > 1e-6))
-        family = "vector" if vec_mult == j - i else "spinor" if spinor_mult == j - i else "mixed"
-        groups.append((float(w[i]), j - i, vec_mult, spinor_mult, family))
-    return groups
+    return np.linalg.eigvalsh((k + k.conj().T) / 2)
+
+
+def closed_form_levels(n):
+    """(l, j, multiplicity) of the levels 3l(l+1) + j(j+1) - 1 in ascending order."""
+    pairs = [(l, j) for l in range(n) for j in (l - 1, l, l + 1) if j >= 0 and (l or j == 1)]
+    pairs.sort(key=lambda p: 3 * p[0] * (p[0] + 1) + p[1] * (p[1] + 1))
+    return [(l, j, 2 * j + 1) for l, j in pairs]
 
 
 def dense_decompose(r1, r2, sol, basis):
@@ -133,11 +134,51 @@ def test_laplacian_matches_dense_oracle(n):
 def test_kinetic_groups_match_dense_oracle(n):
     for rep in inputs(n):
         ks = scalar_kinetic_spectrum(rep)
-        ref = dense_kinetic_groups(rep)
-        assert [g[1:] for g in ks.groups] == [g[1:] for g in ref]
-        for got, want in zip(ks.groups, ref):
-            assert abs(got[0] - want[0]) <= 1e-8 * max(1.0, abs(want[0]))
-        assert ks.eigenvalues.size == 3 * n * n
+        ref = dense_kinetic_spectrum(rep)
+        scale = max(1.0, ref[-1])
+        assert ks.eigenvalues.shape == ref.shape == (3 * n * n,)
+        assert np.max(np.abs(ks.eigenvalues - ref)) <= 1e-12 * scale
+        levels = [(ref[i], j - i) for i, j in group_eigenvalues(ref)]
+        assert [g[1] for g in ks.groups] == [mult for _, mult in levels]
+        for got, (eig, _) in zip(ks.groups, levels):
+            assert abs(got[0] - eig) <= 1e-12 * scale
+        assert [(g[2], g[3], g[1]) for g in ks.groups] == closed_form_levels(n)
+
+
+@pytest.mark.parametrize("l", range(6))
+def test_spin_one_clebsch_gordan(l):
+    from sympy.physics.wigner import clebsch_gordan
+
+    for dj in (-1, 0, 1):
+        j = l + dj
+        if j < 0 or (l == 0 and j != 1):
+            continue
+        for m in range(-j, j + 1):
+            for sig in (1, 0, -1):
+                if abs(m - sig) <= l:
+                    want = float(clebsch_gordan(l, 1, j, m - sig, sig, m))
+                    assert abs(_cg1(np.array([l]), dj, m, sig)[0] - want) < 1e-15
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(min_value=1, max_value=24), seed=st.integers(0, 2**32 - 1),
+       rotated=st.booleans())
+def test_coupled_vectors_fill_each_block(n, seed, rotated):
+    rep = rotated_irrep(n, seed)[0] if rotated else irrep(n)
+    u, gens = _weight_frame(rep)
+    basis = _basis_in_frame(rep, u, gens)
+    scale = 4 * n * n - 2 * n - 1
+    count = 0
+    for total in range(-n, n + 1):
+        k, starts = _kinetic_block(gens, total)
+        v, l, j = _coupled_block(basis, total, starts)
+        # orthonormal and complete: a square unitary on the block
+        assert v.shape == (starts[-1], starts[-1]) == (l.size, j.size)
+        assert np.max(np.abs(v.conj().T @ v - np.eye(l.size))) < 1e-13 * n
+        lam = 3 * l * (l + 1) + j * (j + 1) - 1
+        assert np.max(np.linalg.norm(k @ v - lam * v, axis=0)) < 1e-14 * scale
+        count += l.size
+    assert count == 3 * n * n
 
 
 @pytest.mark.parametrize("n", SIZES)
