@@ -191,18 +191,25 @@ def _suite_harmonics(n, seed):
     # of the stored vectors when U is unitary, and a defect d of U^dag U
     # moves it by about N d
     gram = n * np.max(np.abs(dagger(u) @ u - np.eye(n)))
-    # U^dag (J_3 Y - Y J_3 - 2 m Y) U with the full U^dag J_3 U, built for
-    # one diagonal's elements at a time
-    w = dagger(u) @ rep.j3 @ u
+    # ||U^dag (J_3 Y - Y J_3 - 2 m Y) U|| with the full W = U^dag J_3 U =
+    # diag(w) + E: the diag(w) part lives on the entries of D, where
+    # E D - D E vanishes (E has a zero diagonal), so the parts add in squares
+    # and ||E D - D E||^2 = ||E D||^2 + ||D E||^2 - 2 Re <E D, D E>
+    wf = dagger(u) @ rep.j3 @ u
+    w = np.diagonal(wf)
+    e = wf - np.diag(w)
+    col2, row2 = np.sum(np.abs(e) ** 2, axis=0), np.sum(np.abs(e) ** 2, axis=1)
     adj = 0.0
     for m, ys in basis.diagonals.items():
         gram = max(gram, np.max(np.abs(ys.conj() @ ys.T - n * np.eye(len(ys)))))
         rows, cols = _diagonal_index(n, m)
-        r = np.zeros((len(ys), n, n), dtype=complex)
-        r[:, :, cols] = w[:, rows] * ys[:, None, :]
-        r[:, rows, :] -= ys[:, :, None] * w[cols, :]
-        r[:, rows, cols] -= 2 * m * ys
-        adj = max(adj, np.max(np.linalg.norm(r, axis=(1, 2))))
+        a2 = np.abs(ys) ** 2
+        cross = e[np.ix_(rows, rows)].conj() * e[np.ix_(cols, cols)]
+        off = a2 @ (col2[rows] + row2[cols]) - 2 * np.real(
+            np.sum((ys.conj() @ cross.T) * ys, axis=1)
+        )
+        on = a2 @ np.abs(w[rows] - w[cols] - 2 * m) ** 2
+        adj = max(adj, np.max(np.sqrt(on + np.maximum(off, 0.0))))
     yield ("gram", n, float(gram))
     yield ("adjoint_j3", n, float(adj))
     ev = spectra.fuzzy_laplacian_spectrum(rep)

@@ -302,9 +302,19 @@ def test_verify_harmonics_checks_the_frame(tmp_path, monkeypatch, frame, failing
     monkeypatch.setattr(cli, "decompose_bifundamental", lambda r1, r2, sol, basis: fit(r1, r2, sol))
     out = tmp_path / "r.json"
     assert run(["verify", "--suite", "harmonics", "--n-list", "6", "--out", str(out)]) == 1
-    rows = {r["name"]: r["pass"] for r in json.loads(out.read_text())["results"]}
-    assert rows[failing] is False
-    assert rows["laplacian_spectrum"] and rows["bifundamental_reconstruction"]
+    results = {r["name"]: r for r in json.loads(out.read_text())["results"]}
+    assert results[failing]["pass"] is False
+    assert results["laplacian_spectrum"]["pass"]
+    assert results["bifundamental_reconstruction"]["pass"]
+    # against the dense elements of the spoiled basis: equal when U stays unitary
+    basis = spoiled(irrep(6))
+    j3 = irrep(6).j3
+    dense = max(
+        np.linalg.norm(j3 @ basis[(l, m)] - basis[(l, m)] @ j3 - 2 * m * basis[(l, m)])
+        for l, m in basis.keys()
+    )
+    if failing == "adjoint_j3":
+        assert results["adjoint_j3"]["residual"] == pytest.approx(dense, rel=1e-10)
 
 
 def test_verify_lists_skipped_sizes_apart_from_results(tmp_path):
