@@ -89,12 +89,6 @@ def _weight_frame(rep):
     return u, [j3, j1 + 1j * j2, j1 - 1j * j2]
 
 
-def _materialize(u, m, y):
-    """Dense U D U^dag for the vector ``y`` placed on the m diagonal of D."""
-    rows, cols = _diagonal_index(u.shape[0], m)
-    return (u[:, rows] * y) @ dagger(u[:, cols])
-
-
 @dataclass(frozen=True)
 class HarmonicBasis:
     """Family {Y_lm} for one irreducible block, Tr(Y_lm^dag Y_l'm') = N d d.
@@ -125,7 +119,10 @@ class HarmonicBasis:
 
     def __getitem__(self, key):
         if key not in self._dense:
-            self._dense[key] = _materialize(self.frame, key[1], self.vector(key))
+            # U D U^dag with the vector on the m diagonal of D
+            rows, cols = _diagonal_index(self.dim, key[1])
+            u = self.frame
+            self._dense[key] = (u[:, rows] * self.vector(key)) @ dagger(u[:, cols])
         return self._dense[key]
 
 

@@ -1,6 +1,6 @@
-"""Dense N^2 x N^2 operators that the weight-frame kernels replace, kept as
-test oracles: the adjoint Laplacian and the fluctuation kinetic operator on
-row-major vectorized matrices."""
+"""Test oracles: the dense N^2 x N^2 operators that the weight-frame kernels
+replace (the adjoint Laplacian and the fluctuation kinetic operator on
+row-major vectorized matrices) and the closed-form kinetic levels."""
 
 import numpy as np
 
@@ -36,3 +36,10 @@ def scalar_kinetic_matrix(rep):
                         -1j * EPS3[i, j, kk] * ads[kk]
                     )
     return k
+
+
+def kinetic_levels(n):
+    """Closed-form kinetic levels (3l(l+1) + j(j+1) - 1, 2j + 1, l, j) in
+    ascending order, for l < n and j in {l - 1, l, l + 1} (only j = 1 at l = 0)."""
+    pairs = [(l, j) for l in range(n) for j in (l - 1, l, l + 1) if j >= 0 and (l or j == 1)]
+    return sorted((3 * l * (l + 1) + j * (j + 1) - 1.0, 2 * j + 1, l, j) for l, j in pairs)

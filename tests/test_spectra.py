@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from dense_oracles import scalar_kinetic_matrix
+from dense_oracles import kinetic_levels, scalar_kinetic_matrix
 from numpy.testing import assert_allclose
 
 from fuzzball.geometry import SphereGrid
@@ -82,12 +82,6 @@ def test_ji_triple_membership(n):
     ks = scalar_kinetic_spectrum(irrep(n))
     assert ks.ji_triple_eigenvalue == pytest.approx(5.0, abs=1e-10)
     assert ks.ji_triple_residual < 1e-11
-
-
-def kinetic_levels(n):
-    """Closed-form (eigenvalue, multiplicity, l, j) in ascending order."""
-    pairs = [(l, j) for l in range(n) for j in (l - 1, l, l + 1) if j >= 0 and (l or j == 1)]
-    return sorted((3 * l * (l + 1) + j * (j + 1) - 1.0, 2 * j + 1, l, j) for l, j in pairs)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 12, 16, 17, 32, 64, 128])

@@ -1,16 +1,16 @@
 """The weight-frame kernels against the dense oracles they replace.
 
 The oracles are the dense operators ``adjoint_laplacian_matrix`` and
-``scalar_kinetic_matrix`` (``dense_oracles``), a copy of the dense
-least-squares mode fit, and (at small size) SU(2) Clebsch-Gordan
-coefficients from sympy.
+``scalar_kinetic_matrix`` and the closed-form kinetic levels
+(``dense_oracles``), a copy of the dense least-squares mode fit, and (at
+small size) SU(2) Clebsch-Gordan coefficients from sympy.
 """
 
 import json
 
 import numpy as np
 import pytest
-from dense_oracles import adjoint_laplacian_matrix, scalar_kinetic_matrix
+from dense_oracles import adjoint_laplacian_matrix, kinetic_levels, scalar_kinetic_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -69,13 +69,6 @@ def dense_laplacian_spectrum(rep):
 def dense_kinetic_spectrum(rep):
     k = scalar_kinetic_matrix(rep)
     return np.linalg.eigvalsh((k + k.conj().T) / 2)
-
-
-def closed_form_levels(n):
-    """(l, j, multiplicity) of the levels 3l(l+1) + j(j+1) - 1 in ascending order."""
-    pairs = [(l, j) for l in range(n) for j in (l - 1, l, l + 1) if j >= 0 and (l or j == 1)]
-    pairs.sort(key=lambda p: 3 * p[0] * (p[0] + 1) + p[1] * (p[1] + 1))
-    return [(l, j, 2 * j + 1) for l, j in pairs]
 
 
 def dense_decompose(r1, r2, sol, basis):
@@ -142,7 +135,7 @@ def test_kinetic_groups_match_dense_oracle(n):
         assert [g[1] for g in ks.groups] == [mult for _, mult in levels]
         for got, (eig, _) in zip(ks.groups, levels):
             assert abs(got[0] - eig) <= 1e-12 * scale
-        assert [(g[2], g[3], g[1]) for g in ks.groups] == closed_form_levels(n)
+        assert [g[:4] for g in ks.groups] == kinetic_levels(n)
 
 
 @pytest.mark.parametrize("l", range(6))
