@@ -1,9 +1,10 @@
 """
 Per-kernel timing ladder for the spin-map kernels of ``fuzzball.su2rep``, the
-harmonics and spectra kernels, and the JSON writer of ``fuzzball gen``.
+harmonics and spectra kernels, and the bulk writers of the CLI.
 
     python3 benchmarks/ladder.py --label change --out benchmarks/ladder.json
-    python3 benchmarks/ladder.py --label parent --src ../parent/src --out benchmarks/ladder.json
+    python3 benchmarks/ladder.py --label parent --src ../parent/src \\
+        --label change --src src --out benchmarks/ladder.json
 
 Times ``bilinears`` and the four residual evaluators (``u2_structure_residual``,
 ``su2_closure_residual`` on J, ``doublet_covariance_residual`` and
@@ -12,20 +13,27 @@ copy of it (``fuzzball.cli._dressed``, the dressing ``verify`` checks), for
 N in ``SIZES``.  The ``gen_grvv_dressed`` rung runs the CLI in process,
 ``main(["gen", "grvv", "--n", N, "--dress", SEED, "--out", <temp file>])``:
 building, dressing and writing the doublet; ``tracemalloc_peak_mb`` is the
-traced peak (MiB) of one more call, made apart from the timed ones.  Each
-entry is the median of ``REPEATS`` calls with its quartiles (``q1_s``,
-``q3_s``: run-to-run spread); ``n_exp`` is the least-squares slope of
-log t against log N over the sizes from ``FIT_FROM`` on, below which call
-overhead dominates.  The evaluators are handed precomputed bilinears, so
-their times exclude ``bilinears``.  The ``build_basis``,
-``fuzzy_laplacian_spectrum`` and ``scalar_kinetic_spectrum`` rungs call the
-kernel on ``irrep(N)`` for N in ``SPECTRA_SIZES``; a size the measured tree
-refuses (``ValueError``, as a size cap raises) is recorded as null, with the
-message under ``refused``.
+traced peak (MiB) of one more call, made apart from the timed ones.  The
+``grid_csv`` rung times ``cli._write_grid_csv`` of ``geometry.grid_report``
+at the grids in ``GRID_SIZES`` (the report is computed once, untimed).  The
+``build_basis``, ``fuzzy_laplacian_spectrum`` and ``scalar_kinetic_spectrum``
+rungs call the kernel on ``irrep(N)`` for N in ``SPECTRA_SIZES``; a size the
+measured tree refuses (``ValueError``, as a size cap raises) is recorded as
+null, with the message under ``refused``.
 
-``fuzzball`` is imported from ``--src`` (default: this checkout's ``src``),
-so two checkouts can be measured into one file on the same machine.  The run
-is stored under ``runs[label]`` with the environment block of
+Each (rung, size) is measured in fresh child processes, one per tree and
+round: ``ROUNDS`` rounds with the trees in the order given, so two trees run
+A B A B and host drift falls on both alike.  A child makes one warm-up call
+(first-touch allocation) and ``REPEATS`` timed calls; each entry is the
+median of a tree's ``ROUNDS * REPEATS`` calls with its quartiles (``q1_s``,
+``q3_s``).  ``n_exp`` is the least-squares slope of log t against log N (grid
+points for ``grid_csv``) over the sizes from ``FIT_FROM`` on, below which
+call overhead dominates.  The evaluators are handed precomputed bilinears,
+so their times exclude ``bilinears``.
+
+``fuzzball`` is imported from each ``--src`` (default: this checkout's
+``src``), paired in order with the ``--label`` options.  Each tree's run is
+stored under ``runs[label]`` with the environment block of
 ``perfbench/run.py`` (cores, BLAS and its threads, numpy), whose
 ``git_commit`` names the measured ``--src``; runs under other labels
 already in the file are kept.
@@ -47,7 +55,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEFAULT_SRC = os.path.join(ROOT, "src")
 SIZES = [16, 32, 64, 128, 256, 512]
 SPECTRA_SIZES = [16, 32, 64, 128, 256]
-REPEATS = 7
+GRID_SIZES = ["64x128", "128x256", "256x512"]
+ROUNDS = 2
+REPEATS = 4
 SEED = 0
 FIT_FROM = 64
 
@@ -68,7 +78,25 @@ def _git_commit(path):
     return out + ("+dirty" if dirty else "")
 
 
-def kernels():
+def timed(fn):
+    """Seconds of REPEATS calls of fn after one warm-up call."""
+    fn()
+    ts = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        fn()
+        ts.append(time.perf_counter() - t0)
+    return ts
+
+
+# ---------------------------------------------------------------------------
+# rungs: each measures one size in the child process, returning
+# ({kernel: {kind: [seconds]}}, extras)
+
+
+def spin_maps(n):
+    from fuzzball.cli import _dressed
+    from fuzzball.grvv import ground_state
     from fuzzball.su2rep import (
         bilinears,
         doublet_covariance_residual,
@@ -77,149 +105,197 @@ def kernels():
         u2_structure_residual,
     )
 
-    return {
+    table = {
         "bilinears": lambda sol, b: bilinears(sol),
         "u2_structure_residual": lambda sol, b: u2_structure_residual(b),
         "su2_closure_residual": lambda sol, b: su2_closure_residual(b.j),
         "doublet_covariance_residual": lambda sol, b: doublet_covariance_residual(sol, b),
         "intertwiner_residual": lambda sol, b: intertwiner_residual(sol, b),
     }
+    # the BLAS starts its threads on the first large product: not timed
+    warm = np.ones((256, 256), dtype=complex)
+    for _ in range(10):
+        warm @ warm
+    samples = {name: {} for name in table}
+    # the ground state of size n and the dressed copy verify checks
+    for kind, sol in {"plain": ground_state(n), "dressed": _dressed(n, SEED)}.items():
+        b = bilinears(sol)
+        for name, fn in table.items():
+            samples[name][kind] = timed(lambda: fn(sol, b))
+    return samples, {}
 
 
-def doublets(n):
-    """The ground state of size n and the dressed copy ``verify`` checks."""
-    from fuzzball.cli import _dressed
-    from fuzzball.grvv import ground_state
+def gen_grvv_dressed(n):
+    from fuzzball.cli import main
 
-    return {"plain": ground_state(n), "dressed": _dressed(n, SEED)}
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["gen", "grvv", "--n", str(n), "--dress", str(SEED),
+                "--out", os.path.join(tmp, "gen.json")]
+        ts = timed(lambda: main(argv))
+        tracemalloc.start()
+        try:
+            main(argv)
+            peak = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+    return {"gen_grvv_dressed": {"cli": ts}}, {"tracemalloc_peak_mb": peak}
 
 
-def exponent(sizes, seconds):
-    pts = [(n, t) for n, t in zip(sizes, seconds) if n >= FIT_FROM and t]
+def grid_csv(size):
+    from fuzzball import geometry
+    from fuzzball.cli import _write_grid_csv
+
+    grid = geometry.SphereGrid.make(*map(int, size.split("x")))
+    residuals = geometry.grid_report(grid)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "grid.csv")
+        ts = timed(lambda: _write_grid_csv(path, grid, residuals))
+    return {"grid_csv": {"write": ts}}, {}
+
+
+def irrep_kernel(name):
+    def rung(n):
+        from fuzzball import harmonics, spectra
+        from fuzzball.su2rep import irrep
+
+        fn = getattr(harmonics if name == "build_basis" else spectra, name)
+        rep = irrep(n)
+        try:
+            return {name: {"irrep": timed(lambda: fn(rep))}}, {}
+        except ValueError as exc:
+            return {name: {"irrep": None}}, {"refused": str(exc)}
+
+    return rung
+
+
+def _points(size):
+    nt, nphi = map(int, size.split("x"))
+    return nt * nphi
+
+
+# rung: (function, sizes, x of each size in the exponent fit)
+RUNGS = {
+    "spin_maps": (spin_maps, SIZES, int),
+    "gen_grvv_dressed": (gen_grvv_dressed, SIZES, int),
+    "grid_csv": (grid_csv, GRID_SIZES, _points),
+    **{
+        name: (irrep_kernel(name), SPECTRA_SIZES, int)
+        for name in ("build_basis", "fuzzy_laplacian_spectrum", "scalar_kinetic_spectrum")
+    },
+}
+
+
+# ---------------------------------------------------------------------------
+# the parent: children per (rung, size, round, tree) and the rows
+
+
+def child(src, rung, size):
+    """Run one (rung, size) on the tree at ``src`` in a fresh process."""
+    proc = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--child", rung, str(size), "--src", src],
+        capture_output=True, text=True,
+    )
+    if proc.returncode:
+        sys.exit(f"{rung} {size} on {src} failed:\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def exponent(xs, seconds):
+    pts = [(x, t) for x, t in zip(xs, seconds) if x >= FIT_FROM and t]
     if len(pts) < 2:
         return None
     x, y = np.log([p[0] for p in pts]), np.log([p[1] for p in pts])
     return float(np.polyfit(x, y, 1)[0])
 
 
-def timed(fn):
-    """(q1, median, q3) seconds of REPEATS calls of fn after one warm-up
-    call (first-touch allocation)."""
-    fn()
-    ts = []
-    for _ in range(REPEATS):
-        t0 = time.perf_counter()
-        fn()
-        ts.append(time.perf_counter() - t0)
-    return statistics.quantiles(ts, n=4)
+def row(cells, sizes, xs):
+    """Ladder row from {size: [seconds], or None if refused}."""
+    q = {str(s): statistics.quantiles(cells[s], n=4) if cells[s] else (None,) * 3
+         for s in sizes}
+    med = {k: v[1] for k, v in q.items()}
+    return {"median_s": med, "q1_s": {k: v[0] for k, v in q.items()},
+            "q3_s": {k: v[2] for k, v in q.items()},
+            "n_exp": exponent(xs, list(med.values()))}
 
 
-def row(stats, sizes=SIZES):
-    """Ladder row of per-size (q1, median, q3) triples."""
-    q1, med, q3 = (dict(zip(map(str, sizes), col)) for col in zip(*stats))
-    return {"median_s": med, "q1_s": q1, "q3_s": q3,
-            "n_exp": exponent(sizes, list(med.values()))}
-
-
-def irrep_rows():
-    """Rows of the harmonics and spectra kernels on ``irrep(N)``, N in
-    SPECTRA_SIZES; a refused size reads (None, None, None)."""
-    from fuzzball.harmonics import build_basis
-    from fuzzball.spectra import fuzzy_laplacian_spectrum, scalar_kinetic_spectrum
-    from fuzzball.su2rep import irrep
-
-    out = {}
-    for fn in (build_basis, fuzzy_laplacian_spectrum, scalar_kinetic_spectrum):
-        stats, refused = [], {}
-        for n in SPECTRA_SIZES:
-            rep = irrep(n)
-            try:
-                stats.append(timed(lambda: fn(rep)))
-            except ValueError as exc:
-                stats.append((None, None, None))
-                refused[str(n)] = str(exc)
-        out[fn.__name__] = {"irrep": dict(row(stats, SPECTRA_SIZES), refused=refused)}
-        print(f"{fn.__name__} done", file=sys.stderr)
-    return out
-
-
-def gen_grvv_dressed(tmp):
-    """Row of the in-process ``gen grvv --n N --dress SEED`` rung."""
-    from fuzzball.cli import main
-
-    out = os.path.join(tmp, "gen.json")
-    stats, peaks = [], {}
-    for n in SIZES:
-        argv = ["gen", "grvv", "--n", str(n), "--dress", str(SEED), "--out", out]
-        stats.append(timed(lambda: main(argv)))
-        tracemalloc.start()
-        try:
-            main(argv)
-            peaks[str(n)] = tracemalloc.get_traced_memory()[1] / 2**20
-        finally:
-            tracemalloc.stop()
-    return dict(row(stats), tracemalloc_peak_mb=peaks)
-
-
-def measure():
-    from fuzzball.su2rep import bilinears
-
-    table = kernels()
-    stats = {k: {"plain": [], "dressed": []} for k in table}
-    # the BLAS starts its threads on the first large product: not timed
-    warm = np.ones((256, 256), dtype=complex)
-    for _ in range(10):
-        warm @ warm
-    for n in SIZES:
-        for kind, sol in doublets(n).items():
-            b = bilinears(sol)
-            for name, fn in table.items():
-                stats[name][kind].append(timed(lambda: fn(sol, b)))
-        print(f"n={n} done", file=sys.stderr)
-    results = {name: {kind: row(s) for kind, s in per.items()} for name, per in stats.items()}
-    with tempfile.TemporaryDirectory() as tmp:
-        results["gen_grvv_dressed"] = {"cli": gen_grvv_dressed(tmp)}
-    print("gen_grvv_dressed done", file=sys.stderr)
-    results.update(irrep_rows())
+def measure(srcs):
+    """{src: {kernel: {kind: row}}} over every rung, the trees alternating
+    per (rung, size) in ROUNDS rounds."""
+    results = {src: {} for src in srcs}
+    for rung, (_, sizes, x_of) in RUNGS.items():
+        samples = {src: {} for src in srcs}  # (kernel, kind) -> size -> seconds or None
+        extras = {src: {} for src in srcs}  # extra -> size -> value
+        for size in sizes:
+            for _ in range(ROUNDS):
+                for src in srcs:
+                    out = child(src, rung, size)
+                    for name, kinds in out["samples"].items():
+                        for kind, ts in kinds.items():
+                            cells = samples[src].setdefault((name, kind), {})
+                            have = cells.get(size, [])
+                            cells[size] = None if ts is None or have is None else have + ts
+                    for key, value in out["extras"].items():
+                        extras[src].setdefault(key, {})[str(size)] = value
+            print(f"{rung} {size} done", file=sys.stderr)
+        xs = [x_of(s) for s in sizes]
+        for src in srcs:
+            for (name, kind), cells in samples[src].items():
+                results[src].setdefault(name, {})[kind] = dict(row(cells, sizes, xs), **extras[src])
     return results
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--label", required=True, help="key of this run in the output file")
-    ap.add_argument("--out", required=True, help="JSON file to create or update")
-    ap.add_argument("--src", default=DEFAULT_SRC, help="directory holding the fuzzball package")
+    ap.add_argument("--label", action="append", help="key of a tree's run in the output file")
+    ap.add_argument("--out", help="JSON file to create or update")
+    ap.add_argument("--src", action="append",
+                    help="directory holding a fuzzball package, one per --label")
+    ap.add_argument("--child", nargs=2, metavar=("RUNG", "SIZE"), help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
-    src = os.path.abspath(args.src)
-    sys.path.insert(0, src)
+    srcs = [os.path.abspath(s) for s in (args.src or [DEFAULT_SRC])]
 
+    if args.child:
+        rung, size = args.child
+        fn, sizes, _ = RUNGS[rung]
+        sys.path.insert(0, srcs[0])
+        samples, extras = fn(type(sizes[0])(size))
+        json.dump({"samples": samples, "extras": extras}, sys.stdout)
+        return 0
+
+    if not args.label or not args.out or len(args.label) != len(srcs):
+        ap.error("give --out and one --label per --src (or one --label for this checkout)")
     t0 = time.perf_counter()
-    results = measure()
-    env = environment(argparse.Namespace(seed=SEED))
-    env["git_commit"] = _git_commit(src)
-    run = {
-        "env": env,
-        "sizes": SIZES,
-        "spectra_sizes": SPECTRA_SIZES,
-        "repeats": REPEATS,
-        "fit_from": FIT_FROM,
-        "seconds": round(time.perf_counter() - t0, 3),
-        "kernels": results,
-    }
+    results = measure(srcs)
+    seconds = round(time.perf_counter() - t0, 3)
     doc = {"schema": 1, "runs": {}}
     if os.path.exists(args.out):
         with open(args.out) as fh:
             doc = json.load(fh)
-    doc["runs"][args.label] = run
+    for label, src in zip(args.label, srcs):
+        env = environment(argparse.Namespace(seed=SEED))
+        env["git_commit"] = _git_commit(src)
+        doc["runs"][label] = {
+            "env": env,
+            "sizes": SIZES,
+            "spectra_sizes": SPECTRA_SIZES,
+            "grid_sizes": GRID_SIZES,
+            "rounds": ROUNDS,
+            "repeats": REPEATS,
+            "fit_from": FIT_FROM,
+            "interleaved_with": [lb for lb in args.label if lb != label],
+            "seconds": seconds,
+            "kernels": results[src],
+        }
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    for name, per in results.items():
-        for kind, r in per.items():
-            total = sum(t for t in r["median_s"].values() if t is not None)
-            exp = r["n_exp"]
-            print(f"{name:28s} {kind:8s} sum {total:8.4f} s  "
-                  f"n_exp {'-' if exp is None else f'{exp:.2f}'}")
+    for name, per in results[srcs[0]].items():
+        for kind in per:
+            meds = []
+            for src in srcs:
+                r = results[src][name][kind]
+                meds.append(sum(t for t in r["median_s"].values() if t is not None))
+            print(f"{name:28s} {kind:8s} sum " + "  ".join(f"{t:8.4f} s" for t in meds))
     return 0
 
 

@@ -18,7 +18,7 @@ from . import geometry, spectra
 from .equivalence import round_trip
 from .grvv import GrvvSolution, block_solution, gauge_dress, ground_state, grvv_residual, sphere_constraints
 from .harmonics import _diagonal_index, build_basis, decompose_bifundamental
-from .matcore import dagger, matrix_from_json, random_unitary, write_json
+from .matcore import _ordered_map, dagger, matrix_from_json, random_unitary, write_json
 from .su2rep import (
     bilinears,
     direct_sum,
@@ -41,6 +41,9 @@ SUITES = (
     "all",
 )
 DEFAULT_GRID = (64, 128)
+# theta rows per grid CSV block: one row per block cost more in pool
+# traffic than the second core saved
+GRID_BLOCK_ROWS = 32
 
 
 def _parse_int_list(text):
@@ -88,17 +91,37 @@ def _write_csv(path, header, rows):
 
 def _write_grid_csv(path, grid, residuals):
     """Write the grid CSV: rows (theta, phi, identity, residual) ordered by
-    identity, then theta, then phi, one write per theta row.  Each angle is
-    formatted once; the bytes are those of csv.writer (no field needs
-    quoting, lines end in CRLF)."""
+    identity, then theta, then phi.  Blocks of GRID_BLOCK_ROWS theta rows
+    are formatted in order by matcore._ordered_map: in forked workers on
+    every usable CPU, or in process for a small grid or one CPU.  Each angle
+    is formatted once, and each theta row is one ``%`` of a template; the
+    bytes are those of csv.writer (no field needs quoting, lines end in
+    CRLF)."""
     thetas = [f"{t:.10g}," for t in grid.theta.tolist()]
     phis = [f"{p:.10g}," for p in grid.phi.tolist()]
+    # per identity, the line tails after the theta field: t + t.join(tails)
+    # is the template of theta row t
+    per_identity = [
+        ([p + name + ",%.6e\r\n" for p in phis], res)
+        for name, res in residuals.items()
+    ]
+    per_identity_blocks = -(-len(thetas) // GRID_BLOCK_ROWS)
+
+    def block(index):
+        tails, res = per_identity[index // per_identity_blocks]
+        start = index % per_identity_blocks * GRID_BLOCK_ROWS
+        rows = res[start : start + GRID_BLOCK_ROWS].tolist()
+        return "".join(
+            t + t.join(tails) % tuple(row)
+            for t, row in zip(thetas[start : start + GRID_BLOCK_ROWS], rows)
+        )
+
     with _output(path) as fh:
         fh.write("theta,phi,identity,residual\r\n")
-        for name, res in residuals.items():
-            line = ("%s%s" + name + ",%.6e\r\n").__mod__
-            for t, row in zip(thetas, res):
-                fh.write("".join(map(line, zip([t] * len(phis), phis, row.tolist()))))
+        n_blocks = per_identity_blocks * len(per_identity)
+        blocks = _ordered_map(block, n_blocks, len(thetas) * len(per_identity), fh)
+        with contextlib.closing(blocks):
+            fh.writelines(blocks)
 
 
 # ---------------------------------------------------------------------------

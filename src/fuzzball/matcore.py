@@ -6,8 +6,11 @@ row-major layout.  Constructors validate shape and finiteness; everything
 else is a pure function of its inputs.
 """
 
+import contextlib
 import itertools
 import json
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,9 +35,13 @@ __all__ = [
     "write_json",
 ]
 
-# rows of a matrix formatted per write in write_json: the text and the
-# float objects held at once cover JSON_BLOCK_ROWS rows, not the matrix
+# rows of a matrix formatted per block in write_json: the text and the
+# float objects held at once cover a few blocks, not the matrix
 JSON_BLOCK_ROWS = 32
+
+# a bulk writer with fewer rows than this formats in process: starting the
+# fork pool (10-30 ms) would cost more than the other cores save
+POOL_MIN_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -193,26 +200,89 @@ def plain_json(obj):
     return [plain_json(value) for value in obj]
 
 
+# the block formatter of the running pool; forked workers inherit it, and
+# the data it closes over, instead of receiving them pickled
+_pool_formatter = None
+
+
+def _format_inherited(index):
+    return _pool_formatter(index)
+
+
+def _ordered_map(format_block, n_blocks, rows, fh):
+    """Yield ``format_block(0)``, ..., ``format_block(n_blocks - 1)`` in order.
+
+    ``rows`` is the number of output rows the blocks cover.  From
+    POOL_MIN_ROWS rows on, with two blocks or more and more than one usable
+    CPU, the blocks are
+    formatted in a fork pool of one worker per CPU in os.sched_getaffinity(0),
+    at most two blocks per worker in flight; otherwise by a plain map in
+    process.  ``fh`` and the std streams are flushed before the fork, so no
+    worker's exit flush writes their buffered bytes again.  A worker's
+    exception is raised here once the pool has shut down; a worker that dies
+    is an OSError, not a hang.
+    """
+    workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if rows < POOL_MIN_ROWS or workers < 2 or n_blocks < 2:
+        yield from map(format_block, range(n_blocks))
+        return
+    import multiprocessing
+    from collections import deque
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    global _pool_formatter
+    for stream in (fh, sys.stdout, sys.stderr):
+        stream.flush()
+    _pool_formatter = format_block
+    try:
+        fork = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(workers, mp_context=fork) as pool:
+            pending = deque()
+            for index in range(n_blocks):
+                pending.append(pool.submit(_format_inherited, index))
+                if len(pending) == 2 * workers:
+                    yield pending.popleft().result()
+            while pending:
+                yield pending.popleft().result()
+    except BrokenProcessPool as exc:
+        # a worker killed by a signal (the kernel's out-of-memory killer, say)
+        raise OSError(f"a formatting worker died: {exc}") from exc
+    finally:
+        _pool_formatter = None
+
+
+def _matrix_block(a, index):
+    """Rows ``JSON_BLOCK_ROWS * index`` on of ``a`` as the pairs of the
+    ``data`` list, led by the separator from the previous block.  ``%r`` is
+    the ``float.__repr__`` the json encoder uses."""
+    start = index * JSON_BLOCK_ROWS
+    flat = np.ascontiguousarray(a[start : start + JSON_BLOCK_ROWS]).view(float).ravel().tolist()
+    pairs = "],[".join(["%r,%r"] * (len(flat) // 2)) % tuple(flat)
+    return ("[" if index == 0 else "],[") + pairs
+
+
 def _write_matrix(fh, a):
-    """``matrix_to_json(a)`` as compact JSON, JSON_BLOCK_ROWS rows per write.
-    ``%r`` is the ``float.__repr__`` the json encoder uses, and as_matrix
-    has refused non-finite entries, so the bytes are those of json.dumps."""
+    """``matrix_to_json(a)`` as compact JSON, formatted JSON_BLOCK_ROWS rows
+    per block (_ordered_map).  as_matrix has refused non-finite entries
+    before any worker starts, so the bytes are those of json.dumps."""
     a = as_matrix(a)
     rows, cols = a.shape
     fh.write(f'{{"rows":{rows},"cols":{cols},"data":[')
-    for start in range(0, rows if cols else 0, JSON_BLOCK_ROWS):
-        block = np.ascontiguousarray(a[start : start + JSON_BLOCK_ROWS])
-        flat = block.view(float).ravel().tolist()
-        pairs = "],[".join(map("%r,%r".__mod__, zip(flat[0::2], flat[1::2])))
-        fh.write(("[" if start == 0 else "],[") + pairs)
+    n_blocks = -(-rows // JSON_BLOCK_ROWS) if cols else 0
+    blocks = _ordered_map(lambda index: _matrix_block(a, index), n_blocks, rows, fh)
+    with contextlib.closing(blocks):
+        fh.writelines(blocks)
     fh.write("]]}" if a.size else "]}")
 
 
 def write_json(fh, obj):
     """Write ``json.dumps(plain_json(obj), separators=(",", ":"))`` to the
     text stream ``fh`` without forming it: each ndarray is formatted
-    JSON_BLOCK_ROWS rows at a time, and each subtree that holds no array is
-    one json.dumps call.  Dicts that hold arrays need string keys."""
+    JSON_BLOCK_ROWS rows per block, in order, in forked workers on every
+    usable CPU (in process below POOL_MIN_ROWS rows or on one CPU), and each
+    subtree that holds no array is one json.dumps call.  Dicts that hold
+    arrays need string keys."""
     if isinstance(obj, np.ndarray):
         _write_matrix(fh, obj)
     elif not _holds_array(obj):

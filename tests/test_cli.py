@@ -1,8 +1,11 @@
 import csv
 import json
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -10,11 +13,17 @@ import pytest
 from numpy.testing import assert_allclose
 
 import fuzzball
-from fuzzball import geometry
-from fuzzball.cli import _write_grid_csv, main
+from fuzzball import geometry, matcore
+from fuzzball.cli import GRID_BLOCK_ROWS, _write_grid_csv, main
 from fuzzball.grvv import GrvvSolution, gauge_dress, ground_state
 from fuzzball.harmonics import build_basis
-from fuzzball.matcore import JSON_BLOCK_ROWS, matrix_from_json, matrix_to_json, random_unitary
+from fuzzball.matcore import (
+    JSON_BLOCK_ROWS,
+    POOL_MIN_ROWS,
+    matrix_from_json,
+    matrix_to_json,
+    random_unitary,
+)
 from fuzzball.su2rep import direct_sum, irrep
 
 
@@ -115,13 +124,14 @@ def test_verify_geometry_rows_are_grid_maxima(tmp_path):
     assert len(lines) == 1 + 4 * 8 * 16
 
 
-def test_grid_csv_bytes_match_csv_writer(tmp_path):
-    grid = geometry.SphereGrid.make(8, 16)
+def _grid_csv_pair(tmp_path, n_theta, n_phi):
+    """(our grid CSV, the csv.writer reference) of the residual magnitudes
+    spread over logspace(-300, 300), so every exponent width is exercised."""
+    grid = geometry.SphereGrid.make(n_theta, n_phi)
     residuals = geometry.grid_report(grid)
-    # spread the magnitudes so every exponent width is exercised
     residuals["killing_equation"] = residuals["killing_equation"] * np.logspace(
-        -300, 300, 8 * 16
-    ).reshape(8, 16)
+        -300, 300, n_theta * n_phi
+    ).reshape(n_theta, n_phi)
     ours = tmp_path / "ours.csv"
     _write_grid_csv(str(ours), grid, residuals)
     ref = tmp_path / "ref.csv"
@@ -134,7 +144,21 @@ def test_grid_csv_bytes_match_csv_writer(tmp_path):
                 for j in range(tt.shape[1]):
                     t, p = float(tt[i, j]), float(pp[i, j])
                     writer.writerow([f"{t:.10g}", f"{p:.10g}", name, f"{res[i, j]:.6e}"])
-    assert ours.read_bytes() == ref.read_bytes()
+    return ours.read_bytes(), ref.read_bytes()
+
+
+def test_grid_csv_bytes_match_csv_writer(tmp_path):
+    ours, ref = _grid_csv_pair(tmp_path, 8, 16)
+    assert ours == ref
+
+
+def test_grid_csv_pooled_bytes_match_csv_writer(tmp_path, forked_pools):
+    # 4 identities x 40 theta rows pass the pool threshold; each identity
+    # ends in a partial block
+    assert 4 * 40 >= POOL_MIN_ROWS and 40 % GRID_BLOCK_ROWS
+    ours, ref = _grid_csv_pair(tmp_path, 40, 9)
+    assert ours == ref
+    assert forked_pools == ["fork"]
 
 
 def test_cli_import_leaves_scipy_special_unloaded():
@@ -414,6 +438,56 @@ def test_gen_grvv_memory_is_bounded_by_a_block(tmp_path):
     assert peak < 12e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
+class _SlowStream:
+    """A text stream that stalls on the first block of each matrix, so the
+    workers run as far ahead as the writer lets them."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, text):
+        return self.fh.write(text)
+
+    def writelines(self, texts):
+        for i, text in enumerate(texts):
+            if i == 0:
+                time.sleep(0.5)
+            self.fh.write(text)
+
+    def flush(self):
+        self.fh.flush()
+
+
+def test_gen_grvv_pooled_write_memory_is_bounded_by_the_window(tmp_path, forked_pools, monkeypatch):
+    # while the matrices are written, the parent holds at most the 2 blocks
+    # per worker in flight, one block being received and the one being
+    # written with its encoded copy, however far the workers run ahead; a
+    # block is JSON_BLOCK_ROWS rows of n pairs of at most 2 * 24 + 4
+    # characters (24 is the longest float repr)
+    n, workers = 512, 2
+    block = JSON_BLOCK_ROWS * n * (2 * 24 + 4)
+    window = (2 * workers + 3) * block
+    start = {}
+
+    def write_json(fh, obj):
+        start["held"] = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        matcore.write_json(_SlowStream(fh), obj)
+
+    monkeypatch.setattr("fuzzball.cli.write_json", write_json)
+    out = tmp_path / "g.json"
+    tracemalloc.start()
+    try:
+        assert run(["gen", "grvv", "--n", str(n), "--dress", "0", "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert forked_pools == ["fork", "fork"]
+    grown = peak - start["held"]
+    assert grown < window, f"write grew the traced memory by {grown / 1e6:.1f} MB"
+    assert matrix_from_json(json.loads(out.read_text())["g1"]).shape == (n, n)
+
+
 @pytest.mark.parametrize(
     "args, message",
     [
@@ -449,3 +523,60 @@ def test_out_of_memory_is_a_usage_error(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: out of memory: Unable to allocate")
     assert "Traceback" not in err
+
+
+def test_gen_grvv_stdout_matches_out_file(tmp_path):
+    # stdout block-buffered, as in a pipe: bytes written before the pool
+    # forks must not be flushed again by a worker
+    src = os.path.dirname(os.path.dirname(fuzzball.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    args = [sys.executable, "-m", "fuzzball", "gen", "grvv", "--n", "300", "--dress", "1"]
+    out = tmp_path / "g.json"
+    subprocess.run(args + ["--out", str(out)], check=True, env=env)
+    piped = subprocess.run(args, capture_output=True, check=True, env=env).stdout
+    assert piped == out.read_bytes()
+
+
+@pytest.fixture
+def deadline():
+    """Fail, instead of hanging the suite, a test still running after 60 s."""
+
+    def expired(signum, frame):
+        pytest.fail("still running after 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def _out_of_memory(index):
+    raise MemoryError(f"no room for block {index}")
+
+
+def _killed(index):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.parametrize(
+    "failure, message",
+    [(_out_of_memory, "error: out of memory: no room for block"),
+     (_killed, "error: a formatting worker died")],
+)
+def test_worker_failure_is_a_usage_error(tmp_path, capsys, forked_pools, monkeypatch, deadline,
+                                         failure, message):
+    parent = os.getpid()
+    format_block = matcore._matrix_block
+
+    def failing(a, index):
+        if os.getpid() != parent:
+            failure(index)
+        return format_block(a, index)
+
+    monkeypatch.setattr(matcore, "_matrix_block", failing)
+    assert run(["gen", "grvv", "--n", "256", "--out", str(tmp_path / "f.json")]) == 2
+    assert capsys.readouterr().err.startswith(message)
+    assert forked_pools == ["fork"]
+    assert multiprocessing.active_children() == []

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from fuzzball.matcore import (
     JSON_BLOCK_ROWS,
+    POOL_MIN_ROWS,
     Tolerance,
     dagger,
     frobenius_distance,
@@ -236,3 +238,32 @@ def test_write_json_refuses_what_matrix_to_json_refuses():
         _streamed({"g": np.array([[np.inf, 0.0]])})
     with pytest.raises(TypeError):
         _streamed({1: np.eye(2)})
+
+
+# above the pool threshold, with a partial last block
+POOLED_ROWS = POOL_MIN_ROWS + JSON_BLOCK_ROWS + 5
+
+
+@pytest.mark.parametrize("shape", [(POOLED_ROWS, 3), (0, 3), (3, 0), (POOLED_ROWS, 0)])
+def test_write_json_pooled_matches_dumps(forked_pools, shape):
+    a = _edge_matrix(*shape)
+    nested = {"schema": 1, "g": [a, {"inner": a}], "edge": EDGE_VALUES, "x": None}
+    for obj in (a, nested):
+        assert _streamed(obj) == json.dumps(plain_json(obj), separators=(",", ":"))
+    # one pool per formatted matrix; none for a matrix without two blocks
+    assert len(forked_pools) == (3 if a.size else 0)
+
+
+def test_write_json_on_one_cpu_formats_in_process(forked_pools, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    a = _edge_matrix(POOLED_ROWS, 3)
+    assert _streamed(a) == json.dumps(matrix_to_json(a), separators=(",", ":"))
+    assert forked_pools == []
+
+
+def test_write_json_refuses_non_finite_before_forking(forked_pools):
+    a = np.zeros((512, 4), dtype=complex)
+    a[-1, -1] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        _streamed({"g": a})
+    assert forked_pools == []
