@@ -10,6 +10,7 @@ import contextlib
 import itertools
 import json
 import os
+import pickle
 import sys
 from dataclasses import dataclass
 
@@ -39,8 +40,8 @@ __all__ = [
 # float objects held at once cover a few blocks, not the matrix
 JSON_BLOCK_ROWS = 32
 
-# a bulk writer with fewer rows than this formats in process: starting the
-# fork pool (10-30 ms) would cost more than the other cores save
+# a bulk writer with fewer rows than this formats in process: forking the
+# workers (5-10 ms) would cost more than the other cores save
 POOL_MIN_ROWS = 128
 
 
@@ -200,13 +201,32 @@ def plain_json(obj):
     return [plain_json(value) for value in obj]
 
 
-# the block formatter of the running pool; forked workers inherit it, and
-# the data it closes over, instead of receiving them pickled
-_pool_formatter = None
+def _send_blocks(format_block, indices, fd):
+    """Worker side of _ordered_map: write to the pipe ``fd`` one frame per
+    block, ``b"T"``, its length and its UTF-8 text, or, if formatting
+    raises, ``b"E"``, its length and the pickled exception."""
+    with open(fd, "wb") as pipe:
+        try:
+            for index in indices:
+                text = format_block(index).encode()
+                pipe.write(b"T" + len(text).to_bytes(8, "little"))
+                pipe.write(text)
+        except Exception as exc:
+            payload = pickle.dumps(exc)
+            pipe.write(b"E" + len(payload).to_bytes(8, "little") + payload)
 
 
-def _format_inherited(index):
-    return _pool_formatter(index)
+def _receive_block(pipe):
+    """Parent side: the next block text from ``pipe``, or the worker's
+    exception raised here."""
+    head = pipe.read(9)
+    size = int.from_bytes(head[1:], "little")
+    body = pipe.read(size)
+    if len(head) < 9 or len(body) < size:
+        raise OSError("a formatting worker died before sending its block")
+    if head[:1] == b"E":
+        raise pickle.loads(body)
+    return body.decode()
 
 
 def _ordered_map(format_block, n_blocks, rows, fh):
@@ -214,42 +234,53 @@ def _ordered_map(format_block, n_blocks, rows, fh):
 
     ``rows`` is the number of output rows the blocks cover.  From
     POOL_MIN_ROWS rows on, with two blocks or more and more than one usable
-    CPU, the blocks are
-    formatted in a fork pool of one worker per CPU in os.sched_getaffinity(0),
-    at most two blocks per worker in flight; otherwise by a plain map in
-    process.  ``fh`` and the std streams are flushed before the fork, so no
-    worker's exit flush writes their buffered bytes again.  A worker's
-    exception is raised here once the pool has shut down; a worker that dies
-    is an OSError, not a hang.
+    CPU, the blocks are formatted in forked workers, one per CPU in
+    os.sched_getaffinity(0): worker ``w`` of ``k`` formats blocks ``w``,
+    ``w + k``, ... and writes each to its own pipe, where it waits until it
+    is read, so at most one block per worker is in flight.  Otherwise they
+    are formatted by a plain map in process.  The workers inherit
+    ``format_block`` and its data through the fork, and leave through
+    os._exit.  No thread is started, so no lock another thread holds is
+    inherited locked.  ``fh`` and the std streams are flushed before the
+    fork, so no buffered byte is held by two processes.  A worker's
+    exception is raised here, and a worker that dies is an OSError, not a
+    hang: closing the read ends stops the other workers, and every worker
+    is reaped before this returns or raises.
     """
     workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     if rows < POOL_MIN_ROWS or workers < 2 or n_blocks < 2:
         yield from map(format_block, range(n_blocks))
         return
-    import multiprocessing
-    from collections import deque
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    global _pool_formatter
+    workers = min(workers, n_blocks)
     for stream in (fh, sys.stdout, sys.stderr):
         stream.flush()
-    _pool_formatter = format_block
+    pipes = {}  # worker pid -> read end of its pipe
     try:
-        fork = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(workers, mp_context=fork) as pool:
-            pending = deque()
-            for index in range(n_blocks):
-                pending.append(pool.submit(_format_inherited, index))
-                if len(pending) == 2 * workers:
-                    yield pending.popleft().result()
-            while pending:
-                yield pending.popleft().result()
-    except BrokenProcessPool as exc:
-        # a worker killed by a signal (the kernel's out-of-memory killer, say)
-        raise OSError(f"a formatting worker died: {exc}") from exc
+        for worker in range(workers):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    # only the parent may hold a read end, so that closing
+                    # it stops the worker writing to it
+                    for pipe in pipes.values():
+                        pipe.close()
+                    os.close(read_fd)
+                    _send_blocks(format_block, range(worker, n_blocks, workers), write_fd)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write_fd)
+            pipes[pid] = open(read_fd, "rb")
+        order = list(pipes.values())
+        for index in range(n_blocks):
+            yield _receive_block(order[index % workers])
     finally:
-        _pool_formatter = None
+        for pipe in pipes.values():
+            pipe.close()
+        for pid in pipes:
+            os.waitpid(pid, 0)
 
 
 def _matrix_block(a, index):

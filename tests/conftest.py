@@ -4,19 +4,22 @@ import pytest
 
 
 @pytest.fixture
-def forked_pools(monkeypatch):
+def forks(monkeypatch):
     """Two usable CPUs whatever the host has, so the bulk writers take their
-    pooled path; yields the list of fork pools they start, one entry each."""
-    import multiprocessing
-
+    pooled path; yields the pids of the workers they fork, and checks at
+    teardown that every one of them has been reaped."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    starts = []
-    get_context = multiprocessing.get_context
+    pids = []
+    fork = os.fork
 
-    def spy(method=None):
-        if method == "fork":
-            starts.append(method)
-        return get_context(method)
+    def spy():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
 
-    monkeypatch.setattr(multiprocessing, "get_context", spy)
-    return starts
+    monkeypatch.setattr(os, "fork", spy)
+    yield pids
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)

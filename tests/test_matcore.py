@@ -245,25 +245,25 @@ POOLED_ROWS = POOL_MIN_ROWS + JSON_BLOCK_ROWS + 5
 
 
 @pytest.mark.parametrize("shape", [(POOLED_ROWS, 3), (0, 3), (3, 0), (POOLED_ROWS, 0)])
-def test_write_json_pooled_matches_dumps(forked_pools, shape):
+def test_write_json_pooled_matches_dumps(forks, shape):
     a = _edge_matrix(*shape)
     nested = {"schema": 1, "g": [a, {"inner": a}], "edge": EDGE_VALUES, "x": None}
     for obj in (a, nested):
         assert _streamed(obj) == json.dumps(plain_json(obj), separators=(",", ":"))
-    # one pool per formatted matrix; none for a matrix without two blocks
-    assert len(forked_pools) == (3 if a.size else 0)
+    # two workers per formatted matrix; none for a matrix without two blocks
+    assert len(forks) == (2 * 3 if a.size else 0)
 
 
-def test_write_json_on_one_cpu_formats_in_process(forked_pools, monkeypatch):
+def test_write_json_on_one_cpu_formats_in_process(forks, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     a = _edge_matrix(POOLED_ROWS, 3)
     assert _streamed(a) == json.dumps(matrix_to_json(a), separators=(",", ":"))
-    assert forked_pools == []
+    assert forks == []
 
 
-def test_write_json_refuses_non_finite_before_forking(forked_pools):
+def test_write_json_refuses_non_finite_before_forking(forks):
     a = np.zeros((512, 4), dtype=complex)
     a[-1, -1] = np.inf
     with pytest.raises(ValueError, match="finite"):
         _streamed({"g": a})
-    assert forked_pools == []
+    assert forks == []
