@@ -18,7 +18,7 @@ from . import geometry, spectra
 from .equivalence import round_trip
 from .grvv import GrvvSolution, block_solution, gauge_dress, ground_state, grvv_residual, sphere_constraints
 from .harmonics import _diagonal_index, build_basis, decompose_bifundamental
-from .matcore import _ordered_map, dagger, matrix_from_json, random_unitary, write_json
+from .matcore import _write_blocks, dagger, matrix_from_json, random_unitary, write_json
 from .su2rep import (
     bilinears,
     direct_sum,
@@ -41,8 +41,8 @@ SUITES = (
     "all",
 )
 DEFAULT_GRID = (64, 128)
-# theta rows per grid CSV block: one row per block cost more in pool
-# traffic than the second core saved
+# theta rows per grid CSV block: blocks of one row cost more in per-block
+# traffic than the other cores saved
 GRID_BLOCK_ROWS = 32
 
 
@@ -91,10 +91,10 @@ def _write_csv(path, header, rows):
 
 def _write_grid_csv(path, grid, residuals):
     """Write the grid CSV: rows (theta, phi, identity, residual) ordered by
-    identity, then theta, then phi.  Blocks of GRID_BLOCK_ROWS theta rows
-    are formatted in order by matcore._ordered_map: in forked workers on
-    every usable CPU, or in process for a small grid or one CPU.  Each angle
-    is formatted once, and each theta row is one ``%`` of a template; the
+    identity, then theta, then phi, in blocks of GRID_BLOCK_ROWS theta rows
+    (matcore._write_blocks: formatted in forked workers on every usable
+    CPU, or in process for a small grid or one CPU).  Each angle is
+    formatted once, and each theta row is one ``%`` of a template; the
     bytes are those of csv.writer (no field needs quoting, lines end in
     CRLF)."""
     thetas = [f"{t:.10g}," for t in grid.theta.tolist()]
@@ -119,9 +119,7 @@ def _write_grid_csv(path, grid, residuals):
     with _output(path) as fh:
         fh.write("theta,phi,identity,residual\r\n")
         n_blocks = per_identity_blocks * len(per_identity)
-        blocks = _ordered_map(block, n_blocks, len(thetas) * len(per_identity), fh)
-        with contextlib.closing(blocks):
-            fh.writelines(blocks)
+        _write_blocks(fh, block, n_blocks, len(thetas) * len(per_identity))
 
 
 # ---------------------------------------------------------------------------

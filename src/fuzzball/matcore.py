@@ -6,7 +6,6 @@ row-major layout.  Constructors validate shape and finiteness; everything
 else is a pure function of its inputs.
 """
 
-import contextlib
 import itertools
 import json
 import os
@@ -202,7 +201,7 @@ def plain_json(obj):
 
 
 def _send_blocks(format_block, indices, fd):
-    """Worker side of _ordered_map: write to the pipe ``fd`` one frame per
+    """Worker side of _write_blocks: write to the pipe ``fd`` one frame per
     block, ``b"T"``, its length and its UTF-8 text, or, if formatting
     raises, ``b"E"``, its length and the pickled exception."""
     with open(fd, "wb") as pipe:
@@ -229,8 +228,9 @@ def _receive_block(pipe):
     return body.decode()
 
 
-def _ordered_map(format_block, n_blocks, rows, fh):
-    """Yield ``format_block(0)``, ..., ``format_block(n_blocks - 1)`` in order.
+def _write_blocks(fh, format_block, n_blocks, rows):
+    """Write ``format_block(0)``, ..., ``format_block(n_blocks - 1)`` to
+    ``fh`` in order.
 
     ``rows`` is the number of output rows the blocks cover.  From
     POOL_MIN_ROWS rows on, with two blocks or more and more than one usable
@@ -249,7 +249,7 @@ def _ordered_map(format_block, n_blocks, rows, fh):
     """
     workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     if rows < POOL_MIN_ROWS or workers < 2 or n_blocks < 2:
-        yield from map(format_block, range(n_blocks))
+        fh.writelines(map(format_block, range(n_blocks)))
         return
     workers = min(workers, n_blocks)
     for stream in (fh, sys.stdout, sys.stderr):
@@ -275,7 +275,7 @@ def _ordered_map(format_block, n_blocks, rows, fh):
             pipes[pid] = open(read_fd, "rb")
         order = list(pipes.values())
         for index in range(n_blocks):
-            yield _receive_block(order[index % workers])
+            fh.write(_receive_block(order[index % workers]))
     finally:
         for pipe in pipes.values():
             pipe.close()
@@ -295,15 +295,13 @@ def _matrix_block(a, index):
 
 def _write_matrix(fh, a):
     """``matrix_to_json(a)`` as compact JSON, formatted JSON_BLOCK_ROWS rows
-    per block (_ordered_map).  as_matrix has refused non-finite entries
+    per block (_write_blocks).  as_matrix has refused non-finite entries
     before any worker starts, so the bytes are those of json.dumps."""
     a = as_matrix(a)
     rows, cols = a.shape
     fh.write(f'{{"rows":{rows},"cols":{cols},"data":[')
     n_blocks = -(-rows // JSON_BLOCK_ROWS) if cols else 0
-    blocks = _ordered_map(lambda index: _matrix_block(a, index), n_blocks, rows, fh)
-    with contextlib.closing(blocks):
-        fh.writelines(blocks)
+    _write_blocks(fh, lambda index: _matrix_block(a, index), n_blocks, rows)
     fh.write("]]}" if a.size else "]}")
 
 

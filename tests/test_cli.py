@@ -438,20 +438,18 @@ def test_gen_grvv_memory_is_bounded_by_a_block(tmp_path):
 
 
 class _SlowStream:
-    """A text stream that stalls on the first block of each matrix, so the
+    """A text stream that stalls on the first block written to it, so the
     workers run as far ahead as the writer lets them."""
 
     def __init__(self, fh):
         self.fh = fh
+        self.stalled = False
 
     def write(self, text):
+        if len(text) > 10_000 and not self.stalled:
+            self.stalled = True
+            time.sleep(0.5)
         return self.fh.write(text)
-
-    def writelines(self, texts):
-        for i, text in enumerate(texts):
-            if i == 0:
-                time.sleep(0.5)
-            self.fh.write(text)
 
     def flush(self):
         self.fh.flush()
