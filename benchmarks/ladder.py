@@ -218,29 +218,29 @@ def row(cells, sizes, xs):
             "n_exp": exponent(xs, list(med.values()))}
 
 
-def measure(srcs):
-    """{src: {kernel: {kind: row}}} over every rung, the trees alternating
-    per (rung, size) in ROUNDS rounds."""
-    results = {src: {} for src in srcs}
+def measure(trees):
+    """{label: {kernel: {kind: row}}} over every rung for the (label, src)
+    trees, alternating them per (rung, size) in ROUNDS rounds."""
+    results = {label: {} for label, _ in trees}
     for rung, (_, sizes, x_of) in RUNGS.items():
-        samples = {src: {} for src in srcs}  # (kernel, kind) -> size -> seconds or None
-        extras = {src: {} for src in srcs}  # extra -> size -> value
+        samples = {label: {} for label, _ in trees}  # (kernel, kind) -> size -> seconds or None
+        extras = {label: {} for label, _ in trees}  # extra -> size -> value
         for size in sizes:
             for _ in range(ROUNDS):
-                for src in srcs:
+                for label, src in trees:
                     out = child(src, rung, size)
                     for name, kinds in out["samples"].items():
                         for kind, ts in kinds.items():
-                            cells = samples[src].setdefault((name, kind), {})
+                            cells = samples[label].setdefault((name, kind), {})
                             have = cells.get(size, [])
                             cells[size] = None if ts is None or have is None else have + ts
                     for key, value in out["extras"].items():
-                        extras[src].setdefault(key, {})[str(size)] = value
+                        extras[label].setdefault(key, {})[str(size)] = value
             print(f"{rung} {size} done", file=sys.stderr)
         xs = [x_of(s) for s in sizes]
-        for src in srcs:
-            for (name, kind), cells in samples[src].items():
-                results[src].setdefault(name, {})[kind] = dict(row(cells, sizes, xs), **extras[src])
+        for label, _ in trees:
+            for (name, kind), cells in samples[label].items():
+                results[label].setdefault(name, {})[kind] = dict(row(cells, sizes, xs), **extras[label])
     return results
 
 
@@ -265,7 +265,7 @@ def main(argv=None):
     if not args.label or not args.out or len(args.label) != len(srcs):
         ap.error("give --out and one --label per --src (or one --label for this checkout)")
     t0 = time.perf_counter()
-    results = measure(srcs)
+    results = measure(list(zip(args.label, srcs)))
     seconds = round(time.perf_counter() - t0, 3)
     doc = {"schema": 1, "runs": {}}
     if os.path.exists(args.out):
@@ -284,18 +284,16 @@ def main(argv=None):
             "fit_from": FIT_FROM,
             "interleaved_with": [lb for lb in args.label if lb != label],
             "seconds": seconds,
-            "kernels": results[src],
+            "kernels": results[label],
         }
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    for name, per in results[srcs[0]].items():
+    for name, per in results[args.label[0]].items():
         for kind in per:
-            meds = []
-            for src in srcs:
-                r = results[src][name][kind]
-                meds.append(sum(t for t in r["median_s"].values() if t is not None))
-            print(f"{name:28s} {kind:8s} sum " + "  ".join(f"{t:8.4f} s" for t in meds))
+            sums = [sum(t for t in results[label][name][kind]["median_s"].values() if t is not None)
+                    for label in args.label]
+            print(f"{name:28s} {kind:8s} sum " + "  ".join(f"{t:8.4f} s" for t in sums))
     return 0
 
 

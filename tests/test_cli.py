@@ -523,8 +523,8 @@ def test_out_of_memory_is_a_usage_error(monkeypatch, capsys):
 
 
 def test_gen_grvv_stdout_matches_out_file(tmp_path):
-    # stdout block-buffered, as in a pipe: bytes written before the pool
-    # forks must not be flushed again by a worker
+    # stdout block-buffered, as in a pipe: bytes written before the workers
+    # fork must reach the output once
     src = os.path.dirname(os.path.dirname(fuzzball.__file__))
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
@@ -579,6 +579,6 @@ def test_worker_failure_is_a_usage_error(tmp_path, capsys, forks, monkeypatch, d
     monkeypatch.setattr(matcore, "_matrix_block", failing)
     assert run(["gen", "grvv", "--n", "256", "--out", str(tmp_path / "f.json")]) == 2
     assert capsys.readouterr().err.startswith(message)
-    # no pool started for the second matrix; the forks fixture checks that
-    # the three workers were reaped
+    # no worker forked for the second matrix; the forks fixture checks that
+    # the three were reaped
     assert len(forks) == 3
