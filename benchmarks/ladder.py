@@ -5,6 +5,8 @@ harmonics and spectra kernels, and the bulk writers of the CLI.
     python3 benchmarks/ladder.py --label change --out benchmarks/ladder.json
     python3 benchmarks/ladder.py --label parent --src ../parent/src \\
         --label change --src src --out benchmarks/ladder.json
+    python3 benchmarks/ladder.py --label change --rung build_basis \\
+        --rung decompose_bifundamental --out benchmarks/ladder.json
 
 Times ``bilinears`` and the four residual evaluators (``u2_structure_residual``,
 ``su2_closure_residual`` on J, ``doublet_covariance_residual`` and
@@ -19,7 +21,12 @@ at the grids in ``GRID_SIZES`` (the report is computed once, untimed).  The
 ``build_basis``, ``fuzzy_laplacian_spectrum`` and ``scalar_kinetic_spectrum``
 rungs call the kernel on ``irrep(N)`` for N in ``SPECTRA_SIZES``; a size the
 measured tree refuses (``ValueError``, as a size cap raises) is recorded as
-null, with the message under ``refused``.
+null, with the message under ``refused``.  The ``decompose_bifundamental``
+rung fits one fixed random fluctuation pair on the undressed ground state for
+N in ``DECOMPOSE_SIZES``, with the basis built once outside the timed calls
+(as ``verify`` passes it); the ``weight_frame`` rung times
+``su2rep.weight_frame`` of ``irrep(N)`` under one fixed random rotation for N
+in ``SIZES``.  ``--rung`` (repeatable) measures only the named rungs.
 
 Each (rung, size) is measured in fresh child processes, one per tree and
 round: ``ROUNDS`` rounds with the trees in the order given, so two trees run
@@ -55,6 +62,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEFAULT_SRC = os.path.join(ROOT, "src")
 SIZES = [16, 32, 64, 128, 256, 512]
 SPECTRA_SIZES = [16, 32, 64, 128, 256]
+DECOMPOSE_SIZES = [16, 32, 64, 128]
 GRID_SIZES = ["64x128", "128x256", "256x512"]
 ROUNDS = 2
 REPEATS = 4
@@ -168,6 +176,27 @@ def irrep_kernel(name):
     return rung
 
 
+def decompose(n):
+    from fuzzball.grvv import ground_state
+    from fuzzball.harmonics import _default_basis, decompose_bifundamental
+
+    sol = ground_state(n)
+    basis = _default_basis(sol)
+    rng = np.random.default_rng(SEED)
+    r1, r2 = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for _ in range(2))
+    ts = timed(lambda: decompose_bifundamental(r1, r2, sol, basis=basis))
+    return {"decompose_bifundamental": {"ground": ts}}, {}
+
+
+def frame(n):
+    from fuzzball.matcore import dagger, random_unitary
+    from fuzzball.su2rep import Su2Representation, irrep, weight_frame
+
+    u = random_unitary(n, np.random.default_rng(SEED))
+    rep = Su2Representation(*(u @ g @ dagger(u) for g in irrep(n).generators), partition=(n,))
+    return {"weight_frame": {"rotated": timed(lambda: weight_frame(rep))}}, {}
+
+
 def _points(size):
     nt, nphi = map(int, size.split("x"))
     return nt * nphi
@@ -182,6 +211,8 @@ RUNGS = {
         name: (irrep_kernel(name), SPECTRA_SIZES, int)
         for name in ("build_basis", "fuzzy_laplacian_spectrum", "scalar_kinetic_spectrum")
     },
+    "decompose_bifundamental": (decompose, DECOMPOSE_SIZES, int),
+    "weight_frame": (frame, SIZES, int),
 }
 
 
@@ -218,11 +249,12 @@ def row(cells, sizes, xs):
             "n_exp": exponent(xs, list(med.values()))}
 
 
-def measure(trees):
-    """{label: {kernel: {kind: row}}} over every rung for the (label, src)
-    trees, alternating them per (rung, size) in ROUNDS rounds."""
+def measure(trees, rungs):
+    """{label: {kernel: {kind: row}}} over the named rungs for the (label,
+    src) trees, alternating them per (rung, size) in ROUNDS rounds."""
     results = {label: {} for label, _ in trees}
-    for rung, (_, sizes, x_of) in RUNGS.items():
+    for rung in rungs:
+        _, sizes, x_of = RUNGS[rung]
         samples = {label: {} for label, _ in trees}  # (kernel, kind) -> size -> seconds or None
         extras = {label: {} for label, _ in trees}  # extra -> size -> value
         for size in sizes:
@@ -250,6 +282,8 @@ def main(argv=None):
     ap.add_argument("--out", help="JSON file to create or update")
     ap.add_argument("--src", action="append",
                     help="directory holding a fuzzball package, one per --label")
+    ap.add_argument("--rung", action="append", choices=list(RUNGS),
+                    help="measure only this rung (repeatable; default: all)")
     ap.add_argument("--child", nargs=2, metavar=("RUNG", "SIZE"), help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     srcs = [os.path.abspath(s) for s in (args.src or [DEFAULT_SRC])]
@@ -265,7 +299,7 @@ def main(argv=None):
     if not args.label or not args.out or len(args.label) != len(srcs):
         ap.error("give --out and one --label per --src (or one --label for this checkout)")
     t0 = time.perf_counter()
-    results = measure(list(zip(args.label, srcs)))
+    results = measure(list(zip(args.label, srcs)), args.rung or list(RUNGS))
     seconds = round(time.perf_counter() - t0, 3)
     doc = {"schema": 1, "runs": {}}
     if os.path.exists(args.out):
@@ -279,6 +313,7 @@ def main(argv=None):
             "sizes": SIZES,
             "spectra_sizes": SPECTRA_SIZES,
             "grid_sizes": GRID_SIZES,
+            "decompose_sizes": DECOMPOSE_SIZES,
             "rounds": ROUNDS,
             "repeats": REPEATS,
             "fit_from": FIT_FROM,

@@ -49,13 +49,7 @@ from .harmonics import (
     reconstruct_bifundamental,
     reconstruct_ubar,
 )
-from .matcore import (
-    Tolerance,
-    dagger,
-    frobenius_distance,
-    hermitian_sqrt,
-    pseudo_inverse,
-)
+from .matcore import Tolerance, dagger
 from .spectra import (
     commutator_decay,
     dirac_square_check,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grvv import GrvvSolution, grvv_residual
+from .grvv import GrvvSolution, grvv_residual, require_solution
 from .matcore import (
     DEFAULT_TOL,
     as_matrix,
@@ -55,10 +55,7 @@ def grvv_to_su2(sol, tol=1e-8):
     defects max_ij ||[J_i, J_j] - 2i eps_ijk J_k||_F and the commutation of
     the u(1) traces with the triples.
     """
-    res0 = grvv_residual(sol)
-    scale = max(1.0, frobenius_norm(sol.g1) + frobenius_norm(sol.g2))
-    if res0 > tol * scale:
-        raise ValueError(f"input does not solve the cubic equation (residual {res0:.3e})")
+    res0 = require_solution(sol, tol)
     b = bilinears(sol)
     residuals = {
         "input": res0,

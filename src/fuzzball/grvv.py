@@ -27,6 +27,7 @@ __all__ = [
     "block_solution",
     "gauge_dress",
     "grvv_residual",
+    "require_solution",
     "sphere_constraints",
     "real_coordinates",
 ]
@@ -152,6 +153,16 @@ def grvv_residual(sol):
     res = 0.0
     for a in range(2):
         res = max(res, frobenius_norm(g[a] - (g[a] @ right - left @ g[a])))
+    return res
+
+
+def require_solution(sol, tol=1e-8):
+    """``grvv_residual`` of sol; raises ValueError unless it is at most tol
+    times max(1, ||g^1|| + ||g^2||)."""
+    res = grvv_residual(sol)
+    scale = max(1.0, frobenius_norm(sol.g1) + frobenius_norm(sol.g2))
+    if res > tol * scale:
+        raise ValueError(f"input does not solve the cubic equation (residual {res:.3e})")
     return res
 
 

@@ -11,11 +11,13 @@ phased so that U^dag J_+ U has a positive real first sub-diagonal (the
 convention of ``irrep``); an input whose derived partition is not one block
 is refused.  In that frame every Y_lm is nonzero only on the diagonal
 row - column = m, so a basis stores one length-(N-|m|) vector per (l, m)
-together with U.  The dense matrix U D U^dag is materialised lazily: indexing
-builds one element and keeps it.  Decompositions and reconstructions work
-on the diagonals of U^dag A U: O(N^3) per call, except the bifundamental fit,
+together with U; indexing builds one dense U D U^dag and keeps it.  J_3 is
+diagonal there and J_+- bidiagonal, so the Laplacian's tridiagonal block on
+each diagonal and the ad(J_k) maps between diagonals are read off those bands
+in O(N), with no matrix product.  Decompositions and reconstructions work on
+the diagonals of U^dag A U: O(N^3) per call, except the bifundamental fit,
 which solves one least-squares system of size about 2(N-|m|) x (N-|m|) per
-m and per diagonal.
+m and per diagonal, its columns scalings of the stored vectors.
 
 Basis convention: the top element of each ladder is
 
@@ -31,10 +33,11 @@ ladder itself loses digits at every step.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .grvv import require_solution
 from .matcore import dagger, frobenius_norm
 from .su2rep import Su2Representation, irrep, weight_frame
 
@@ -57,25 +60,6 @@ def _diagonal_index(n, c):
     """Row and column indices of the n x n entries with row - column = c."""
     i = np.arange(max(n - abs(c), 0))
     return i + max(c, 0), i + max(-c, 0)
-
-
-def _diagonal_map(x, k, c, left):
-    """Matrix of A -> X A (``left``) or A X from the row - column = c
-    diagonal of A to the c + k diagonal of the product, X read on its own
-    k diagonal."""
-    n = x.shape[0]
-    rows, cols = _diagonal_index(n, c)
-    out = np.zeros((max(n - abs(c + k), 0), rows.size), dtype=complex)
-    if left:  # X E_pq = X[p + k, p] E_{p + k, q}
-        ok = (rows + k >= 0) & (rows + k < n)
-        vals = x[rows[ok] + k, rows[ok]]
-        dest = cols[ok] - max(-(c + k), 0)
-    else:  # E_pq X = X[q, q - k] E_{p, q - k}
-        ok = (cols - k >= 0) & (cols - k < n)
-        vals = x[cols[ok], cols[ok] - k]
-        dest = rows[ok] - max(c + k, 0)
-    out[dest, np.flatnonzero(ok)] = vals
-    return out
 
 
 def _weight_frame(rep):
@@ -126,20 +110,30 @@ class HarmonicBasis:
         return self._dense[key]
 
 
-def _ad_diagonal(x, k, c):
-    """ad(X) = [X, .] from the c diagonal to the c + k diagonal."""
-    return _diagonal_map(x, k, c, left=True) - _diagonal_map(x, k, c, left=False)
+def _ad(gens, k, c):
+    """ad(J_k) = [J_k, .] from the c to the c + k diagonal, gens[k] picking
+    J_3, J_+, J_- for k = 0, 1, -1: E_pq -> x_p E_{p+k,q} - x_{q-k} E_{p,q-k}
+    with x_r = J_k[r + k, r], so J_k is read on its own band only."""
+    j, n = gens[k], gens[k].shape[0]
+    p, q = _diagonal_index(n, c)
+    out = np.zeros((max(n - abs(c + k), 0), p.size), dtype=complex)
+    ok = np.flatnonzero((p + k >= 0) & (p + k < n))
+    out[q[ok] - max(-c - k, 0), ok] += j[p[ok] + k, p[ok]]
+    ok = np.flatnonzero((q - k >= 0) & (q - k < n))
+    out[p[ok] - max(c + k, 0), ok] -= j[q[ok], q[ok] - k]
+    return out
 
 
 def _laplacian_block(gens, c):
-    """The adjoint Laplacian sum_i ad(J_i)^2 on the c diagonal of the weight
-    frame, as ad(J_3)^2 + (ad(J_+) ad(J_-) + ad(J_-) ad(J_+)) / 2; a
-    tridiagonal Hermitian matrix of size N - |c|."""
-    j3, jp, jm = gens
-    a3 = _ad_diagonal(j3, 0, c)
-    raise_lower = _ad_diagonal(jp, 1, c - 1) @ _ad_diagonal(jm, -1, c)
-    lower_raise = _ad_diagonal(jm, -1, c + 1) @ _ad_diagonal(jp, 1, c)
-    lap = a3 @ a3 + (raise_lower + lower_raise) / 2
+    """The adjoint Laplacian ad(J_3)^2 + (ad(J_+) ad(J_-) + ad(J_-) ad(J_+)) / 2
+    on the c diagonal of the weight frame: tridiagonal of size N - |c|, read
+    off the bands w = diag(J_3), s = diag(J_+, -1) and t = diag(J_-, 1) at
+    the (p, q) of each row, with a_r = s_{r-1} t_{r-1} + s_r t_r."""
+    w, s, t = np.diagonal(gens[0]), np.diagonal(gens[1], -1), np.diagonal(gens[2], 1)
+    a = np.pad(s * t, (1, 0)) + np.pad(s * t, (0, 1))
+    p, q = _diagonal_index(w.size, c)
+    lap = np.diag((w[p] - w[q]) ** 2 + (a[p] + a[q]) / 2)
+    lap += np.diag(-s[p[:-1]] * t[q[:-1]], -1) + np.diag(-t[p[:-1]] * s[q[:-1]], 1)
     return (lap + dagger(lap)) / 2
 
 
@@ -166,7 +160,7 @@ def _basis_in_frame(rep, u, gens):
         _, v = np.linalg.eigh(_laplacian_block(gens, m))
         ref = tops[m][:, None]
         if m < n - 1:
-            ref = np.hstack([ref, _ad_diagonal(gens[2], -1, m + 1) @ diagonals[m + 1].T])
+            ref = np.hstack([ref, _ad(gens, -1, m + 1) @ diagonals[m + 1].T])
         overlap = np.sum(v.conj() * ref, axis=0)
         diagonals[m] = (v * (math.sqrt(n) * overlap / np.abs(overlap))).T
     # negative m from the exact conjugation symmetry Y_{l,-m} = (-1)^m Y_lm^dag
@@ -284,11 +278,18 @@ def decompose_bifundamental(r1, r2, sol, basis=None):
     Both fits run with the left index in the weight frame, where Y_lm g^1
     lies on the row - column = m diagonal and Y_lm g^2 on m - 1: the trace
     fit splits into one small system per m and the traceless fit into one
-    per diagonal.  The reconstruction is checked against the dense input,
-    so a doublet without that structure fails the residual check.
+    per diagonal.  Any left dressing is accepted, but the fit assumes the
+    canonical right gauge (g^b e_1 = 0, right index in ``ground_state``
+    order): a non-solution or g^b e_1 != 0 raises ValueError before fitting,
+    any other right dressing fails the reconstruction check.
     """
     if not sol.is_irreducible():
         raise ValueError("mode expansion is defined per irreducible block")
+    require_solution(sol)
+    g = sol.matrices
+    edge = max(np.linalg.norm(x[:, 0]) for x in g)
+    if edge > 1e-8 * max(frobenius_norm(x) for x in g):
+        raise ValueError(f"right index not in the canonical gauge (||g^b e_1|| = {edge:.3e})")
     n = sol.size
     if basis is None:
         basis = _default_basis(sol)
@@ -296,7 +297,6 @@ def decompose_bifundamental(r1, r2, sol, basis=None):
     for m in r:
         if m.shape != (n, n):
             raise ValueError(f"expected {n}x{n} fluctuation matrices")
-    g = sol.matrices
     u = basis.frame
 
     # edge part: g^b kills the first barred basis vector, so column 1 of the
@@ -305,15 +305,21 @@ def decompose_bifundamental(r1, r2, sol, basis=None):
     rem = [dagger(u) @ x for x in r]
     rem[0][:, 0] = 0.0
     rem[1][:, 0] = 0.0
-    h = [dagger(u) @ x for x in g]
+    # the bands h^1[q, q] and h^2[q, q + 1] of h^a = U^dag g^a
+    h1 = np.sum(u.conj() * g[0], axis=0)
+    h2 = np.sum(u[:, :-1].conj() * g[1][:, 1:], axis=0)
 
-    # columns Y_lm g^1 (m diagonal) and Y_lm g^2 (m - 1 diagonal), l = |m|..N-2
+    # columns Y_lm g^1 (m diagonal) and Y_lm g^2 (m - 1 diagonal), l = |m|..N-2,
+    # as scalings of the stored vectors: E_pq h^2 = h^2[q, q + 1] E_{p, q + 1}
+    # moves one row down for m > 0 and drops the last row for m <= 0
     top = n - 2
     p1, p2 = {}, {}
     for m in range(-top, top + 1):
         ys = basis.diagonals[m][: n - 1 - abs(m)].T
-        p1[m] = _diagonal_map(h[0], 0, m, left=False) @ ys
-        p2[m] = _diagonal_map(h[1], -1, m, left=False) @ ys
+        q = _diagonal_index(n, m)[1]
+        p1[m] = h1[q, None] * ys
+        rows = n - abs(m) - (m <= 0)
+        p2[m] = np.pad(h2[q[:rows], None] * ys[:rows], ((int(m > 0), 0), (0, 0)))
 
     # shared trace fit: rows (a=1, diagonal m) and (a=2, diagonal m-1) meet
     # only the columns of that m
@@ -350,20 +356,16 @@ def decompose_bifundamental(r1, r2, sol, basis=None):
         r_coeffs[key] = r_coeffs[key] + tr
         s_coeffs[key] = mat - tr * np.eye(2)
 
-    modes = BifundamentalModes(
-        r_coeffs=r_coeffs, s_coeffs=s_coeffs, t_coeffs=t, residual=0.0
-    )
+    modes = BifundamentalModes(r_coeffs=r_coeffs, s_coeffs=s_coeffs, t_coeffs=t, residual=0.0)
     rec = reconstruct_bifundamental(modes, sol, basis)
     residual = max(frobenius_norm(rec[a] - r[a]) for a in range(2))
-    modes = BifundamentalModes(
-        r_coeffs=r_coeffs, s_coeffs=s_coeffs, t_coeffs=t, residual=residual
-    )
     if residual > 1e-8 * max(1.0, max(frobenius_norm(m) for m in r)):
         raise ArithmeticError(
-            f"mode reconstruction residual {residual:.3e}; the spanning set is "
-            "complete, so this indicates a bug"
+            f"mode reconstruction residual {residual:.3e}: the fit assumes the canonical "
+            "right gauge (g^b e_1 = 0, right index in ground-state order), which this "
+            "doublet does not have"
         )
-    return modes
+    return replace(modes, residual=residual)
 
 
 def reconstruct_bifundamental(modes, sol, basis=None):

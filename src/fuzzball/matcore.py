@@ -21,12 +21,8 @@ __all__ = [
     "as_matrix",
     "dagger",
     "commutator",
-    "anticommutator",
     "frobenius_norm",
-    "frobenius_distance",
     "spectral_norm",
-    "pseudo_inverse",
-    "hermitian_sqrt",
     "is_unitary",
     "random_unitary",
     "matrix_to_json",
@@ -80,55 +76,12 @@ def commutator(a, b):
     return a @ b - b @ a
 
 
-def anticommutator(a, b):
-    return a @ b + b @ a
-
-
 def frobenius_norm(a):
     return float(np.linalg.norm(a))
 
 
-def frobenius_distance(a, b):
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b))
-
-
 def spectral_norm(a):
     return float(np.linalg.norm(a, 2))
-
-
-def pseudo_inverse(a, tol=DEFAULT_TOL):
-    """Moore-Penrose inverse; singular values below tol.absolute * s_max drop."""
-    a = as_matrix(a)
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return dagger(a)
-    cut = tol.absolute * s[0]
-    inv = np.where(s > cut, 1.0 / np.where(s > cut, s, 1.0), 0.0)
-    return dagger(vh) @ np.diag(inv) @ dagger(u)
-
-
-def hermitian_sqrt(a, tol=DEFAULT_TOL):
-    """Square root of a Hermitian PSD matrix via eigendecomposition.
-
-    Eigenvalues in [-tol, tol] (relative to the largest one) are clamped to
-    zero so that exact kernels stay exact; anything more negative raises.
-    """
-    a = as_matrix(a)
-    herm_defect = frobenius_distance(a, dagger(a))
-    scale = max(frobenius_norm(a), 1.0)
-    if herm_defect > tol.relative * scale:
-        raise ValueError(f"matrix is not Hermitian (defect {herm_defect:.3e})")
-    w, v = np.linalg.eigh((a + dagger(a)) / 2)
-    wmax = max(float(w[-1]), 0.0)
-    cut = tol.relative * max(wmax, 1.0)
-    if w[0] < -cut:
-        raise ValueError(f"negative eigenvalue {w[0]:.3e} beyond tolerance")
-    w = np.where(w > cut, w, 0.0)
-    return (v * np.sqrt(w)) @ dagger(v)
 
 
 def is_unitary(a, tol=DEFAULT_TOL):
@@ -136,7 +89,7 @@ def is_unitary(a, tol=DEFAULT_TOL):
     if a.shape[0] != a.shape[1]:
         return False
     n = a.shape[0]
-    return frobenius_distance(dagger(a) @ a, np.eye(n)) <= tol.relative * n
+    return frobenius_norm(dagger(a) @ a - np.eye(n)) <= tol.relative * n
 
 
 def random_unitary(n, rng):

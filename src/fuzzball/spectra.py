@@ -12,7 +12,7 @@ import numpy as np
 
 from .geometry import _apply2, _central_difference, killing_spinor
 from .harmonics import (
-    _ad_diagonal,
+    _ad,
     _basis_in_frame,
     _laplacian_block,
     _weight_frame,
@@ -120,11 +120,11 @@ def _spherical(coeffs):
 
 
 # sum_i S_i ad(J_i) = S_3 ad(J_3) + S_- ad(J_+) / 2 + S_+ ad(J_-) / 2 as
-# (spherical coefficients, index into the rotated (J_3, J_+, J_-), charge shift)
+# (spherical coefficients, charge shift k of ad(J_k), ``harmonics._ad``)
 _SPIN_TERMS = (
-    (_spherical((0, 0, 1)), 0, 0),
-    (_spherical((0.5, -0.5j, 0)), 1, 1),
-    (_spherical((0.5, 0.5j, 0)), 2, -1),
+    (_spherical((0, 0, 1)), 0),
+    (_spherical((0.5, -0.5j, 0)), 1),
+    (_spherical((0.5, 0.5j, 0)), -1),
 )
 
 
@@ -141,12 +141,10 @@ def _kinetic_block(gens, total):
             continue
         cols = slice(starts[b], starts[b + 1])
         k[cols, cols] += np.eye(sizes[b]) + _laplacian_block(gens, c)
-        for coef, g, shift in _SPIN_TERMS:
-            for a, c2 in enumerate(charges):
-                if c2 == c + shift and sizes[a]:
-                    k[starts[a] : starts[a + 1], cols] += coef[a, b] * _ad_diagonal(
-                        gens[g], shift, c
-                    )
+        for coef, shift in _SPIN_TERMS:
+            a = b + shift  # the component on the c + shift diagonal
+            if 0 <= a < 3 and sizes[a]:
+                k[starts[a] : starts[a + 1], cols] += coef[a, b] * _ad(gens, shift, c)
     return (k + dagger(k)) / 2, starts
 
 

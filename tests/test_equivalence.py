@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from dense_oracles import hermitian_sqrt, pseudo_inverse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -20,13 +21,7 @@ from fuzzball.grvv import (
     ground_state,
     sphere_constraints,
 )
-from fuzzball.matcore import (
-    dagger,
-    frobenius_norm,
-    hermitian_sqrt,
-    pseudo_inverse,
-    random_unitary,
-)
+from fuzzball.matcore import dagger, frobenius_norm, random_unitary
 from fuzzball.su2rep import (
     EPS3,
     Su2Representation,

@@ -4,6 +4,7 @@ import os
 
 import numpy as np
 import pytest
+from dense_oracles import frobenius_distance, hermitian_sqrt, pseudo_inverse
 from numpy.testing import assert_allclose
 
 from fuzzball.matcore import (
@@ -11,13 +12,10 @@ from fuzzball.matcore import (
     POOL_MIN_ROWS,
     Tolerance,
     dagger,
-    frobenius_distance,
     frobenius_norm,
-    hermitian_sqrt,
     matrix_from_json,
     matrix_to_json,
     plain_json,
-    pseudo_inverse,
     random_unitary,
     write_json,
 )

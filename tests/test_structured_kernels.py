@@ -10,7 +10,12 @@ import json
 
 import numpy as np
 import pytest
-from dense_oracles import adjoint_laplacian_matrix, kinetic_levels, scalar_kinetic_matrix
+from dense_oracles import (
+    ad_matrix,
+    adjoint_laplacian_matrix,
+    kinetic_levels,
+    scalar_kinetic_matrix,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -18,7 +23,10 @@ from numpy.testing import assert_allclose
 from fuzzball.cli import main as cli_main
 from fuzzball.grvv import GrvvSolution, gauge_dress, ground_state
 from fuzzball.harmonics import (
+    _ad,
     _basis_in_frame,
+    _diagonal_index,
+    _laplacian_block,
     _weight_frame,
     build_basis,
     classical_ylm,
@@ -136,6 +144,34 @@ def test_kinetic_groups_match_dense_oracle(n):
         for got, (eig, _) in zip(ks.groups, levels):
             assert abs(got[0] - eig) <= 1e-12 * scale
         assert [g[:4] for g in ks.groups] == kinetic_levels(n)
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(min_value=1, max_value=24), seed=st.integers(0, 2**32 - 1),
+       rotated=st.booleans())
+def test_band_blocks_match_dense_operators(n, seed, rotated):
+    # every block the weight-frame kernels form from the generators' bands is
+    # the dense operator restricted to its diagonals; unlike the spectra this
+    # sees a sign error in an off-diagonal band
+    rep = rotated_irrep(n, seed)[0] if rotated else irrep(n)
+    _, gens = _weight_frame(rep)
+    j3, jp, jm = gens
+    frame = Su2Representation((jp + jm) / 2, (jp - jm) / 2j, j3)
+    lap = adjoint_laplacian_matrix(frame)
+    ads = {k: ad_matrix(gens[k], n) for k in (0, 1, -1)}
+    scale = max(1.0, max(np.linalg.norm(g, 2) for g in frame.generators) ** 2)
+
+    def vec(c):
+        p, q = _diagonal_index(n, c)
+        return p * n + q
+
+    for c in range(1 - n, n):
+        block = _laplacian_block(gens, c)
+        assert np.max(np.abs(block - lap[np.ix_(vec(c), vec(c))])) < 1e-14 * scale
+        for k, dense in ads.items():
+            ref = dense[np.ix_(vec(c + k), vec(c))]
+            assert _ad(gens, k, c).shape == ref.shape
+            assert np.max(np.abs(_ad(gens, k, c) - ref), initial=0.0) < 1e-14 * scale
 
 
 @pytest.mark.parametrize("l", range(6))
@@ -306,24 +342,62 @@ def test_mode_convergence_finds_each_frame_once(monkeypatch):
         assert err == float(np.max(np.abs(sym - classical_ylm(2, 1, tt, pp))))
 
 
-def test_right_dressed_doublet_fails_decompose(tmp_path):
+def _decompose_cli(tmp_path, sol, r):
+    """Exit code of the ``decompose`` command on ``sol`` and the pair ``r``."""
+    gfile = tmp_path / "g.json"
+    gfile.write_text(json.dumps(sol.to_json()))
+    paths = []
+    for k, x in enumerate(r):
+        p = tmp_path / f"r{k}.json"
+        p.write_text(json.dumps(matrix_to_json(x)))
+        paths.append(str(p))
+    return cli_main(["decompose", "--solution", str(gfile), "--matrix", ",".join(paths)])
+
+
+def test_right_dressed_doublet_fails_decompose(tmp_path, capsys):
     n = 4
     rng = np.random.default_rng(7)
     sol = gauge_dress(ground_state(n), np.eye(n), random_unitary(n, rng))
     r1 = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     r2 = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(ValueError, match="not in the canonical gauge"):
         decompose_bifundamental(r1, r2, sol)
 
+    assert _decompose_cli(tmp_path, sol, (r1, r2)) == 2
+    assert "not in the canonical gauge" in capsys.readouterr().err
     gfile = tmp_path / "g.json"
-    gfile.write_text(json.dumps(sol.to_json()))
-    paths = []
-    for k, r in enumerate((r1, r2)):
-        p = tmp_path / f"r{k}.json"
-        p.write_text(json.dumps(matrix_to_json(r)))
-        paths.append(str(p))
-    code = cli_main(
-        ["decompose", "--solution", str(gfile), "--matrix", ",".join(paths)]
-    )
-    assert code == 2
     assert GrvvSolution.from_json(json.loads(gfile.read_text())).dressed
+
+
+def test_right_dressing_that_keeps_the_edge_fails_the_residual_check():
+    # 1 + W on the right keeps g^b e_1 = 0 but reorders the right index: the
+    # gauge check passes and the reconstruction names the assumed gauge
+    n = 5
+    rng = np.random.default_rng(8)
+    uhat = np.eye(n, dtype=complex)
+    uhat[1:, 1:] = random_unitary(n - 1, rng)
+    sol = gauge_dress(ground_state(n), random_unitary(n, rng), uhat)
+    r1 = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    r2 = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    with pytest.raises(ArithmeticError, match="canonical right gauge"):
+        decompose_bifundamental(r1, r2, sol)
+
+
+@pytest.mark.parametrize(
+    "which, message",
+    [("dressed", "not in the canonical gauge"), ("not-a-solution", "does not solve the cubic")],
+)
+def test_decompose_cli_refuses_before_fitting(tmp_path, capsys, which, message):
+    n = 8
+    rng = np.random.default_rng(3)
+    if which == "dressed":
+        gfile = tmp_path / "dressed.json"
+        assert cli_main(["gen", "grvv", "--n", str(n), "--dress", "3", "--out", str(gfile)]) == 0
+        sol = GrvvSolution.from_json(json.loads(gfile.read_text()))
+    else:
+        sol = GrvvSolution(g1=rng.normal(size=(n, n)), g2=rng.normal(size=(n, n)), partition=(n,))
+    r = [rng.normal(size=(n, n)), rng.normal(size=(n, n))]
+    capsys.readouterr()
+    assert _decompose_cli(tmp_path, sol, r) == 2
+    err = capsys.readouterr().err
+    assert message in err and "bug" not in err

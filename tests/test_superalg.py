@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from dense_oracles import anticommutator
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from fuzzball.grvv import GrvvSolution, ground_state
-from fuzzball.matcore import anticommutator, commutator, dagger, frobenius_norm
+from fuzzball.matcore import commutator, dagger, frobenius_norm
 from fuzzball.su2rep import EPS3, PAULI
 from fuzzball.superalg import (
     EPS_LOWER,
