@@ -130,7 +130,7 @@ def _laplacian_block(gens, c):
     off the bands w = diag(J_3), s = diag(J_+, -1) and t = diag(J_-, 1) at
     the (p, q) of each row, with a_r = s_{r-1} t_{r-1} + s_r t_r."""
     w, s, t = np.diagonal(gens[0]), np.diagonal(gens[1], -1), np.diagonal(gens[2], 1)
-    a = np.pad(s * t, (1, 0)) + np.pad(s * t, (0, 1))
+    a = np.append(0, s * t) + np.append(s * t, 0)
     p, q = _diagonal_index(w.size, c)
     lap = np.diag((w[p] - w[q]) ** 2 + (a[p] + a[q]) / 2)
     lap += np.diag(-s[p[:-1]] * t[q[:-1]], -1) + np.diag(-t[p[:-1]] * s[q[:-1]], 1)
@@ -309,17 +309,17 @@ def decompose_bifundamental(r1, r2, sol, basis=None):
     h1 = np.sum(u.conj() * g[0], axis=0)
     h2 = np.sum(u[:, :-1].conj() * g[1][:, 1:], axis=0)
 
-    # columns Y_lm g^1 (m diagonal) and Y_lm g^2 (m - 1 diagonal), l = |m|..N-2,
-    # as scalings of the stored vectors: E_pq h^2 = h^2[q, q + 1] E_{p, q + 1}
-    # moves one row down for m > 0 and drops the last row for m <= 0
+    # columns Y_lm g^1 (m diagonal) and Y_lm g^2 (m - 1 diagonal), l = |m|..N-2, the
+    # stored vectors scaled: E_pq h^2 = h^2[q, q + 1] E_{p, q + 1} moves one row
+    # down for m > 0 and drops the last row for m <= 0
     top = n - 2
     p1, p2 = {}, {}
     for m in range(-top, top + 1):
         ys = basis.diagonals[m][: n - 1 - abs(m)].T
         q = _diagonal_index(n, m)[1]
         p1[m] = h1[q, None] * ys
-        rows = n - abs(m) - (m <= 0)
-        p2[m] = np.pad(h2[q[:rows], None] * ys[:rows], ((int(m > 0), 0), (0, 0)))
+        band = h2[q[: n - abs(m) - (m <= 0)], None]
+        p2[m] = np.concatenate([np.zeros((int(m > 0), ys.shape[1])), band * ys[: band.size]])
 
     # shared trace fit: rows (a=1, diagonal m) and (a=2, diagonal m-1) meet
     # only the columns of that m
