@@ -17,7 +17,9 @@ N in ``SIZES``.  The ``gen_grvv_dressed`` rung runs the CLI in process,
 building, dressing and writing the doublet; ``tracemalloc_peak_mb`` is the
 traced peak (MiB) of one more call, made apart from the timed ones.  The
 ``grid_csv`` rung times ``cli._write_grid_csv`` of ``geometry.grid_report``
-at the grids in ``GRID_SIZES`` (the report is computed once, untimed).  The
+at the grids in ``GRID_SIZES`` (the report is computed once, untimed), and
+the ``geometry_grid`` rung times ``geometry.grid_report`` followed by
+``geometry.identification_check`` (n = 2) at the same grids.  The
 ``build_basis``, ``fuzzy_laplacian_spectrum`` and ``scalar_kinetic_spectrum``
 rungs call the kernel on ``irrep(N)`` for N in ``SPECTRA_SIZES``; a size the
 measured tree refuses (``ValueError``, as a size cap raises) is recorded as
@@ -39,7 +41,9 @@ call overhead dominates.  The evaluators are handed precomputed bilinears,
 so their times exclude ``bilinears``.
 
 ``fuzzball`` is imported from each ``--src`` (default: this checkout's
-``src``), paired in order with the ``--label`` options.  Each tree's run is
+``src``), paired in order with the ``--label`` options.  One tree may be
+given twice under two labels: the two runs are an A/A control, whose
+difference is the ladder's own noise.  Each tree's run is
 stored under ``runs[label]`` with the environment block of
 ``perfbench/run.py`` (cores, BLAS and its threads, numpy), whose
 ``git_commit`` names the measured ``--src``; runs under other labels
@@ -161,6 +165,18 @@ def grid_csv(size):
     return {"grid_csv": {"write": ts}}, {}
 
 
+def geometry_grid(size):
+    from fuzzball import geometry
+
+    grid = geometry.SphereGrid.make(*map(int, size.split("x")))
+
+    def both():
+        geometry.grid_report(grid)
+        geometry.identification_check(2, grid)
+
+    return {"geometry_grid": {"report_and_check": timed(both)}}, {}
+
+
 def irrep_kernel(name):
     def rung(n):
         from fuzzball import harmonics, spectra
@@ -207,6 +223,7 @@ RUNGS = {
     "spin_maps": (spin_maps, SIZES, int),
     "gen_grvv_dressed": (gen_grvv_dressed, SIZES, int),
     "grid_csv": (grid_csv, GRID_SIZES, _points),
+    "geometry_grid": (geometry_grid, GRID_SIZES, _points),
     **{
         name: (irrep_kernel(name), SPECTRA_SIZES, int)
         for name in ("build_basis", "fuzzy_laplacian_spectrum", "scalar_kinetic_spectrum")

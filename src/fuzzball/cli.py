@@ -16,6 +16,7 @@ import numpy as np
 
 from . import geometry, spectra
 from .equivalence import round_trip
+from .geometry import GRID_BLOCK_ROWS
 from .grvv import GrvvSolution, block_solution, gauge_dress, ground_state, grvv_residual, sphere_constraints
 from .harmonics import _diagonal_index, build_basis, decompose_bifundamental
 from .matcore import _write_blocks, dagger, matrix_from_json, random_unitary, write_json
@@ -41,9 +42,6 @@ SUITES = (
     "all",
 )
 DEFAULT_GRID = (64, 128)
-# theta rows per grid CSV block: blocks of one row cost more in per-block
-# traffic than the other cores saved
-GRID_BLOCK_ROWS = 32
 
 
 def _parse_int_list(text):
@@ -265,9 +263,7 @@ def _suite_geometry(n, seed, grid, residuals):
         return float(np.max(residuals[name]))
 
     yield ("hopf_section_roundtrip", 0, worst("hopf_section_roundtrip"))
-    s = geometry.s_matrix(grid.theta[:, None], grid.phi[None, :])
-    uni = np.einsum("...ab,...cb->...ac", s, s.conj()) - np.eye(2)
-    yield ("s_unitarity", 0, float(np.max(np.abs(uni))))
+    yield ("s_unitarity", 0, geometry.s_unitarity(grid))
     yield ("gamma3_relation", 0, worst("gamma3_relation"))
     yield ("killing_equation", 0, worst("killing_equation"))
     rep = geometry.identification_check(max(n, 2), grid)

@@ -15,12 +15,22 @@ eta^{I} = S^dag E e_I / sqrt(2) with E = [[0, -1], [1, 0]]; their upper Weyl
 component u = sqrt(2) P_+ eta equals exp(i pi/4) exp(i phi / 2) section(x)
 identically, which is the local identification checked in
 ``identification_check`` (no phase choice makes it global).
+
+Every grid check (``grid_report``, ``identification_check``,
+``s_unitarity``) is pointwise in (theta, phi), so the grid is evaluated
+GRID_BLOCK_ROWS theta rows at a time: a block's temporaries stay
+cache-sized, and from matcore.POOL_MIN_ROWS theta rows on, with more than
+one usable CPU, the blocks run in forked workers (matcore._map_blocks).
+``grid_report`` copies each block's four per-point rows into arrays
+allocated before the first block; the other checks reduce each block's
+sups with max, which is exact.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from .matcore import _map_blocks
 from .su2rep import EPS_LOWER, PAULI
 
 __all__ = [
@@ -59,6 +69,12 @@ SIGMA_T = np.stack([s.T for s in PAULI])
 A_PHASE = np.exp(-0.25j * np.pi)
 C_MINUS = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)  # i sigma_2
 ID_PHASE = np.exp(0.25j * np.pi)  # constant phase in the section/spinor match
+
+# theta rows per grid block: at n_phi = 512 a block's (rows, n_phi, 2, 2)
+# complex temporaries are 1 MiB, inside a core's L2, where the full grid's
+# are 8 MiB; blocks of one row cost more in per-block traffic than the other
+# cores save
+GRID_BLOCK_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -369,17 +385,35 @@ class IdentificationReport:
         }
 
 
-def identification_check(n, grid, h=1e-4, phi_window=0.02):
-    """Run the five identification checks on the interior of a grid.
+def _grid_blocks(grid, kernel, take):
+    """Call ``take(kernel(theta, phi))`` for the theta rows of ``grid``,
+    GRID_BLOCK_ROWS at a time and in order, with theta of shape (rows, 1)
+    and phi of shape (1, n_phi).  Every residual is pointwise (the central
+    differences shift the angle they pass, never reading a neighbouring
+    row), so the blocks are independent; they run through
+    matcore._map_blocks, in forked workers from POOL_MIN_ROWS theta rows
+    on.  ``kernel`` returns a float64 array, which ``take`` receives flat
+    from a worker."""
+    theta, phi = grid.theta, grid.phi[None, :]
 
-    ``n`` is the matrix size whose large-size limit is being probed; it
-    gates validity (n >= 2) and is recorded by callers, the residuals
-    themselves are classical.  The step-independent base quantities are
-    evaluated once and shared by every step size.
-    """
-    if n < 2:
-        raise ValueError("identification needs n >= 2")
-    theta, phi = grid.theta[:, None], grid.phi[None, :]
+    def block(index):
+        start = index * GRID_BLOCK_ROWS
+        return kernel(theta[start : start + GRID_BLOCK_ROWS, None], phi)
+
+    _map_blocks(block, -(-len(theta) // GRID_BLOCK_ROWS), len(theta), take)
+
+
+def _grid_sups(grid, kernel, count):
+    """Elementwise maxima over the blocks of the ``count`` sups that
+    ``kernel`` returns per block, as a list of floats."""
+    sups = np.full(count, -np.inf)
+    _grid_blocks(grid, kernel, lambda block: np.maximum(sups, block, out=sups))
+    return sups.tolist()
+
+
+def _identification_block(theta, phi, h, phi_window):
+    """The sups of one block: (a), (b) and (c) at ``h``, (d), (e), then (b)
+    and (c) at the two order-measuring steps."""
     x = unit_vector(theta, phi)
     u0 = _projected(theta, phi)
     g0 = section(x)
@@ -390,8 +424,7 @@ def identification_check(n, grid, h=1e-4, phi_window=0.02):
     # (a) coordinates from the projected spinor
     res_a = _sup(hopf_s2(u0) - x)
 
-    # (b), (c) finite-difference derivative laws, plus convergence order
-    # (orders measured at steps large enough that truncation beats roundoff)
+    # (b), (c) finite-difference derivative laws
     law_bt = 0.5j * _apply2(mth, u0)
     law_bp = 0.5j * _apply2(mph, u0)
     law_bc = 0.5j * np.cos(theta)[..., None] * u0
@@ -412,10 +445,6 @@ def identification_check(n, grid, h=1e-4, phi_window=0.02):
             res = max(res, _sup(defect - 1j * coeff[..., None] * a0))
         return res
 
-    h_ord = max(h, 2e-3)
-    order_b = float(np.log2(fd_b(h_ord) / fd_b(h_ord / 2)))
-    order_c = float(np.log2(fd_c(h_ord) / fd_c(h_ord / 2)))
-
     # (d) local phase match near phi = 0: the projected spinor equals the
     # aligned representative times exp(i phi cos(theta) / 2) and one fixed
     # constant phase
@@ -430,15 +459,68 @@ def identification_check(n, grid, h=1e-4, phi_window=0.02):
     # (e) d_a x_i from either derivative law: (i/2) v^dag [M_a, sigma~_i] v
     res_e = max(_sup(_dx_from_law(m, u0) - _dx_from_law(m, g0)) for m in (mth, mph))
 
-    return IdentificationReport(
-        coordinate=res_a,
-        projected_derivative=fd_b(h),
-        section_derivative=fd_c(h),
-        local_phase=res_d,
-        dx_agreement=res_e,
-        order_b=order_b,
-        order_c=order_c,
+    # orders are measured at steps large enough that truncation beats roundoff
+    h_ord = max(h, 2e-3)
+    return np.array(
+        [res_a, fd_b(h), fd_c(h), res_d, res_e,
+         fd_b(h_ord), fd_b(h_ord / 2), fd_c(h_ord), fd_c(h_ord / 2)]
     )
+
+
+def identification_check(n, grid, h=1e-4, phi_window=0.02):
+    """Run the five identification checks on the interior of a grid.
+
+    ``n`` is the matrix size whose large-size limit is being probed; it
+    gates validity (n >= 2) and is recorded by callers, the residuals
+    themselves are classical.  Each block of theta rows returns its sups
+    (_identification_block); the report holds their maxima, and the
+    convergence orders are taken from the maxima at the two order steps.
+    """
+    if n < 2:
+        raise ValueError("identification needs n >= 2")
+    a, b, c, d, e, b_ord, b_half, c_ord, c_half = _grid_sups(
+        grid, lambda theta, phi: _identification_block(theta, phi, h, phi_window), 9
+    )
+    return IdentificationReport(
+        coordinate=a,
+        projected_derivative=b,
+        section_derivative=c,
+        local_phase=d,
+        dx_agreement=e,
+        order_b=float(np.log2(b_ord / b_half)),
+        order_c=float(np.log2(c_ord / c_half)),
+    )
+
+
+def _report_block(theta, phi, h):
+    """The four per-point rows of one block, stacked in GRID_IDENTITIES
+    order: shape (4, rows, n_phi)."""
+    x = unit_vector(theta, phi)
+    s = s_matrix(theta, phi)
+    # S gamma_3 S^dag + x_i sigma_i^T vanishes pointwise; the sum is
+    # spelled out (entries 0, +-1, +-i: exact) so that no BLAS call is made
+    x_sigma_t = (
+        x[..., 0, None, None] * SIGMA_T[0]
+        + x[..., 1, None, None] * SIGMA_T[1]
+        + x[..., 2, None, None] * SIGMA_T[2]
+    )
+    g3 = _mul2(_mul2(s, SIGMA[2]), _dag2(s)) + x_sigma_t
+    return np.stack(
+        [
+            np.max(np.abs(hopf_s2(section(x)) - x), axis=-1),
+            np.max(np.abs(g3), axis=(-2, -1)),
+            np.max(np.abs(hopf_s2(_projected(theta, phi)) - x), axis=-1),
+            _killing_defect(theta, phi, h, richardson=True),
+        ]
+    )
+
+
+GRID_IDENTITIES = (
+    "hopf_section_roundtrip",
+    "gamma3_relation",
+    "spinor_coordinates",
+    "killing_equation",
+)
 
 
 def grid_report(grid, n=2, h=1e-4):
@@ -447,20 +529,33 @@ def grid_report(grid, n=2, h=1e-4):
 
     Covers the pointwise identities: chart round trip, the rotated gamma_3
     relation, coordinate reproduction from the projected spinor, and the
-    Killing equation (Richardson-extrapolated derivative).
+    Killing equation (Richardson-extrapolated derivative).  The arrays are
+    allocated before the first block is computed, so a grid too large to
+    hold them fails at once with MemoryError.
     """
-    theta, phi = grid.theta[:, None], grid.phi[None, :]
-    x = unit_vector(theta, phi)
-    s = s_matrix(theta, phi)
-    # S gamma_3 S^dag + x_i sigma_i^T vanishes pointwise
-    x_sigma_t = (x @ SIGMA_T.reshape(3, 4)).reshape(x.shape[:-1] + (2, 2))
-    g3 = _mul2(_mul2(s, SIGMA[2]), _dag2(s)) + x_sigma_t
-    return {
-        "hopf_section_roundtrip": np.max(np.abs(hopf_s2(section(x)) - x), axis=-1),
-        "gamma3_relation": np.max(np.abs(g3), axis=(-2, -1)),
-        "spinor_coordinates": np.max(np.abs(hopf_s2(_projected(theta, phi)) - x), axis=-1),
-        "killing_equation": _killing_defect(theta, phi, h, richardson=True),
-    }
+    n_theta, n_phi = len(grid.theta), len(grid.phi)
+    out = np.empty((len(GRID_IDENTITIES), n_theta, n_phi))
+    filled = 0
+
+    def take(block):
+        nonlocal filled
+        block = block.reshape(len(GRID_IDENTITIES), -1, n_phi)
+        out[:, filled : filled + block.shape[1]] = block
+        filled += block.shape[1]
+
+    _grid_blocks(grid, lambda theta, phi: _report_block(theta, phi, h), take)
+    return dict(zip(GRID_IDENTITIES, out))
+
+
+def s_unitarity(grid):
+    """Sup over the grid of |S S^dag - 1|, one block of theta rows at a time."""
+
+    def block(theta, phi):
+        s = s_matrix(theta, phi)
+        # einsum (no BLAS without optimize) rounds as the rows always have
+        return np.array([_sup(np.einsum("...ab,...cb->...ac", s, s.conj()) - np.eye(2))])
+
+    return _grid_sups(grid, block, 1)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -35,8 +35,9 @@ __all__ = [
 # float objects held at once cover a few blocks, not the matrix
 JSON_BLOCK_ROWS = 32
 
-# a bulk writer with fewer rows than this formats in process: forking the
-# workers (5-10 ms) would cost more than the other cores save
+# a block map (_map_blocks: the bulk writers, the geometry grid) over fewer
+# rows than this runs in process: forking the workers (5-10 ms) would cost
+# more than the other cores save
 POOL_MIN_ROWS = 128
 
 
@@ -153,59 +154,68 @@ def plain_json(obj):
     return [plain_json(value) for value in obj]
 
 
-def _send_blocks(format_block, indices, fd):
-    """Worker side of _write_blocks: write to the pipe ``fd`` one frame per
-    block, ``b"T"``, its length and its UTF-8 text, or, if formatting
-    raises, ``b"E"``, its length and the pickled exception."""
+def _send_blocks(block, indices, fd):
+    """Worker side of _map_blocks: write to the pipe ``fd`` one frame per
+    block, a tag, the payload length and the payload: ``b"T"`` and the UTF-8
+    text of a str block, ``b"F"`` and the raw bytes of a float64 array
+    block, or, if the block raises, ``b"E"`` and the pickled exception."""
     with open(fd, "wb") as pipe:
         try:
             for index in indices:
-                text = format_block(index).encode()
-                pipe.write(b"T" + len(text).to_bytes(8, "little"))
-                pipe.write(text)
+                result = block(index)
+                if isinstance(result, str):
+                    tag, payload = b"T", result.encode()
+                else:
+                    tag, payload = b"F", np.asarray(result, dtype=float).tobytes()
+                pipe.write(tag + len(payload).to_bytes(8, "little"))
+                pipe.write(payload)
         except Exception as exc:
             payload = pickle.dumps(exc)
             pipe.write(b"E" + len(payload).to_bytes(8, "little") + payload)
 
 
 def _receive_block(pipe):
-    """Parent side: the next block text from ``pipe``, or the worker's
-    exception raised here."""
+    """Parent side: the next block from ``pipe`` (a str, or a flat float64
+    array), or the worker's exception raised here."""
     head = pipe.read(9)
     size = int.from_bytes(head[1:], "little")
     body = pipe.read(size)
     if len(head) < 9 or len(body) < size:
-        raise OSError("a formatting worker died before sending its block")
+        raise OSError("a block worker died before sending its block")
     if head[:1] == b"E":
         raise pickle.loads(body)
+    if head[:1] == b"F":
+        return np.frombuffer(body)
     return body.decode()
 
 
-def _write_blocks(fh, format_block, n_blocks, rows):
-    """Write ``format_block(0)``, ..., ``format_block(n_blocks - 1)`` to
-    ``fh`` in order.
+def _map_blocks(block, n_blocks, rows, take):
+    """Call ``take(block(0))``, ..., ``take(block(n_blocks - 1))`` in order.
 
-    ``rows`` is the number of output rows the blocks cover.  From
-    POOL_MIN_ROWS rows on, with two blocks or more and more than one usable
-    CPU, the blocks are formatted in forked workers, one per CPU in
-    os.sched_getaffinity(0): worker ``w`` of ``k`` formats blocks ``w``,
+    ``block`` returns a str or a float64 array; from a worker an array
+    arrives flat (C order) and read-only, so ``take`` reshapes or copies it.
+    ``rows`` is the number of rows the blocks cover.  From POOL_MIN_ROWS
+    rows on, with two blocks or more and more than one usable CPU, the
+    blocks are computed in forked workers, one per CPU in
+    os.sched_getaffinity(0): worker ``w`` of ``k`` computes blocks ``w``,
     ``w + k``, ... and writes each to its own pipe, where it waits until it
     is read, so at most one block per worker is in flight.  Otherwise they
-    are formatted by a plain map in process.  The workers inherit
-    ``format_block`` and its data through the fork, and leave through
+    are computed by a plain map in process.  The workers inherit ``block``
+    and its data through the fork, call no BLAS, and leave through
     os._exit.  No thread is started, so no lock another thread holds is
-    inherited locked.  ``fh`` and the std streams are flushed before the
-    fork, so no buffered byte is held by two processes.  A worker's
-    exception is raised here, and a worker that dies is an OSError, not a
-    hang: closing the read ends stops the other workers, and every worker
-    is reaped before this returns or raises.
+    inherited locked.  The std streams are flushed before the fork, and
+    writers flush their own stream, so no buffered byte is held by two
+    processes.  A worker's exception is raised here, and a worker that dies
+    is an OSError, not a hang: closing the read ends stops the other
+    workers, and every worker is reaped before this returns or raises.
     """
     workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     if rows < POOL_MIN_ROWS or workers < 2 or n_blocks < 2:
-        fh.writelines(map(format_block, range(n_blocks)))
+        for index in range(n_blocks):
+            take(block(index))
         return
     workers = min(workers, n_blocks)
-    for stream in (fh, sys.stdout, sys.stderr):
+    for stream in (sys.stdout, sys.stderr):
         stream.flush()
     pipes = {}  # worker pid -> read end of its pipe
     try:
@@ -220,7 +230,7 @@ def _write_blocks(fh, format_block, n_blocks, rows):
                     for pipe in pipes.values():
                         pipe.close()
                     os.close(read_fd)
-                    _send_blocks(format_block, range(worker, n_blocks, workers), write_fd)
+                    _send_blocks(block, range(worker, n_blocks, workers), write_fd)
                     code = 0
                 finally:
                     os._exit(code)
@@ -228,12 +238,19 @@ def _write_blocks(fh, format_block, n_blocks, rows):
             pipes[pid] = open(read_fd, "rb")
         order = list(pipes.values())
         for index in range(n_blocks):
-            fh.write(_receive_block(order[index % workers]))
+            take(_receive_block(order[index % workers]))
     finally:
         for pipe in pipes.values():
             pipe.close()
         for pid in pipes:
             os.waitpid(pid, 0)
+
+
+def _write_blocks(fh, format_block, n_blocks, rows):
+    """Write the str blocks ``format_block(0)``, ... to ``fh`` in order
+    (_map_blocks); ``fh`` is flushed before any fork."""
+    fh.flush()
+    _map_blocks(format_block, n_blocks, rows, fh.write)
 
 
 def _matrix_block(a, index):

@@ -1,12 +1,34 @@
 """Test oracles: the dense N^2 x N^2 operators that the weight-frame kernels
 replace (the adjoint Laplacian and the fluctuation kinetic operator on
-row-major vectorized matrices), the closed-form kinetic levels, and the dense
+row-major vectorized matrices), the closed-form kinetic levels, the dense
 matrix helpers the compatibility relations and the superalgebra brackets are
 checked with (SVD pseudo-inverse, eigensolver square root, anticommutator,
-Frobenius distance)."""
+Frobenius distance), and the geometry grid checks evaluated over the whole
+grid at once, which the blocked ``grid_report`` and ``identification_check``
+replace."""
 
 import numpy as np
 
+from fuzzball import geometry
+from fuzzball.geometry import (
+    ID_PHASE,
+    SIGMA,
+    SIGMA_T,
+    IdentificationReport,
+    _aligned_section,
+    _apply2,
+    _central_difference,
+    _dag2,
+    _dx_from_law,
+    _killing_defect,
+    _mul2,
+    _projected,
+    _rotated_gamma,
+    _sup,
+    hopf_s2,
+    section,
+    unit_vector,
+)
 from fuzzball.matcore import DEFAULT_TOL, as_matrix, dagger, frobenius_norm
 from fuzzball.su2rep import EPS3
 
@@ -90,3 +112,72 @@ def kinetic_levels(n):
     ascending order, for l < n and j in {l - 1, l, l + 1} (only j = 1 at l = 0)."""
     pairs = [(l, j) for l in range(n) for j in (l - 1, l, l + 1) if j >= 0 and (l or j == 1)]
     return sorted((3 * l * (l + 1) + j * (j + 1) - 1.0, 2 * j + 1, l, j) for l, j in pairs)
+
+
+def grid_report(grid, h=1e-4):
+    """The four per-point residual arrays of ``geometry.grid_report``, each
+    evaluated over the whole (n_theta, n_phi) grid at once."""
+    theta, phi = grid.theta[:, None], grid.phi[None, :]
+    x = unit_vector(theta, phi)
+    s = geometry.s_matrix(theta, phi)
+    x_sigma_t = (x @ SIGMA_T.reshape(3, 4)).reshape(x.shape[:-1] + (2, 2))
+    g3 = _mul2(_mul2(s, SIGMA[2]), _dag2(s)) + x_sigma_t
+    return {
+        "hopf_section_roundtrip": np.max(np.abs(hopf_s2(section(x)) - x), axis=-1),
+        "gamma3_relation": np.max(np.abs(g3), axis=(-2, -1)),
+        "spinor_coordinates": np.max(np.abs(hopf_s2(_projected(theta, phi)) - x), axis=-1),
+        "killing_equation": _killing_defect(theta, phi, h, richardson=True),
+    }
+
+
+def s_unitarity(grid):
+    """sup |S S^dag - 1| over the whole grid at once."""
+    s = geometry.s_matrix(grid.theta[:, None], grid.phi[None, :])
+    return float(np.max(np.abs(np.einsum("...ab,...cb->...ac", s, s.conj()) - np.eye(2))))
+
+
+def identification_check(grid, h=1e-4, phi_window=0.02):
+    """``geometry.identification_check`` with every check evaluated over the
+    whole grid at once."""
+    theta, phi = grid.theta[:, None], grid.phi[None, :]
+    x = unit_vector(theta, phi)
+    u0 = _projected(theta, phi)
+    g0 = section(x)
+    a0 = _aligned_section(theta, phi)
+    a0c = a0.conj()
+    mth, mph = _rotated_gamma(theta, phi)
+    res_a = _sup(hopf_s2(u0) - x)
+    law_bt = 0.5j * _apply2(mth, u0)
+    law_bp = 0.5j * _apply2(mph, u0)
+    law_bc = 0.5j * np.cos(theta)[..., None] * u0
+    law_c = (0.5j * _apply2(mth, a0), 0.5j * _apply2(mph, a0))
+
+    def fd_b(step):
+        dth, dph = _central_difference(_projected, theta, phi, step)
+        return max(_sup(dth + law_bt), _sup(dph + law_bp - law_bc))
+
+    def fd_c(step):
+        res = 0.0
+        for d, law in zip(_central_difference(_aligned_section, theta, phi, step), law_c):
+            defect = d + law
+            coeff = np.imag(a0c[..., 0] * defect[..., 0] + a0c[..., 1] * defect[..., 1])
+            res = max(res, _sup(defect - 1j * coeff[..., None] * a0))
+        return res
+
+    h_ord = max(h, 2e-3)
+    phis = np.linspace(-phi_window, phi_window, 9)[None, :]
+    match = (
+        ID_PHASE
+        * np.exp(0.5j * phis * np.cos(theta))[..., None]
+        * _aligned_section(theta, phis)
+    )
+    res_e = max(_sup(_dx_from_law(m, u0) - _dx_from_law(m, g0)) for m in (mth, mph))
+    return IdentificationReport(
+        coordinate=res_a,
+        projected_derivative=fd_b(h),
+        section_derivative=fd_c(h),
+        local_phase=_sup(_projected(theta, phis) - match),
+        dx_agreement=res_e,
+        order_b=float(np.log2(fd_b(h_ord) / fd_b(h_ord / 2))),
+        order_c=float(np.log2(fd_c(h_ord) / fd_c(h_ord / 2))),
+    )

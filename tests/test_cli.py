@@ -7,6 +7,7 @@ import sys
 import time
 import tracemalloc
 
+import dense_oracles
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -512,10 +513,12 @@ def test_verify_grid_needs_geometry(capsys):
 
 
 def test_out_of_memory_is_a_usage_error(monkeypatch, capsys):
-    def exhausted(grid, n=2):
-        raise MemoryError("Unable to allocate 74.5 GiB for an array with shape (100000, 100000)")
+    # grid_report allocates its arrays before the first block: a grid too
+    # large to hold them fails there, before any block runs
+    def block(theta, phi, h):
+        raise AssertionError("a grid block ran before the arrays were allocated")
 
-    monkeypatch.setattr(geometry, "grid_report", exhausted)
+    monkeypatch.setattr(geometry, "_report_block", block)
     assert run(["verify", "--suite", "geometry", "--grid", "100000x100000"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: out of memory: Unable to allocate")
@@ -560,7 +563,7 @@ def _killed(index):
 @pytest.mark.parametrize(
     "failure, message",
     [(_out_of_memory, "error: out of memory: no room for block"),
-     (_killed, "error: a formatting worker died")],
+     (_killed, "error: a block worker died")],
 )
 def test_worker_failure_is_a_usage_error(tmp_path, capsys, forks, monkeypatch, deadline,
                                          failure, message):
@@ -582,3 +585,54 @@ def test_worker_failure_is_a_usage_error(tmp_path, capsys, forks, monkeypatch, d
     # no worker forked for the second matrix; the forks fixture checks that
     # the three were reaped
     assert len(forks) == 3
+
+
+@pytest.mark.parametrize(
+    "failure, message",
+    [(_out_of_memory, "error: out of memory: no room for block"),
+     (_killed, "error: a block worker died")],
+)
+def test_grid_worker_failure_is_a_usage_error(tmp_path, capsys, forks, monkeypatch, deadline,
+                                              failure, message):
+    # as for the writers: three workers, only the first block fails, and the
+    # other workers are blocked writing 512 KiB blocks (more than a pipe
+    # holds) until the parent closes its read ends
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    parent = os.getpid()
+    first = geometry.SphereGrid.make(160, 512).theta[0]
+    report_block = geometry._report_block
+
+    def failing(theta, phi, h):
+        if os.getpid() != parent and theta[0, 0] == first:
+            failure(0)
+        return report_block(theta, phi, h)
+
+    monkeypatch.setattr(geometry, "_report_block", failing)
+    out = tmp_path / "geo.json"
+    args = ["verify", "--suite", "geometry", "--grid", "160x512", "--n-list", "2"]
+    assert run(args + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(message)
+    assert not out.exists()
+    # grid_report failed, so no other grid pass forked; the forks fixture
+    # checks that the three were reaped
+    assert len(forks) == 3
+
+
+def test_verify_geometry_rows_equal_full_grid_oracles(tmp_path):
+    # the blocked passes (pooled on a multi-CPU host) reduce with max, which
+    # is exact: every grid row equals the full-grid oracle's value
+    out = tmp_path / "geo.json"
+    args = ["verify", "--suite", "geometry", "--grid", "256x512", "--n-list", "2"]
+    assert run(args + ["--out", str(out)]) == 0
+    rows = {r["name"]: r["residual"] for r in json.loads(out.read_text())["results"]}
+    grid = geometry.SphereGrid.make(256, 512)
+    residuals = dense_oracles.grid_report(grid)
+    for name in GRID_ROWS:
+        assert rows[name] == float(np.max(residuals[name])), name
+    assert rows["s_unitarity"] == dense_oracles.s_unitarity(grid)
+    rep = dense_oracles.identification_check(grid)
+    assert rows["identification_coordinate"] == rep.coordinate
+    assert rows["identification_local_phase"] == rep.local_phase
+    assert rows["identification_dx"] == rep.dx_agreement
+    assert rows["identification_order_b"] == abs(rep.order_b - 2.0)
+    assert rows["identification_order_c"] == abs(rep.order_c - 2.0)

@@ -1,11 +1,17 @@
+import dataclasses
+
+import dense_oracles
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from fuzzball import geometry
+from fuzzball import geometry, matcore
 from fuzzball.geometry import (
     C_MINUS,
     EPS_LOWER,
+    GRID_BLOCK_ROWS,
     SphereGrid,
     gamma_so5,
     gamma_so9,
@@ -23,6 +29,7 @@ from fuzzball.geometry import (
     rotation_reality_residual,
     s8_inversion,
     s_matrix,
+    s_unitarity,
     section,
     spinor_dual,
     unit_vector,
@@ -394,3 +401,39 @@ def test_grid_report_arrays():
         point = killing_equation_residual(tt[i, j], pp[i, j], extrapolate=True)
         assert abs(res["killing_equation"][i, j] - point) < 1e-15
     assert np.max(res["killing_equation"]) == killing_equation_residual(tt, pp, extrapolate=True)
+
+
+EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize(
+    "pool_min_rows", [matcore.POOL_MIN_ROWS, 1], ids=["in_process", "pooled"]
+)
+@settings(
+    max_examples=12, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(n_theta=st.integers(2, 80), n_phi=st.integers(2, 40))
+@example(n_theta=GRID_BLOCK_ROWS, n_phi=7)
+@example(n_theta=GRID_BLOCK_ROWS + 1, n_phi=5)
+@example(n_theta=80, n_phi=40)
+def test_blocked_grid_checks_match_full_grid_oracles(
+    forks, monkeypatch, pool_min_rows, n_theta, n_phi
+):
+    # numpy's SIMD complex loops may round a point differently by its
+    # position in the array, so blocks agree with the whole grid to a few eps
+    monkeypatch.setattr(matcore, "POOL_MIN_ROWS", pool_min_rows)
+    forked = len(forks)
+    grid = SphereGrid.make(n_theta, n_phi)
+    res = grid_report(grid)
+    ref = dense_oracles.grid_report(grid)
+    assert list(res) == list(ref)
+    for name, arr in ref.items():
+        assert res[name].shape == arr.shape and res[name].dtype == float
+        assert np.max(np.abs(res[name] - arr)) <= 4 * EPS, name
+    rep = dataclasses.asdict(identification_check(2, grid))
+    for field, value in dataclasses.asdict(dense_oracles.identification_check(grid)).items():
+        assert abs(rep[field] - value) <= 4 * EPS, field
+    assert abs(s_unitarity(grid) - dense_oracles.s_unitarity(grid)) <= 4 * EPS
+    # three grid passes, each on two workers once there are two blocks
+    pooled = n_theta >= pool_min_rows and n_theta > GRID_BLOCK_ROWS
+    assert len(forks) - forked == (3 * 2 if pooled else 0)
