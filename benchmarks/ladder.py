@@ -66,7 +66,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEFAULT_SRC = os.path.join(ROOT, "src")
 SIZES = [16, 32, 64, 128, 256, 512]
 SPECTRA_SIZES = [16, 32, 64, 128, 256]
-DECOMPOSE_SIZES = [16, 32, 64, 128]
+DECOMPOSE_SIZES = [16, 32, 64, 128, 256]
 GRID_SIZES = ["64x128", "128x256", "256x512"]
 ROUNDS = 2
 REPEATS = 4

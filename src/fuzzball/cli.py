@@ -390,10 +390,11 @@ def cmd_verify(args):
 def cmd_spectrum(args):
     if args.which == "laplacian":
         ev = spectra.fuzzy_laplacian_spectrum(irrep(args.n))
-        rows = [
-            [f"{ev[i]:.12g}", j - i, "scalar"] for i, j in spectra.group_eigenvalues(ev)
-        ]
-        _write_csv(args.out, ["eigenvalue", "multiplicity", "family"], rows)
+        # level l is the sorted ev[l^2 : (l+1)^2], 2l + 1 values at 4l(l+1)
+        scale = max(4 * args.n * (args.n - 1), 1)
+        res = [np.max(np.abs(ev[l * l : (l + 1) ** 2] - 4 * l * (l + 1))) for l in range(args.n)]
+        rows = [[4 * l * (l + 1), 2 * l + 1, l, f"{r / scale:.3e}"] for l, r in enumerate(res)]
+        _write_csv(args.out, ["eigenvalue", "multiplicity", "l", "residual"], rows)
         return 0
     if args.which == "kinetic":
         ks = spectra.scalar_kinetic_spectrum(irrep(args.n))
@@ -501,7 +502,9 @@ def build_parser():
     spect = sub.add_parser(
         "spectrum",
         help="spectra as CSV",
-        epilog="laplacian columns: eigenvalue, multiplicity, family. kinetic columns: "
+        epilog="laplacian columns: eigenvalue, multiplicity, l, residual: one row per "
+        "level 4l(l+1) (multiplicity 2l+1), with the largest distance of its eigenvalues "
+        "from it relative to the top level 4N(N-1). kinetic columns: "
         "eigenvalue, multiplicity, l, j, residual: one row per level "
         "3l(l+1) + j(j+1) - 1 (multiplicity 2j+1), with the largest ||Kv - lambda v|| "
         "of its coupled vectors relative to the top level.",

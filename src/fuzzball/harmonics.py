@@ -15,9 +15,9 @@ together with U; indexing builds one dense U D U^dag and keeps it.  J_3 is
 diagonal there and J_+- bidiagonal, so the Laplacian's tridiagonal block on
 each diagonal and the ad(J_k) maps between diagonals are read off those bands
 in O(N), with no matrix product.  Decompositions and reconstructions work on
-the diagonals of U^dag A U: O(N^3) per call, except the bifundamental fit,
-which solves one least-squares system of size about 2(N-|m|) x (N-|m|) per
-m and per diagonal, its columns scalings of the stored vectors.
+the diagonals of U^dag A U: O(N^3) per call, the bifundamental fit too: its
+columns are scalings of the stored vectors, fitted in closed form by one
+projection per m and one Woodbury solve per diagonal.
 
 Basis convention: the top element of each ladder is
 
@@ -277,8 +277,8 @@ def decompose_bifundamental(r1, r2, sol, basis=None):
 
     Both fits run with the left index in the weight frame, where Y_lm g^1
     lies on the row - column = m diagonal and Y_lm g^2 on m - 1: the trace
-    fit splits into one small system per m and the traceless fit into one
-    per diagonal.  Any left dressing is accepted, but the fit assumes the
+    fit is a projection per m and the traceless fit a Woodbury solve per
+    diagonal.  Any left dressing is accepted, but the fit assumes the
     canonical right gauge (g^b e_1 = 0, right index in ``ground_state``
     order): a non-solution or g^b e_1 != 0 raises ValueError before fitting,
     any other right dressing fails the reconstruction check.
@@ -309,52 +309,59 @@ def decompose_bifundamental(r1, r2, sol, basis=None):
     h1 = np.sum(u.conj() * g[0], axis=0)
     h2 = np.sum(u[:, :-1].conj() * g[1][:, 1:], axis=0)
 
-    # columns Y_lm g^1 (m diagonal) and Y_lm g^2 (m - 1 diagonal), l = |m|..N-2, the
+    # columns Y_lm g^1 (m diagonal) and Y_lm g^2 (m - 1 diagonal), l = |m|..N-1, the
     # stored vectors scaled: E_pq h^2 = h^2[q, q + 1] E_{p, q + 1} moves one row
-    # down for m > 0 and drops the last row for m <= 0
-    top = n - 2
+    # down for m > 0 and drops the last row for m <= 0; the modes are l <= N-2
     p1, p2 = {}, {}
-    for m in range(-top, top + 1):
-        ys = basis.diagonals[m][: n - 1 - abs(m)].T
+    for m in range(1 - n, n):
+        ys = basis.diagonals[m].T
         q = _diagonal_index(n, m)[1]
         p1[m] = h1[q, None] * ys
         band = h2[q[: n - abs(m) - (m <= 0)], None]
         p2[m] = np.concatenate([np.zeros((int(m > 0), ys.shape[1])), band * ys[: band.size]])
 
     # shared trace fit: rows (a=1, diagonal m) and (a=2, diagonal m-1) meet
-    # only the columns of that m
-    r_coeffs = {}
-    for m in range(-top, top + 1):
+    # only the columns of that m, whose Gram is N(N-1) I (|h^1_qq|^2 +
+    # |h^2_{q,q+1}|^2 = N - 1, stored vectors orthogonal of norm^2 N): a projection
+    r_m = {}
+    for m in range(2 - n, n - 1):
         i1, i2 = _diagonal_index(n, m), _diagonal_index(n, m - 1)
-        amat = np.vstack([p1[m], p2[m]])
-        rhs = np.concatenate([rem[0][i1], rem[1][i2]])
-        x, *_ = np.linalg.lstsq(amat, rhs, rcond=None)
-        rem[0][i1] -= p1[m] @ x
-        rem[1][i2] -= p2[m] @ x
-        r_coeffs.update(((abs(m) + i, m), c) for i, c in enumerate(x))
+        a1, a2 = p1[m][:, :-1], p2[m][:, :-1]
+        r_m[m] = (a1.conj().T @ rem[0][i1] + a2.conj().T @ rem[1][i2]) / (n * (n - 1))
+        rem[0][i1] -= a1 @ r_m[m]
+        rem[1][i2] -= a2 @ r_m[m]
 
     # traceless remainder, one system per diagonal c with both rows a as
-    # right-hand sides: columns Y_{l,c} g^1 and Y_{l,c+1} g^2
-    s_full = {key: np.zeros((2, 2), dtype=complex) for key in r_coeffs}
-    for c in range(-(n - 1), n):
+    # right-hand sides, A = [Y_{l,c} g^1, Y_{l,c+1} g^2]: with the l = N-1
+    # columns E, A A^H + E E^H = N^2 off the zero edge row, so the minimum-norm
+    # fit is A^H z, z = (b + E w) / N^2 with (N^2 - E^H E) w = E^H b (Woodbury),
+    # refined once as the gap N^2 - ||E||^2 is only of order N
+    s_m = {m: np.zeros((n - 1 - abs(m), 2, 2), dtype=complex) for m in p1}
+    for c in range(1 - n, n):
         parts = [(p[m], m, b) for p, m, b in ((p1, c, 0), (p2, c + 1, 1)) if m in p]
-        if not parts:
-            continue
+        amat = np.hstack([cols[:, :-1] for cols, _, _ in parts])
+        ah = amat.conj().T
+        e = np.hstack([cols[:, -1:] for cols, _, _ in parts])
+        w = np.linalg.solve(n * n * np.eye(e.shape[1]) - e.conj().T @ e, e.conj().T)
         idx = _diagonal_index(n, c)
-        amat = np.hstack([cols for cols, _, _ in parts])
         rhs = np.stack([rem[0][idx], rem[1][idx]], axis=1)
-        x, *_ = np.linalg.lstsq(amat, rhs, rcond=None)
+        z = np.zeros_like(rhs)
+        for _ in range(2):
+            res = rhs - amat @ (ah @ z)
+            z += (res + e @ (w @ res)) / (n * n)
+        x = ah @ z
         i = 0
-        for cols, m, b in parts:
-            for j in range(cols.shape[1]):
-                s_full[(abs(m) + j, m)][:, b] = x[i + j]
-            i += cols.shape[1]
+        for _, m, b in parts:
+            s_m[m][:, :, b] = x[i : i + len(s_m[m])]  # s_m[m][j, a, b]: s_ab of (|m| + j, m)
+            i += len(s_m[m])
     # enforce tracelessness by shifting any residual trace into r
-    s_coeffs = {}
-    for key, mat in s_full.items():
-        tr = (mat[0, 0] + mat[1, 1]) / 2
-        r_coeffs[key] = r_coeffs[key] + tr
-        s_coeffs[key] = mat - tr * np.eye(2)
+    r_coeffs, s_coeffs = {}, {}
+    for m, x in r_m.items():
+        tr = (s_m[m][:, 0, 0] + s_m[m][:, 1, 1]) / 2
+        s_m[m] -= tr[:, None, None] * np.eye(2)
+        keys = [(abs(m) + i, m) for i in range(len(tr))]
+        r_coeffs.update(zip(keys, x + tr))
+        s_coeffs.update(zip(keys, s_m[m]))
 
     modes = BifundamentalModes(r_coeffs=r_coeffs, s_coeffs=s_coeffs, t_coeffs=t, residual=0.0)
     rec = reconstruct_bifundamental(modes, sol, basis)

@@ -25,7 +25,6 @@ from .su2rep import EPS3, PAULI, irrep
 
 __all__ = [
     "fuzzy_laplacian_spectrum",
-    "group_eigenvalues",
     "commutator_decay",
     "scalar_kinetic_spectrum",
     "KineticSpectrum",
@@ -50,21 +49,6 @@ def fuzzy_laplacian_spectrum(rep):
     _, gens = _weight_frame(rep)
     blocks = [np.linalg.eigvalsh(_laplacian_block(gens, m)) for m in range(1 - n, n)]
     return np.sort(np.concatenate(blocks))
-
-
-def group_eigenvalues(ev, tol=1e-8):
-    """[(start, stop)] runs of sorted eigenvalues that count as one level: a
-    value joins the run while it lies within tol * max(1, |first|) of the
-    run's first value."""
-    runs = []
-    i = 0
-    while i < len(ev):
-        j = i + 1
-        while j < len(ev) and abs(ev[j] - ev[i]) < tol * max(1.0, abs(ev[i])):
-            j += 1
-        runs.append((i, j))
-        i = j
-    return runs
 
 
 def commutator_decay(n_list):

@@ -1,6 +1,7 @@
 """Test oracles: the dense N^2 x N^2 operators that the weight-frame kernels
 replace (the adjoint Laplacian and the fluctuation kinetic operator on
-row-major vectorized matrices), the closed-form kinetic levels, the dense
+row-major vectorized matrices), the closed-form kinetic levels, the grouping
+of measured eigenvalues into levels by a tolerance, the dense
 matrix helpers the compatibility relations and the superalgebra brackets are
 checked with (SVD pseudo-inverse, eigensolver square root, anticommutator,
 Frobenius distance), and the geometry grid checks evaluated over the whole
@@ -112,6 +113,21 @@ def kinetic_levels(n):
     ascending order, for l < n and j in {l - 1, l, l + 1} (only j = 1 at l = 0)."""
     pairs = [(l, j) for l in range(n) for j in (l - 1, l, l + 1) if j >= 0 and (l or j == 1)]
     return sorted((3 * l * (l + 1) + j * (j + 1) - 1.0, 2 * j + 1, l, j) for l, j in pairs)
+
+
+def group_eigenvalues(ev, tol=1e-8):
+    """[(start, stop)] runs of sorted eigenvalues that count as one level: a
+    value joins the run while it lies within tol * max(1, |first|) of the
+    run's first value."""
+    runs = []
+    i = 0
+    while i < len(ev):
+        j = i + 1
+        while j < len(ev) and abs(ev[j] - ev[i]) < tol * max(1.0, abs(ev[i])):
+            j += 1
+        runs.append((i, j))
+        i = j
+    return runs
 
 
 def grid_report(grid, h=1e-4):

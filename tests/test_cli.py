@@ -175,10 +175,24 @@ def test_spectrum_laplacian(tmp_path):
     out = tmp_path / "s.csv"
     assert run(["spectrum", "laplacian", "--n", "3", "--out", str(out)]) == 0
     rows = list(csv.reader(out.read_text().splitlines()))
-    assert rows[0] == ["eigenvalue", "multiplicity", "family"]
+    assert rows[0] == ["eigenvalue", "multiplicity", "l", "residual"]
     mults = [int(r[1]) for r in rows[1:]]
     assert mults == [1, 3, 5]
     assert abs(float(rows[2][0]) - 8.0) < 1e-9
+
+
+def test_spectrum_laplacian_prints_exact_levels(tmp_path):
+    # each row is the exact level 4l(l+1), so l = 0 reads 0 and not the
+    # rounding noise of its measured eigenvalue; the residual carries that
+    n = 16
+    out = tmp_path / "s.csv"
+    assert run(["spectrum", "laplacian", "--n", str(n), "--out", str(out)]) == 0
+    rows = list(csv.reader(out.read_text().splitlines()))
+    assert rows[0] == ["eigenvalue", "multiplicity", "l", "residual"]
+    assert [r[:3] for r in rows[1:]] == [
+        [str(4 * l * (l + 1)), str(2 * l + 1), str(l)] for l in range(n)
+    ]
+    assert all(0.0 <= float(r[3]) < 1e-14 for r in rows[1:])
 
 
 def test_spectrum_kinetic_large_size(tmp_path):

@@ -13,6 +13,7 @@ import pytest
 from dense_oracles import (
     ad_matrix,
     adjoint_laplacian_matrix,
+    group_eigenvalues,
     kinetic_levels,
     scalar_kinetic_matrix,
 )
@@ -38,7 +39,6 @@ from fuzzball.spectra import (
     _coupled_block,
     _kinetic_block,
     fuzzy_laplacian_spectrum,
-    group_eigenvalues,
     mode_convergence,
     scalar_kinetic_spectrum,
     symbol_map,
@@ -228,6 +228,85 @@ def test_decompose_matches_dense_lstsq(n):
         for key in r_ref:
             assert abs(modes.r_coeffs[key] - r_ref[key]) < 1e-10
             assert np.max(np.abs(modes.s_coeffs[key] - s_ref[key])) < 1e-10
+
+
+def random_pair(n, rng):
+    return [rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for _ in range(2)]
+
+
+def plain_or_left_dressed(n, seed, dressed):
+    sol = ground_state(n)
+    if dressed:
+        sol = gauge_dress(sol, random_unitary(n, np.random.default_rng(seed)), np.eye(n))
+    return sol, build_basis(su2_from_bilinears(bilinears(sol), partition=(n,)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(min_value=1, max_value=24), seed=st.integers(0, 2**32 - 1),
+       dressed=st.booleans())
+def test_bifundamental_fit_structure(n, seed, dressed):
+    # the identities the closed-form fit rests on, from dense products:
+    # W_lm^b = U^dag Y_lm g^b lies on diagonal m (b = 1) or m - 1 (b = 2);
+    # the trace columns (W_lm^1, W_lm^2), l <= N-2, have Gram N(N-1) I; and on
+    # each diagonal c all columns W_{l,c}^1, W_{l,c+1}^2 (l <= N-1) have
+    # A A^H = N^2 except on the edge entry (column 0), where they vanish
+    sol, basis = plain_or_left_dressed(n, seed, dressed)
+    u, g = basis.frame, sol.matrices
+    keys = basis.keys()
+    w = {(k, b): dagger(u) @ basis[k] @ g[b] for k in keys for b in range(2)}
+    for (k, b), x in w.items():
+        rows, cols = _diagonal_index(n, k[1] - b)
+        off = x.copy()
+        off[rows, cols] = 0.0
+        assert np.max(np.abs(off)) < 1e-13 * n
+    fit = [k for k in keys if k[0] <= n - 2]
+    cols = np.array([np.concatenate([w[k, 0].ravel(), w[k, 1].ravel()]) for k in fit]).T
+    gram = cols.conj().T @ cols - n * (n - 1) * np.eye(len(fit))
+    assert np.max(np.abs(gram), initial=0.0) <= 1e-13 * n * (n - 1)
+    for c in range(1 - n, n):
+        rows, q = _diagonal_index(n, c)
+        amat = np.array(
+            [w[k, b][rows, q] for k in keys for b in range(2) if k[1] - b == c]
+        ).T
+        ref = n * n * np.diag((q != 0).astype(float))
+        assert np.max(np.abs(amat @ amat.conj().T - ref)) < 1e-13 * n * n
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(min_value=1, max_value=24), seed=st.integers(0, 2**32 - 1),
+       dressed=st.booleans())
+def test_decompose_matches_dense_lstsq_property(n, seed, dressed):
+    sol, basis = plain_or_left_dressed(n, seed, dressed)
+    r1, r2 = random_pair(n, np.random.default_rng(seed))
+    modes = decompose_bifundamental(r1, r2, sol, basis=basis)
+    assert np.array_equal(modes.t_coeffs, np.stack([r1[:, 0], r2[:, 0]]))
+    if n == 1:
+        assert modes.r_coeffs == {} == modes.s_coeffs
+        return
+    r_ref, s_ref = dense_decompose(r1, r2, sol, basis)
+    assert set(modes.r_coeffs) == set(r_ref) == set(modes.s_coeffs) == set(s_ref)
+    scale = max([abs(c) for c in r_ref.values()] + [np.max(np.abs(x)) for x in s_ref.values()])
+    for key in r_ref:
+        assert abs(modes.r_coeffs[key] - r_ref[key]) <= 1e-12 * scale
+        assert np.max(np.abs(modes.s_coeffs[key] - s_ref[key])) <= 1e-12 * scale
+
+
+def test_decompose_uses_no_least_squares_solver(monkeypatch):
+    n = 9
+    for sol in doublets(n):
+        basis = build_basis(su2_from_bilinears(bilinears(sol), partition=(n,)))
+        r1, r2 = random_pair(n, np.random.default_rng(n))
+        r_ref, s_ref = dense_decompose(r1, r2, sol, basis)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.lstsq called")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "lstsq", refuse)
+            modes = decompose_bifundamental(r1, r2, sol, basis=basis)
+        for key in r_ref:
+            assert abs(modes.r_coeffs[key] - r_ref[key]) < 1e-12
+            assert np.max(np.abs(modes.s_coeffs[key] - s_ref[key])) < 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
