@@ -49,7 +49,7 @@ from .harmonics import (
     reconstruct_bifundamental,
     reconstruct_ubar,
 )
-from .matcore import Tolerance, dagger
+from .matcore import dagger
 from .spectra import (
     commutator_decay,
     dirac_square_check,

@@ -19,7 +19,6 @@ import numpy as np
 
 from .grvv import GrvvSolution, grvv_residual, require_solution
 from .matcore import (
-    DEFAULT_TOL,
     as_matrix,
     commutator,
     dagger,
@@ -167,7 +166,7 @@ def su2_to_grvv(rep):
     return Su2ToGrvvResult(solution=sol, ghat1=ghat1, ghat2=ghat2, residuals=residuals)
 
 
-def compatibility_residual(rep, u, tol=DEFAULT_TOL):
+def compatibility_residual(rep, u, tol=1e-10):
     """Joint residual of the two compatibility relations for a given unitary.
 
     With Uhat = T U Ttilde^+ the first relation is tested as unitarity of
@@ -203,7 +202,8 @@ class RoundTripReport:
         )
 
     def worst(self):
-        return max(res for _, res in self.steps)
+        # np.max keeps a NaN step, which the builtin max drops unless it comes first
+        return float(np.max([res for _, res in self.steps]))
 
     def to_json(self):
         return {

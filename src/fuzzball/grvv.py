@@ -12,12 +12,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .matcore import (
-    DEFAULT_TOL,
     as_matrix,
     dagger,
     frobenius_norm,
     is_unitary,
     matrix_from_json,
+    max_frobenius,
     plain_json,
 )
 
@@ -127,7 +127,7 @@ def block_solution(partition):
     return GrvvSolution(g1=g1, g2=g2, partition=partition)
 
 
-def gauge_dress(sol, u, uhat, tol=DEFAULT_TOL):
+def gauge_dress(sol, u, uhat, tol=1e-10):
     """Apply g^a -> u . g^a . uhat^dagger with unitary u, uhat."""
     u = as_matrix(u)
     uhat = as_matrix(uhat)
@@ -150,10 +150,7 @@ def grvv_residual(sol):
     gd = sol.daggers
     right = gd[0] @ g[0] + gd[1] @ g[1]
     left = g[0] @ gd[0] + g[1] @ gd[1]
-    res = 0.0
-    for a in range(2):
-        res = max(res, frobenius_norm(g[a] - (g[a] @ right - left @ g[a])))
-    return res
+    return max_frobenius(g[a] - (g[a] @ right - left @ g[a]) for a in range(2))
 
 
 def require_solution(sol, tol=1e-8):
@@ -161,7 +158,7 @@ def require_solution(sol, tol=1e-8):
     times max(1, ||g^1|| + ||g^2||)."""
     res = grvv_residual(sol)
     scale = max(1.0, frobenius_norm(sol.g1) + frobenius_norm(sol.g2))
-    if res > tol * scale:
+    if not res <= tol * scale:
         raise ValueError(f"input does not solve the cubic equation (residual {res:.3e})")
     return res
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .grvv import require_solution
-from .matcore import dagger, frobenius_norm
+from .matcore import as_matrix, dagger, frobenius_norm, max_frobenius
 from .su2rep import Su2Representation, irrep, weight_frame
 
 __all__ = [
@@ -293,7 +293,7 @@ def decompose_bifundamental(r1, r2, sol, basis=None):
     n = sol.size
     if basis is None:
         basis = _default_basis(sol)
-    r = [np.asarray(r1, dtype=complex), np.asarray(r2, dtype=complex)]
+    r = [as_matrix(r1), as_matrix(r2)]
     for m in r:
         if m.shape != (n, n):
             raise ValueError(f"expected {n}x{n} fluctuation matrices")
@@ -365,8 +365,8 @@ def decompose_bifundamental(r1, r2, sol, basis=None):
 
     modes = BifundamentalModes(r_coeffs=r_coeffs, s_coeffs=s_coeffs, t_coeffs=t, residual=0.0)
     rec = reconstruct_bifundamental(modes, sol, basis)
-    residual = max(frobenius_norm(rec[a] - r[a]) for a in range(2))
-    if residual > 1e-8 * max(1.0, max(frobenius_norm(m) for m in r)):
+    residual = max_frobenius(rec[a] - r[a] for a in range(2))
+    if not residual <= 1e-8 * max(1.0, max(frobenius_norm(m) for m in r)):
         raise ArithmeticError(
             f"mode reconstruction residual {residual:.3e}: the fit assumes the canonical "
             "right gauge (g^b e_1 = 0, right index in ground-state order), which this "

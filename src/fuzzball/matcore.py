@@ -8,20 +8,19 @@ else is a pure function of its inputs.
 
 import itertools
 import json
+import math
 import os
 import pickle
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "Tolerance",
-    "DEFAULT_TOL",
     "as_matrix",
     "dagger",
     "commutator",
     "frobenius_norm",
+    "max_frobenius",
     "spectral_norm",
     "is_unitary",
     "random_unitary",
@@ -39,21 +38,6 @@ JSON_BLOCK_ROWS = 32
 # rows than this runs in process: forking the workers (5-10 ms) would cost
 # more than the other cores save
 POOL_MIN_ROWS = 128
-
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Relative/absolute comparison thresholds used across the library."""
-
-    relative: float = 1e-10
-    absolute: float = 1e-12
-
-    def __post_init__(self):
-        if self.relative <= 0 or self.absolute <= 0:
-            raise ValueError("tolerances must be strictly positive")
-
-
-DEFAULT_TOL = Tolerance()
 
 
 def as_matrix(obj):
@@ -81,16 +65,24 @@ def frobenius_norm(a):
     return float(np.linalg.norm(a))
 
 
+def max_frobenius(mats):
+    """max_k ||mats_k||_F, NaN if any norm is NaN (the builtin max alone drops
+    a NaN that does not come first)."""
+    norms = [frobenius_norm(m) for m in mats]
+    return math.nan if any(map(math.isnan, norms)) else max(norms)
+
+
 def spectral_norm(a):
     return float(np.linalg.norm(a, 2))
 
 
-def is_unitary(a, tol=DEFAULT_TOL):
+def is_unitary(a, tol=1e-10):
+    """||a^dag a - 1||_F <= tol * n for a square n x n matrix."""
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         return False
     n = a.shape[0]
-    return frobenius_norm(dagger(a) @ a - np.eye(n)) <= tol.relative * n
+    return frobenius_norm(dagger(a) @ a - np.eye(n)) <= tol * n
 
 
 def random_unitary(n, rng):

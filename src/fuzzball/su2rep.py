@@ -10,10 +10,11 @@ Index conventions (used verbatim across the library):
     Jbar_i = sum_{a,b} sigma_i[b, a] jbar[a][b]
 
 i.e. both contractions use the transposed Pauli matrices; for Jbar the
-dagger factor sits on the left.
+dagger factor sits on the left.  jmat[1][0] and jbar[1][0] are the exact
+adjoints of jmat[0][1] and jbar[0][1], so J_1, J_2 and their barred pair are
+exactly Hermitian; the evaluators rely on that pairing.
 """
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +25,7 @@ from .matcore import (
     dagger,
     frobenius_norm,
     matrix_from_json,
+    max_frobenius,
     plain_json,
 )
 
@@ -206,7 +208,7 @@ def weight_frame(rep):
     partition = tuple(len(vecs) for _, vecs in chains)
     gens = [dagger(v) @ g @ v for g in rep.generators]
     exact = direct_sum([irrep(size) for size in partition]).generators
-    defect = max(frobenius_norm(g - e) for g, e in zip(gens, exact))
+    defect = max_frobenius(g - e for g, e in zip(gens, exact))
     if not defect <= tol:
         raise ValueError(f"generators leave the canonical direct sum by {defect:.3e} "
                          f"(tolerance {tol:.3e}): not an su(2) representation")
@@ -220,11 +222,8 @@ def casimir(rep):
 def su2_closure_residual(gens):
     """max_ij || [J_i, J_j] - 2i eps_ijk J_k ||_F, formed for i < j only: i = j
     gives exactly 0 and (j, i) the exact negation of (i, j)."""
-    res = 0.0
-    for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
-        rhs = 2j * EPS3[i, j, k] * gens[k]
-        res = max(res, frobenius_norm(commutator(gens[i], gens[j]) - rhs))
-    return res
+    return max_frobenius(commutator(gens[i], gens[j]) - 2j * EPS3[i, j, k] * gens[k]
+                         for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0)))
 
 
 @dataclass(frozen=True)
@@ -240,10 +239,12 @@ class BilinearSet:
 
 
 def bilinears(sol):
+    """Both tables and both triples from 6 products (adjoint-paired tables)."""
     g = sol.matrices
     gd = sol.daggers
-    jmat = tuple(tuple(g[a] @ gd[b] for b in range(2)) for a in range(2))
-    jbar = tuple(tuple(gd[a] @ g[b] for b in range(2)) for a in range(2))
+    j01, jbar01 = g[0] @ gd[1], gd[0] @ g[1]
+    jmat = ((g[0] @ gd[0], j01), (dagger(j01), g[1] @ gd[1]))
+    jbar = ((gd[0] @ g[0], jbar01), (dagger(jbar01), gd[1] @ g[1]))
     j = pauli_contract([[jmat[b][a] for a in range(2)] for b in range(2)])
     jb = pauli_contract([[jbar[a][b] for a in range(2)] for b in range(2)])
     return BilinearSet(
@@ -261,6 +262,10 @@ def su2_from_bilinears(b, partition=(), barred=False):
     return Su2Representation(*gens, partition=partition)
 
 
+# the pairs (a, b) < (m, n) that are not the adjoint image of another one
+_U2_PAIRS = (((0, 0), (0, 1)), ((0, 0), (1, 1)), ((0, 1), (1, 0)), ((0, 1), (1, 1)))
+
+
 def u2_structure_residual(b):
     """Worst residual of the two u(2) relations over all 16+16 index choices.
 
@@ -269,18 +274,25 @@ def u2_structure_residual(b):
 
         [T^a_b, T^m_n] = d^m_b T^a_n - d^a_n T^m_b.
 
-    Only the 6 pairs (a, b) < (m, n) are formed, 12 products per table: equal
-    pairs give exactly 0 and swapped ones the exact negation, so the result
-    is the maximum over all 16 choices to the last bit.
+    Equal pairs give exactly 0 and swapped ones the exact negation, leaving
+    6 pairs (a, b) < (m, n).  With T^b_a = (T^a_b)^dag both sides of pair
+    ((a, b), (m, n)) are the adjoints of pair ((n, m), (b, a)), so
+    ((0,0),(1,0)) and ((1,0),(1,1)) repeat the norms of ((0,0),(0,1)) and
+    ((0,1),(1,1)) up to rounding: 4 pairs, 8 products per table.  This takes
+    the diagonal entries as Hermitian, as g^a gd_a is up to rounding, and
+    raises ValueError unless each table's (1, 0) entry is the exact adjoint
+    of its (0, 1) entry, as ``bilinears`` builds them: otherwise the skipped
+    pairs would go unchecked.
     """
     kbar = tuple(tuple(b.jbar[bb][a] for bb in range(2)) for a in range(2))
-    res = 0.0
-    for table in (b.jmat, kbar):
-        for (a, bb), (m, n) in itertools.combinations(itertools.product(range(2), repeat=2), 2):
-            lhs = commutator(table[a][bb], table[m][n])
-            rhs = (m == bb) * table[a][n] - (a == n) * table[m][bb]
-            res = max(res, frobenius_norm(lhs - rhs))
-    return res
+    for t in (b.jmat, kbar):
+        if not np.array_equal(t[1][0], dagger(t[0][1]), equal_nan=True):
+            raise ValueError("bilinear table is not adjoint-paired: "
+                             "its (1, 0) entry must be the adjoint of its (0, 1) entry")
+    return max_frobenius(
+        commutator(t[a][bb], t[m][n]) - ((m == bb) * t[a][n] - (a == n) * t[m][bb])
+        for t in (b.jmat, kbar) for (a, bb), (m, n) in _U2_PAIRS
+    )
 
 
 def doublet_covariance_residual(sol, b=None):
@@ -297,16 +309,15 @@ def doublet_covariance_residual(sol, b=None):
     defect is exactly 0 at c = a and negated under a <-> c, leaving A_b at
     (0, b, 1).  Expanding J_i and Jb_i, (1) at (i, a) is exactly A_b, -A_b or
     -i A_b (b = a for sigma_1,2, 1 - a for sigma_3), so ||A_0||, ||A_1|| give
-    the maximum over (1) and (3) to the last bit; (2) and (4) likewise from
-    jbar[a][b] @ gd_c.  8 products in all.
+    the maximum over (1) and (3) to the last bit: 4 products.  J_i, Jb_i and
+    sigma_i are Hermitian, so (2) and (4) are the adjoints of (1) and (3) and
+    have the same norms up to rounding.  ``b`` must be ``bilinears(sol)``.
     """
     if b is None:
         b = bilinears(sol)
-    res = 0.0
-    for table, x, s in ((b.jmat, sol.matrices, 1), (b.jbar, sol.daggers, -1)):
-        d = [table[0][y] @ x[1] - table[1][y] @ x[0] for y in range(2)]
-        res = max(res, frobenius_norm(d[0] + s * x[1]), frobenius_norm(d[1] - s * x[0]))
-    return res
+    g = sol.matrices
+    d = [b.jmat[0][y] @ g[1] - b.jmat[1][y] @ g[0] for y in range(2)]
+    return max_frobenius((d[0] + g[1], d[1] - g[0]))
 
 
 def intertwiner_residual(sol, b=None):
@@ -319,10 +330,6 @@ def intertwiner_residual(sol, b=None):
     n = sol.size
     g = sol.matrices
     gd = sol.daggers
-    res = 0.0
-    for i in range(3):
-        lhs = sum(gd[c] @ b.j[i] @ g[c] for c in range(2))
-        res = max(res, frobenius_norm(lhs - (n + 1) * b.jbar_i[i]))
-        lhs = sum(g[c] @ b.jbar_i[i] @ gd[c] for c in range(2))
-        res = max(res, frobenius_norm(lhs - (n - 2) * b.j[i]))
-    return res
+    sides = ((gd, b.j, g, n + 1, b.jbar_i), (g, b.jbar_i, gd, n - 2, b.j))
+    return max_frobenius(sum(x[c] @ j[i] @ y[c] for c in range(2)) - f * jt[i]
+                         for i in range(3) for x, j, y, f, jt in sides)

@@ -30,7 +30,7 @@ from fuzzball.geometry import (
     section,
     unit_vector,
 )
-from fuzzball.matcore import DEFAULT_TOL, as_matrix, dagger, frobenius_norm
+from fuzzball.matcore import as_matrix, dagger, frobenius_norm
 from fuzzball.su2rep import EPS3
 
 
@@ -46,18 +46,18 @@ def frobenius_distance(a, b):
     return float(np.linalg.norm(a - b))
 
 
-def pseudo_inverse(a, tol=DEFAULT_TOL):
-    """Moore-Penrose inverse; singular values below tol.absolute * s_max drop."""
+def pseudo_inverse(a, rcond=1e-12):
+    """Moore-Penrose inverse; singular values below rcond * s_max drop."""
     a = as_matrix(a)
     u, s, vh = np.linalg.svd(a, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return dagger(a)
-    cut = tol.absolute * s[0]
+    cut = rcond * s[0]
     inv = np.where(s > cut, 1.0 / np.where(s > cut, s, 1.0), 0.0)
     return dagger(vh) @ np.diag(inv) @ dagger(u)
 
 
-def hermitian_sqrt(a, tol=DEFAULT_TOL):
+def hermitian_sqrt(a, tol=1e-10):
     """Square root of a Hermitian PSD matrix via eigendecomposition.
 
     Eigenvalues in [-tol, tol] (relative to the largest one) are clamped to
@@ -66,11 +66,11 @@ def hermitian_sqrt(a, tol=DEFAULT_TOL):
     a = as_matrix(a)
     herm_defect = frobenius_distance(a, dagger(a))
     scale = max(frobenius_norm(a), 1.0)
-    if herm_defect > tol.relative * scale:
+    if herm_defect > tol * scale:
         raise ValueError(f"matrix is not Hermitian (defect {herm_defect:.3e})")
     w, v = np.linalg.eigh((a + dagger(a)) / 2)
     wmax = max(float(w[-1]), 0.0)
-    cut = tol.relative * max(wmax, 1.0)
+    cut = tol * max(wmax, 1.0)
     if w[0] < -cut:
         raise ValueError(f"negative eigenvalue {w[0]:.3e} beyond tolerance")
     w = np.where(w > cut, w, 0.0)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from fuzzball.equivalence import (
+    RoundTripReport,
     barred_generators,
     canonical_traces,
     canonicalize,
@@ -349,3 +350,11 @@ def test_round_trip_regression_sizes(n, make):
     report = round_trip(make(n))
     assert report.passed, report.to_json()
     assert dict(report.steps)["canonical_frame"] <= 1e-13
+
+
+def test_round_trip_worst_keeps_nan():
+    # the verify rows report worst(): a NaN step must not read as the
+    # largest finite one
+    report = RoundTripReport(steps=(("a", 1e-12), ("b", float("nan"))), tol=1e-10)
+    assert not report.passed
+    assert np.isnan(report.worst())

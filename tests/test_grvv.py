@@ -9,6 +9,7 @@ from fuzzball.grvv import (
     ground_state,
     grvv_residual,
     real_coordinates,
+    require_solution,
     sphere_constraints,
 )
 from fuzzball.matcore import dagger, frobenius_norm, random_unitary
@@ -164,3 +165,14 @@ def test_json_roundtrip():
 def test_shape_mismatch_rejected():
     with pytest.raises(ValueError):
         GrvvSolution(g1=np.zeros((2, 2)), g2=np.zeros((3, 3)))
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_overflowing_doublet_is_not_a_solution():
+    # every product overflows, so the defects are NaN: the residual must say
+    # so, not read 0.0, and the doublet must be refused
+    sol = ground_state(4)
+    big = GrvvSolution(g1=1e200 * sol.g1, g2=1e200 * sol.g2, partition=(4,))
+    assert np.isnan(grvv_residual(big))
+    with pytest.raises(ValueError, match="does not solve"):
+        require_solution(big)

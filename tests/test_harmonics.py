@@ -233,3 +233,11 @@ def test_classical_ylm_derivative():
 def test_classical_ylm_validates():
     with pytest.raises(ValueError):
         classical_ylm(1, 2, 0.3, 0.0)
+
+
+def test_bifundamental_refuses_non_finite_fluctuation():
+    n = 4
+    r1 = np.zeros((n, n), dtype=complex)
+    r1[1, 2] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        decompose_bifundamental(r1, np.zeros((n, n)), ground_state(n))

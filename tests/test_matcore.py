@@ -10,22 +10,23 @@ from numpy.testing import assert_allclose
 from fuzzball.matcore import (
     JSON_BLOCK_ROWS,
     POOL_MIN_ROWS,
-    Tolerance,
     dagger,
     frobenius_norm,
     matrix_from_json,
     matrix_to_json,
+    max_frobenius,
     plain_json,
     random_unitary,
     write_json,
 )
 
 
-def test_tolerance_positive():
-    with pytest.raises(ValueError):
-        Tolerance(relative=0.0)
-    with pytest.raises(ValueError):
-        Tolerance(absolute=-1.0)
+def test_max_frobenius_keeps_nan():
+    # a NaN norm anywhere in the list wins, not only in first place
+    nan = np.full((2, 2), np.nan)
+    assert max_frobenius([np.eye(2), 3 * np.eye(2)]) == frobenius_norm(3 * np.eye(2))
+    assert np.isnan(max_frobenius([np.eye(2), nan]))
+    assert np.isnan(max_frobenius(iter([nan, np.eye(2)])))
 
 
 def test_dagger_examples():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fuzzball.grvv import block_solution, gauge_dress, ground_state
+from fuzzball.grvv import GrvvSolution, block_solution, gauge_dress, ground_state
 from fuzzball.matcore import frobenius_norm, random_unitary
 from fuzzball.su2rep import (
     Su2Representation,
@@ -144,3 +144,14 @@ def test_representation_json_roundtrip():
     back = Su2Representation.from_json(r.to_json())
     assert back.partition == (2, 3)
     assert_allclose(back.j2, r.j2)
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_overflowing_doublet_reads_nan():
+    sol = ground_state(4)
+    big = GrvvSolution(g1=1e200 * sol.g1, g2=1e200 * sol.g2, partition=(4,))
+    b = bilinears(big)
+    assert np.isnan(u2_structure_residual(b))
+    assert np.isnan(doublet_covariance_residual(big, b))
+    assert np.isnan(intertwiner_residual(big, b))
+    assert np.isnan(su2_closure_residual(b.j))
