@@ -19,7 +19,9 @@ traced peak (MiB) of one more call, made apart from the timed ones.  The
 ``grid_csv`` rung times ``cli._write_grid_csv`` of ``geometry.grid_report``
 at the grids in ``GRID_SIZES`` (the report is computed once, untimed), and
 the ``geometry_grid`` rung times ``geometry.grid_report`` followed by
-``geometry.identification_check`` (n = 2) at the same grids.  The
+``geometry.identification_check`` (n = 2) at the same grids
+(``report_and_check``), and each of the three grid passes on its own
+(``grid_report``, ``identification_check``, ``s_unitarity``).  The
 ``build_basis``, ``fuzzy_laplacian_spectrum`` and ``scalar_kinetic_spectrum``
 rungs call the kernel on ``irrep(N)`` for N in ``SPECTRA_SIZES``; a size the
 measured tree refuses (``ValueError``, as a size cap raises) is recorded as
@@ -28,7 +30,10 @@ rung fits one fixed random fluctuation pair on the undressed ground state for
 N in ``DECOMPOSE_SIZES``, with the basis built once outside the timed calls
 (as ``verify`` passes it); the ``weight_frame`` rung times
 ``su2rep.weight_frame`` of ``irrep(N)`` under one fixed random rotation for N
-in ``SIZES``.  ``--rung`` (repeatable) measures only the named rungs.
+in ``SIZES``; the ``round_trip`` rung times ``equivalence.round_trip`` of
+``irrep(N)`` (``rep``) and of ``ground_state(N)`` (``sol``), the two calls
+of ``verify --suite equivalence``, for N in ``SIZES``.  ``--rung``
+(repeatable) measures only the named rungs.
 
 Each (rung, size) is measured in fresh child processes, one per tree and
 round: ``ROUNDS`` rounds with the trees in the order given, so two trees run
@@ -174,7 +179,12 @@ def geometry_grid(size):
         geometry.grid_report(grid)
         geometry.identification_check(2, grid)
 
-    return {"geometry_grid": {"report_and_check": timed(both)}}, {}
+    return {"geometry_grid": {
+        "report_and_check": timed(both),
+        "grid_report": timed(lambda: geometry.grid_report(grid)),
+        "identification_check": timed(lambda: geometry.identification_check(2, grid)),
+        "s_unitarity": timed(lambda: geometry.s_unitarity(grid)),
+    }}, {}
 
 
 def irrep_kernel(name):
@@ -213,6 +223,16 @@ def frame(n):
     return {"weight_frame": {"rotated": timed(lambda: weight_frame(rep))}}, {}
 
 
+def equivalence_round_trip(n):
+    from fuzzball.equivalence import round_trip
+    from fuzzball.grvv import ground_state
+    from fuzzball.su2rep import irrep
+
+    rep, sol = irrep(n), ground_state(n)
+    return {"round_trip": {"rep": timed(lambda: round_trip(rep)),
+                           "sol": timed(lambda: round_trip(sol))}}, {}
+
+
 def _points(size):
     nt, nphi = map(int, size.split("x"))
     return nt * nphi
@@ -230,6 +250,7 @@ RUNGS = {
     },
     "decompose_bifundamental": (decompose, DECOMPOSE_SIZES, int),
     "weight_frame": (frame, SIZES, int),
+    "round_trip": (equivalence_round_trip, SIZES, int),
 }
 
 

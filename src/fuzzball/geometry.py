@@ -24,6 +24,16 @@ one usable CPU, the blocks run in forked workers (matcore._map_blocks).
 ``grid_report`` copies each block's four per-point rows into arrays
 allocated before the first block; the other checks reduce each block's
 sups with max, which is exact.
+
+The block kernels are component-first: a point x, a spinor v and a 2x2
+matrix m are held as x[i], v[a] and m[a, b] on leading axes, so every
+component is one contiguous array over the block and every ufunc runs over
+whole rows, and each kernel forms only the components its checks read (the
+projected spinor reads one column of S).  Each entry is formed by the same
+floating-point operations, in the same order and with the same operands
+(the products with constant Pauli entries included), as in the
+trailing-axis layout of the public functions, which assemble their results
+from these kernels: the rows, report and grid CSV do not move by a bit.
 """
 
 from dataclasses import dataclass
@@ -70,10 +80,11 @@ A_PHASE = np.exp(-0.25j * np.pi)
 C_MINUS = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)  # i sigma_2
 ID_PHASE = np.exp(0.25j * np.pi)  # constant phase in the section/spinor match
 
-# theta rows per grid block: at n_phi = 512 a block's (rows, n_phi, 2, 2)
-# complex temporaries are 1 MiB, inside a core's L2, where the full grid's
-# are 8 MiB; blocks of one row cost more in per-block traffic than the other
-# cores save
+# theta rows per grid block: at n_phi = 512 a block's complex component
+# arrays are 256 KiB (1 MiB for a 2x2 stack), inside a core's L2, where the
+# full grid's are 2 MiB (8 MiB).  At 256x512 on 2 CPUs, grid_report plus
+# identification_check take 0.36-0.40 s with 16, 32 or 64 rows per block,
+# 0.60 s with 4 and 1.04 s with 1, where the fixed cost per block dominates
 GRID_BLOCK_ROWS = 32
 
 
@@ -129,16 +140,47 @@ def sample_projected_spinor(grid):
     return SpinorField(values=weyl_plus(killing_spinor(tt, pp)), kind="global_index")
 
 
+# ---------------------------------------------------------------------------
+# component-first kernels (see the module docstring) and the public
+# functions, which assemble the trailing-axis layout from them
+
+
+def _trailing(parts, axes=1):
+    """The public layout of a component-first result: its ``axes`` leading
+    axes moved to the end, C-contiguous."""
+    return np.ascontiguousarray(np.moveaxis(parts, range(axes), range(-axes, 0)))
+
+
+def _hopf(g):
+    """x_i = g^dag sigma_i^T g for a spinor g of shape (2, ...): (3, ...)."""
+    g0, g1 = g
+    z = g0 * g1.conj()
+    x = np.empty((3,) + z.shape)
+    x[0] = 2.0 * z.real
+    x[1] = 2.0 * z.imag
+    x[2] = (g0.real**2 + g0.imag**2) - (g1.real**2 + g1.imag**2)
+    return x
+
+
 def hopf_s2(g):
     """x_i = g^dag sigma_i^T g for a 2-component complex vector (or stack)."""
     g = np.asarray(g, dtype=complex)
-    g0, g1 = g[..., 0], g[..., 1]
-    z = g0 * g1.conj()
-    x = np.empty(g.shape[:-1] + (3,))
-    x[..., 0] = 2.0 * z.real
-    x[..., 1] = 2.0 * z.imag
-    x[..., 2] = (g0.real**2 + g0.imag**2) - (g1.real**2 + g1.imag**2)
-    return x
+    return _trailing(_hopf(np.moveaxis(g, -1, 0)))
+
+
+def _unit(theta, phi):
+    """The components (x1, x2, x3) of ``unit_vector``; x3 = cos(theta)
+    keeps the shape of theta."""
+    theta = np.asarray(theta, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    x3 = np.cos(theta)
+    rho = np.sqrt(np.clip((1.0 - x3) * (1.0 + x3), 0.0, None))
+    return rho * np.cos(phi), rho * np.sin(phi), x3
+
+
+def _points(x):
+    """Components of a point stacked on a leading axis, x3 broadcast."""
+    return np.stack(np.broadcast_arrays(*x))
 
 
 def unit_vector(theta, phi):
@@ -149,15 +191,20 @@ def unit_vector(theta, phi):
     polar charts (``section``) conditioned all the way to the poles.  Theta
     and phi broadcast against each other.
     """
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    x3 = np.cos(theta)
-    rho = np.sqrt(np.clip((1.0 - x3) * (1.0 + x3), 0.0, None))
-    out = np.empty(np.broadcast_shapes(theta.shape, phi.shape) + (3,))
-    out[..., 0] = rho * np.cos(phi)
-    out[..., 1] = rho * np.sin(phi)
-    out[..., 2] = x3
-    return out
+    return _trailing(_points(_unit(theta, phi)))
+
+
+def _section(x1, x2, x3, tol=1e-12):
+    """``section`` of the point (x1, x2, x3), whose components broadcast:
+    shape (2, ...)."""
+    if np.any(x3 <= -1.0 + tol):
+        raise ValueError("section is singular at x3 = -1")
+    denom = np.sqrt(2.0 * (1.0 + x3))
+    g1 = (x1 - 1j * x2) / denom
+    g = np.empty((2,) + g1.shape, dtype=complex)
+    g[0] = (1.0 + x3) / denom
+    g[1] = g1
+    return g
 
 
 def section(x, tol=1e-12):
@@ -166,29 +213,33 @@ def section(x, tol=1e-12):
     Inverts hopf_s2 on the unit sphere; singular at the south pole.
     """
     x = np.asarray(x, dtype=float)
-    x3 = x[..., 2]
-    if np.any(x3 <= -1.0 + tol):
-        raise ValueError("section is singular at x3 = -1")
-    denom = np.sqrt(2.0 * (1.0 + x3))
-    return np.stack(
-        [(1.0 + x3) / denom, (x[..., 0] - 1j * x[..., 1]) / denom], axis=-1
-    )
+    return _trailing(_section(*np.moveaxis(x, -1, 0), tol))
 
 
-def s_matrix(theta, phi):
-    """Unitary frame rotation between Euclidean and spherical spinors."""
+def _s_columns(theta, phi, columns=(0, 1)):
+    """The given columns of S(theta, phi), component-first: s[a, k] is
+    S[a, columns[k]], of shape (2, len(columns), ...)."""
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
     c = np.cos(theta / 2)
     s = np.sin(theta / 2)
     ep = np.exp(0.5j * phi)
     em = np.exp(-0.5j * phi)
-    out = np.empty(np.broadcast(theta, phi).shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = -s * ep
-    out[..., 0, 1] = -1j * c * ep
-    out[..., 1, 0] = c * em
-    out[..., 1, 1] = -1j * s * em
-    return A_PHASE * out
+    shape = np.broadcast_shapes(theta.shape, phi.shape)
+    out = np.empty((2, len(columns)) + shape, dtype=complex)
+    for k, column in enumerate(columns):
+        if column == 0:
+            np.multiply(-s, ep, out=out[0, k, ...])
+            np.multiply(c, em, out=out[1, k, ...])
+        else:
+            np.multiply(-1j * c, ep, out=out[0, k, ...])
+            np.multiply(-1j * s, em, out=out[1, k, ...])
+    return np.multiply(A_PHASE, out, out=out)
+
+
+def s_matrix(theta, phi):
+    """Unitary frame rotation between Euclidean and spherical spinors."""
+    return _trailing(_s_columns(theta, phi), 2)
 
 
 def killing_vectors(theta, phi):
@@ -206,12 +257,22 @@ def killing_vectors(theta, phi):
     return out
 
 
+def _killing(theta, phi, alphas=(0, 1)):
+    """Rows ``alphas`` of eta = S^dag E / sqrt(2), component-first: shape
+    (len(alphas), 2, ...).  Row alpha reads column alpha of S only."""
+    s = _s_columns(theta, phi, alphas)
+    # E = [[0, -1], [1, 0]]: column 0 of S^dag E is conj(S[1, :]), column 1
+    # is -conj(S[0, :]); the entries of S are transformed in place, and eta
+    # is a view of them with the two axes swapped and the row index reversed
+    np.negative(s[0], out=s[0])
+    np.conj(s, out=s)
+    s /= np.sqrt(2.0)
+    return np.swapaxes(s, 0, 1)[:, ::-1]
+
+
 def killing_spinor(theta, phi):
     """eta[..., alpha, I] = (S^dag E)[alpha, I] / sqrt(2)."""
-    s = s_matrix(theta, phi)
-    # E = [[0, -1], [1, 0]]: column 0 of S^dag E is conj(S[1, :]), column 1
-    # is -conj(S[0, :])
-    return np.stack([s[..., 1, :], -s[..., 0, :]], axis=-1).conj() / np.sqrt(2.0)
+    return _trailing(_killing(theta, phi), 2)
 
 
 def weyl_plus(eta):
@@ -220,8 +281,9 @@ def weyl_plus(eta):
 
 
 def _projected(theta, phi):
-    """sqrt(2) P_+ eta at (theta, phi)."""
-    return weyl_plus(killing_spinor(theta, phi))
+    """sqrt(2) P_+ eta at (theta, phi), component-first: shape (2, ...)."""
+    u = _killing(theta, phi, alphas=(0,))[0]
+    return np.multiply(np.sqrt(2.0), u, out=u)
 
 
 def spinor_dual(eta):
@@ -250,16 +312,37 @@ def random_majorana_spinor(rng):
 
 def rotation_reality_residual(theta, phi, chi):
     """Reality defect of chi after the frame rotation acts on its first index."""
-    return modified_majorana_residual(_mul2(_dag2(s_matrix(theta, phi)), chi))
+    chi = np.moveaxis(np.asarray(chi, dtype=complex), (-2, -1), (0, 1))
+    return modified_majorana_residual(_trailing(_mul2(_dag2(_s_columns(theta, phi)), chi), 2))
 
 
 # ---------------------------------------------------------------------------
-# batched 2x2 kernels and the one finite-difference helper
+# 2x2 kernels and the one finite-difference helper
 
 
 def _mul2(a, b):
-    """Batched 2x2 product a @ b over the trailing two axes (broadcasting)."""
-    return a[..., :, :1] * b[..., :1, :] + a[..., :, 1:] * b[..., 1:, :]
+    """2x2 product a @ b, component-first: a[i, j] and b[i, j] are arrays
+    (broadcasting) or constants, as for a plain (2, 2) matrix."""
+    shape = np.broadcast_shapes(np.shape(a)[2:], np.shape(b)[2:])
+    out = np.empty((2, 2) + shape, dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            np.add(a[i][0] * b[0][j], a[i][1] * b[1][j], out=out[i, j, ...])
+    return out
+
+
+def _mul_vec2(m, v):
+    """2x2 matrix-vector product m v, component-first (as for _mul2)."""
+    shape = np.broadcast_shapes(np.shape(m)[2:], np.shape(v)[1:])
+    out = np.empty((2,) + shape, dtype=complex)
+    for i in range(2):
+        np.add(m[i][0] * v[0], m[i][1] * v[1], out=out[i, ...])
+    return out
+
+
+def _dag2(a):
+    """Conjugate transpose of a component-first 2x2 matrix."""
+    return np.conj(np.swapaxes(a, 0, 1))
 
 
 def _apply2(m, v):
@@ -267,18 +350,17 @@ def _apply2(m, v):
     return m[..., :, 0] * v[..., None, 0] + m[..., :, 1] * v[..., None, 1]
 
 
-def _dag2(a):
-    """Conjugate transpose of a stack of 2x2 matrices."""
-    return np.swapaxes(a, -1, -2).conj()
-
-
 def _sigma_t_forms(x, y):
-    """x^dag sigma_i^T y for i = 1, 2, 3, stacked on a trailing axis."""
-    xc0, xc1 = x[..., 0].conj(), x[..., 1].conj()
-    y0, y1 = y[..., 0], y[..., 1]
-    return np.stack(
-        [xc0 * y1 + xc1 * y0, 1j * (xc0 * y1 - xc1 * y0), xc0 * y0 - xc1 * y1], axis=-1
-    )
+    """x^dag sigma_i^T y for i = 1, 2, 3 and spinors x, y of shape (2, ...):
+    shape (3, ...)."""
+    xc0, xc1 = x[0].conj(), x[1].conj()
+    y0, y1 = y[0], y[1]
+    p, q = xc0 * y1, xc1 * y0
+    out = np.empty((3,) + p.shape, dtype=complex)
+    out[0] = p + q
+    out[1] = 1j * (p - q)
+    out[2] = xc0 * y0 - xc1 * y1
+    return out
 
 
 def _sup(a):
@@ -308,20 +390,22 @@ def _central_difference(f, theta, phi, h, richardson=False):
 
 
 def _gamma_a(theta):
-    """gamma_theta, gamma_phi = sigma_1, sin(theta) sigma_2 (lower index)."""
-    return SIGMA[0], np.sin(np.asarray(theta, dtype=float))[..., None, None] * SIGMA[1]
+    """gamma_theta, gamma_phi = sigma_1, sin(theta) sigma_2 (lower index),
+    component-first."""
+    sin = np.sin(np.asarray(theta, dtype=float))
+    return SIGMA[0], sin * SIGMA[1].reshape((2, 2) + (1,) * sin.ndim)
 
 
 def _killing_defect(theta, phi, h, connection_sign=-1.0, richardson=False):
     """Pointwise sup-norm defect of D_a eta = (i/2) gamma_a eta."""
-    eta0 = killing_spinor(theta, phi)
-    dth, dph = _central_difference(killing_spinor, theta, phi, h, richardson)
+    eta0 = _killing(theta, phi)
+    dth, dph = _central_difference(_killing, theta, phi, h, richardson)
     gth, gph = _gamma_a(theta)
     rt = dth - 0.5j * _mul2(gth, eta0)
     # D_phi = d_phi + (1/2) omega^{12}_phi gamma_12, gamma_12 = i sigma_3
-    cos = np.asarray(np.cos(theta))[..., None, None]
+    cos = np.cos(theta)
     rp = dph + 0.5j * connection_sign * cos * _mul2(SIGMA[2], eta0) - 0.5j * _mul2(gph, eta0)
-    return np.maximum(np.max(np.abs(rt), axis=(-2, -1)), np.max(np.abs(rp), axis=(-2, -1)))
+    return np.maximum(np.max(np.abs(rt), axis=(0, 1)), np.max(np.abs(rp), axis=(0, 1)))
 
 
 def killing_equation_residual(theta, phi, h=1e-4, connection_sign=-1.0, extrapolate=False):
@@ -338,15 +422,16 @@ def killing_equation_residual(theta, phi, h=1e-4, connection_sign=-1.0, extrapol
 def _aligned_section(theta, phi):
     """Local representative carrying the fibre phase that the adjoint-action
     derivative identity requires; coincides with section() at phi = 0 and is
-    not single-valued in phi (the known global obstruction)."""
-    g = section(unit_vector(theta, phi))
+    not single-valued in phi (the known global obstruction).  Component-first:
+    shape (2, ...)."""
+    g = _section(*_unit(theta, phi))
     phase = np.exp(0.5j * np.asarray(phi) * (1.0 - np.cos(theta)))
-    return phase[..., None] * g
+    return np.multiply(phase, g, out=g)
 
 
 def _rotated_gamma(theta, phi):
-    """M_a = S gamma_a S^dag for a = theta, phi."""
-    s = s_matrix(theta, phi)
+    """M_a = S gamma_a S^dag for a = theta, phi, component-first."""
+    s = _s_columns(theta, phi)
     sd = _dag2(s)
     gth, gph = _gamma_a(theta)
     return _mul2(_mul2(s, gth), sd), _mul2(_mul2(s, gph), sd)
@@ -354,9 +439,9 @@ def _rotated_gamma(theta, phi):
 
 def _dx_from_law(m, v):
     """(i/2) v^dag [M, sigma_i^T] v for i = 1, 2, 3: the d_a x_i implied by
-    the derivative law d_a v = -(i/2) M_a v."""
+    the derivative law d_a v = -(i/2) M_a v.  Component-first: shape (3, ...)."""
     return 0.5j * (
-        _sigma_t_forms(_apply2(_dag2(m), v), v) - _sigma_t_forms(v, _apply2(m, v))
+        _sigma_t_forms(_mul_vec2(_dag2(m), v), v) - _sigma_t_forms(v, _mul_vec2(m, v))
     )
 
 
@@ -414,21 +499,22 @@ def _grid_sups(grid, kernel, count):
 def _identification_block(theta, phi, h, phi_window):
     """The sups of one block: (a), (b) and (c) at ``h``, (d), (e), then (b)
     and (c) at the two order-measuring steps."""
-    x = unit_vector(theta, phi)
+    xs = _unit(theta, phi)
+    x = _points(xs)
     u0 = _projected(theta, phi)
-    g0 = section(x)
+    g0 = _section(*xs)
     a0 = _aligned_section(theta, phi)
     a0c = a0.conj()
     mth, mph = _rotated_gamma(theta, phi)
 
     # (a) coordinates from the projected spinor
-    res_a = _sup(hopf_s2(u0) - x)
+    res_a = _sup(_hopf(u0) - x)
 
     # (b), (c) finite-difference derivative laws
-    law_bt = 0.5j * _apply2(mth, u0)
-    law_bp = 0.5j * _apply2(mph, u0)
-    law_bc = 0.5j * np.cos(theta)[..., None] * u0
-    law_c = (0.5j * _apply2(mth, a0), 0.5j * _apply2(mph, a0))
+    law_bt = 0.5j * _mul_vec2(mth, u0)
+    law_bp = 0.5j * _mul_vec2(mph, u0)
+    law_bc = 0.5j * np.cos(theta) * u0
+    law_c = (0.5j * _mul_vec2(mth, a0), 0.5j * _mul_vec2(mph, a0))
 
     def fd_b(step):
         dth, dph = _central_difference(_projected, theta, phi, step)
@@ -441,19 +527,15 @@ def _identification_block(theta, phi, h, phi_window):
             # remove the i * real * g component: the representative is only
             # defined up to the fibre phase and its theta-gradient is the
             # non-integrable piece
-            coeff = np.imag(a0c[..., 0] * defect[..., 0] + a0c[..., 1] * defect[..., 1])
-            res = max(res, _sup(defect - 1j * coeff[..., None] * a0))
+            coeff = np.imag(a0c[0] * defect[0] + a0c[1] * defect[1])
+            res = max(res, _sup(defect - 1j * coeff * a0))
         return res
 
     # (d) local phase match near phi = 0: the projected spinor equals the
     # aligned representative times exp(i phi cos(theta) / 2) and one fixed
     # constant phase
     phis = np.linspace(-phi_window, phi_window, 9)[None, :]
-    match = (
-        ID_PHASE
-        * np.exp(0.5j * phis * np.cos(theta))[..., None]
-        * _aligned_section(theta, phis)
-    )
+    match = ID_PHASE * np.exp(0.5j * phis * np.cos(theta)) * _aligned_section(theta, phis)
     res_d = _sup(_projected(theta, phis) - match)
 
     # (e) d_a x_i from either derivative law: (i/2) v^dag [M_a, sigma~_i] v
@@ -495,21 +577,22 @@ def identification_check(n, grid, h=1e-4, phi_window=0.02):
 def _report_block(theta, phi, h):
     """The four per-point rows of one block, stacked in GRID_IDENTITIES
     order: shape (4, rows, n_phi)."""
-    x = unit_vector(theta, phi)
-    s = s_matrix(theta, phi)
+    xs = _unit(theta, phi)
+    x = _points(xs)
+    s = _s_columns(theta, phi)
     # S gamma_3 S^dag + x_i sigma_i^T vanishes pointwise; the sum is
     # spelled out (entries 0, +-1, +-i: exact) so that no BLAS call is made
-    x_sigma_t = (
-        x[..., 0, None, None] * SIGMA_T[0]
-        + x[..., 1, None, None] * SIGMA_T[1]
-        + x[..., 2, None, None] * SIGMA_T[2]
-    )
-    g3 = _mul2(_mul2(s, SIGMA[2]), _dag2(s)) + x_sigma_t
+    g3 = _mul2(_mul2(s, SIGMA[2]), _dag2(s))
+    for i in range(2):
+        for j in range(2):
+            g3[i, j] += (
+                x[0] * SIGMA_T[0, i, j] + x[1] * SIGMA_T[1, i, j] + x[2] * SIGMA_T[2, i, j]
+            )
     return np.stack(
         [
-            np.max(np.abs(hopf_s2(section(x)) - x), axis=-1),
-            np.max(np.abs(g3), axis=(-2, -1)),
-            np.max(np.abs(hopf_s2(_projected(theta, phi)) - x), axis=-1),
+            np.max(np.abs(_hopf(_section(*xs)) - x), axis=0),
+            np.max(np.abs(g3), axis=(0, 1)),
+            np.max(np.abs(_hopf(_projected(theta, phi)) - x), axis=0),
             _killing_defect(theta, phi, h, richardson=True),
         ]
     )

@@ -158,7 +158,8 @@ def direct_sum(reps):
 
 # defect tolerated per unit of size, relative to the largest generator norm;
 # the rotation itself leaves about one machine epsilon per unit of size
-_FRAME_TOL = 1e3 * np.finfo(float).eps
+_EPS = np.finfo(float).eps
+_FRAME_TOL = 1e3 * _EPS
 
 
 def weight_frame(rep):
@@ -173,9 +174,12 @@ def weight_frame(rep):
     weight space and re-orthonormalised by a QR with a positive diagonal; the
     rest of that space (the complete-QR complement) starts new chains.
     Raises ValueError unless the defect is within _FRAME_TOL * N: an input
-    that is not a representation is refused, never projected onto one.
+    that is not a representation is refused, never projected onto one.  The
+    scale is floored at 1: the smallest nonzero irrep has ||J_3||_F =
+    sqrt(2), so a smaller triple is zero up to rounding or no representation,
+    and its tolerance must not shrink with its own rounding noise.
     """
-    scale = max(frobenius_norm(g) for g in rep.generators)
+    scale = max(1.0, *(frobenius_norm(g) for g in rep.generators))
     tol = _FRAME_TOL * rep.dim * scale
     w, u = np.linalg.eigh(rep.j3)
     weights = np.rint(w).astype(int)
@@ -212,7 +216,7 @@ def weight_frame(rep):
     if not defect <= tol:
         raise ValueError(f"generators leave the canonical direct sum by {defect:.3e} "
                          f"(tolerance {tol:.3e}): not an su(2) representation")
-    return v, Su2Representation(*gens, partition=partition), defect / scale if scale else 0.0
+    return v, Su2Representation(*gens, partition=partition), defect / scale
 
 
 def casimir(rep):
@@ -281,14 +285,24 @@ def u2_structure_residual(b):
     ((0,1),(1,1)) up to rounding: 4 pairs, 8 products per table.  This takes
     the diagonal entries as Hermitian, as g^a gd_a is up to rounding, and
     raises ValueError unless each table's (1, 0) entry is the exact adjoint
-    of its (0, 1) entry, as ``bilinears`` builds them: otherwise the skipped
-    pairs would go unchecked.
+    of its (0, 1) entry, as ``bilinears`` builds them, and each diagonal entry
+    D is Hermitian to ||D - D^dag||_F <= N eps ||D||_F, the rounding bound of
+    its length-N inner products (the products leave about 1e-19 imaginary
+    parts on the diagonal, so no exact check is possible): otherwise the
+    skipped pairs would go unchecked.  NaN entries pass, so that an
+    overflowing doublet reads NaN.
     """
     kbar = tuple(tuple(b.jbar[bb][a] for bb in range(2)) for a in range(2))
     for t in (b.jmat, kbar):
         if not np.array_equal(t[1][0], dagger(t[0][1]), equal_nan=True):
             raise ValueError("bilinear table is not adjoint-paired: "
                              "its (1, 0) entry must be the adjoint of its (0, 1) entry")
+        for a in range(2):
+            d = t[a][a]
+            defect = frobenius_norm(d - dagger(d))
+            if defect > len(d) * _EPS * frobenius_norm(d):
+                raise ValueError(f"bilinear table entry ({a}, {a}) is not Hermitian: "
+                                 f"||D - D^dag||_F = {defect:.3e} exceeds N eps ||D||_F")
     return max_frobenius(
         commutator(t[a][bb], t[m][n]) - ((m == bb) * t[a][n] - (a == n) * t[m][bb])
         for t in (b.jmat, kbar) for (a, bb), (m, n) in _U2_PAIRS

@@ -4,9 +4,10 @@ row-major vectorized matrices), the closed-form kinetic levels, the grouping
 of measured eigenvalues into levels by a tolerance, the dense
 matrix helpers the compatibility relations and the superalgebra brackets are
 checked with (SVD pseudo-inverse, eigensolver square root, anticommutator,
-Frobenius distance), and the geometry grid checks evaluated over the whole
-grid at once, which the blocked ``grid_report`` and ``identification_check``
-replace."""
+Frobenius distance), the geometry grid checks evaluated over the whole grid
+at once, which the blocked ``grid_report`` and ``identification_check``
+replace, and the trailing-axis (array-of-structures) 2x2 kernels and grid
+blocks that the component-first ones in ``fuzzball.geometry`` replace."""
 
 import numpy as np
 
@@ -16,19 +17,14 @@ from fuzzball.geometry import (
     SIGMA,
     SIGMA_T,
     IdentificationReport,
-    _aligned_section,
     _apply2,
     _central_difference,
-    _dag2,
-    _dx_from_law,
-    _killing_defect,
-    _mul2,
-    _projected,
-    _rotated_gamma,
     _sup,
     hopf_s2,
+    killing_spinor,
     section,
     unit_vector,
+    weyl_plus,
 )
 from fuzzball.matcore import as_matrix, dagger, frobenius_norm
 from fuzzball.su2rep import EPS3
@@ -128,6 +124,137 @@ def group_eigenvalues(ev, tol=1e-8):
         runs.append((i, j))
         i = j
     return runs
+
+
+# ---------------------------------------------------------------------------
+# trailing-axis 2x2 kernels: every matrix on (..., 2, 2), every spinor on
+# (..., 2); the grid blocks below are the component-first
+# geometry._report_block and geometry._identification_block in this layout
+
+
+def _mul2(a, b):
+    """Batched 2x2 product a @ b over the trailing two axes (broadcasting)."""
+    return a[..., :, :1] * b[..., :1, :] + a[..., :, 1:] * b[..., 1:, :]
+
+
+def _dag2(a):
+    """Conjugate transpose of a stack of 2x2 matrices."""
+    return np.swapaxes(a, -1, -2).conj()
+
+
+def _sigma_t_forms(x, y):
+    """x^dag sigma_i^T y for i = 1, 2, 3, stacked on a trailing axis."""
+    xc0, xc1 = x[..., 0].conj(), x[..., 1].conj()
+    y0, y1 = y[..., 0], y[..., 1]
+    return np.stack(
+        [xc0 * y1 + xc1 * y0, 1j * (xc0 * y1 - xc1 * y0), xc0 * y0 - xc1 * y1], axis=-1
+    )
+
+
+def _projected(theta, phi):
+    """sqrt(2) P_+ eta at (theta, phi)."""
+    return weyl_plus(killing_spinor(theta, phi))
+
+
+def _gamma_a(theta):
+    """gamma_theta, gamma_phi = sigma_1, sin(theta) sigma_2 (lower index)."""
+    return SIGMA[0], np.sin(np.asarray(theta, dtype=float))[..., None, None] * SIGMA[1]
+
+
+def _killing_defect(theta, phi, h, connection_sign=-1.0, richardson=False):
+    """Pointwise sup-norm defect of D_a eta = (i/2) gamma_a eta."""
+    eta0 = killing_spinor(theta, phi)
+    dth, dph = _central_difference(killing_spinor, theta, phi, h, richardson)
+    gth, gph = _gamma_a(theta)
+    rt = dth - 0.5j * _mul2(gth, eta0)
+    # D_phi = d_phi + (1/2) omega^{12}_phi gamma_12, gamma_12 = i sigma_3
+    cos = np.asarray(np.cos(theta))[..., None, None]
+    rp = dph + 0.5j * connection_sign * cos * _mul2(SIGMA[2], eta0) - 0.5j * _mul2(gph, eta0)
+    return np.maximum(np.max(np.abs(rt), axis=(-2, -1)), np.max(np.abs(rp), axis=(-2, -1)))
+
+
+def _aligned_section(theta, phi):
+    """geometry._aligned_section on a trailing spinor axis."""
+    g = section(unit_vector(theta, phi))
+    phase = np.exp(0.5j * np.asarray(phi) * (1.0 - np.cos(theta)))
+    return phase[..., None] * g
+
+
+def _rotated_gamma(theta, phi):
+    """M_a = S gamma_a S^dag for a = theta, phi."""
+    s = geometry.s_matrix(theta, phi)
+    sd = _dag2(s)
+    gth, gph = _gamma_a(theta)
+    return _mul2(_mul2(s, gth), sd), _mul2(_mul2(s, gph), sd)
+
+
+def _dx_from_law(m, v):
+    """(i/2) v^dag [M, sigma_i^T] v for i = 1, 2, 3: the d_a x_i implied by
+    the derivative law d_a v = -(i/2) M_a v."""
+    return 0.5j * (
+        _sigma_t_forms(_apply2(_dag2(m), v), v) - _sigma_t_forms(v, _apply2(m, v))
+    )
+
+
+def _identification_block(theta, phi, h, phi_window):
+    """geometry._identification_block in the trailing-axis layout."""
+    x = unit_vector(theta, phi)
+    u0 = _projected(theta, phi)
+    g0 = section(x)
+    a0 = _aligned_section(theta, phi)
+    a0c = a0.conj()
+    mth, mph = _rotated_gamma(theta, phi)
+    res_a = _sup(hopf_s2(u0) - x)
+    law_bt = 0.5j * _apply2(mth, u0)
+    law_bp = 0.5j * _apply2(mph, u0)
+    law_bc = 0.5j * np.cos(theta)[..., None] * u0
+    law_c = (0.5j * _apply2(mth, a0), 0.5j * _apply2(mph, a0))
+
+    def fd_b(step):
+        dth, dph = _central_difference(_projected, theta, phi, step)
+        return max(_sup(dth + law_bt), _sup(dph + law_bp - law_bc))
+
+    def fd_c(step):
+        res = 0.0
+        for d, law in zip(_central_difference(_aligned_section, theta, phi, step), law_c):
+            defect = d + law
+            coeff = np.imag(a0c[..., 0] * defect[..., 0] + a0c[..., 1] * defect[..., 1])
+            res = max(res, _sup(defect - 1j * coeff[..., None] * a0))
+        return res
+
+    phis = np.linspace(-phi_window, phi_window, 9)[None, :]
+    match = (
+        ID_PHASE
+        * np.exp(0.5j * phis * np.cos(theta))[..., None]
+        * _aligned_section(theta, phis)
+    )
+    res_d = _sup(_projected(theta, phis) - match)
+    res_e = max(_sup(_dx_from_law(m, u0) - _dx_from_law(m, g0)) for m in (mth, mph))
+    h_ord = max(h, 2e-3)
+    return np.array(
+        [res_a, fd_b(h), fd_c(h), res_d, res_e,
+         fd_b(h_ord), fd_b(h_ord / 2), fd_c(h_ord), fd_c(h_ord / 2)]
+    )
+
+
+def _report_block(theta, phi, h):
+    """geometry._report_block in the trailing-axis layout."""
+    x = unit_vector(theta, phi)
+    s = geometry.s_matrix(theta, phi)
+    x_sigma_t = (
+        x[..., 0, None, None] * SIGMA_T[0]
+        + x[..., 1, None, None] * SIGMA_T[1]
+        + x[..., 2, None, None] * SIGMA_T[2]
+    )
+    g3 = _mul2(_mul2(s, SIGMA[2]), _dag2(s)) + x_sigma_t
+    return np.stack(
+        [
+            np.max(np.abs(hopf_s2(section(x)) - x), axis=-1),
+            np.max(np.abs(g3), axis=(-2, -1)),
+            np.max(np.abs(hopf_s2(_projected(theta, phi)) - x), axis=-1),
+            _killing_defect(theta, phi, h, richardson=True),
+        ]
+    )
 
 
 def grid_report(grid, h=1e-4):

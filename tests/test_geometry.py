@@ -327,10 +327,12 @@ def test_2x2_kernels_match_dense_oracles(case):
     assert np.max(np.abs(hopf_s2(u) - dense_hopf_s2(u))) < 1e-14
     assert np.max(np.abs(hopf_s2(g) - dense_hopf_s2(g))) < 1e-14
     for m, ref in zip(geometry._rotated_gamma(theta, phi), dense_rotated_gamma(theta, phi)):
-        assert m.shape == ref.shape
-        assert np.max(np.abs(m - ref)) < 1e-14
+        m_aos = geometry._trailing(m, 2)
+        assert m_aos.shape == ref.shape
+        assert np.max(np.abs(m_aos - ref)) < 1e-14
         for v in (u, g):
-            assert np.max(np.abs(geometry._dx_from_law(m, v) - dense_dx_from_law(m, v))) < 1e-14
+            dx = geometry._trailing(geometry._dx_from_law(m, np.moveaxis(v, -1, 0)))
+            assert np.max(np.abs(dx - dense_dx_from_law(m_aos, v))) < 1e-14
 
 
 def test_batched_2x2_helpers():
@@ -338,10 +340,21 @@ def test_batched_2x2_helpers():
     a = rng.normal(size=(5, 3, 2, 2)) + 1j * rng.normal(size=(5, 3, 2, 2))
     b = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
     v = rng.normal(size=(5, 3, 2)) + 1j * rng.normal(size=(5, 3, 2))
-    assert np.max(np.abs(geometry._mul2(a, b) - a @ b)) < 1e-14
+    assert np.max(np.abs(dense_oracles._mul2(a, b) - a @ b)) < 1e-14
     assert np.max(np.abs(geometry._apply2(a, v) - (a @ v[..., None])[..., 0])) < 1e-14
     assert np.max(np.abs(geometry._apply2(PAULI[1], v) - v @ PAULI[1].T)) == 0.0
-    assert np.array_equal(geometry._dag2(a), np.conj(np.swapaxes(a, -1, -2)))
+    assert np.array_equal(dense_oracles._dag2(a), np.conj(np.swapaxes(a, -1, -2)))
+    # the component-first kernels form the same products bit for bit, also
+    # with a constant (2, 2) factor
+    a_cf, b_cf = (np.moveaxis(m, (-2, -1), (0, 1)) for m in (a, b))
+    v_cf = np.moveaxis(v, -1, 0)
+    trailing = geometry._trailing
+    assert np.array_equal(trailing(geometry._mul2(a_cf, b_cf), 2), dense_oracles._mul2(a, b))
+    assert np.array_equal(
+        trailing(geometry._mul2(PAULI[1], b_cf), 2), dense_oracles._mul2(PAULI[1], b)
+    )
+    assert np.array_equal(trailing(geometry._mul_vec2(a_cf, v_cf)), geometry._apply2(a, v))
+    assert np.array_equal(trailing(geometry._dag2(a_cf), 2), dense_oracles._dag2(a))
 
 
 def test_central_difference_helper():
@@ -437,3 +450,62 @@ def test_blocked_grid_checks_match_full_grid_oracles(
     # three grid passes, each on two workers once there are two blocks
     pooled = n_theta >= pool_min_rows and n_theta > GRID_BLOCK_ROWS
     assert len(forks) - forked == (3 * 2 if pooled else 0)
+
+
+# The grid kernels hold every component as its own array; the blocks must
+# equal the trailing-axis blocks (dense_oracles) bit for bit, since the grid
+# rows, report and CSV are compared byte for byte.  Grids below 785 theta
+# rows keep every shifted angle of the order steps inside (0, pi).
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    rows=st.integers(1, 33),
+    n_phi=st.integers(2, 40),
+    n_theta=st.integers(33, 784),
+    where=st.sampled_from(["north", "middle", "south"]),
+)
+@example(rows=33, n_phi=40, n_theta=784, where="north")
+@example(rows=33, n_phi=40, n_theta=784, where="south")
+@example(rows=1, n_phi=2, n_theta=784, where="south")
+def test_component_blocks_equal_trailing_axis_blocks(rows, n_phi, n_theta, where):
+    grid = SphereGrid.make(n_theta, n_phi)
+    start = {"north": 0, "middle": (n_theta - rows) // 2, "south": n_theta - rows}[where]
+    theta, phi = grid.theta[start : start + rows, None], grid.phi[None, :]
+    report = geometry._report_block(theta, phi, 1e-4)
+    assert report.shape == (4, rows, n_phi)
+    assert np.array_equal(report, dense_oracles._report_block(theta, phi, 1e-4))
+    assert np.array_equal(
+        geometry._identification_block(theta, phi, 1e-4, 0.02),
+        dense_oracles._identification_block(theta, phi, 1e-4, 0.02),
+    )
+
+
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+def test_killing_defect_equals_trailing_axis_kernel(sign):
+    theta, phi = random_points(300, seed=26)
+    for extrapolate in (False, True):
+        assert np.array_equal(
+            geometry._killing_defect(theta, phi, 1e-4, sign, extrapolate),
+            dense_oracles._killing_defect(theta, phi, 1e-4, sign, extrapolate),
+        )
+    # a scalar point keeps the scalar shape
+    assert geometry._killing_defect(1.0, 0.5, 1e-4).shape == ()
+
+
+def test_public_kernels_keep_the_trailing_layout():
+    theta, phi = random_points(40, seed=27)
+    s = s_matrix(theta, phi)
+    assert s.shape == (40, 2, 2) and s.flags.c_contiguous
+    eta = killing_spinor(theta, phi)
+    assert eta.shape == (40, 2, 2) and eta.flags.c_contiguous
+    # the projected spinor reads column 0 of S only, and equals weyl_plus
+    assert np.array_equal(
+        geometry._trailing(geometry._projected(theta, phi)), weyl_plus(eta)
+    )
+    assert np.array_equal(
+        geometry._trailing(geometry._aligned_section(theta, phi)),
+        dense_oracles._aligned_section(theta, phi),
+    )
+    assert s_matrix(0.3, 0.1).shape == (2, 2) and unit_vector(0.3, 0.1).shape == (3,)
+    assert section(unit_vector(0.3, 0.1)).shape == (2,) and hopf_s2(np.ones(2)).shape == (3,)

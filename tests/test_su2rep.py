@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from fuzzball.grvv import GrvvSolution, block_solution, gauge_dress, ground_state
 from fuzzball.matcore import frobenius_norm, random_unitary
 from fuzzball.su2rep import (
+    BilinearSet,
     Su2Representation,
     bilinears,
     casimir,
@@ -13,7 +14,9 @@ from fuzzball.su2rep import (
     intertwiner_residual,
     irrep,
     su2_closure_residual,
+    su2_from_bilinears,
     u2_structure_residual,
+    weight_frame,
 )
 
 
@@ -98,6 +101,37 @@ def test_u2_structure_dressed():
     rng = np.random.default_rng(4)
     d = gauge_dress(ground_state(4), random_unitary(4, rng), random_unitary(4, rng))
     assert u2_structure_residual(bilinears(d)) < 1e-12
+
+
+@pytest.mark.parametrize("side, a", [("jmat", 0), ("jmat", 1), ("jbar", 0), ("jbar", 1)])
+def test_u2_refuses_non_hermitian_diagonal(side, a):
+    # the skipped pairs are the adjoint images of kept ones only if the
+    # diagonal entries are Hermitian: Gaussian noise there must be refused,
+    # not hidden behind a finite residual
+    b = bilinears(ground_state(8))
+    rng = np.random.default_rng(5)
+    table = [list(row) for row in getattr(b, side)]
+    table[a][a] = table[a][a] + rng.normal(size=(8, 8))
+    tables = {"jmat": b.jmat, "jbar": b.jbar, side: tuple(map(tuple, table))}
+    noisy = BilinearSet(jmat=tables["jmat"], jbar=tables["jbar"], j=b.j, jbar_i=b.jbar_i,
+                        trace_j=b.trace_j, trace_jbar=b.trace_jbar)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        u2_structure_residual(noisy)
+
+
+def test_weight_frame_accepts_a_rounding_level_zero_triple():
+    # the barred triple of a dressed n = 2 doublet is spin 0 plus a zero
+    # block, zero up to rounding (about 1e-16)
+    rng = np.random.default_rng(1)
+    sol = gauge_dress(ground_state(2), random_unitary(2, rng), random_unitary(2, rng))
+    rep = su2_from_bilinears(bilinears(sol), barred=True)
+    assert max(frobenius_norm(g) for g in rep.generators) < 1e-15
+    _, canon, defect = weight_frame(rep)
+    assert canon.partition == (1, 1) and defect < 1e-15
+    # a small triple that is no representation is still refused
+    half = Su2Representation(*(0.5 * g for g in irrep(2).generators))
+    with pytest.raises(ValueError, match="not integers"):
+        weight_frame(half)
 
 
 @pytest.mark.parametrize("n", [2, 5, 7])
