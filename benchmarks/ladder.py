@@ -32,8 +32,14 @@ N in ``DECOMPOSE_SIZES``, with the basis built once outside the timed calls
 ``su2rep.weight_frame`` of ``irrep(N)`` under one fixed random rotation for N
 in ``SIZES``; the ``round_trip`` rung times ``equivalence.round_trip`` of
 ``irrep(N)`` (``rep``) and of ``ground_state(N)`` (``sol``), the two calls
-of ``verify --suite equivalence``, for N in ``SIZES``.  ``--rung``
-(repeatable) measures only the named rungs.
+of ``verify --suite equivalence``, for N in ``SIZES``; the ``canonicalize``
+rung times ``equivalence.canonicalize`` of the representation of the
+dressed ground state (``cli._dressed``, via ``grvv_to_su2``, untimed) for N
+in ``SIZES``.  The ``startup`` rung times whole fresh ``python -m fuzzball``
+processes, one per call, for each command of ``STARTUP_COMMANDS`` (its
+sizes): ``--help`` and three small commands, whose time is mostly
+interpreter start-up and imports.  ``--rung`` (repeatable) measures only the
+named rungs.
 
 Each (rung, size) is measured in fresh child processes, one per tree and
 round: ``ROUNDS`` rounds with the trees in the order given, so two trees run
@@ -56,6 +62,7 @@ already in the file are kept.
 """
 
 import argparse
+import importlib.util
 import json
 import os
 import statistics
@@ -77,6 +84,13 @@ ROUNDS = 2
 REPEATS = 4
 SEED = 0
 FIT_FROM = 64
+# label -> argv of each ``startup`` spawn
+STARTUP_COMMANDS = {
+    "help": ["--help"],
+    "gen_grvv_16": ["gen", "grvv", "--n", "16"],
+    "verify_u2_2": ["verify", "--suite", "u2", "--n-list", "2"],
+    "spectrum_laplacian_8": ["spectrum", "laplacian", "--n", "8"],
+}
 
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 from run import environment  # noqa: E402  (the CLI benchmark's environment block)
@@ -233,6 +247,23 @@ def equivalence_round_trip(n):
                            "sol": timed(lambda: round_trip(sol))}}, {}
 
 
+def canonicalize(n):
+    from fuzzball.cli import _dressed
+    from fuzzball.equivalence import canonicalize, grvv_to_su2
+
+    rep = grvv_to_su2(_dressed(n, SEED))[0]
+    return {"canonicalize": {"dressed": timed(lambda: canonicalize(rep))}}, {}
+
+
+def startup(command):
+    # the tree this child imports fuzzball from, found without importing it
+    src = os.path.dirname(os.path.dirname(importlib.util.find_spec("fuzzball").origin))
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = [sys.executable, "-m", "fuzzball", *STARTUP_COMMANDS[command]]
+    ts = timed(lambda: subprocess.run(argv, env=env, stdout=subprocess.DEVNULL, check=True))
+    return {"startup": {"spawn": ts}}, {}
+
+
 def _points(size):
     nt, nphi = map(int, size.split("x"))
     return nt * nphi
@@ -251,6 +282,9 @@ RUNGS = {
     "decompose_bifundamental": (decompose, DECOMPOSE_SIZES, int),
     "weight_frame": (frame, SIZES, int),
     "round_trip": (equivalence_round_trip, SIZES, int),
+    "canonicalize": (canonicalize, SIZES, int),
+    # no size to fit an exponent against
+    "startup": (startup, list(STARTUP_COMMANDS), lambda command: 0),
 }
 
 
@@ -352,6 +386,7 @@ def main(argv=None):
             "spectra_sizes": SPECTRA_SIZES,
             "grid_sizes": GRID_SIZES,
             "decompose_sizes": DECOMPOSE_SIZES,
+            "startup_commands": STARTUP_COMMANDS,
             "rounds": ROUNDS,
             "repeats": REPEATS,
             "fit_from": FIT_FROM,

@@ -2,7 +2,9 @@
 Command-line front end: generators, verification suites, spectra and
 convergence tables with machine-readable output.
 
-Exit codes: 0 success, 1 residual above tolerance, 2 usage error.
+Exit codes: 0 success, 1 residual above tolerance, 2 usage error.  The top
+imports only the standard library (``--help`` loads no numpy); each command
+imports what it runs.
 """
 
 import argparse
@@ -11,24 +13,6 @@ import csv
 import json
 import math
 import sys
-
-import numpy as np
-
-from . import geometry, spectra
-from .equivalence import round_trip
-from .geometry import GRID_BLOCK_ROWS
-from .grvv import GrvvSolution, block_solution, gauge_dress, ground_state, grvv_residual, sphere_constraints
-from .harmonics import _diagonal_index, build_basis, decompose_bifundamental
-from .matcore import _write_blocks, dagger, matrix_from_json, random_unitary, write_json
-from .su2rep import (
-    bilinears,
-    direct_sum,
-    doublet_covariance_residual,
-    intertwiner_residual,
-    irrep,
-    u2_structure_residual,
-)
-from .superalg import calibrate
 
 SUITES = (
     "grvv",
@@ -75,6 +59,8 @@ def _output(path):
 def _write_json(path, obj):
     """Compact JSON of ``obj`` plus a newline; arrays in ``obj`` are written
     in the matrix_to_json layout, a block of rows at a time."""
+    from .matcore import write_json
+
     with _output(path) as fh:
         write_json(fh, obj)
         fh.write("\n")
@@ -95,6 +81,9 @@ def _write_grid_csv(path, grid, residuals):
     formatted once, and each theta row is one ``%`` of a template; the
     bytes are those of csv.writer (no field needs quoting, lines end in
     CRLF)."""
+    from .geometry import GRID_BLOCK_ROWS
+    from .matcore import _write_blocks
+
     thetas = [f"{t:.10g}," for t in grid.theta.tolist()]
     phis = [f"{p:.10g}," for p in grid.phi.tolist()]
     # per identity, the line tails after the theta field: t + t.join(tails)
@@ -133,6 +122,8 @@ def cmd_gen(args):
         if getattr(args, opt) is not None and opt not in _GEN_OPTIONS[args.kind]:
             raise ValueError(f"gen {args.kind} takes no --{opt}")
     if args.kind == "grvv":
+        from .grvv import block_solution, ground_state
+
         if args.partition:
             if args.n is not None and args.n != sum(args.partition):
                 raise ValueError(
@@ -145,19 +136,21 @@ def cmd_gen(args):
                 raise ValueError("gen grvv needs --n or --partition")
             sol = ground_state(args.n)
         if args.dress is not None:
-            rng = np.random.default_rng(args.dress)
-            n = sol.size
-            sol = gauge_dress(sol, random_unitary(n, rng), random_unitary(n, rng))
+            sol = _dress(sol, args.dress)
         _write_json(args.out, sol._record())
         return 0
     if args.kind == "su2":
         if not args.dims:
             raise ValueError("gen su2 needs --dims")
+        from .su2rep import direct_sum, irrep
+
         rep = direct_sum([irrep(n) for n in args.dims])
         _write_json(args.out, rep._record())
         return 0
+    from .geometry import gamma_so5, gamma_so9
+
     group = args.group or "so5"
-    gammas = geometry.gamma_so5() if group == "so5" else geometry.gamma_so9()
+    gammas = gamma_so5() if group == "so5" else gamma_so9()
     _write_json(args.out, {"schema": 1, "group": group, "matrices": gammas})
     return 0
 
@@ -167,6 +160,8 @@ def cmd_gen(args):
 
 
 def _suite_grvv(n, seed):
+    from .grvv import ground_state, grvv_residual, sphere_constraints
+
     sol = ground_state(n)
     yield ("grvv_residual", n, grvv_residual(sol))
     sc = sphere_constraints(sol)
@@ -174,18 +169,35 @@ def _suite_grvv(n, seed):
     yield ("sphere_right", n, sc[1])
 
 
+def _dress(sol, seed):
+    """``sol`` in the random gauge (U, V) drawn from ``seed``."""
+    import numpy as np
+
+    from .grvv import gauge_dress
+    from .matcore import random_unitary
+
+    rng = np.random.default_rng(seed)
+    return gauge_dress(sol, random_unitary(sol.size, rng), random_unitary(sol.size, rng))
+
+
 def _dressed(n, seed):
-    rng = np.random.default_rng(seed + n)
-    sol = ground_state(n)
-    return gauge_dress(sol, random_unitary(n, rng), random_unitary(n, rng))
+    from .grvv import ground_state
+
+    return _dress(ground_state(n), seed + n)
 
 
 def _suite_u2(n, seed):
+    from .grvv import ground_state
+    from .su2rep import bilinears, u2_structure_residual
+
     yield ("u2_structure", n, u2_structure_residual(bilinears(ground_state(n))))
     yield ("u2_structure_dressed", n, u2_structure_residual(bilinears(_dressed(n, seed))))
 
 
 def _suite_covariance(n, seed):
+    from .grvv import ground_state
+    from .su2rep import doublet_covariance_residual
+
     sol = ground_state(n)
     yield ("doublet_covariance", n, doublet_covariance_residual(sol))
     dressed = _dressed(n, seed)
@@ -193,6 +205,9 @@ def _suite_covariance(n, seed):
 
 
 def _suite_intertwiner(n, seed):
+    from .grvv import ground_state
+    from .su2rep import intertwiner_residual
+
     yield ("intertwiner", n, intertwiner_residual(ground_state(n)))
     yield ("intertwiner_dressed", n, intertwiner_residual(_dressed(n, seed)))
 
@@ -203,6 +218,14 @@ class _Skip(Exception):
 
 
 def _suite_harmonics(n, seed):
+    import numpy as np
+
+    from .grvv import ground_state
+    from .harmonics import _diagonal_index, build_basis, decompose_bifundamental
+    from .matcore import dagger
+    from .spectra import fuzzy_laplacian_spectrum
+    from .su2rep import irrep
+
     rep = irrep(n)
     basis = build_basis(rep)
     u = basis.frame
@@ -231,7 +254,7 @@ def _suite_harmonics(n, seed):
         adj = max(adj, np.max(np.sqrt(on + np.maximum(off, 0.0))))
     yield ("gram", n, float(gram))
     yield ("adjoint_j3", n, float(adj))
-    ev = spectra.fuzzy_laplacian_spectrum(rep)
+    ev = fuzzy_laplacian_spectrum(rep)
     ref = np.sort(np.concatenate([[4 * l * (l + 1)] * (2 * l + 1) for l in range(n)]))
     yield ("laplacian_spectrum", n, float(np.max(np.abs(ev - ref)) / max(ref[-1], 1)))
     rng = np.random.default_rng(seed + n)
@@ -247,17 +270,28 @@ def _suite_harmonics(n, seed):
 def _suite_superalgebra(n, seed):
     if n < 2:
         raise _Skip("n < 2: the ground-state doublet is zero, there is no bracket to close")
+    from .grvv import ground_state
+    from .superalg import calibrate
+
     # no tolerance inside calibrate: the row is judged at --tol like any other
-    cal = calibrate(ground_state(n), tol=np.inf)
+    cal = calibrate(ground_state(n), tol=math.inf)
     yield ("osp_closure", n, cal.total)
 
 
 def _suite_equivalence(n, seed):
+    from .equivalence import round_trip
+    from .grvv import ground_state
+    from .su2rep import irrep
+
     yield ("round_trip_rep", n, round_trip(irrep(n)).worst())
     yield ("round_trip_sol", n, round_trip(ground_state(n)).worst())
 
 
 def _suite_geometry(n, seed, grid, residuals):
+    import numpy as np
+
+    from . import geometry
+
     # the pointwise rows are the maxima of the grid_report arrays
     def worst(name):
         return float(np.max(residuals[name]))
@@ -348,6 +382,8 @@ def cmd_verify(args):
     if "geometry" in suites:
         # one evaluation of the per-point residuals feeds both the suite rows
         # and the grid CSV
+        from . import geometry
+
         grid = geometry.SphereGrid.make(*shape)
         residuals = geometry.grid_report(grid, n=max(args.n_list) if args.n_list else 2)
     results, skipped = [], []
@@ -388,16 +424,19 @@ def cmd_verify(args):
 
 
 def cmd_spectrum(args):
+    from .spectra import fuzzy_laplacian_spectrum, scalar_kinetic_spectrum
+    from .su2rep import irrep
+
     if args.which == "laplacian":
-        ev = spectra.fuzzy_laplacian_spectrum(irrep(args.n))
+        ev = fuzzy_laplacian_spectrum(irrep(args.n))
         # level l is the sorted ev[l^2 : (l+1)^2], 2l + 1 values at 4l(l+1)
         scale = max(4 * args.n * (args.n - 1), 1)
-        res = [np.max(np.abs(ev[l * l : (l + 1) ** 2] - 4 * l * (l + 1))) for l in range(args.n)]
+        res = [abs(ev[l * l : (l + 1) ** 2] - 4 * l * (l + 1)).max() for l in range(args.n)]
         rows = [[4 * l * (l + 1), 2 * l + 1, l, f"{r / scale:.3e}"] for l, r in enumerate(res)]
         _write_csv(args.out, ["eigenvalue", "multiplicity", "l", "residual"], rows)
         return 0
     if args.which == "kinetic":
-        ks = spectra.scalar_kinetic_spectrum(irrep(args.n))
+        ks = scalar_kinetic_spectrum(irrep(args.n))
         rows = [[f"{eig:.12g}", mult, l, j, f"{res:.3e}"] for eig, mult, l, j, res in ks.groups]
         _write_csv(args.out, ["eigenvalue", "multiplicity", "l", "j", "residual"], rows)
         return 0
@@ -405,13 +444,15 @@ def cmd_spectrum(args):
 
 
 def cmd_converge(args):
+    from .spectra import commutator_decay, mode_convergence
+
     if args.which == "commutator":
-        table = spectra.commutator_decay(args.n_list)
+        table = commutator_decay(args.n_list)
         rows = [[n, f"{v:.15g}", f"{2.0 / (n + 1):.15g}"] for n, v in table]
         _write_csv(args.out, ["n", "spectral_norm", "closed_form"], rows)
         return 0
     if args.which == "modes":
-        table = spectra.mode_convergence(args.n_list, args.l, args.m)
+        table = mode_convergence(args.n_list, args.l, args.m)
         rows = [[n, args.l, args.m, f"{v:.15g}"] for n, v in table]
         _write_csv(args.out, ["n", "l", "m", "sup_error"], rows)
         errs = [v for _, v in table]
@@ -420,6 +461,10 @@ def cmd_converge(args):
 
 
 def cmd_decompose(args):
+    from .grvv import GrvvSolution
+    from .harmonics import decompose_bifundamental
+    from .matcore import matrix_from_json
+
     with open(args.solution) as fh:
         sol = GrvvSolution.from_json(json.load(fh))
     paths = args.matrix.split(",")
@@ -452,7 +497,7 @@ def cmd_decompose(args):
         for (l, m), c in modes.r_coeffs.items():
             powers.setdefault((l, m), [0.0, 0.0])[0] += abs(c) ** 2
         for (l, m), s in modes.s_coeffs.items():
-            powers.setdefault((l, m), [0.0, 0.0])[1] += float(np.sum(np.abs(s) ** 2))
+            powers.setdefault((l, m), [0.0, 0.0])[1] += float((abs(s) ** 2).sum())
         rows = [
             [l, m, f"{p[0]:.15g}", f"{p[1]:.15g}"]
             for (l, m), p in sorted(powers.items())

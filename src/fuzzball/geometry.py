@@ -516,19 +516,19 @@ def _identification_block(theta, phi, h, phi_window):
     law_bc = 0.5j * np.cos(theta) * u0
     law_c = (0.5j * _mul_vec2(mth, a0), 0.5j * _mul_vec2(mph, a0))
 
-    def fd_b(step):
-        dth, dph = _central_difference(_projected, theta, phi, step)
-        return max(_sup(dth + law_bt), _sup(dph + law_bp - law_bc))
+    def fd_b(step, rows=slice(None)):
+        dth, dph = _central_difference(_projected, theta[rows], phi, step)
+        return max(_sup(dth + law_bt[:, rows]), _sup(dph + law_bp[:, rows] - law_bc[:, rows]))
 
-    def fd_c(step):
+    def fd_c(step, rows=slice(None)):
         res = 0.0
-        for d, law in zip(_central_difference(_aligned_section, theta, phi, step), law_c):
-            defect = d + law
+        for d, law in zip(_central_difference(_aligned_section, theta[rows], phi, step), law_c):
+            defect = d + law[:, rows]
             # remove the i * real * g component: the representative is only
             # defined up to the fibre phase and its theta-gradient is the
             # non-integrable piece
-            coeff = np.imag(a0c[0] * defect[0] + a0c[1] * defect[1])
-            res = max(res, _sup(defect - 1j * coeff * a0))
+            coeff = np.imag(a0c[0, rows] * defect[0] + a0c[1, rows] * defect[1])
+            res = max(res, _sup(defect - 1j * coeff * a0[:, rows]))
         return res
 
     # (d) local phase match near phi = 0: the projected spinor equals the
@@ -541,12 +541,17 @@ def _identification_block(theta, phi, h, phi_window):
     # (e) d_a x_i from either derivative law: (i/2) v^dag [M_a, sigma~_i] v
     res_e = max(_sup(_dx_from_law(m, u0) - _dx_from_law(m, g0)) for m in (mth, mph))
 
-    # orders are measured at steps large enough that truncation beats roundoff
+    # orders are measured at steps large enough that truncation beats roundoff,
+    # on the rows whose steps stay in (0, pi) and in the chart of _section
+    # (every row of a grid below 785 theta rows)
     h_ord = max(h, 2e-3)
-    return np.array(
-        [res_a, fd_b(h), fd_c(h), res_d, res_e,
-         fd_b(h_ord), fd_b(h_ord / 2), fd_c(h_ord), fd_c(h_ord / 2)]
-    )
+    t = theta[:, 0]
+    keep = np.flatnonzero((t > h_ord) & (t + h_ord < np.pi) & (np.cos(t + h_ord) > -1 + 1e-12))
+    orders = [-np.inf] * 4  # a block with no such row
+    if keep.size:
+        rows = slice(keep[0], keep[-1] + 1)
+        orders = [f(s, rows) for f in (fd_b, fd_c) for s in (h_ord, h_ord / 2)]
+    return np.array([res_a, fd_b(h), fd_c(h), res_d, res_e, *orders])
 
 
 def identification_check(n, grid, h=1e-4, phi_window=0.02):

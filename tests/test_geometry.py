@@ -481,6 +481,27 @@ def test_component_blocks_equal_trailing_axis_blocks(rows, n_phi, n_theta, where
     )
 
 
+def test_order_sups_leave_out_the_rows_next_to_the_poles():
+    # 786 rows: the first row lies within h_ord = 2e-3 of the north pole, so
+    # theta - h_ord crosses it; the order sups of its block are those of the
+    # other rows, and every other sup keeps the first row
+    grid = SphereGrid.make(786, 8)
+    theta, phi = grid.theta[:16, None], grid.phi[None, :]
+    ours = geometry._identification_block(theta, phi, 1e-4, 0.02)
+    assert np.array_equal(ours[:5], dense_oracles._identification_block(theta, phi, 1e-4, 0.02)[:5])
+    assert np.array_equal(
+        ours[5:], dense_oracles._identification_block(theta[1:], phi, 1e-4, 0.02)[5:]
+    )
+    # 785 rows: theta + h_ord of the last row lands 1.0e-6 short of the south
+    # pole, where the section is refused; a block of that row alone has no
+    # order sup (-inf, the identity of the maxima over blocks)
+    south = SphereGrid.make(785, 8).theta[-1:, None]
+    with pytest.raises(ValueError, match="singular"):
+        dense_oracles._identification_block(south, phi, 1e-4, 0.02)
+    block = geometry._identification_block(south, phi, 1e-4, 0.02)
+    assert np.all(np.isfinite(block[:5])) and np.all(block[5:] == -np.inf)
+
+
 @pytest.mark.parametrize("sign", [-1.0, 1.0])
 def test_killing_defect_equals_trailing_axis_kernel(sign):
     theta, phi = random_points(300, seed=26)
