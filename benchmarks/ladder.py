@@ -1,12 +1,16 @@
 """
 Per-kernel timing ladder for the spin-map kernels of ``fuzzball.su2rep``, the
-harmonics and spectra kernels, and the bulk writers of the CLI.
+harmonics and spectra kernels, the graded-closure calibration, and the bulk
+writers of the CLI.
 
     python3 benchmarks/ladder.py --label change --out benchmarks/ladder.json
     python3 benchmarks/ladder.py --label parent --src ../parent/src \\
         --label change --src src --out benchmarks/ladder.json
     python3 benchmarks/ladder.py --label change --rung build_basis \\
         --rung decompose_bifundamental --out benchmarks/ladder.json
+    python3 benchmarks/ladder.py --label parent --src ../parent/src \\
+        --label change --src src --label parent_control --src ../parent/src \\
+        --rung superalgebra --out benchmarks/BENCH_19.json
 
 Times ``bilinears`` and the four residual evaluators (``u2_structure_residual``,
 ``su2_closure_residual`` on J, ``doublet_covariance_residual`` and
@@ -35,7 +39,11 @@ in ``SIZES``; the ``round_trip`` rung times ``equivalence.round_trip`` of
 of ``verify --suite equivalence``, for N in ``SIZES``; the ``canonicalize``
 rung times ``equivalence.canonicalize`` of the representation of the
 dressed ground state (``cli._dressed``, via ``grvv_to_su2``, untimed) for N
-in ``SIZES``.  The ``startup`` rung times whole fresh ``python -m fuzzball``
+in ``SIZES``.  The ``superalgebra`` rung times ``superalg.calibrate`` of
+``ground_state(N)`` (untimed) without a tolerance, the call of ``verify
+--suite superalgebra``, for N in ``SIZES``, with the ``tracemalloc_peak_mb``
+of one more call as for ``gen_grvv_dressed``.  The ``startup`` rung times
+whole fresh ``python -m fuzzball``
 processes, one per call, for each command of ``STARTUP_COMMANDS`` (its
 sizes): ``--help`` and three small commands, whose time is mostly
 interpreter start-up and imports.  ``--rung`` (repeatable) measures only the
@@ -64,6 +72,7 @@ already in the file are kept.
 import argparse
 import importlib.util
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -156,6 +165,16 @@ def spin_maps(n):
     return samples, {}
 
 
+def traced_peak_mb(fn):
+    """tracemalloc peak (MiB) of one call of fn, made apart from the timed ones."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def gen_grvv_dressed(n):
     from fuzzball.cli import main
 
@@ -163,13 +182,19 @@ def gen_grvv_dressed(n):
         argv = ["gen", "grvv", "--n", str(n), "--dress", str(SEED),
                 "--out", os.path.join(tmp, "gen.json")]
         ts = timed(lambda: main(argv))
-        tracemalloc.start()
-        try:
-            main(argv)
-            peak = tracemalloc.get_traced_memory()[1] / 2**20
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak_mb(lambda: main(argv))
     return {"gen_grvv_dressed": {"cli": ts}}, {"tracemalloc_peak_mb": peak}
+
+
+def superalgebra(n):
+    from fuzzball.grvv import ground_state
+    from fuzzball.superalg import calibrate
+
+    sol = ground_state(n)
+    # no tolerance, as verify calls it: the closure misses 1e-10 from N = 256
+    ts = timed(lambda: calibrate(sol, tol=math.inf))
+    peak = traced_peak_mb(lambda: calibrate(sol, tol=math.inf))
+    return {"calibrate": {"ground": ts}}, {"tracemalloc_peak_mb": peak}
 
 
 def grid_csv(size):
@@ -283,6 +308,7 @@ RUNGS = {
     "weight_frame": (frame, SIZES, int),
     "round_trip": (equivalence_round_trip, SIZES, int),
     "canonicalize": (canonicalize, SIZES, int),
+    "superalgebra": (superalgebra, SIZES, int),
     # no size to fit an exponent against
     "startup": (startup, list(STARTUP_COMMANDS), lambda command: 0),
 }

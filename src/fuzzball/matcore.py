@@ -65,11 +65,16 @@ def frobenius_norm(a):
     return float(np.linalg.norm(a))
 
 
+def _nan_max(values):
+    """max of the floats ``values``, NaN if any is NaN (the builtin max alone
+    drops a NaN that does not come first)."""
+    values = list(values)
+    return math.nan if any(map(math.isnan, values)) else max(values)
+
+
 def max_frobenius(mats):
-    """max_k ||mats_k||_F, NaN if any norm is NaN (the builtin max alone drops
-    a NaN that does not come first)."""
-    norms = [frobenius_norm(m) for m in mats]
-    return math.nan if any(map(math.isnan, norms)) else max(norms)
+    """max_k ||mats_k||_F, NaN if any norm is NaN."""
+    return _nan_max(frobenius_norm(m) for m in mats)
 
 
 def spectral_norm(a):

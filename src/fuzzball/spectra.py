@@ -3,6 +3,11 @@ Spectral bridges between the matrix and classical pictures: the adjoint
 Laplacian, the three-component fluctuation kinetic operator, classical
 vector/spinor harmonics, the Dirac-square identity, and coherent-state
 symbol maps with their convergence sweeps.
+
+Only the spinor and Dirac helpers read ``fuzzball.geometry`` (the Killing
+spinor, the batched 2x2 product and the central difference), so they import
+it where they run: the Laplacian, kinetic, commutator and mode commands do
+not load the largest library module.
 """
 
 import math
@@ -10,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _apply2, _central_difference, killing_spinor
 from .harmonics import (
     _ad,
     _basis_in_frame,
@@ -314,6 +318,8 @@ def _xi_and_dirac(l, m, sign, theta, phi):
     sin = np.sin(theta)
     cos = np.cos(theta)
 
+    from .geometry import killing_spinor
+
     eta = killing_spinor(theta, phi)[..., :, 0]  # one global component suffices
     base = np.einsum("ab,...b->...a", s3, eta) if sign > 0 else eta
     # d_a eta from the Killing equation (with its torsion-free phi term)
@@ -347,6 +353,8 @@ def _xi_and_dirac(l, m, sign, theta, phi):
 def _dirac(f, f_theta, f_phi, theta):
     """Dirac operator on a spinor field from its value and first derivatives:
     -i (sigma_1 d_theta + sigma_2 d_phi / sin - (i/2) cot sigma_2 sigma_3) f."""
+    from .geometry import _apply2
+
     sin = np.sin(theta)
     cos = np.cos(theta)
     return -1j * (
@@ -372,6 +380,8 @@ def spinorial_harmonic(l, m, sign, theta, phi):
 
 def _dirac_fd(field, theta, phi, h, richardson=False):
     """One finite-difference Dirac application of a callable spinor field."""
+    from .geometry import _central_difference
+
     d_theta, d_phi = _central_difference(field, theta, phi, h, richardson)
     return _dirac(field(theta, phi), d_theta, d_phi, theta)
 

@@ -242,13 +242,20 @@ class BilinearSet:
     trace_jbar: np.ndarray
 
 
+def _table(x, y):
+    """((x_0 y_0, x_0 y_1), ((x_0 y_1)^dag, x_1 y_1)) from 3 products: the
+    (1, 0) entry is the exact adjoint of the (0, 1) entry when y_a = x_a^dag.
+    ``_table(g, gd)`` is jmat and ``_table(gd, g)`` is jbar."""
+    off = x[0] @ y[1]
+    return ((x[0] @ y[0], off), (dagger(off), x[1] @ y[1]))
+
+
 def bilinears(sol):
     """Both tables and both triples from 6 products (adjoint-paired tables)."""
     g = sol.matrices
     gd = sol.daggers
-    j01, jbar01 = g[0] @ gd[1], gd[0] @ g[1]
-    jmat = ((g[0] @ gd[0], j01), (dagger(j01), g[1] @ gd[1]))
-    jbar = ((gd[0] @ g[0], jbar01), (dagger(jbar01), gd[1] @ g[1]))
+    jmat = _table(g, gd)
+    jbar = _table(gd, g)
     j = pauli_contract([[jmat[b][a] for a in range(2)] for b in range(2)])
     jb = pauli_contract([[jbar[a][b] for a in range(2)] for b in range(2)])
     return BilinearSet(
@@ -259,6 +266,13 @@ def bilinears(sol):
         trace_j=jmat[0][0] + jmat[1][1],
         trace_jbar=jbar[0][0] + jbar[1][1],
     )
+
+
+def _triples(sol):
+    """(J_i, Jbar_i) of ``bilinears(sol)``; its tables and traces are released
+    on return, for callers that read nothing else."""
+    b = bilinears(sol)
+    return b.j, b.jbar_i
 
 
 def su2_from_bilinears(b, partition=(), barred=False):
@@ -325,25 +339,25 @@ def doublet_covariance_residual(sol, b=None):
     -i A_b (b = a for sigma_1,2, 1 - a for sigma_3), so ||A_0||, ||A_1|| give
     the maximum over (1) and (3) to the last bit: 4 products.  J_i, Jb_i and
     sigma_i are Hermitian, so (2) and (4) are the adjoints of (1) and (3) and
-    have the same norms up to rounding.  ``b`` must be ``bilinears(sol)``.
+    have the same norms up to rounding.  ``b`` must be ``bilinears(sol)``;
+    without it only the jmat table is formed (3 products).
     """
-    if b is None:
-        b = bilinears(sol)
     g = sol.matrices
-    d = [b.jmat[0][y] @ g[1] - b.jmat[1][y] @ g[0] for y in range(2)]
+    jmat = _table(g, sol.daggers) if b is None else b.jmat
+    d = [jmat[0][y] @ g[1] - jmat[1][y] @ g[0] for y in range(2)]
     return max_frobenius((d[0] + g[1], d[1] - g[0]))
 
 
 def intertwiner_residual(sol, b=None):
     """Residuals of gd_c J_i g^c = (N+1) Jb_i and g^c Jb_i gd_c = (N-2) J_i,
-    each side formed directly: 4 products per side and generator, 24 in all."""
+    each side formed directly: 4 products per side and generator, 24 in all.
+    Without ``b`` only the two triples of ``bilinears(sol)`` are kept."""
     if not sol.is_irreducible():
         raise ValueError("intertwiner factors are only stated for one block")
-    if b is None:
-        b = bilinears(sol)
+    j, jb = _triples(sol) if b is None else (b.j, b.jbar_i)
     n = sol.size
     g = sol.matrices
     gd = sol.daggers
-    sides = ((gd, b.j, g, n + 1, b.jbar_i), (g, b.jbar_i, gd, n - 2, b.j))
-    return max_frobenius(sum(x[c] @ j[i] @ y[c] for c in range(2)) - f * jt[i]
-                         for i in range(3) for x, j, y, f, jt in sides)
+    sides = ((gd, j, g, n + 1, jb), (g, jb, gd, n - 2, j))
+    return max_frobenius(sum(x[c] @ m[i] @ y[c] for c in range(2)) - f * mt[i]
+                         for i in range(3) for x, m, y, f, mt in sides)

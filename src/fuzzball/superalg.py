@@ -20,7 +20,10 @@ The three bracket families depend on that pair in different ways:
 Every bracket of block-diagonal and block-off-diagonal matrices is itself
 block-structured, so it is evaluated as two N x N blocks; a residual is the
 Frobenius norm of the whole 2N x 2N defect, the hypot of the two block
-norms.  ``calibrate`` forms each matrix product once and then scores every
+norms, and a family's residual is NaN if any of its brackets is.
+``calibrate`` never forms a supermatrix: it takes the blocks J_i and Jbar_i
+from ``bilinears`` (dropping the bilinear tables) and T_a, B_a from the
+doublet, forms each matrix product once and then scores every
 (c, convention) candidate with O(N^2) work.
 """
 
@@ -29,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import commutator
-from .su2rep import EPS3, EPS_LOWER, PAULI, bilinears
+from .matcore import _nan_max, commutator
+from .su2rep import EPS3, EPS_LOWER, PAULI, _triples, bilinears
 
 __all__ = [
     "EPS_LOWER",
@@ -52,6 +55,11 @@ class SuperMatrixSet:
     scale: float
 
 
+def _lowered(g):
+    """T_a = sum_c eps_{ac} g^c: the upper-right blocks of Q_a at c = 1."""
+    return [sum(EPS_LOWER[a, c] * g[c] for c in range(2)) for a in range(2)]
+
+
 def build(sol, scale=1.0):
     n = sol.size
     b = bilinears(sol)
@@ -59,13 +67,12 @@ def build(sol, scale=1.0):
     even = tuple(
         np.block([[b.j[i], z], [z, b.jbar_i[i]]]) for i in range(3)
     )
-    g = sol.matrices
     gd = sol.daggers
-    odd = []
-    for a in range(2):
-        ga = sum(EPS_LOWER[a, c] * g[c] for c in range(2))
-        odd.append(np.block([[z, scale * ga], [-scale * gd[a], z]]))
-    return SuperMatrixSet(even=even, odd=tuple(odd), scale=float(scale))
+    odd = tuple(
+        np.block([[z, scale * t], [-scale * gd[a], z]])
+        for a, t in enumerate(_lowered(sol.matrices))
+    )
+    return SuperMatrixSet(even=even, odd=odd, scale=float(scale))
 
 
 def _sigma_lowered(i, convention):
@@ -84,54 +91,41 @@ def _norm(upper, lower):
 class _Brackets:
     """Every matrix product of the graded brackets, evaluated once on blocks.
 
-    Reads ``E_i = diag(J_i, Jbar_i)`` and ``Q_a = [[0, T_a], [B_a, 0]]`` out
-    of ``sms`` and refuses a set whose structural zero blocks are not
-    exactly zero.  ``ee`` and ``eo`` are the even-even and even-odd
-    residuals of ``sms`` itself; ``odd_odd`` scores the odd-odd bracket with
-    the odd generators of ``sms`` multiplied by a further ``c``.
+    Takes the blocks of ``E_i = diag(J_i, Jbar_i)`` and
+    ``Q_a = [[0, T_a], [B_a, 0]]`` as four lists of N x N matrices.  ``ee``
+    and ``eo`` are the even-even and even-odd residuals of those generators;
+    ``odd_odd`` scores the odd-odd bracket with the odd generators multiplied
+    by a further ``c``.  Only J_i, Jbar_i and the anticommutator blocks are
+    kept: T_a and B_a are released with the caller's references.
     """
 
-    def __init__(self, sms):
-        n2 = sms.even[0].shape[0]
-        n = n2 // 2
-        if n2 % 2 or any(m.shape != (n2, n2) for m in sms.even + sms.odd):
-            raise ValueError("supermatrices must all be 2N x 2N")
-        up, lo = slice(0, n), slice(n, n2)
-        if any(np.any(m[up, lo]) or np.any(m[lo, up]) for m in sms.even):
-            raise ValueError("even supermatrix has a nonzero off-diagonal block")
-        if any(np.any(m[up, up]) or np.any(m[lo, lo]) for m in sms.odd):
-            raise ValueError("odd supermatrix has a nonzero diagonal block")
-        j = [m[up, up] for m in sms.even]
-        jb = [m[lo, lo] for m in sms.even]
-        t = [m[up, lo] for m in sms.odd]
-        b = [m[lo, up] for m in sms.odd]
+    def __init__(self, j, jb, t, b):
         self.even = (j, jb)
+        self._defect = np.empty(j[0].shape, dtype=complex)
 
         # [E_i, E_i] = 0 and [E_j, E_i] = -[E_i, E_j] hold exactly in
         # floating point, so three pairs carry the whole family
-        self.ee = 0.0
-        for i, k, m in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
-            self.ee = max(
-                self.ee,
-                _norm(
-                    commutator(j[i], j[k]) - 2j * EPS3[i, k, m] * j[m],
-                    commutator(jb[i], jb[k]) - 2j * EPS3[i, k, m] * jb[m],
-                ),
+        self.ee = _nan_max(
+            _norm(
+                commutator(j[i], j[k]) - 2j * EPS3[i, k, m] * j[m],
+                commutator(jb[i], jb[k]) - 2j * EPS3[i, k, m] * jb[m],
             )
+            for i, k, m in ((0, 1, 2), (0, 2, 1), (1, 2, 0))
+        )
 
         # [E_i, Q_a] has blocks J_i T_a - T_a Jbar_i and Jbar_i B_a - B_a J_i
-        self.eo = 0.0
+        eo = []
         for i in range(3):
             for a in range(2):
                 rhs_t = -sum(PAULI[i][a, d] * t[d] for d in range(2))
                 rhs_b = -sum(PAULI[i][a, d] * b[d] for d in range(2))
-                self.eo = max(
-                    self.eo,
+                eo.append(
                     _norm(
                         j[i] @ t[a] - t[a] @ jb[i] - rhs_t,
                         jb[i] @ b[a] - b[a] @ j[i] - rhs_b,
-                    ),
+                    )
                 )
+        self.eo = _nan_max(eo)
 
         # {Q_a, Q_b} = diag(T_a B_b + T_b B_a, B_a T_b + B_b T_a), symmetric
         # in (a, b) exactly
@@ -155,8 +149,18 @@ class _Brackets:
     def odd_odd(self, rhs, c=1.0):
         """Odd-odd residual with the odd generators scaled by ``c``."""
         c2 = c * c
-        return max(
-            _norm(c2 * self.anti[key][0] - r[0], c2 * self.anti[key][1] - r[1])
+        # each block defect c^2 {Q_a, Q_b} - rhs is formed in one reused
+        # buffer: fresh N x N temporaries for every candidate are handed back
+        # to the system and faulted in again, which costs more than the
+        # arithmetic
+        out = self._defect
+
+        def defect(anti, r):
+            np.multiply(c2, anti, out=out)
+            return np.linalg.norm(np.subtract(out, r, out=out))
+
+        return _nan_max(
+            math.hypot(defect(self.anti[key][0], r[0]), defect(self.anti[key][1], r[1]))
             for key, r in rhs.items()
         )
 
@@ -169,11 +173,25 @@ def osp_closure_residual(sms, convention="eps_left"):
     odd-odd:    {Q_a, Q_b} = -(sigma_i)_{ab} E_i, with the lowered symbol
                 read per ``convention``.
 
-    Each residual is the largest Frobenius norm of a 2N x 2N defect.  Raises
-    ``ValueError`` unless the even matrices are exactly block-diagonal and
-    the odd ones exactly block-off-diagonal.
+    Each residual is the largest Frobenius norm of a 2N x 2N defect, NaN if
+    any of them is NaN.  Raises ``ValueError`` unless the even matrices are
+    exactly block-diagonal and the odd ones exactly block-off-diagonal.
     """
-    br = _Brackets(sms)
+    n2 = sms.even[0].shape[0]
+    n = n2 // 2
+    if n2 % 2 or any(m.shape != (n2, n2) for m in sms.even + sms.odd):
+        raise ValueError("supermatrices must all be 2N x 2N")
+    up, lo = slice(0, n), slice(n, n2)
+    if any(np.any(m[up, lo]) or np.any(m[lo, up]) for m in sms.even):
+        raise ValueError("even supermatrix has a nonzero off-diagonal block")
+    if any(np.any(m[up, up]) or np.any(m[lo, lo]) for m in sms.odd):
+        raise ValueError("odd supermatrix has a nonzero diagonal block")
+    br = _Brackets(
+        [m[up, up] for m in sms.even],
+        [m[lo, lo] for m in sms.even],
+        [m[up, lo] for m in sms.odd],
+        [m[lo, up] for m in sms.odd],
+    )
     return br.ee, br.eo, br.odd_odd(br.odd_odd_rhs(convention))
 
 
@@ -185,7 +203,8 @@ class CalibrationResult:
 
     @property
     def total(self):
-        return max(self.residuals)
+        """The largest residual, NaN if any is NaN."""
+        return _nan_max(self.residuals)
 
     def to_json(self):
         return {
@@ -200,9 +219,14 @@ def calibrate(sol, scales=None, tol=1e-10):
     """Search a scale grid and both sigma conventions for graded closure.
 
     Every candidate is scored; the minimizing pair is returned. If even the
-    best pair leaves a bracket family above ``tol``, raises
+    best pair leaves a bracket family above ``tol``, or NaN, raises
     ``ArithmeticError`` naming that family (``ee``, ``eo`` or ``oo``) and its
     residual. An empty ``scales`` raises ``ValueError``.
+
+    The brackets are evaluated on the N x N blocks: J_i and Jbar_i from
+    ``bilinears`` and, at scale 1, T_a = sum_c eps_{ac} g^c and
+    B_a = -gd_a, which are the blocks ``build(sol, 1.0)`` places in its
+    supermatrices; no 2N x 2N matrix is formed.
     """
     if not sol.is_irreducible() or sol.size < 2:
         raise ValueError("calibration expects one irreducible block of size >= 2")
@@ -213,21 +237,29 @@ def calibrate(sol, scales=None, tol=1e-10):
         )
     if len(scales) == 0:
         raise ValueError("empty scale grid: calibrate needs at least one scale")
-    br = _Brackets(build(sol, scale=1.0))
+    # row-major blocks: J_1, J_2 and gd_a come out column-major (transposed
+    # adjoints), and mixing layouts makes every O(N^2) update stride across
+    # rows
+    j, jb = ([np.ascontiguousarray(m) for m in ms] for ms in _triples(sol))
+    b = [np.ascontiguousarray(-gd) for gd in sol.daggers]
+    br = _Brackets(j, jb, _lowered(sol.matrices), b)
+    del b
     best = None
     for convention in CONVENTIONS:
         rhs = br.odd_odd_rhs(convention)
         for c in scales:
             res = (br.ee, abs(float(c)) * br.eo, br.odd_odd(rhs, c))
-            if best is None or max(res) < best.total:
+            if best is None or _nan_max(res) < best.total:
                 best = CalibrationResult(
                     scale=float(c), convention=convention, residuals=res
                 )
-    if best.total > tol:
+        # released before the next convention's blocks are formed
+        del rhs
+    if not best.total <= tol:
         worst = int(np.argmax(best.residuals))
         raise ArithmeticError(
             f"graded closure fails: best pair (scale {best.scale:.6g}, "
             f"{best.convention}) leaves the {FAMILIES[worst]} bracket at "
-            f"{best.residuals[worst]:.3e} > tol {tol:.1e}"
+            f"{best.residuals[worst]:.3e}, not within tol {tol:.1e}"
         )
     return best

@@ -7,7 +7,12 @@ checked with (SVD pseudo-inverse, eigensolver square root, anticommutator,
 Frobenius distance), the geometry grid checks evaluated over the whole grid
 at once, which the blocked ``grid_report`` and ``identification_check``
 replace, and the trailing-axis (array-of-structures) 2x2 kernels and grid
-blocks that the component-first ones in ``fuzzball.geometry`` replace."""
+blocks that the component-first ones in ``fuzzball.geometry`` replace, and
+the graded brackets evaluated on blocks sliced out of the 2N x 2N
+supermatrices of ``superalg.build``, which ``superalg`` replaces by brackets
+on the N x N blocks themselves."""
+
+import math
 
 import numpy as np
 
@@ -26,8 +31,9 @@ from fuzzball.geometry import (
     unit_vector,
     weyl_plus,
 )
-from fuzzball.matcore import as_matrix, dagger, frobenius_norm
-from fuzzball.su2rep import EPS3
+from fuzzball.matcore import as_matrix, commutator, dagger, frobenius_norm
+from fuzzball.su2rep import EPS3, EPS_LOWER, PAULI
+from fuzzball.superalg import CalibrationResult, build
 
 
 def anticommutator(a, b):
@@ -124,6 +130,101 @@ def group_eigenvalues(ev, tol=1e-8):
         runs.append((i, j))
         i = j
     return runs
+
+
+# ---------------------------------------------------------------------------
+# graded brackets on the blocks of the 2N x 2N supermatrices: the same
+# products, in the same order, as superalg's block brackets, so the residuals
+# agree to the last bit
+
+
+def _worst(values):
+    """Largest value, NaN if any is NaN."""
+    return float(np.max(list(values)))
+
+
+def _block_norm(upper, lower):
+    return math.hypot(np.linalg.norm(upper), np.linalg.norm(lower))
+
+
+class SlicedBrackets:
+    """The even blocks J_i, Jbar_i and odd blocks T_a, B_a sliced out of
+    ``sms``; ``ee`` and ``eo`` as in ``superalg.osp_closure_residual``,
+    ``odd_odd(rhs, c)`` with the odd generators scaled by a further c."""
+
+    def __init__(self, sms):
+        n2 = sms.even[0].shape[0]
+        up, lo = slice(0, n2 // 2), slice(n2 // 2, n2)
+        j = [m[up, up] for m in sms.even]
+        jb = [m[lo, lo] for m in sms.even]
+        t = [m[up, lo] for m in sms.odd]
+        b = [m[lo, up] for m in sms.odd]
+        self.even = (j, jb)
+        self.ee = _worst(
+            _block_norm(
+                commutator(j[i], j[k]) - 2j * EPS3[i, k, m] * j[m],
+                commutator(jb[i], jb[k]) - 2j * EPS3[i, k, m] * jb[m],
+            )
+            for i, k, m in ((0, 1, 2), (0, 2, 1), (1, 2, 0))
+        )
+        eo = []
+        for i in range(3):
+            for a in range(2):
+                rhs_t = -sum(PAULI[i][a, d] * t[d] for d in range(2))
+                rhs_b = -sum(PAULI[i][a, d] * b[d] for d in range(2))
+                eo.append(_block_norm(j[i] @ t[a] - t[a] @ jb[i] - rhs_t,
+                                      jb[i] @ b[a] - b[a] @ j[i] - rhs_b))
+        self.eo = _worst(eo)
+        self.anti = {}
+        for a in range(2):
+            for c in range(a, 2):
+                self.anti[a, c] = self.anti[c, a] = (
+                    t[a] @ b[c] + t[c] @ b[a],
+                    b[a] @ t[c] + b[c] @ t[a],
+                )
+
+    def odd_odd_rhs(self, convention):
+        if convention == "eps_left":
+            low = [EPS_LOWER @ p.T for p in PAULI]
+        else:
+            low = [p.T @ EPS_LOWER for p in PAULI]
+        return {
+            (a, c): tuple(-sum(low[i][a, c] * e[i] for i in range(3)) for e in self.even)
+            for a in range(2)
+            for c in range(2)
+        }
+
+    def odd_odd(self, rhs, c=1.0):
+        c2 = c * c
+        return _worst(
+            _block_norm(c2 * self.anti[key][0] - r[0], c2 * self.anti[key][1] - r[1])
+            for key, r in rhs.items()
+        )
+
+
+def sliced_closure_residual(sms, convention="eps_left"):
+    """(ee, eo, oo) of ``sms`` from the sliced blocks (no structure check)."""
+    br = SlicedBrackets(sms)
+    return br.ee, br.eo, br.odd_odd(br.odd_odd_rhs(convention))
+
+
+def sliced_calibrate(sol, scales=None):
+    """The (scale, convention) search of ``superalg.calibrate`` without a
+    tolerance, scored on the blocks of ``build(sol, 1.0)``."""
+    n = sol.size
+    if scales is None:
+        scales = sorted(
+            {0.25, 0.5, 1 / np.sqrt(2), 1.0, np.sqrt(2), 2.0, np.sqrt(n), 1 / np.sqrt(n)}
+        )
+    br = SlicedBrackets(build(sol, scale=1.0))
+    best = None
+    for convention in ("eps_left", "eps_right"):
+        rhs = br.odd_odd_rhs(convention)
+        for c in scales:
+            res = (br.ee, abs(float(c)) * br.eo, br.odd_odd(rhs, c))
+            if best is None or _worst(res) < best.total:
+                best = CalibrationResult(scale=float(c), convention=convention, residuals=res)
+    return best
 
 
 # ---------------------------------------------------------------------------

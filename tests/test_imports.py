@@ -69,6 +69,19 @@ def test_commands_load_only_the_modules_they_run(tmp_path, args):
     assert "fuzzball.grvv" in modules and not modules & unused
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["spectrum", "laplacian", "--n", "4", "--out", "s.csv"],
+        ["converge", "commutator", "--n-list", "4,8", "--out", "c.csv"],
+    ],
+)
+def test_spectra_commands_load_no_geometry(tmp_path, args):
+    exit_code, modules = loaded(tmp_path, *args)
+    assert exit_code == 0
+    assert "fuzzball.spectra" in modules and "fuzzball.geometry" not in modules
+
+
 def test_package_names_resolve_to_their_submodule_objects():
     assert fuzzball.__all__ and len(set(fuzzball.__all__)) == len(fuzzball.__all__)
     for name in fuzzball.__all__:

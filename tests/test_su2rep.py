@@ -189,3 +189,17 @@ def test_overflowing_doublet_reads_nan():
     assert np.isnan(doublet_covariance_residual(big, b))
     assert np.isnan(intertwiner_residual(big, b))
     assert np.isnan(su2_closure_residual(b.j))
+    assert np.isnan(doublet_covariance_residual(big))
+    assert np.isnan(intertwiner_residual(big))
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 17])
+@pytest.mark.parametrize("dressed", [False, True])
+def test_spin_maps_without_bilinears_equal_the_full_set(n, dressed):
+    # without b, covariance forms only the jmat table and intertwiner keeps
+    # only the triples: the same products, so the same bits
+    sol = gauge_dress(ground_state(n), random_unitary(n, np.random.default_rng(n)),
+                      random_unitary(n, np.random.default_rng(n + 1))) if dressed else ground_state(n)
+    b = bilinears(sol)
+    assert doublet_covariance_residual(sol) == doublet_covariance_residual(sol, b)
+    assert intertwiner_residual(sol) == intertwiner_residual(sol, b)

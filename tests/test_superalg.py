@@ -1,10 +1,14 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
-from dense_oracles import anticommutator
+from dense_oracles import anticommutator, sliced_calibrate, sliced_closure_residual
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from fuzzball.cli import _dressed
 from fuzzball.grvv import GrvvSolution, ground_state
 from fuzzball.matcore import commutator, dagger, frobenius_norm
 from fuzzball.su2rep import EPS3, PAULI
@@ -255,3 +259,49 @@ def test_closure_refuses_broken_block_structure(part, row, col):
     )
     with pytest.raises(ValueError, match="block"):
         osp_closure_residual(broken)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=24),
+    dressed=st.booleans(),
+    scales=st.one_of(
+        st.none(), st.lists(st.floats(min_value=0.05, max_value=4.0), min_size=1, max_size=5)
+    ),
+)
+def test_block_brackets_equal_the_sliced_supermatrices(n, dressed, scales):
+    # the blocks taken from bilinears and the doublet enter the same products
+    # in the same order as the blocks sliced out of build(sol, 1.0)
+    sol = _dressed(n, 0) if dressed else ground_state(n)
+    got = calibrate(sol, scales=scales, tol=np.inf)
+    assert got == sliced_calibrate(sol, scales)
+    for convention in ("eps_left", "eps_right"):
+        sms = build(sol, got.scale)
+        assert osp_closure_residual(sms, convention) == sliced_closure_residual(sms, convention)
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_overflowing_doublet_reads_nan():
+    sol = ground_state(4)
+    big = GrvvSolution(g1=1e155 * sol.g1, g2=1e155 * sol.g2, partition=(4,))
+    assert all(map(math.isnan, osp_closure_residual(build(big))))
+    # a NaN residual is within no tolerance, not even an infinite one
+    for tol in (1e-10, np.inf):
+        with pytest.raises(ArithmeticError, match=r"\bee\b bracket at nan"):
+            calibrate(big, tol=tol)
+    assert math.isnan(CalibrationResult(1.0, "eps_left", (0.0, math.nan, 1.0)).total)
+
+
+def test_calibrate_memory_is_bounded():
+    # J_i, Jbar_i, the six anticommutator blocks and one convention's eight
+    # right-hand-side blocks are 20 N x N matrices, plus a few temporaries;
+    # forming the five supermatrices and slicing them peaked at 46
+    n = 128
+    sol = ground_state(n)
+    tracemalloc.start()
+    try:
+        calibrate(sol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * 16 * n**2, peak / (16 * n**2)
