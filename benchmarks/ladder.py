@@ -10,13 +10,14 @@ writers of the CLI.
         --rung decompose_bifundamental --out benchmarks/ladder.json
     python3 benchmarks/ladder.py --label parent --src ../parent/src \\
         --label change --src src --label parent_control --src ../parent/src \\
-        --rung superalgebra --out benchmarks/BENCH_19.json
+        --rung algebra --out benchmarks/BENCH_20.json
 
-Times ``bilinears`` and the four residual evaluators (``u2_structure_residual``,
-``su2_closure_residual`` on J, ``doublet_covariance_residual`` and
-``intertwiner_residual``) on the ground-state doublet and on a gauge-dressed
-copy of it (``fuzzball.cli._dressed``, the dressing ``verify`` checks), for
-N in ``SIZES``.  The ``gen_grvv_dressed`` rung runs the CLI in process,
+Times ``bilinears`` and the four residual evaluators (``_u2_residual``, which
+forms its two tables one at a time, ``su2_closure_residual`` on J,
+``doublet_covariance_residual`` and ``intertwiner_residual``) on the
+ground-state doublet and on a gauge-dressed copy of it
+(``fuzzball.cli._dressed``, the dressing ``verify`` checks), for N in
+``SIZES``.  The ``gen_grvv_dressed`` rung runs the CLI in process,
 ``main(["gen", "grvv", "--n", N, "--dress", SEED, "--out", <temp file>])``:
 building, dressing and writing the doublet; ``tracemalloc_peak_mb`` is the
 traced peak (MiB) of one more call, made apart from the timed ones.  The
@@ -42,7 +43,11 @@ dressed ground state (``cli._dressed``, via ``grvv_to_su2``, untimed) for N
 in ``SIZES``.  The ``superalgebra`` rung times ``superalg.calibrate`` of
 ``ground_state(N)`` (untimed) without a tolerance, the call of ``verify
 --suite superalgebra``, for N in ``SIZES``, with the ``tracemalloc_peak_mb``
-of one more call as for ``gen_grvv_dressed``.  The ``startup`` rung times
+of one more call as for ``gen_grvv_dressed``.  The ``algebra`` rung times
+the per-size suites of ``verify`` (``cli._suite_u2``, ``_suite_covariance``,
+``_suite_intertwiner``, ``_suite_superalgebra``: the ground state, its
+dressed copy and both rows), for N in ``SIZES``, each with the
+``tracemalloc_peak_mb`` of one more call.  The ``startup`` rung times
 whole fresh ``python -m fuzzball``
 processes, one per call, for each command of ``STARTUP_COMMANDS`` (its
 sizes): ``--help`` and three small commands, whose time is mostly
@@ -57,7 +62,8 @@ median of a tree's ``ROUNDS * REPEATS`` calls with its quartiles (``q1_s``,
 ``q3_s``).  ``n_exp`` is the least-squares slope of log t against log N (grid
 points for ``grid_csv``) over the sizes from ``FIT_FROM`` on, below which
 call overhead dominates.  The evaluators are handed precomputed bilinears,
-so their times exclude ``bilinears``.
+so their times exclude ``bilinears``; ``_u2_residual`` takes the doublet and
+forms its own tables.
 
 ``fuzzball`` is imported from each ``--src`` (default: this checkout's
 ``src``), paired in order with the ``--label`` options.  One tree may be
@@ -131,23 +137,25 @@ def timed(fn):
 
 # ---------------------------------------------------------------------------
 # rungs: each measures one size in the child process, returning
-# ({kernel: {kind: [seconds]}}, extras)
+# ({kernel: {kind: [seconds]}}, extras); extras go to every row of the rung,
+# except those under "by_kind" ({kind: {extra: value}}), which go to the rows
+# of that kind
 
 
 def spin_maps(n):
     from fuzzball.cli import _dressed
     from fuzzball.grvv import ground_state
     from fuzzball.su2rep import (
+        _u2_residual,
         bilinears,
         doublet_covariance_residual,
         intertwiner_residual,
         su2_closure_residual,
-        u2_structure_residual,
     )
 
     table = {
         "bilinears": lambda sol, b: bilinears(sol),
-        "u2_structure_residual": lambda sol, b: u2_structure_residual(b),
+        "_u2_residual": lambda sol, b: _u2_residual(sol),
         "su2_closure_residual": lambda sol, b: su2_closure_residual(b.j),
         "doublet_covariance_residual": lambda sol, b: doublet_covariance_residual(sol, b),
         "intertwiner_residual": lambda sol, b: intertwiner_residual(sol, b),
@@ -195,6 +203,23 @@ def superalgebra(n):
     ts = timed(lambda: calibrate(sol, tol=math.inf))
     peak = traced_peak_mb(lambda: calibrate(sol, tol=math.inf))
     return {"calibrate": {"ground": ts}}, {"tracemalloc_peak_mb": peak}
+
+
+ALGEBRA_SUITES = ("u2", "covariance", "intertwiner", "superalgebra")
+
+
+def algebra(n):
+    from fuzzball import cli
+
+    warm = np.ones((256, 256), dtype=complex)
+    for _ in range(10):
+        warm @ warm
+    samples, peaks = {}, {}
+    for suite in ALGEBRA_SUITES:
+        rows = getattr(cli, f"_suite_{suite}")
+        samples[suite] = timed(lambda: list(rows(n, SEED)))
+        peaks[suite] = {"tracemalloc_peak_mb": traced_peak_mb(lambda: list(rows(n, SEED)))}
+    return {"algebra": samples}, {"by_kind": peaks}
 
 
 def grid_csv(size):
@@ -309,6 +334,7 @@ RUNGS = {
     "round_trip": (equivalence_round_trip, SIZES, int),
     "canonicalize": (canonicalize, SIZES, int),
     "superalgebra": (superalgebra, SIZES, int),
+    "algebra": (algebra, SIZES, int),
     # no size to fit an exponent against
     "startup": (startup, list(STARTUP_COMMANDS), lambda command: 0),
 }
@@ -355,6 +381,7 @@ def measure(trees, rungs):
         _, sizes, x_of = RUNGS[rung]
         samples = {label: {} for label, _ in trees}  # (kernel, kind) -> size -> seconds or None
         extras = {label: {} for label, _ in trees}  # extra -> size -> value
+        kind_extras = {label: {} for label, _ in trees}  # kind -> extra -> size -> value
         for size in sizes:
             for _ in range(ROUNDS):
                 for label, src in trees:
@@ -365,12 +392,19 @@ def measure(trees, rungs):
                             have = cells.get(size, [])
                             cells[size] = None if ts is None or have is None else have + ts
                     for key, value in out["extras"].items():
-                        extras[label].setdefault(key, {})[str(size)] = value
+                        if key == "by_kind":  # extras of one kind of the rung's kernels
+                            for kind, per in value.items():
+                                for extra, v in per.items():
+                                    kind_extras[label].setdefault(kind, {}).setdefault(
+                                        extra, {})[str(size)] = v
+                        else:
+                            extras[label].setdefault(key, {})[str(size)] = value
             print(f"{rung} {size} done", file=sys.stderr)
         xs = [x_of(s) for s in sizes]
         for label, _ in trees:
             for (name, kind), cells in samples[label].items():
-                results[label].setdefault(name, {})[kind] = dict(row(cells, sizes, xs), **extras[label])
+                results[label].setdefault(name, {})[kind] = dict(
+                    row(cells, sizes, xs), **extras[label], **kind_extras[label].get(kind, {}))
     return results
 
 

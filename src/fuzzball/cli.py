@@ -186,35 +186,43 @@ def _dressed(n, seed):
     return _dress(ground_state(n), seed + n)
 
 
-def _suite_u2(n, seed):
-    from .grvv import ground_state
-    from .su2rep import bilinears, u2_structure_residual
+class _Skip(Exception):
+    """Raised by a per-size suite before its first row: the size is listed
+    under ``skipped`` with this reason instead of being checked."""
 
-    yield ("u2_structure", n, u2_structure_residual(bilinears(ground_state(n))))
-    yield ("u2_structure_dressed", n, u2_structure_residual(bilinears(_dressed(n, seed))))
+
+def _require_doublet(n):
+    """Skip a suite of the doublet's bilinears at n < 2, where the ground
+    state is zero and every residual would read 0 having checked nothing."""
+    if n < 2:
+        raise _Skip("n < 2: the ground-state doublet is zero, there is no bracket to close")
+
+
+def _suite_u2(n, seed):
+    _require_doublet(n)
+    from .grvv import ground_state
+    from .su2rep import _u2_residual
+
+    yield ("u2_structure", n, _u2_residual(ground_state(n)))
+    yield ("u2_structure_dressed", n, _u2_residual(_dressed(n, seed)))
 
 
 def _suite_covariance(n, seed):
+    _require_doublet(n)
     from .grvv import ground_state
     from .su2rep import doublet_covariance_residual
 
-    sol = ground_state(n)
-    yield ("doublet_covariance", n, doublet_covariance_residual(sol))
-    dressed = _dressed(n, seed)
-    yield ("doublet_covariance_dressed", n, doublet_covariance_residual(dressed))
+    yield ("doublet_covariance", n, doublet_covariance_residual(ground_state(n)))
+    yield ("doublet_covariance_dressed", n, doublet_covariance_residual(_dressed(n, seed)))
 
 
 def _suite_intertwiner(n, seed):
+    _require_doublet(n)
     from .grvv import ground_state
     from .su2rep import intertwiner_residual
 
     yield ("intertwiner", n, intertwiner_residual(ground_state(n)))
     yield ("intertwiner_dressed", n, intertwiner_residual(_dressed(n, seed)))
-
-
-class _Skip(Exception):
-    """Raised by a per-size suite before its first row: the size is listed
-    under ``skipped`` with this reason instead of being checked."""
 
 
 def _suite_harmonics(n, seed):
@@ -268,8 +276,7 @@ def _suite_harmonics(n, seed):
 
 
 def _suite_superalgebra(n, seed):
-    if n < 2:
-        raise _Skip("n < 2: the ground-state doublet is zero, there is no bracket to close")
+    _require_doublet(n)
     from .grvv import ground_state
     from .superalg import calibrate
 

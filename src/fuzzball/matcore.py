@@ -73,8 +73,9 @@ def _nan_max(values):
 
 
 def max_frobenius(mats):
-    """max_k ||mats_k||_F, NaN if any norm is NaN."""
-    return _nan_max(frobenius_norm(m) for m in mats)
+    """max_k ||mats_k||_F, NaN if any norm is NaN.  Each matrix is released
+    once its norm is taken, before the next one is formed."""
+    return _nan_max(map(frobenius_norm, mats))
 
 
 def spectral_norm(a):
@@ -272,18 +273,38 @@ def _write_matrix(fh, a):
     fh.write("]]}" if a.size else "]}")
 
 
+class _HoldsArray(Exception):
+    """Raised by _refuse_array: the value being dumped holds an ndarray."""
+
+
+def _refuse_array(obj):
+    """``default`` hook of write_json's json.dumps: an ndarray stops the
+    dump, any other object is refused as json.dumps refuses it."""
+    if isinstance(obj, np.ndarray):
+        raise _HoldsArray
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def write_json(fh, obj):
     """Write ``json.dumps(plain_json(obj), separators=(",", ":"))`` to the
     text stream ``fh`` without forming it: each ndarray is formatted
     JSON_BLOCK_ROWS rows per block, in order, in forked workers on every
-    usable CPU (in process below POOL_MIN_ROWS rows or on one CPU), and each
-    subtree that holds no array is one json.dumps call.  Dicts that hold
-    arrays need string keys."""
+    usable CPU (in process below POOL_MIN_ROWS rows or on one CPU).  A value
+    is first dumped whole by one json.dumps call, which stops at the first
+    ndarray it meets; only then are the items of that dict or list written
+    one by one, each the same way.  Dicts that hold arrays need string
+    keys."""
     if isinstance(obj, np.ndarray):
         _write_matrix(fh, obj)
-    elif not _holds_array(obj):
-        fh.write(json.dumps(obj, separators=(",", ":")))
-    elif isinstance(obj, dict):
+        return
+    try:
+        text = json.dumps(obj, separators=(",", ":"), default=_refuse_array)
+    except _HoldsArray:
+        pass
+    else:
+        fh.write(text)
+        return
+    if isinstance(obj, dict):
         sep = "{"
         for key, value in obj.items():
             if not isinstance(key, str):

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .matcore import (
+    _nan_max,
     as_matrix,
     commutator,
     dagger,
@@ -250,14 +251,20 @@ def _table(x, y):
     return ((x[0] @ y[0], off), (dagger(off), x[1] @ y[1]))
 
 
+def _transposed(t):
+    """The table with its two indices swapped: K^a_b = jbar[b][a] = gd_b g^a
+    from jbar, the table whose Pauli contraction is Jbar_i."""
+    return ((t[0][0], t[1][0]), (t[0][1], t[1][1]))
+
+
 def bilinears(sol):
     """Both tables and both triples from 6 products (adjoint-paired tables)."""
     g = sol.matrices
     gd = sol.daggers
     jmat = _table(g, gd)
     jbar = _table(gd, g)
-    j = pauli_contract([[jmat[b][a] for a in range(2)] for b in range(2)])
-    jb = pauli_contract([[jbar[a][b] for a in range(2)] for b in range(2)])
+    j = pauli_contract(jmat)
+    jb = pauli_contract(_transposed(jbar))
     return BilinearSet(
         jmat=jmat,
         jbar=jbar,
@@ -268,11 +275,24 @@ def bilinears(sol):
     )
 
 
+def _tables(sol):
+    """jmat, then jbar with its indices swapped (K^a_b = gd_b g^a), the two
+    tables whose Pauli contractions are J_i and Jbar_i, formed one at a
+    time: jbar is formed only when asked for, so a caller that drops jmat
+    first (as ``map`` does) never holds both, and the daggers are dropped
+    once jbar is formed."""
+    g = sol.matrices
+    gd = sol.daggers
+    yield _table(g, gd)
+    jbar = _table(gd, g)
+    del gd
+    yield _transposed(jbar)
+
+
 def _triples(sol):
-    """(J_i, Jbar_i) of ``bilinears(sol)``; its tables and traces are released
-    on return, for callers that read nothing else."""
-    b = bilinears(sol)
-    return b.j, b.jbar_i
+    """(J_i, Jbar_i) of ``bilinears(sol)``, bit for bit, one table at a time."""
+    j, jb = map(pauli_contract, _tables(sol))
+    return tuple(j), tuple(jb)
 
 
 def su2_from_bilinears(b, partition=(), barred=False):
@@ -282,6 +302,24 @@ def su2_from_bilinears(b, partition=(), barred=False):
 
 # the pairs (a, b) < (m, n) that are not the adjoint image of another one
 _U2_PAIRS = (((0, 0), (0, 1)), ((0, 0), (1, 1)), ((0, 1), (1, 0)), ((0, 1), (1, 1)))
+
+
+def _u2_table_residual(t):
+    """Worst u(2) residual of one table T^a_b = t[a][b] over the four pairs
+    of ``_U2_PAIRS``, after the guard of ``u2_structure_residual``."""
+    if not np.array_equal(t[1][0], dagger(t[0][1]), equal_nan=True):
+        raise ValueError("bilinear table is not adjoint-paired: "
+                         "its (1, 0) entry must be the adjoint of its (0, 1) entry")
+    for a in range(2):
+        d = t[a][a]
+        defect = frobenius_norm(d - dagger(d))
+        if defect > len(d) * _EPS * frobenius_norm(d):
+            raise ValueError(f"bilinear table entry ({a}, {a}) is not Hermitian: "
+                             f"||D - D^dag||_F = {defect:.3e} exceeds N eps ||D||_F")
+    return max_frobenius(
+        commutator(t[a][bb], t[m][n]) - ((m == bb) * t[a][n] - (a == n) * t[m][bb])
+        for (a, bb), (m, n) in _U2_PAIRS
+    )
 
 
 def u2_structure_residual(b):
@@ -306,21 +344,13 @@ def u2_structure_residual(b):
     skipped pairs would go unchecked.  NaN entries pass, so that an
     overflowing doublet reads NaN.
     """
-    kbar = tuple(tuple(b.jbar[bb][a] for bb in range(2)) for a in range(2))
-    for t in (b.jmat, kbar):
-        if not np.array_equal(t[1][0], dagger(t[0][1]), equal_nan=True):
-            raise ValueError("bilinear table is not adjoint-paired: "
-                             "its (1, 0) entry must be the adjoint of its (0, 1) entry")
-        for a in range(2):
-            d = t[a][a]
-            defect = frobenius_norm(d - dagger(d))
-            if defect > len(d) * _EPS * frobenius_norm(d):
-                raise ValueError(f"bilinear table entry ({a}, {a}) is not Hermitian: "
-                                 f"||D - D^dag||_F = {defect:.3e} exceeds N eps ||D||_F")
-    return max_frobenius(
-        commutator(t[a][bb], t[m][n]) - ((m == bb) * t[a][n] - (a == n) * t[m][bb])
-        for t in (b.jmat, kbar) for (a, bb), (m, n) in _U2_PAIRS
-    )
+    return _nan_max((_u2_table_residual(b.jmat), _u2_table_residual(_transposed(b.jbar))))
+
+
+def _u2_residual(sol):
+    """``u2_structure_residual(bilinears(sol))``, bit for bit, holding one
+    table at a time."""
+    return _nan_max(map(_u2_table_residual, _tables(sol)))
 
 
 def doublet_covariance_residual(sol, b=None):
@@ -340,12 +370,17 @@ def doublet_covariance_residual(sol, b=None):
     the maximum over (1) and (3) to the last bit: 4 products.  J_i, Jb_i and
     sigma_i are Hermitian, so (2) and (4) are the adjoints of (1) and (3) and
     have the same norms up to rounding.  ``b`` must be ``bilinears(sol)``;
-    without it only the jmat table is formed (3 products).
+    without it only the jmat table is formed (3 products).  The two defects
+    are formed and normed one at a time.
     """
     g = sol.matrices
     jmat = _table(g, sol.daggers) if b is None else b.jmat
-    d = [jmat[0][y] @ g[1] - jmat[1][y] @ g[0] for y in range(2)]
-    return max_frobenius((d[0] + g[1], d[1] - g[0]))
+
+    def defect(y):
+        d = jmat[0][y] @ g[1] - jmat[1][y] @ g[0]
+        return d + g[1] if y == 0 else d - g[0]
+
+    return max_frobenius(defect(y) for y in range(2))
 
 
 def intertwiner_residual(sol, b=None):

@@ -22,9 +22,10 @@ block-structured, so it is evaluated as two N x N blocks; a residual is the
 Frobenius norm of the whole 2N x 2N defect, the hypot of the two block
 norms, and a family's residual is NaN if any of its brackets is.
 ``calibrate`` never forms a supermatrix: it takes the blocks J_i and Jbar_i
-from ``bilinears`` (dropping the bilinear tables) and T_a, B_a from the
-doublet, forms each matrix product once and then scores every
-(c, convention) candidate with O(N^2) work.
+from ``su2rep._triples`` (one bilinear table at a time) and forms each
+product with T_a = +-g^(1-a) and B_a = -gd_a once, from the doublet itself
+with the sign taken exactly.  It then scores every (c, convention)
+candidate with O(N^2) work, one odd-odd right-hand side at a time.
 """
 
 import math
@@ -60,6 +61,14 @@ def _lowered(g):
     return [sum(EPS_LOWER[a, c] * g[c] for c in range(2)) for a in range(2)]
 
 
+# T_a = _T_SIGN[a] g^(1 - a), exactly: eps_{ac} has one nonzero entry, +-1, per row
+_T_SIGN = tuple(int(EPS_LOWER[a, 1 - a].real) for a in range(2))
+
+# the odd-odd keys (a, b) with a <= b: {Q_a, Q_b} and the lowered symbols are
+# symmetric in (a, b) exactly, so (1, 0) repeats (0, 1) bit for bit
+_ODD_KEYS = ((0, 0), (0, 1), (1, 1))
+
+
 def build(sol, scale=1.0):
     n = sol.size
     b = bilinears(sol)
@@ -88,20 +97,35 @@ def _norm(upper, lower):
     return math.hypot(np.linalg.norm(upper), np.linalg.norm(lower))
 
 
+def _signed_sum(p, sp, q, sq):
+    """sp p + sq q for signs sp, sq in {1, -1}, formed in the buffer of ``p``
+    (a fresh product), with each sign taken exactly: the value of
+    (sp p) + (sq q), bit for bit."""
+    if sp != sq:
+        return np.subtract(p, q, out=p) if sp > 0 else np.subtract(q, p, out=p)
+    np.add(p, q, out=p)
+    return p if sp > 0 else np.negative(p, out=p)
+
+
 class _Brackets:
     """Every matrix product of the graded brackets, evaluated once on blocks.
 
-    Takes the blocks of ``E_i = diag(J_i, Jbar_i)`` and
-    ``Q_a = [[0, T_a], [B_a, 0]]`` as four lists of N x N matrices.  ``ee``
-    and ``eo`` are the even-even and even-odd residuals of those generators;
-    ``odd_odd`` scores the odd-odd bracket with the odd generators multiplied
-    by a further ``c``.  Only J_i, Jbar_i and the anticommutator blocks are
-    kept: T_a and B_a are released with the caller's references.
+    Takes the blocks J_i, Jbar_i of ``E_i = diag(J_i, Jbar_i)`` and a doublet
+    (g^c, gd_a) as four lists of N x N matrices; the odd generators are
+    ``Q_a = [[0, T_a], [B_a, 0]]`` with T_a = eps_{ac} g^c = _T_SIGN[a]
+    g^(1 - a) and B_a = -gd_a.  T_a and B_a are never formed: each product
+    is formed from g and gd and takes its sign exactly, so every residual is
+    that of the products with T_a and B_a to the last bit.  ``ee`` and
+    ``eo`` are the even-even and even-odd residuals; ``odd_odd`` scores the
+    odd-odd bracket with the odd generators multiplied by a further ``c``.
+    Only J_i, Jbar_i and the anticommutator blocks of the three keys of
+    ``_ODD_KEYS`` are kept, the latter formed last; the doublet is released
+    with the caller's references.
     """
 
-    def __init__(self, j, jb, t, b):
+    def __init__(self, j, jb, g, gd):
         self.even = (j, jb)
-        self._defect = np.empty(j[0].shape, dtype=complex)
+        self._defect = None
 
         # [E_i, E_i] = 0 and [E_j, E_i] = -[E_i, E_j] hold exactly in
         # floating point, so three pairs carry the whole family
@@ -113,56 +137,71 @@ class _Brackets:
             for i, k, m in ((0, 1, 2), (0, 2, 1), (1, 2, 0))
         )
 
-        # [E_i, Q_a] has blocks J_i T_a - T_a Jbar_i and Jbar_i B_a - B_a J_i
+        # [E_i, Q_a] has blocks J_i T_a - T_a Jbar_i + sigma_i[a, d] T_d and
+        # Jbar_i B_a - B_a J_i + sigma_i[a, d] B_d; a block times the sign of
+        # its operand T_a or B_a has the same norm, and is formed from g^(1-a)
+        # or gd_a with the signs folded into the exact sigma coefficients
         eo = []
         for i in range(3):
             for a in range(2):
-                rhs_t = -sum(PAULI[i][a, d] * t[d] for d in range(2))
-                rhs_b = -sum(PAULI[i][a, d] * b[d] for d in range(2))
-                eo.append(
-                    _norm(
-                        j[i] @ t[a] - t[a] @ jb[i] - rhs_t,
-                        jb[i] @ b[a] - b[a] @ j[i] - rhs_b,
-                    )
+                x, sa = g[1 - a], _T_SIGN[a]
+                upper = j[i] @ x - x @ jb[i] + sum(
+                    sa * _T_SIGN[d] * PAULI[i][a, d] * g[1 - d] for d in range(2)
                 )
+                lower = jb[i] @ gd[a] - gd[a] @ j[i] + sum(
+                    PAULI[i][a, d] * gd[d] for d in range(2)
+                )
+                eo.append(_norm(upper, lower))
+                del upper, lower
         self.eo = _nan_max(eo)
 
-        # {Q_a, Q_b} = diag(T_a B_b + T_b B_a, B_a T_b + B_b T_a), symmetric
-        # in (a, b) exactly
+        # {Q_a, Q_b} = diag(T_a B_b + T_b B_a, B_a T_b + B_b T_a), where
+        # T_a B_b = -_T_SIGN[a] g^(1-a) gd_b and B_a T_b = -_T_SIGN[b] gd_a g^(1-b);
+        # at a = b the two terms are one product
         self.anti = {}
-        for a in range(2):
-            for c in range(a, 2):
-                self.anti[a, c] = self.anti[c, a] = (
-                    t[a] @ b[c] + t[c] @ b[a],
-                    b[a] @ t[c] + b[c] @ t[a],
+        for a, c in _ODD_KEYS:
+            sa, sc = -_T_SIGN[a], -_T_SIGN[c]
+            pu = g[1 - a] @ gd[c]
+            pl = gd[a] @ g[1 - c]
+            if a == c:
+                self.anti[a, c] = (_signed_sum(pu, sa, pu, sa), _signed_sum(pl, sc, pl, sc))
+            else:
+                self.anti[a, c] = (
+                    _signed_sum(pu, sa, g[1 - c] @ gd[a], sc),
+                    _signed_sum(pl, sc, gd[c] @ g[1 - a], sa),
                 )
 
-    def odd_odd_rhs(self, convention):
-        """Per (a, b), the blocks of -(sigma_i)_{ab} E_i with the lowered symbol."""
-        low = [_sigma_lowered(i, convention) for i in range(3)]
-        return {
-            (a, c): tuple(-sum(low[i][a, c] * e[i] for i in range(3)) for e in self.even)
-            for a in range(2)
-            for c in range(2)
-        }
+    def odd_odd_rhs(self, convention, key):
+        """The blocks of -(sigma_i)_{ab} E_i at (a, b) = ``key``, with the
+        lowered symbol read per ``convention``."""
+        low = [_sigma_lowered(i, convention)[key] for i in range(3)]
+        return tuple(-sum(low[i] * e[i] for i in range(3)) for e in self.even)
 
-    def odd_odd(self, rhs, c=1.0):
-        """Odd-odd residual with the odd generators scaled by ``c``."""
-        c2 = c * c
+    def odd_odd(self, convention, scales=(1.0,)):
+        """Odd-odd residual at each scale c of ``scales``, with the odd
+        generators scaled by c: one key's right-hand side is formed at a
+        time and scored at every scale."""
+        c2s = [c * c for c in scales]
         # each block defect c^2 {Q_a, Q_b} - rhs is formed in one reused
         # buffer: fresh N x N temporaries for every candidate are handed back
         # to the system and faulted in again, which costs more than the
         # arithmetic
+        if self._defect is None:
+            self._defect = np.empty(self.even[0][0].shape, dtype=complex)
         out = self._defect
 
-        def defect(anti, r):
+        def defect(c2, anti, r):
             np.multiply(c2, anti, out=out)
             return np.linalg.norm(np.subtract(out, r, out=out))
 
-        return _nan_max(
-            math.hypot(defect(self.anti[key][0], r[0]), defect(self.anti[key][1], r[1]))
-            for key, r in rhs.items()
-        )
+        scores = [[] for _ in scales]
+        for key in _ODD_KEYS:
+            anti = self.anti[key]
+            rhs = self.odd_odd_rhs(convention, key)
+            for c2, score in zip(c2s, scores):
+                score.append(math.hypot(defect(c2, anti[0], rhs[0]), defect(c2, anti[1], rhs[1])))
+            del rhs
+        return [_nan_max(score) for score in scores]
 
 
 def osp_closure_residual(sms, convention="eps_left"):
@@ -186,13 +225,17 @@ def osp_closure_residual(sms, convention="eps_left"):
         raise ValueError("even supermatrix has a nonzero off-diagonal block")
     if any(np.any(m[up, up]) or np.any(m[lo, lo]) for m in sms.odd):
         raise ValueError("odd supermatrix has a nonzero diagonal block")
+    t = [m[up, lo] for m in sms.odd]
+    # the doublet whose T_a and B_a are these blocks, exactly:
+    # g^a = _T_SIGN[1 - a] T_(1-a) and gd_a = -B_a
+    g = [t[1 - a] if _T_SIGN[1 - a] > 0 else -t[1 - a] for a in range(2)]
     br = _Brackets(
         [m[up, up] for m in sms.even],
         [m[lo, lo] for m in sms.even],
-        [m[up, lo] for m in sms.odd],
-        [m[lo, up] for m in sms.odd],
+        g,
+        [-m[lo, up] for m in sms.odd],
     )
-    return br.ee, br.eo, br.odd_odd(br.odd_odd_rhs(convention))
+    return br.ee, br.eo, br.odd_odd(convention)[0]
 
 
 @dataclass(frozen=True)
@@ -224,9 +267,10 @@ def calibrate(sol, scales=None, tol=1e-10):
     residual. An empty ``scales`` raises ``ValueError``.
 
     The brackets are evaluated on the N x N blocks: J_i and Jbar_i from
-    ``bilinears`` and, at scale 1, T_a = sum_c eps_{ac} g^c and
-    B_a = -gd_a, which are the blocks ``build(sol, 1.0)`` places in its
-    supermatrices; no 2N x 2N matrix is formed.
+    ``su2rep._triples`` and the doublet, from which each product with
+    T_a = sum_c eps_{ac} g^c and B_a = -gd_a (the blocks ``build(sol, 1.0)``
+    places in its supermatrices) is formed with its exact sign; no 2N x 2N
+    matrix, and no T_a or B_a, is formed.
     """
     if not sol.is_irreducible() or sol.size < 2:
         raise ValueError("calibration expects one irreducible block of size >= 2")
@@ -241,20 +285,17 @@ def calibrate(sol, scales=None, tol=1e-10):
     # adjoints), and mixing layouts makes every O(N^2) update stride across
     # rows
     j, jb = ([np.ascontiguousarray(m) for m in ms] for ms in _triples(sol))
-    b = [np.ascontiguousarray(-gd) for gd in sol.daggers]
-    br = _Brackets(j, jb, _lowered(sol.matrices), b)
-    del b
+    gd = [np.ascontiguousarray(m) for m in sol.daggers]
+    br = _Brackets(j, jb, sol.matrices, gd)
+    del gd
     best = None
     for convention in CONVENTIONS:
-        rhs = br.odd_odd_rhs(convention)
-        for c in scales:
-            res = (br.ee, abs(float(c)) * br.eo, br.odd_odd(rhs, c))
+        for c, oo in zip(scales, br.odd_odd(convention, scales)):
+            res = (br.ee, abs(float(c)) * br.eo, oo)
             if best is None or _nan_max(res) < best.total:
                 best = CalibrationResult(
                     scale=float(c), convention=convention, residuals=res
                 )
-        # released before the next convention's blocks are formed
-        del rhs
     if not best.total <= tol:
         worst = int(np.argmax(best.residuals))
         raise ArithmeticError(

@@ -10,7 +10,11 @@ replace, and the trailing-axis (array-of-structures) 2x2 kernels and grid
 blocks that the component-first ones in ``fuzzball.geometry`` replace, and
 the graded brackets evaluated on blocks sliced out of the 2N x 2N
 supermatrices of ``superalg.build``, which ``superalg`` replaces by brackets
-on the N x N blocks themselves."""
+on the N x N blocks themselves, and the spin-map and graded-closure
+evaluators that hold every bilinear table at once (the whole
+``BilinearSet``, the odd blocks T_a and B_a, all four odd-odd keys and a
+convention's whole right-hand side), which ``su2rep`` and ``superalg``
+replace by evaluators that form one table, one key, at a time."""
 
 import math
 
@@ -31,9 +35,9 @@ from fuzzball.geometry import (
     unit_vector,
     weyl_plus,
 )
-from fuzzball.matcore import as_matrix, commutator, dagger, frobenius_norm
-from fuzzball.su2rep import EPS3, EPS_LOWER, PAULI
-from fuzzball.superalg import CalibrationResult, build
+from fuzzball.matcore import as_matrix, commutator, dagger, frobenius_norm, max_frobenius
+from fuzzball.su2rep import _EPS, EPS3, EPS_LOWER, PAULI, bilinears
+from fuzzball.superalg import CalibrationResult, _lowered, build
 
 
 def anticommutator(a, b):
@@ -147,18 +151,13 @@ def _block_norm(upper, lower):
     return math.hypot(np.linalg.norm(upper), np.linalg.norm(lower))
 
 
-class SlicedBrackets:
-    """The even blocks J_i, Jbar_i and odd blocks T_a, B_a sliced out of
-    ``sms``; ``ee`` and ``eo`` as in ``superalg.osp_closure_residual``,
-    ``odd_odd(rhs, c)`` with the odd generators scaled by a further c."""
+class HeldBrackets:
+    """The graded brackets on the blocks J_i, Jbar_i of the even generators
+    and T_a, B_a of the odd ones, all held as matrices; ``ee`` and ``eo`` as
+    in ``superalg.osp_closure_residual``, ``odd_odd(rhs, c)`` over all four
+    keys with the odd generators scaled by a further c."""
 
-    def __init__(self, sms):
-        n2 = sms.even[0].shape[0]
-        up, lo = slice(0, n2 // 2), slice(n2 // 2, n2)
-        j = [m[up, up] for m in sms.even]
-        jb = [m[lo, lo] for m in sms.even]
-        t = [m[up, lo] for m in sms.odd]
-        b = [m[lo, up] for m in sms.odd]
+    def __init__(self, j, jb, t, b):
         self.even = (j, jb)
         self.ee = _worst(
             _block_norm(
@@ -202,21 +201,33 @@ class SlicedBrackets:
         )
 
 
+class SlicedBrackets(HeldBrackets):
+    """``HeldBrackets`` of the blocks sliced out of the supermatrices ``sms``."""
+
+    def __init__(self, sms):
+        n2 = sms.even[0].shape[0]
+        up, lo = slice(0, n2 // 2), slice(n2 // 2, n2)
+        super().__init__(
+            [m[up, up] for m in sms.even],
+            [m[lo, lo] for m in sms.even],
+            [m[up, lo] for m in sms.odd],
+            [m[lo, up] for m in sms.odd],
+        )
+
+
 def sliced_closure_residual(sms, convention="eps_left"):
     """(ee, eo, oo) of ``sms`` from the sliced blocks (no structure check)."""
     br = SlicedBrackets(sms)
     return br.ee, br.eo, br.odd_odd(br.odd_odd_rhs(convention))
 
 
-def sliced_calibrate(sol, scales=None):
+def _search(br, n, scales):
     """The (scale, convention) search of ``superalg.calibrate`` without a
-    tolerance, scored on the blocks of ``build(sol, 1.0)``."""
-    n = sol.size
+    tolerance, scored on the brackets ``br``."""
     if scales is None:
         scales = sorted(
             {0.25, 0.5, 1 / np.sqrt(2), 1.0, np.sqrt(2), 2.0, np.sqrt(n), 1 / np.sqrt(n)}
         )
-    br = SlicedBrackets(build(sol, scale=1.0))
     best = None
     for convention in ("eps_left", "eps_right"):
         rhs = br.odd_odd_rhs(convention)
@@ -225,6 +236,66 @@ def sliced_calibrate(sol, scales=None):
             if best is None or _worst(res) < best.total:
                 best = CalibrationResult(scale=float(c), convention=convention, residuals=res)
     return best
+
+
+def sliced_calibrate(sol, scales=None):
+    """``superalg.calibrate`` without a tolerance, scored on the blocks of
+    ``build(sol, 1.0)``."""
+    return _search(SlicedBrackets(build(sol, scale=1.0)), sol.size, scales)
+
+
+def held_calibrate(sol, scales=None):
+    """``superalg.calibrate`` without a tolerance, scored on J_i and Jbar_i
+    of ``bilinears(sol)`` and the blocks T_a = eps_{ac} g^c, B_a = -gd_a held
+    as matrices."""
+    b = bilinears(sol)
+    t = _lowered(sol.matrices)
+    odd_b = [-gd for gd in sol.daggers]
+    return _search(HeldBrackets(b.j, b.jbar_i, t, odd_b), sol.size, scales)
+
+
+# ---------------------------------------------------------------------------
+# spin-map evaluators on the whole BilinearSet
+
+
+def held_u2_structure(sol):
+    """``su2rep.u2_structure_residual`` of ``bilinears(sol)``: both tables
+    held, both guarded before either is checked."""
+    b = bilinears(sol)
+    kbar = tuple(tuple(b.jbar[bb][a] for bb in range(2)) for a in range(2))
+    for t in (b.jmat, kbar):
+        if not np.array_equal(t[1][0], dagger(t[0][1]), equal_nan=True):
+            raise ValueError("bilinear table is not adjoint-paired")
+        for a in range(2):
+            d = t[a][a]
+            if frobenius_norm(d - dagger(d)) > len(d) * _EPS * frobenius_norm(d):
+                raise ValueError(f"bilinear table entry ({a}, {a}) is not Hermitian")
+    pairs = (((0, 0), (0, 1)), ((0, 0), (1, 1)), ((0, 1), (1, 0)), ((0, 1), (1, 1)))
+    return max_frobenius(
+        commutator(t[a][bb], t[m][n]) - ((m == bb) * t[a][n] - (a == n) * t[m][bb])
+        for t in (b.jmat, kbar) for (a, bb), (m, n) in pairs
+    )
+
+
+def held_covariance(sol):
+    """``su2rep.doublet_covariance_residual`` with both defects held."""
+    g = sol.matrices
+    jmat = bilinears(sol).jmat
+    d = [jmat[0][y] @ g[1] - jmat[1][y] @ g[0] for y in range(2)]
+    return max_frobenius((d[0] + g[1], d[1] - g[0]))
+
+
+def held_intertwiner(sol):
+    """``su2rep.intertwiner_residual`` on the triples of ``bilinears(sol)``,
+    each side summed out of place."""
+    b = bilinears(sol)
+    j, jb = b.j, b.jbar_i
+    n = sol.size
+    g = sol.matrices
+    gd = sol.daggers
+    sides = ((gd, j, g, n + 1, jb), (g, jb, gd, n - 2, j))
+    return max_frobenius(sum(x[c] @ m[i] @ y[c] for c in range(2)) - f * mt[i]
+                         for i in range(3) for x, m, y, f, mt in sides)
 
 
 # ---------------------------------------------------------------------------

@@ -386,6 +386,26 @@ def test_verify_lists_skipped_sizes_apart_from_results(tmp_path):
     assert report["passed"] is True
 
 
+@pytest.mark.parametrize("suite, names", [
+    ("u2", ["u2_structure", "u2_structure_dressed"]),
+    ("covariance", ["doublet_covariance", "doublet_covariance_dressed"]),
+    ("intertwiner", ["intertwiner", "intertwiner_dressed"]),
+])
+def test_verify_skips_the_zero_doublet(tmp_path, suite, names):
+    # the n = 1 ground state is zero: its bilinear rows read 0.0 having
+    # checked nothing, so the size is skipped as superalgebra skips it
+    out = tmp_path / "r.json"
+    assert run(["verify", "--suite", suite, "--n-list", "1,3", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert [(r["name"], r["n"]) for r in report["results"]] == [(name, 3) for name in names]
+    assert report["skipped"] == [{
+        "suite": suite, "n": 1,
+        "reason": "n < 2: the ground-state doublet is zero, there is no bracket to close",
+    }]
+    assert report["passed"] is True
+    assert run(["verify", "--suite", suite, "--n-list", "1", "--out", str(out)]) == 1
+
+
 def test_verify_report_without_skips_has_empty_list(tmp_path):
     out = tmp_path / "r.json"
     assert run(["verify", "--suite", "grvv", "--n-list", "2", "--out", str(out)]) == 0

@@ -232,6 +232,37 @@ def test_write_json_streams_arrays_nested_in_plain_values():
     assert plain["plain"] is obj["plain"]
 
 
+class _CountingStream(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def test_write_json_dumps_a_report_without_arrays_in_one_call():
+    # the shape of a decompose report: long lists of short rows, no array
+    rows = [[l, m, 0.5 * l, -m / 3] for l in range(40) for m in range(-l, l + 1)]
+    obj = {"schema": 1, "r": rows, "s": [tuple(r) + (1, 0) for r in rows],
+           "edge": EDGE_VALUES, "label": "caf\u00e9", "none": None, 7: True}
+    fh = _CountingStream()
+    write_json(fh, obj)
+    assert fh.getvalue() == json.dumps(plain_json(obj), separators=(",", ":"))
+    assert fh.writes == 1
+    with pytest.raises(TypeError, match="int64 is not JSON serializable"):
+        _streamed({"schema": 1, "n": np.int64(3)})
+
+
+def test_write_json_finds_arrays_at_any_depth():
+    a = _edge_matrix(3, 2)
+    rows = [[k, 0.1 * k] for k in range(50)]
+    for obj in ([rows, {"deep": [[{"x": [a]}]]}], {"rows": rows, "last": a},
+                {"first": a, "rows": (rows, a.real), "empty": [[], {}]}, [a], [[a, a]]):
+        assert _streamed(obj) == json.dumps(plain_json(obj), separators=(",", ":"))
+
+
 def test_write_json_refuses_what_matrix_to_json_refuses():
     with pytest.raises(ValueError):
         _streamed({"g": np.array([[np.inf, 0.0]])})

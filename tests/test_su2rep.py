@@ -1,11 +1,20 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from dense_oracles import held_covariance, held_intertwiner, held_u2_structure
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from fuzzball import su2rep
+from fuzzball.cli import _dressed
 from fuzzball.grvv import GrvvSolution, block_solution, gauge_dress, ground_state
-from fuzzball.matcore import frobenius_norm, random_unitary
+from fuzzball.matcore import dagger, frobenius_norm, random_unitary
 from fuzzball.su2rep import (
     BilinearSet,
+    _triples,
+    _u2_residual,
     Su2Representation,
     bilinears,
     casimir,
@@ -191,6 +200,7 @@ def test_overflowing_doublet_reads_nan():
     assert np.isnan(su2_closure_residual(b.j))
     assert np.isnan(doublet_covariance_residual(big))
     assert np.isnan(intertwiner_residual(big))
+    assert np.isnan(_u2_residual(big))
 
 
 @pytest.mark.parametrize("n", [2, 3, 8, 17])
@@ -203,3 +213,76 @@ def test_spin_maps_without_bilinears_equal_the_full_set(n, dressed):
     b = bilinears(sol)
     assert doublet_covariance_residual(sol) == doublet_covariance_residual(sol, b)
     assert intertwiner_residual(sol) == intertwiner_residual(sol, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 24), dressed=st.booleans(), seed=st.integers(0, 2**16))
+def test_streamed_spin_maps_equal_the_held_tables(n, dressed, seed):
+    # one table at a time, the same products in the same order: the same bits
+    sol = _dressed(n, seed) if dressed else ground_state(n)
+    b = bilinears(sol)
+    j, jb = _triples(sol)
+    for new, old in zip(j + jb, b.j + b.jbar_i):
+        assert np.array_equal(new, old)
+    assert _u2_residual(sol) == u2_structure_residual(b) == held_u2_structure(sol)
+    assert doublet_covariance_residual(sol) == held_covariance(sol)
+    assert intertwiner_residual(sol) == held_intertwiner(sol)
+
+
+def _traced_blocks(fn, n):
+    """tracemalloc peak of fn() in N x N complex matrices."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / (16 * n * n)
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("evaluator, bound", [
+    # jmat (4) and the daggers (2), then jbar (4), plus a commutator's
+    # temporaries; the whole BilinearSet peaked at 21
+    (_u2_residual, 11),
+    # the triples (6) and the daggers (2) plus one side's temporaries, and
+    # the same while jbar (4) is contracted; with the BilinearSet, 18
+    (intertwiner_residual, 12),
+    # jmat (4) and one defect with its two products; both defects held, 8.01
+    (doublet_covariance_residual, 8),
+])
+def test_spin_map_memory_is_bounded(evaluator, bound):
+    n = 128
+    sol = ground_state(n)
+    assert _traced_blocks(lambda: evaluator(sol), n) <= bound
+
+
+def _perturbed_tables(monkeypatch, which, perturb):
+    """Make su2rep._table perturb the table of its call number ``which``."""
+    table = su2rep._table
+    calls = []
+
+    def _table(x, y):
+        t = table(x, y)
+        calls.append(t)
+        return perturb(t) if len(calls) == which else t
+
+    monkeypatch.setattr(su2rep, "_table", _table)
+
+
+@pytest.mark.parametrize("which", [1, 2])
+def test_streamed_u2_refuses_unpaired_tables(monkeypatch, which):
+    _perturbed_tables(monkeypatch, which,
+                      lambda t: (t[0], (t[1][0] * (1 + 1e-15), t[1][1])))
+    with pytest.raises(ValueError, match="adjoint-paired"):
+        _u2_residual(ground_state(5))
+
+
+@pytest.mark.parametrize("which", [1, 2])
+def test_streamed_u2_refuses_non_hermitian_diagonals(monkeypatch, which):
+    def skew(t):
+        d = t[1][1] + 1e-6j * np.eye(len(t[1][1]))
+        assert frobenius_norm(d - dagger(d)) > 0
+        return (t[0], (t[1][0], d))
+
+    _perturbed_tables(monkeypatch, which, skew)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        _u2_residual(ground_state(5))

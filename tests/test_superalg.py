@@ -3,7 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from dense_oracles import anticommutator, sliced_calibrate, sliced_closure_residual
+from dense_oracles import (
+    anticommutator,
+    held_calibrate,
+    sliced_calibrate,
+    sliced_closure_residual,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -13,11 +18,13 @@ from fuzzball.grvv import GrvvSolution, ground_state
 from fuzzball.matcore import commutator, dagger, frobenius_norm
 from fuzzball.su2rep import EPS3, PAULI
 from fuzzball.superalg import (
+    CONVENTIONS,
     EPS_LOWER,
     CalibrationResult,
     SuperMatrixSet,
     build,
     calibrate,
+    _sigma_lowered,
     osp_closure_residual,
 )
 
@@ -271,10 +278,12 @@ def test_closure_refuses_broken_block_structure(part, row, col):
 )
 def test_block_brackets_equal_the_sliced_supermatrices(n, dressed, scales):
     # the blocks taken from bilinears and the doublet enter the same products
-    # in the same order as the blocks sliced out of build(sol, 1.0)
+    # in the same order as the blocks sliced out of build(sol, 1.0), and as
+    # T_a, B_a held as matrices: each product formed from g and gd takes its
+    # sign exactly, and the three odd-odd keys score what all four did
     sol = _dressed(n, 0) if dressed else ground_state(n)
     got = calibrate(sol, scales=scales, tol=np.inf)
-    assert got == sliced_calibrate(sol, scales)
+    assert got == sliced_calibrate(sol, scales) == held_calibrate(sol, scales)
     for convention in ("eps_left", "eps_right"):
         sms = build(sol, got.scale)
         assert osp_closure_residual(sms, convention) == sliced_closure_residual(sms, convention)
@@ -293,9 +302,11 @@ def test_overflowing_doublet_reads_nan():
 
 
 def test_calibrate_memory_is_bounded():
-    # J_i, Jbar_i, the six anticommutator blocks and one convention's eight
-    # right-hand-side blocks are 20 N x N matrices, plus a few temporaries;
-    # forming the five supermatrices and slicing them peaked at 46
+    # J_i, Jbar_i, the anticommutator blocks of three keys, one key's two
+    # right-hand-side blocks and the defect buffer are 15 N x N matrices,
+    # plus a temporary; with T_a, B_a and a convention's eight right-hand-side
+    # blocks held it peaked at 22, and forming the five supermatrices and
+    # slicing them at 46
     n = 128
     sol = ground_state(n)
     tracemalloc.start()
@@ -304,4 +315,12 @@ def test_calibrate_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 24 * 16 * n**2, peak / (16 * n**2)
+    assert peak <= 17 * 16 * n**2, peak / (16 * n**2)
+
+
+@pytest.mark.parametrize("convention", CONVENTIONS)
+def test_lowered_symbols_are_symmetric(convention):
+    # so the odd-odd key (1, 0) repeats (0, 1) bit for bit and is not scored
+    for i in range(3):
+        low = _sigma_lowered(i, convention)
+        assert np.array_equal(low, low.T)
