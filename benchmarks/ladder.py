@@ -37,7 +37,9 @@ N in ``DECOMPOSE_SIZES``, with the basis built once outside the timed calls
 ``su2rep.weight_frame`` of ``irrep(N)`` under one fixed random rotation for N
 in ``SIZES``; the ``round_trip`` rung times ``equivalence.round_trip`` of
 ``irrep(N)`` (``rep``) and of ``ground_state(N)`` (``sol``), the two calls
-of ``verify --suite equivalence``, for N in ``SIZES``; the ``canonicalize``
+of ``verify --suite equivalence``, for N in ``SIZES``, each with the
+``tracemalloc_peak_mb`` of one more call; the ``su2_to_grvv`` rung times
+``equivalence.su2_to_grvv`` of ``irrep(N)`` for N in ``SIZES``; the ``canonicalize``
 rung times ``equivalence.canonicalize`` of the representation of the
 dressed ground state (``cli._dressed``, via ``grvv_to_su2``, untimed) for N
 in ``SIZES``.  The ``superalgebra`` rung times ``superalg.calibrate`` of
@@ -292,9 +294,19 @@ def equivalence_round_trip(n):
     from fuzzball.grvv import ground_state
     from fuzzball.su2rep import irrep
 
-    rep, sol = irrep(n), ground_state(n)
-    return {"round_trip": {"rep": timed(lambda: round_trip(rep)),
-                           "sol": timed(lambda: round_trip(sol))}}, {}
+    objs = {"rep": irrep(n), "sol": ground_state(n)}
+    samples = {kind: timed(lambda: round_trip(obj)) for kind, obj in objs.items()}
+    peaks = {kind: {"tracemalloc_peak_mb": traced_peak_mb(lambda: round_trip(obj))}
+             for kind, obj in objs.items()}
+    return {"round_trip": samples}, {"by_kind": peaks}
+
+
+def rebuild(n):
+    from fuzzball.equivalence import su2_to_grvv
+    from fuzzball.su2rep import irrep
+
+    rep = irrep(n)
+    return {"su2_to_grvv": {"irrep": timed(lambda: su2_to_grvv(rep))}}, {}
 
 
 def canonicalize(n):
@@ -332,6 +344,7 @@ RUNGS = {
     "decompose_bifundamental": (decompose, DECOMPOSE_SIZES, int),
     "weight_frame": (frame, SIZES, int),
     "round_trip": (equivalence_round_trip, SIZES, int),
+    "su2_to_grvv": (rebuild, SIZES, int),
     "canonicalize": (canonicalize, SIZES, int),
     "superalgebra": (superalgebra, SIZES, int),
     "algebra": (algebra, SIZES, int),

@@ -30,7 +30,7 @@ _PUBLIC = {
         "symbol_map vector_harmonics",
     "su2rep": "BilinearSet Su2Representation bilinears direct_sum "
         "doublet_covariance_residual intertwiner_residual irrep u2_structure_residual",
-    "superalg": "SuperMatrixSet calibrate osp_closure_residual",
+    "superalg": "calibrate",
 }
 # public name -> its submodule, imported on first use
 _SOURCES = {name: module for module, names in _PUBLIC.items() for name in names.split()}

@@ -159,7 +159,20 @@ def cmd_gen(args):
 # verify
 
 
+class _Skip(Exception):
+    """Raised by a per-size suite before its first row: the size is listed
+    under ``skipped`` with this reason instead of being checked."""
+
+
+def _require_doublet(n):
+    """Skip a suite of the ground-state doublet at n < 2, where it is zero
+    and every residual would read 0 having checked nothing."""
+    if n < 2:
+        raise _Skip("n < 2: the ground-state doublet is zero, there is no bracket to close")
+
+
 def _suite_grvv(n, seed):
+    _require_doublet(n)
     from .grvv import ground_state, grvv_residual, sphere_constraints
 
     sol = ground_state(n)
@@ -184,18 +197,6 @@ def _dressed(n, seed):
     from .grvv import ground_state
 
     return _dress(ground_state(n), seed + n)
-
-
-class _Skip(Exception):
-    """Raised by a per-size suite before its first row: the size is listed
-    under ``skipped`` with this reason instead of being checked."""
-
-
-def _require_doublet(n):
-    """Skip a suite of the doublet's bilinears at n < 2, where the ground
-    state is zero and every residual would read 0 having checked nothing."""
-    if n < 2:
-        raise _Skip("n < 2: the ground-state doublet is zero, there is no bracket to close")
 
 
 def _suite_u2(n, seed):
@@ -392,7 +393,7 @@ def cmd_verify(args):
         from . import geometry
 
         grid = geometry.SphereGrid.make(*shape)
-        residuals = geometry.grid_report(grid, n=max(args.n_list) if args.n_list else 2)
+        residuals = geometry.grid_report(grid)
     results, skipped = [], []
     for suite in suites:
         rows, skips = _run_suite(suite, args.n_list, args.seed, grid, residuals)

@@ -19,6 +19,7 @@ import numpy as np
 
 from .grvv import GrvvSolution, grvv_residual, require_solution
 from .matcore import (
+    _nan_max,
     as_matrix,
     commutator,
     dagger,
@@ -27,10 +28,12 @@ from .matcore import (
 )
 from .su2rep import (
     Su2Representation,
-    bilinears,
+    _jmat,
+    _kbar,
     casimir,
     direct_sum,
     irrep,
+    pauli_contract,
     su2_closure_residual,
     weight_frame,
 )
@@ -47,6 +50,22 @@ __all__ = [
 ]
 
 
+def _forms(t, spectra=False):
+    """What is read of one bilinear table: its Pauli contraction, its u(1)
+    trace t[0][0] + t[1][1] and, with ``spectra`` (else None), the unitary
+    invariants a gauge leaves alone: eigvalsh of the Hermitian entries
+    t[a][a] and the singular values of t[0][1].  t[1][0] is its exact
+    adjoint, with the same singular values, and a Hermitian entry's
+    singular values are its |eigenvalues|; the off-diagonal entries are
+    nilpotent, so their eigenvalues are numerically defective.  The table
+    is dropped with the caller's reference."""
+    spec = None
+    if spectra:
+        spec = (np.linalg.eigvalsh(t[0][0]), np.linalg.eigvalsh(t[1][1]),
+                np.linalg.svd(t[0][1], compute_uv=False))
+    return tuple(pauli_contract(t)), t[0][0] + t[1][1], spec
+
+
 def grvv_to_su2(sol, tol=1e-8):
     """Extract (J_i, Jbar_i) from a doublet and certify both su(2) closures.
 
@@ -54,22 +73,26 @@ def grvv_to_su2(sol, tol=1e-8):
     defects max_ij ||[J_i, J_j] - 2i eps_ijk J_k||_F and the commutation of
     the u(1) traces with the triples.
     """
+    return _grvv_to_su2(sol, tol)[:3]
+
+
+def _grvv_to_su2(sol, tol=1e-8, jside=None, spectra=False):
+    """``grvv_to_su2`` plus the spectra ``_forms`` takes of sol's jmat (None
+    without ``spectra``).  ``jside`` is the ``_forms`` of sol's jmat when
+    the caller has formed it already: then only jbar is formed."""
     res0 = require_solution(sol, tol)
-    b = bilinears(sol)
+    j, trace_j, spec = _forms(_jmat(sol), spectra) if jside is None else jside
+    jb, trace_jb, _ = _forms(_kbar(sol))
     residuals = {
         "input": res0,
-        "closure_j": su2_closure_residual(b.j),
-        "closure_jbar": su2_closure_residual(b.jbar_i),
-        "trace_commutes": max(
-            frobenius_norm(commutator(b.trace_j, b.j[i])) for i in range(3)
-        ),
-        "trace_bar_commutes": max(
-            frobenius_norm(commutator(b.trace_jbar, b.jbar_i[i])) for i in range(3)
-        ),
+        "closure_j": su2_closure_residual(j),
+        "closure_jbar": su2_closure_residual(jb),
+        "trace_commutes": max(frobenius_norm(commutator(trace_j, m)) for m in j),
+        "trace_bar_commutes": max(frobenius_norm(commutator(trace_jb, m)) for m in jb),
     }
-    rep = Su2Representation(*b.j, partition=sol.partition)
-    rep_bar = Su2Representation(*b.jbar_i, partition=())
-    return rep, rep_bar, residuals
+    rep = Su2Representation(*j, partition=sol.partition)
+    rep_bar = Su2Representation(*jb, partition=())
+    return rep, rep_bar, residuals, spec
 
 
 def canonicalize(rep):
@@ -139,6 +162,12 @@ class Su2ToGrvvResult:
 
 def su2_to_grvv(rep):
     """Rebuild the doublet from a canonical block-diagonal representation."""
+    return _su2_to_grvv(rep)[0]
+
+
+def _su2_to_grvv(rep, spectra=False):
+    """``su2_to_grvv`` and the ``_forms`` of the rebuilt doublet's jmat, the
+    one table it forms."""
     _require_canonical(rep)
     partition = rep.partition
     jtr, jbtr = canonical_traces(partition)
@@ -150,8 +179,9 @@ def su2_to_grvv(rep):
 
     ghat1 = tp[:, None] * (jbtr + jb[2]) / 2
     ghat2 = tp[:, None] * (jb[0] - 1j * jb[1]) / 2
+    del jtr, jbtr, jb
 
-    b = bilinears(sol)
+    jside = _forms(_jmat(sol), spectra)
     offsets = np.cumsum((0,) + partition[:-1])
     kernel_cols = max(
         float(np.linalg.norm(g[:, o])) for o in offsets for g in sol.matrices
@@ -159,11 +189,12 @@ def su2_to_grvv(rep):
     residuals = {
         "grvv": grvv_residual(sol),
         "j_rebuilt": max(
-            frobenius_norm(b.j[i] - rep.generators[i]) for i in range(3)
+            frobenius_norm(m - g) for m, g in zip(jside[0], rep.generators)
         ),
         "kernel_columns": kernel_cols,
     }
-    return Su2ToGrvvResult(solution=sol, ghat1=ghat1, ghat2=ghat2, residuals=residuals)
+    result = Su2ToGrvvResult(solution=sol, ghat1=ghat1, ghat2=ghat2, residuals=residuals)
+    return result, jside
 
 
 def compatibility_residual(rep, u, tol=1e-10):
@@ -239,23 +270,19 @@ def round_trip(obj, tol=1e-10):
         steps.append(("canonical_frame", defect))
         jtr, jbtr = canonical_traces(canon.partition)
         jb = barred_generators(canon.partition)
-        steps.append(
-            (
-                "trace_commutes",
-                max(
-                    max(frobenius_norm(commutator(jtr, g)) for g in canon.generators),
-                    max(frobenius_norm(commutator(jbtr, g)) for g in jb),
-                ),
-            )
-        )
+        steps.append(("trace_commutes", max(
+            max(frobenius_norm(commutator(jtr, g)) for g in canon.generators),
+            max(frobenius_norm(commutator(jbtr, g)) for g in jb),
+        )))
         steps.append(("barred_closure", su2_closure_residual(jb)))
-        steps.append(
-            ("compatibility_u1", compatibility_residual(canon, np.eye(canon.dim)))
-        )
-        result = su2_to_grvv(canon)
+        del jtr, jbtr, jb
+        steps.append(("compatibility_u1", compatibility_residual(canon, np.eye(canon.dim))))
+        # the rebuilt doublet's jmat serves the re-extraction, which forms
+        # only jbar
+        result, jside = _su2_to_grvv(canon)
         steps.append(("grvv_algebra", result.residuals["grvv"]))
         steps.append(("kernel_columns", result.residuals["kernel_columns"]))
-        rep2, _, res2 = grvv_to_su2(result.solution)
+        rep2, _, res2, _ = _grvv_to_su2(result.solution, jside=jside)
         steps.append(("reextraction_closure", res2["closure_j"]))
         c1 = _casimir_multiset(rep)
         c2 = _casimir_multiset(rep2)
@@ -264,32 +291,21 @@ def round_trip(obj, tol=1e-10):
 
     if isinstance(obj, GrvvSolution):
         sol = obj
-        steps.append(("input_grvv", grvv_residual(sol)))
-        rep, rep_bar, res = grvv_to_su2(sol)
+        rep, _, res, spec1 = _grvv_to_su2(sol, spectra=True)
+        steps.append(("input_grvv", res["input"]))
         steps.append(("closure_j", res["closure_j"]))
         steps.append(("closure_jbar", res["closure_jbar"]))
         _, canon, defect = weight_frame(rep)
         steps.append(("canonical_frame", defect))
-        result = su2_to_grvv(canon)
-        steps.append(("rebuilt_grvv", result.residuals["grvv"]))
-        b1 = bilinears(sol)
-        b2 = bilinears(result.solution)
-        # gauge moves the bilinears by unitary conjugation, so the Hermitian
-        # tables keep their eigenvalues and every table keeps its singular
-        # values; the off-diagonal tables are nilpotent, hence compared via
-        # singular values (their eigenvalues are numerically defective)
-        spec_dist = 0.0
-        for a in range(2):
-            e1 = np.linalg.eigvalsh(b1.jmat[a][a])
-            e2 = np.linalg.eigvalsh(b2.jmat[a][a])
-            spec_dist = max(spec_dist, float(np.max(np.abs(e1 - e2))))
-            for c in range(2):
-                s1 = np.linalg.svd(b1.jmat[a][c], compute_uv=False)
-                s2 = np.linalg.svd(b2.jmat[a][c], compute_uv=False)
-                spec_dist = max(spec_dist, float(np.max(np.abs(s1 - s2))))
-        steps.append(("bilinear_spectra", spec_dist))
         c1 = _casimir_multiset(rep)
-        c2 = _casimir_multiset(Su2Representation(*bilinears(result.solution).j))
+        del rep
+        result, (j2, _, spec2) = _su2_to_grvv(canon, spectra=True)
+        steps.append(("rebuilt_grvv", result.residuals["grvv"]))
+        # gauge moves the bilinears by unitary conjugation, so jmat keeps the
+        # spectra ``_forms`` takes
+        steps.append(("bilinear_spectra",
+                      _nan_max(float(np.max(np.abs(s1 - s2))) for s1, s2 in zip(spec1, spec2))))
+        c2 = _casimir_multiset(Su2Representation(*j2))
         steps.append(("casimir_multiset", float(np.max(np.abs(c1 - c2)))))
         return RoundTripReport(steps=tuple(steps), tol=tol)
 

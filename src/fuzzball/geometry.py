@@ -611,7 +611,7 @@ GRID_IDENTITIES = (
 )
 
 
-def grid_report(grid, n=2, h=1e-4):
+def grid_report(grid, h=1e-4):
     """Per-point residuals: one (n_theta, n_phi) array per identity, keyed by
     identity name in the row order of the grid CSV.
 

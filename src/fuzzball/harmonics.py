@@ -39,7 +39,7 @@ import numpy as np
 
 from .grvv import require_solution
 from .matcore import as_matrix, dagger, frobenius_norm, max_frobenius
-from .su2rep import Su2Representation, irrep, weight_frame
+from .su2rep import Su2Representation, _jmat, irrep, pauli_contract, weight_frame
 
 __all__ = [
     "HarmonicBasis",
@@ -261,9 +261,7 @@ class BifundamentalModes:
 
 
 def _default_basis(sol):
-    from .su2rep import bilinears, su2_from_bilinears
-
-    return build_basis(su2_from_bilinears(bilinears(sol), partition=(sol.size,)))
+    return build_basis(Su2Representation(*pauli_contract(_jmat(sol)), partition=(sol.size,)))
 
 
 def decompose_bifundamental(r1, r2, sol, basis=None):

@@ -257,36 +257,35 @@ def _transposed(t):
     return ((t[0][0], t[1][0]), (t[0][1], t[1][1]))
 
 
+def _jmat(sol):
+    """jmat, the table whose Pauli contraction is J_i."""
+    return _table(sol.matrices, sol.daggers)
+
+
+def _kbar(sol):
+    """jbar with its indices swapped (K^a_b = gd_b g^a), the table whose
+    Pauli contraction is Jbar_i."""
+    return _transposed(_table(sol.daggers, sol.matrices))
+
+
 def bilinears(sol):
     """Both tables and both triples from 6 products (adjoint-paired tables)."""
-    g = sol.matrices
-    gd = sol.daggers
-    jmat = _table(g, gd)
-    jbar = _table(gd, g)
-    j = pauli_contract(jmat)
-    jb = pauli_contract(_transposed(jbar))
+    jmat, jbar = _jmat(sol), _table(sol.daggers, sol.matrices)
     return BilinearSet(
         jmat=jmat,
         jbar=jbar,
-        j=tuple(j),
-        jbar_i=tuple(jb),
+        j=tuple(pauli_contract(jmat)),
+        jbar_i=tuple(pauli_contract(_transposed(jbar))),
         trace_j=jmat[0][0] + jmat[1][1],
         trace_jbar=jbar[0][0] + jbar[1][1],
     )
 
 
 def _tables(sol):
-    """jmat, then jbar with its indices swapped (K^a_b = gd_b g^a), the two
-    tables whose Pauli contractions are J_i and Jbar_i, formed one at a
-    time: jbar is formed only when asked for, so a caller that drops jmat
-    first (as ``map`` does) never holds both, and the daggers are dropped
-    once jbar is formed."""
-    g = sol.matrices
-    gd = sol.daggers
-    yield _table(g, gd)
-    jbar = _table(gd, g)
-    del gd
-    yield _transposed(jbar)
+    """jmat, then K, formed one at a time: K is formed only when asked for,
+    so a caller that drops jmat first (as ``map`` does) never holds both."""
+    yield _jmat(sol)
+    yield _kbar(sol)
 
 
 def _triples(sol):
@@ -374,7 +373,7 @@ def doublet_covariance_residual(sol, b=None):
     are formed and normed one at a time.
     """
     g = sol.matrices
-    jmat = _table(g, sol.daggers) if b is None else b.jmat
+    jmat = _jmat(sol) if b is None else b.jmat
 
     def defect(y):
         d = jmat[0][y] @ g[1] - jmat[1][y] @ g[0]

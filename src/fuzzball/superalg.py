@@ -1,14 +1,22 @@
 """
-Graded closure checks for the supermatrices built out of a matrix doublet.
+Graded closure of the superalgebra built out of a matrix doublet.
 
 The even generators are block-diagonal pairs diag(J_i, Jbar_i); the odd ones
 carry the doublet off-diagonally,
 
     Q_a = [[0, c * eps_{ab} g^b], [-c * gd_a, 0]],   eps = i sigma_2^T.
 
+The graded relations are
+
+    even-even:  [E_i, E_j] = 2i eps_ijk E_k
+    even-odd:   [E_i, Q_a] = -sigma_i[a, d] Q_d
+    odd-odd:    {Q_a, Q_b} = -(sigma_i)_{ab} E_i.
+
 Closure of the odd-odd bracket onto the even triple fixes both the scale c
-and the meaning of the lowered two-index sigma symbol; ``calibrate`` finds
-that pair by direct search instead of trusting any printed normalization.
+and the meaning of the lowered two-index sigma symbol (``_sigma_lowered``);
+``calibrate``, the one evaluator of these relations, finds that pair by
+direct search instead of trusting any printed normalization, and keeps the
+score of every candidate.
 
 The three bracket families depend on that pair in different ways:
 
@@ -29,18 +37,15 @@ candidate with O(N^2) work, one odd-odd right-hand side at a time.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .matcore import _nan_max, commutator
-from .su2rep import EPS3, EPS_LOWER, PAULI, _triples, bilinears
+from .su2rep import EPS3, EPS_LOWER, PAULI, _triples
 
 __all__ = [
     "EPS_LOWER",
-    "SuperMatrixSet",
-    "build",
-    "osp_closure_residual",
     "CalibrationResult",
     "calibrate",
 ]
@@ -48,40 +53,12 @@ __all__ = [
 CONVENTIONS = ("eps_left", "eps_right")
 FAMILIES = ("ee", "eo", "oo")
 
-
-@dataclass(frozen=True)
-class SuperMatrixSet:
-    even: tuple  # three (2N)x(2N) block-diagonal matrices
-    odd: tuple  # two (2N)x(2N) block-off-diagonal matrices
-    scale: float
-
-
-def _lowered(g):
-    """T_a = sum_c eps_{ac} g^c: the upper-right blocks of Q_a at c = 1."""
-    return [sum(EPS_LOWER[a, c] * g[c] for c in range(2)) for a in range(2)]
-
-
 # T_a = _T_SIGN[a] g^(1 - a), exactly: eps_{ac} has one nonzero entry, +-1, per row
 _T_SIGN = tuple(int(EPS_LOWER[a, 1 - a].real) for a in range(2))
 
 # the odd-odd keys (a, b) with a <= b: {Q_a, Q_b} and the lowered symbols are
 # symmetric in (a, b) exactly, so (1, 0) repeats (0, 1) bit for bit
 _ODD_KEYS = ((0, 0), (0, 1), (1, 1))
-
-
-def build(sol, scale=1.0):
-    n = sol.size
-    b = bilinears(sol)
-    z = np.zeros((n, n), dtype=complex)
-    even = tuple(
-        np.block([[b.j[i], z], [z, b.jbar_i[i]]]) for i in range(3)
-    )
-    gd = sol.daggers
-    odd = tuple(
-        np.block([[z, scale * t], [-scale * gd[a], z]])
-        for a, t in enumerate(_lowered(sol.matrices))
-    )
-    return SuperMatrixSet(even=even, odd=odd, scale=float(scale))
 
 
 def _sigma_lowered(i, convention):
@@ -204,45 +181,13 @@ class _Brackets:
         return [_nan_max(score) for score in scores]
 
 
-def osp_closure_residual(sms, convention="eps_left"):
-    """(even-even, even-odd, odd-odd) residuals of the graded relations.
-
-    even-even:  [E_i, E_j] = 2i eps_ijk E_k
-    even-odd:   [E_i, Q_a] = -sigma_i[a, d] Q_d
-    odd-odd:    {Q_a, Q_b} = -(sigma_i)_{ab} E_i, with the lowered symbol
-                read per ``convention``.
-
-    Each residual is the largest Frobenius norm of a 2N x 2N defect, NaN if
-    any of them is NaN.  Raises ``ValueError`` unless the even matrices are
-    exactly block-diagonal and the odd ones exactly block-off-diagonal.
-    """
-    n2 = sms.even[0].shape[0]
-    n = n2 // 2
-    if n2 % 2 or any(m.shape != (n2, n2) for m in sms.even + sms.odd):
-        raise ValueError("supermatrices must all be 2N x 2N")
-    up, lo = slice(0, n), slice(n, n2)
-    if any(np.any(m[up, lo]) or np.any(m[lo, up]) for m in sms.even):
-        raise ValueError("even supermatrix has a nonzero off-diagonal block")
-    if any(np.any(m[up, up]) or np.any(m[lo, lo]) for m in sms.odd):
-        raise ValueError("odd supermatrix has a nonzero diagonal block")
-    t = [m[up, lo] for m in sms.odd]
-    # the doublet whose T_a and B_a are these blocks, exactly:
-    # g^a = _T_SIGN[1 - a] T_(1-a) and gd_a = -B_a
-    g = [t[1 - a] if _T_SIGN[1 - a] > 0 else -t[1 - a] for a in range(2)]
-    br = _Brackets(
-        [m[up, up] for m in sms.even],
-        [m[lo, lo] for m in sms.even],
-        g,
-        [-m[lo, up] for m in sms.odd],
-    )
-    return br.ee, br.eo, br.odd_odd(convention)[0]
-
-
 @dataclass(frozen=True)
 class CalibrationResult:
     scale: float
     convention: str
     residuals: tuple  # (ee, eo, oo) at the optimum
+    # (scale, convention) -> (ee, eo, oo) of every candidate scored
+    scores: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def total(self):
@@ -261,16 +206,16 @@ class CalibrationResult:
 def calibrate(sol, scales=None, tol=1e-10):
     """Search a scale grid and both sigma conventions for graded closure.
 
-    Every candidate is scored; the minimizing pair is returned. If even the
-    best pair leaves a bracket family above ``tol``, or NaN, raises
-    ``ArithmeticError`` naming that family (``ee``, ``eo`` or ``oo``) and its
-    residual. An empty ``scales`` raises ``ValueError``.
+    Every candidate is scored, and ``scores`` maps each (scale, convention)
+    to its (ee, eo, oo); the first pair of least worst residual is returned.
+    If even the best pair leaves a bracket family above ``tol``, or NaN,
+    raises ``ArithmeticError`` naming that family (``ee``, ``eo`` or ``oo``)
+    and its residual. An empty ``scales`` raises ``ValueError``.
 
     The brackets are evaluated on the N x N blocks: J_i and Jbar_i from
-    ``su2rep._triples`` and the doublet, from which each product with
-    T_a = sum_c eps_{ac} g^c and B_a = -gd_a (the blocks ``build(sol, 1.0)``
-    places in its supermatrices) is formed with its exact sign; no 2N x 2N
-    matrix, and no T_a or B_a, is formed.
+    ``su2rep._triples`` and the doublet, from which each product with the
+    odd blocks T_a = sum_c eps_{ac} g^c and B_a = -gd_a is formed with its
+    exact sign; no 2N x 2N matrix, and no T_a or B_a, is formed.
     """
     if not sol.is_irreducible() or sol.size < 2:
         raise ValueError("calibration expects one irreducible block of size >= 2")
@@ -288,14 +233,14 @@ def calibrate(sol, scales=None, tol=1e-10):
     gd = [np.ascontiguousarray(m) for m in sol.daggers]
     br = _Brackets(j, jb, sol.matrices, gd)
     del gd
-    best = None
-    for convention in CONVENTIONS:
-        for c, oo in zip(scales, br.odd_odd(convention, scales)):
-            res = (br.ee, abs(float(c)) * br.eo, oo)
-            if best is None or _nan_max(res) < best.total:
-                best = CalibrationResult(
-                    scale=float(c), convention=convention, residuals=res
-                )
+    scores = {
+        (float(c), convention): (br.ee, abs(float(c)) * br.eo, oo)
+        for convention in CONVENTIONS
+        for c, oo in zip(scales, br.odd_odd(convention, scales))
+    }
+    # min keeps the first of equal totals, and a NaN total is never less
+    (scale, convention), res = min(scores.items(), key=lambda item: _nan_max(item[1]))
+    best = CalibrationResult(scale, convention, res, scores)
     if not best.total <= tol:
         worst = int(np.argmax(best.residuals))
         raise ArithmeticError(

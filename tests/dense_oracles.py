@@ -8,15 +8,16 @@ Frobenius distance), the geometry grid checks evaluated over the whole grid
 at once, which the blocked ``grid_report`` and ``identification_check``
 replace, and the trailing-axis (array-of-structures) 2x2 kernels and grid
 blocks that the component-first ones in ``fuzzball.geometry`` replace, and
-the graded brackets evaluated on blocks sliced out of the 2N x 2N
-supermatrices of ``superalg.build``, which ``superalg`` replaces by brackets
-on the N x N blocks themselves, and the spin-map and graded-closure
+the 2N x 2N supermatrices of the graded closure (``build``) with the
+brackets evaluated on blocks sliced out of them, which ``superalg`` replaces
+by brackets on the N x N blocks themselves, and the spin-map and graded-closure
 evaluators that hold every bilinear table at once (the whole
 ``BilinearSet``, the odd blocks T_a and B_a, all four odd-odd keys and a
 convention's whole right-hand side), which ``su2rep`` and ``superalg``
 replace by evaluators that form one table, one key, at a time."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from fuzzball.geometry import (
 )
 from fuzzball.matcore import as_matrix, commutator, dagger, frobenius_norm, max_frobenius
 from fuzzball.su2rep import _EPS, EPS3, EPS_LOWER, PAULI, bilinears
-from fuzzball.superalg import CalibrationResult, _lowered, build
+from fuzzball.superalg import CalibrationResult
 
 
 def anticommutator(a, b):
@@ -137,9 +138,38 @@ def group_eigenvalues(ev, tol=1e-8):
 
 
 # ---------------------------------------------------------------------------
-# graded brackets on the blocks of the 2N x 2N supermatrices: the same
-# products, in the same order, as superalg's block brackets, so the residuals
-# agree to the last bit
+# the 2N x 2N supermatrices of the graded closure, and the graded brackets on
+# their blocks: the same products, in the same order, as superalg's block
+# brackets, so the residuals agree to the last bit
+
+
+@dataclass(frozen=True)
+class SuperMatrixSet:
+    even: tuple  # three (2N)x(2N) block-diagonal matrices
+    odd: tuple  # two (2N)x(2N) block-off-diagonal matrices
+    scale: float
+
+
+def _lowered(g):
+    """T_a = sum_c eps_{ac} g^c: the upper-right blocks of Q_a at c = 1."""
+    return [sum(EPS_LOWER[a, c] * g[c] for c in range(2)) for a in range(2)]
+
+
+def build(sol, scale=1.0):
+    """The even generators diag(J_i, Jbar_i) and the odd ones
+    Q_a = [[0, c T_a], [-c gd_a, 0]] at c = ``scale``."""
+    n = sol.size
+    b = bilinears(sol)
+    z = np.zeros((n, n), dtype=complex)
+    even = tuple(
+        np.block([[b.j[i], z], [z, b.jbar_i[i]]]) for i in range(3)
+    )
+    gd = sol.daggers
+    odd = tuple(
+        np.block([[z, scale * t], [-scale * gd[a], z]])
+        for a, t in enumerate(_lowered(sol.matrices))
+    )
+    return SuperMatrixSet(even=even, odd=odd, scale=float(scale))
 
 
 def _worst(values):
@@ -154,8 +184,8 @@ def _block_norm(upper, lower):
 class HeldBrackets:
     """The graded brackets on the blocks J_i, Jbar_i of the even generators
     and T_a, B_a of the odd ones, all held as matrices; ``ee`` and ``eo`` as
-    in ``superalg.osp_closure_residual``, ``odd_odd(rhs, c)`` over all four
-    keys with the odd generators scaled by a further c."""
+    in ``superalg.calibrate``, ``odd_odd(rhs, c)`` over all four keys with
+    the odd generators scaled by a further c."""
 
     def __init__(self, j, jb, t, b):
         self.even = (j, jb)
@@ -202,11 +232,20 @@ class HeldBrackets:
 
 
 class SlicedBrackets(HeldBrackets):
-    """``HeldBrackets`` of the blocks sliced out of the supermatrices ``sms``."""
+    """``HeldBrackets`` of the blocks sliced out of the supermatrices ``sms``.
+    Raises ``ValueError`` unless the even matrices are exactly
+    block-diagonal and the odd ones exactly block-off-diagonal: slicing
+    would drop the other blocks unseen."""
 
     def __init__(self, sms):
         n2 = sms.even[0].shape[0]
+        if n2 % 2 or any(m.shape != (n2, n2) for m in sms.even + sms.odd):
+            raise ValueError("supermatrices must all be 2N x 2N")
         up, lo = slice(0, n2 // 2), slice(n2 // 2, n2)
+        if any(np.any(m[up, lo]) or np.any(m[lo, up]) for m in sms.even):
+            raise ValueError("even supermatrix has a nonzero off-diagonal block")
+        if any(np.any(m[up, up]) or np.any(m[lo, lo]) for m in sms.odd):
+            raise ValueError("odd supermatrix has a nonzero diagonal block")
         super().__init__(
             [m[up, up] for m in sms.even],
             [m[lo, lo] for m in sms.even],
@@ -216,26 +255,38 @@ class SlicedBrackets(HeldBrackets):
 
 
 def sliced_closure_residual(sms, convention="eps_left"):
-    """(ee, eo, oo) of ``sms`` from the sliced blocks (no structure check)."""
+    """(even-even, even-odd, odd-odd) residuals of the graded relations
+
+    even-even:  [E_i, E_j] = 2i eps_ijk E_k
+    even-odd:   [E_i, Q_a] = -sigma_i[a, d] Q_d
+    odd-odd:    {Q_a, Q_b} = -(sigma_i)_{ab} E_i, with the lowered symbol
+                read per ``convention``
+
+    on the blocks sliced out of ``sms``."""
     br = SlicedBrackets(sms)
     return br.ee, br.eo, br.odd_odd(br.odd_odd_rhs(convention))
 
 
 def _search(br, n, scales):
     """The (scale, convention) search of ``superalg.calibrate`` without a
-    tolerance, scored on the brackets ``br``."""
+    tolerance, scored on the brackets ``br``, with the scores of every
+    candidate."""
     if scales is None:
         scales = sorted(
             {0.25, 0.5, 1 / np.sqrt(2), 1.0, np.sqrt(2), 2.0, np.sqrt(n), 1 / np.sqrt(n)}
         )
     best = None
+    scores = {}
     for convention in ("eps_left", "eps_right"):
         rhs = br.odd_odd_rhs(convention)
         for c in scales:
-            res = (br.ee, abs(float(c)) * br.eo, br.odd_odd(rhs, c))
-            if best is None or _worst(res) < best.total:
-                best = CalibrationResult(scale=float(c), convention=convention, residuals=res)
-    return best
+            res = scores[float(c), convention] = (
+                br.ee, abs(float(c)) * br.eo, br.odd_odd(rhs, c)
+            )
+            if best is None or _worst(res) < _worst(best[1]):
+                best = (float(c), convention), res
+    (scale, convention), res = best
+    return CalibrationResult(scale, convention, res, scores)
 
 
 def sliced_calibrate(sol, scales=None):

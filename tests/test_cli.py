@@ -390,6 +390,7 @@ def test_verify_lists_skipped_sizes_apart_from_results(tmp_path):
     ("u2", ["u2_structure", "u2_structure_dressed"]),
     ("covariance", ["doublet_covariance", "doublet_covariance_dressed"]),
     ("intertwiner", ["intertwiner", "intertwiner_dressed"]),
+    ("grvv", ["grvv_residual", "sphere_left", "sphere_right"]),
 ])
 def test_verify_skips_the_zero_doublet(tmp_path, suite, names):
     # the n = 1 ground state is zero: its bilinear rows read 0.0 having

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from dense_oracles import hermitian_sqrt, pseudo_inverse
@@ -5,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from fuzzball import su2rep
 from fuzzball.equivalence import (
     RoundTripReport,
     barred_generators,
@@ -358,3 +361,49 @@ def test_round_trip_worst_keeps_nan():
     report = RoundTripReport(steps=(("a", 1e-12), ("b", float("nan"))), tol=1e-10)
     assert not report.passed
     assert np.isnan(report.worst())
+
+
+@pytest.mark.parametrize("make, tables, svds", [
+    # the input's jmat and jbar, then the rebuilt doublet's jmat; one SVD
+    # per jmat, of its (0, 1) entry (10 tables and 8 SVDs with every
+    # BilinearSet formed again)
+    (ground_state, 3, 2),
+    # the rebuilt doublet's jmat, whose triple the re-extraction reuses, and
+    # its jbar (4 tables before)
+    (irrep, 2, 0),
+], ids=["sol", "rep"])
+def test_round_trip_forms_each_table_once(monkeypatch, make, tables, svds):
+    counts = {"tables": 0, "svds": 0}
+    table, svd = su2rep._table, np.linalg.svd
+
+    def counted(fn, key):
+        def call(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(su2rep, "_table", counted(table, "tables"))
+    monkeypatch.setattr(np.linalg, "svd", counted(svd, "svds"))
+    assert round_trip(make(12)).passed
+    assert counts == {"tables": tables, "svds": svds}
+
+
+@pytest.mark.parametrize("make, bound", [
+    # the rebuild (g, ghat, the jmat triple and its products) beside the
+    # canonical triple peaks at 19.3 N x N matrices; with both BilinearSets
+    # held it peaked at 64
+    (ground_state, 21),
+    # the rebuild beside the canonical triple, 20.0; 40 with the canonical
+    # traces and barred triple held throughout and jmat formed twice
+    (irrep, 22),
+], ids=["sol", "rep"])
+def test_round_trip_memory_is_bounded(make, bound):
+    n = 128
+    obj = make(n)
+    tracemalloc.start()
+    try:
+        round_trip(obj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * 16 * n**2, peak / (16 * n**2)

@@ -4,7 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 from dense_oracles import (
+    SuperMatrixSet,
     anticommutator,
+    build,
     held_calibrate,
     sliced_calibrate,
     sliced_closure_residual,
@@ -16,16 +18,14 @@ from numpy.testing import assert_allclose
 from fuzzball.cli import _dressed
 from fuzzball.grvv import GrvvSolution, ground_state
 from fuzzball.matcore import commutator, dagger, frobenius_norm
-from fuzzball.su2rep import EPS3, PAULI
+from fuzzball.su2rep import EPS3, PAULI, _triples
 from fuzzball.superalg import (
     CONVENTIONS,
     EPS_LOWER,
     CalibrationResult,
-    SuperMatrixSet,
-    build,
-    calibrate,
+    _Brackets,
     _sigma_lowered,
-    osp_closure_residual,
+    calibrate,
 )
 
 
@@ -57,7 +57,7 @@ def test_build_zero_solution():
     zero = GrvvSolution(g1=np.zeros((2, 2)), g2=np.zeros((2, 2)))
     sms = build(zero)
     assert all(frobenius_norm(m) == 0.0 for m in sms.even + sms.odd)
-    assert osp_closure_residual(sms, "eps_left") == (0.0, 0.0, 0.0)
+    assert sliced_closure_residual(sms, "eps_left") == (0.0, 0.0, 0.0)
 
 
 def test_odd_generators_superadjoint_pairing():
@@ -74,18 +74,18 @@ def test_odd_generators_superadjoint_pairing():
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_closure_at_calibrated_pair(n):
+    # the supermatrices at the calibrated pair close as well
     sol = ground_state(n)
     cal = calibrate(sol)
     sms = build(sol, scale=cal.scale)
-    ee, eo, oo = osp_closure_residual(sms, cal.convention)
+    ee, eo, oo = sliced_closure_residual(sms, cal.convention)
     assert max(ee, eo, oo) < 1e-12
 
 
 def test_even_even_closure_is_scale_free():
-    sol = ground_state(5)
-    for scale in (0.5, 1.0, 3.0):
-        ee, _, _ = osp_closure_residual(build(sol, scale), "eps_left")
-        assert ee < 1e-12
+    scales = (0.5, 1.0, 3.0)
+    scores = calibrate(ground_state(5), scales, tol=np.inf).scores
+    assert all(scores[c, "eps_left"][0] < 1e-12 for c in scales)
 
 
 def test_calibration_unique_and_stable():
@@ -98,18 +98,14 @@ def test_calibration_unique_and_stable():
 
 
 def test_wrong_convention_fails():
-    sol = ground_state(3)
-    sms = build(sol, scale=1.0)
-    _, _, oo = osp_closure_residual(sms, "eps_right")
-    assert oo > 1.0
+    cal = calibrate(ground_state(3))
+    assert cal.scores[1.0, "eps_right"][2] > 1.0
 
 
 def test_printed_normalization_fails():
     # scaling the odd generators by sqrt(n) breaks the graded bracket
-    sol = ground_state(4)
-    sms = build(sol, scale=2.0)
-    _, _, oo = osp_closure_residual(sms, "eps_left")
-    assert oo > 1.0
+    cal = calibrate(ground_state(4))
+    assert cal.scores[2.0, "eps_left"][2] > 1.0
 
 
 def test_calibrate_requires_block():
@@ -130,6 +126,8 @@ def test_calibration_report_json():
     assert obj["scale"] == 1.0
     assert obj["convention"] == "eps_left"
     assert len(obj["residuals"]) == 3
+    # the scored grid stays out of the report
+    assert set(obj) == {"schema", "scale", "convention", "residuals"}
 
 
 # ---------------------------------------------------------------------------
@@ -224,9 +222,13 @@ def test_calibrate_matches_dense_search(n):
 @pytest.mark.parametrize("scale", [0.5, 1.0, 3.0])
 @pytest.mark.parametrize("convention", ["eps_left", "eps_right"])
 def test_closure_residual_matches_dense(n, scale, convention):
-    sms = build(ground_state(n), scale)
+    # a candidate is scored from the brackets at c = 1, the dense residuals
+    # from Q scaled by c: they round alike only where c multiplies exactly
+    sol = ground_state(n)
+    scores = calibrate(sol, [scale], tol=np.inf).scores
+    floor = 1e-15 if scale in (0.5, 1.0) else rounding_floor(n)
     assert_close_residuals(
-        osp_closure_residual(sms, convention), dense_residuals(sms, convention)
+        scores[scale, convention], dense_residuals(build(sol, scale), convention), floor
     )
 
 
@@ -256,6 +258,7 @@ def test_calibration_failure_names_the_bracket():
 
 @pytest.mark.parametrize("part, row, col", [("even", 0, 3), ("even", 4, 1), ("odd", 0, 0), ("odd", 5, 5)])
 def test_closure_refuses_broken_block_structure(part, row, col):
+    # the sliced oracle refuses a block it would drop
     sms = build(ground_state(3))
     mats = [m.copy() for m in getattr(sms, part)]
     mats[1][row, col] = 1e-300
@@ -265,7 +268,7 @@ def test_closure_refuses_broken_block_structure(part, row, col):
         scale=1.0,
     )
     with pytest.raises(ValueError, match="block"):
-        osp_closure_residual(broken)
+        sliced_closure_residual(broken)
 
 
 @settings(max_examples=40, deadline=None)
@@ -273,27 +276,32 @@ def test_closure_refuses_broken_block_structure(part, row, col):
     n=st.integers(min_value=2, max_value=24),
     dressed=st.booleans(),
     scales=st.one_of(
-        st.none(), st.lists(st.floats(min_value=0.05, max_value=4.0), min_size=1, max_size=5)
+        st.none(), st.lists(st.floats(min_value=-4.0, max_value=4.0), min_size=1, max_size=5)
     ),
 )
 def test_block_brackets_equal_the_sliced_supermatrices(n, dressed, scales):
     # the blocks taken from bilinears and the doublet enter the same products
     # in the same order as the blocks sliced out of build(sol, 1.0), and as
     # T_a, B_a held as matrices: each product formed from g and gd takes its
-    # sign exactly, and the three odd-odd keys score what all four did
+    # sign exactly, and the three odd-odd keys score what all four did; so
+    # every candidate's (ee, eo, oo), not only the winner's, is the held
+    # search's to the last bit
     sol = _dressed(n, 0) if dressed else ground_state(n)
     got = calibrate(sol, scales=scales, tol=np.inf)
-    assert got == sliced_calibrate(sol, scales) == held_calibrate(sol, scales)
-    for convention in ("eps_left", "eps_right"):
-        sms = build(sol, got.scale)
-        assert osp_closure_residual(sms, convention) == sliced_closure_residual(sms, convention)
+    held = held_calibrate(sol, scales)
+    assert got == sliced_calibrate(sol, scales) == held
+    assert list(got.scores) == list(held.scores)
+    assert all(got.scores[key] == held.scores[key] for key in held.scores)
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 def test_overflowing_doublet_reads_nan():
     sol = ground_state(4)
     big = GrvvSolution(g1=1e155 * sol.g1, g2=1e155 * sol.g2, partition=(4,))
-    assert all(map(math.isnan, osp_closure_residual(build(big))))
+    # every bracket family reads NaN
+    br = _Brackets(*_triples(big), big.matrices, big.daggers)
+    assert math.isnan(br.ee) and math.isnan(br.eo)
+    assert all(map(math.isnan, br.odd_odd("eps_left") + br.odd_odd("eps_right")))
     # a NaN residual is within no tolerance, not even an infinite one
     for tol in (1e-10, np.inf):
         with pytest.raises(ArithmeticError, match=r"\bee\b bracket at nan"):
