@@ -76,11 +76,12 @@ def grvv_to_su2(sol, tol=1e-8):
     return _grvv_to_su2(sol, tol)[:3]
 
 
-def _grvv_to_su2(sol, tol=1e-8, jside=None, spectra=False):
+def _grvv_to_su2(sol, tol=1e-8, jside=None, spectra=False, res=None):
     """``grvv_to_su2`` plus the spectra ``_forms`` takes of sol's jmat (None
-    without ``spectra``).  ``jside`` is the ``_forms`` of sol's jmat when
-    the caller has formed it already: then only jbar is formed."""
-    res0 = require_solution(sol, tol)
+    without ``spectra``).  ``jside`` is the ``_forms`` of sol's jmat and
+    ``res`` its ``grvv_residual`` when the caller has formed them already:
+    then only jbar is formed, and the residual is only judged."""
+    res0 = require_solution(sol, tol, res)
     j, trace_j, spec = _forms(_jmat(sol), spectra) if jside is None else jside
     jb, trace_jb, _ = _forms(_kbar(sol))
     residuals = {
@@ -277,12 +278,13 @@ def round_trip(obj, tol=1e-10):
         steps.append(("barred_closure", su2_closure_residual(jb)))
         del jtr, jbtr, jb
         steps.append(("compatibility_u1", compatibility_residual(canon, np.eye(canon.dim))))
-        # the rebuilt doublet's jmat serves the re-extraction, which forms
-        # only jbar
+        # the rebuilt doublet's jmat and cubic residual serve the
+        # re-extraction, which forms only jbar
         result, jside = _su2_to_grvv(canon)
         steps.append(("grvv_algebra", result.residuals["grvv"]))
         steps.append(("kernel_columns", result.residuals["kernel_columns"]))
-        rep2, _, res2, _ = _grvv_to_su2(result.solution, jside=jside)
+        rep2, _, res2, _ = _grvv_to_su2(result.solution, jside=jside,
+                                        res=result.residuals["grvv"])
         steps.append(("reextraction_closure", res2["closure_j"]))
         c1 = _casimir_multiset(rep)
         c2 = _casimir_multiset(rep2)

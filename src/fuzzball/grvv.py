@@ -128,7 +128,9 @@ def block_solution(partition):
 
 
 def gauge_dress(sol, u, uhat, tol=1e-10):
-    """Apply g^a -> u . g^a . uhat^dagger with unitary u, uhat."""
+    """Apply g^a -> u . g^a . uhat^dagger with unitary u, uhat.  ``uhat``
+    is dropped once its adjoint is formed, so a caller that passes a
+    temporary does not hold both through the products."""
     u = as_matrix(u)
     uhat = as_matrix(uhat)
     if not is_unitary(u, tol):
@@ -136,6 +138,7 @@ def gauge_dress(sol, u, uhat, tol=1e-10):
     if not is_unitary(uhat, tol):
         raise ValueError("right factor is not unitary within tolerance")
     uh = dagger(uhat)
+    del uhat
     return GrvvSolution(
         g1=u @ sol.g1 @ uh,
         g2=u @ sol.g2 @ uh,
@@ -153,10 +156,12 @@ def grvv_residual(sol):
     return max_frobenius(g[a] - (g[a] @ right - left @ g[a]) for a in range(2))
 
 
-def require_solution(sol, tol=1e-8):
-    """``grvv_residual`` of sol; raises ValueError unless it is at most tol
-    times max(1, ||g^1|| + ||g^2||)."""
-    res = grvv_residual(sol)
+def require_solution(sol, tol=1e-8, res=None):
+    """``grvv_residual`` of sol, or ``res`` if the caller has formed it;
+    raises ValueError unless it is at most tol times
+    max(1, ||g^1|| + ||g^2||)."""
+    if res is None:
+        res = grvv_residual(sol)
     scale = max(1.0, frobenius_norm(sol.g1) + frobenius_norm(sol.g2))
     if not res <= tol * scale:
         raise ValueError(f"input does not solve the cubic equation (residual {res:.3e})")

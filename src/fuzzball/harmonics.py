@@ -11,7 +11,8 @@ phased so that U^dag J_+ U has a positive real first sub-diagonal (the
 convention of ``irrep``); an input whose derived partition is not one block
 is refused.  In that frame every Y_lm is nonzero only on the diagonal
 row - column = m, so a basis stores one length-(N-|m|) vector per (l, m)
-together with U; indexing builds one dense U D U^dag and keeps it.  J_3 is
+together with U; indexing builds one dense U D U^dag on every call, and a
+caller that reads an element again holds it itself.  J_3 is
 diagonal there and J_+- bidiagonal, so the Laplacian's tridiagonal block on
 each diagonal and the ad(J_k) maps between diagonals are read off those bands
 in O(N), with no matrix product.  Decompositions and reconstructions work on
@@ -33,7 +34,7 @@ ladder itself loses digits at every step.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -79,13 +80,13 @@ class HarmonicBasis:
 
     ``frame`` is the weight-frame unitary U; row l - |m| of ``diagonals[m]``
     holds the entries of U^dag Y_lm U on its diagonal row - column = m.
-    Dense elements are built on first use and kept.
+    Indexing builds the dense element on every call and keeps nothing: a
+    sweep over all N^2 keys would otherwise hold N^2 dense N x N matrices.
     """
 
     rep: Su2Representation
     frame: np.ndarray
     diagonals: dict  # m -> (N - |m|) x (N - |m|) array
-    _dense: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     @property
     def dim(self):
@@ -102,12 +103,11 @@ class HarmonicBasis:
         return self.diagonals[m][l - abs(m)]
 
     def __getitem__(self, key):
-        if key not in self._dense:
-            # U D U^dag with the vector on the m diagonal of D
-            rows, cols = _diagonal_index(self.dim, key[1])
-            u = self.frame
-            self._dense[key] = (u[:, rows] * self.vector(key)) @ dagger(u[:, cols])
-        return self._dense[key]
+        # U D U^dag with the vector on the m diagonal of D
+        vec = self.vector(key)
+        rows, cols = _diagonal_index(self.dim, key[1])
+        u = self.frame
+        return (u[:, rows] * vec) @ dagger(u[:, cols])
 
 
 def _ad(gens, k, c):

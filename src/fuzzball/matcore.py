@@ -58,7 +58,9 @@ def dagger(a):
 
 
 def commutator(a, b):
-    return a @ b - b @ a
+    """a b - b a, the difference formed in the buffer of a b."""
+    ab = a @ b
+    return np.subtract(ab, b @ a, out=ab)
 
 
 def frobenius_norm(a):
@@ -88,15 +90,26 @@ def is_unitary(a, tol=1e-10):
     if a.shape[0] != a.shape[1]:
         return False
     n = a.shape[0]
-    return frobenius_norm(dagger(a) @ a - np.eye(n)) <= tol * n
+    gram = dagger(a) @ a
+    # the identity is subtracted in place, from the diagonal alone: the
+    # entries of gram - np.eye(n), bit for bit
+    gram.flat[:: n + 1] -= 1
+    return frobenius_norm(gram) <= tol * n
 
 
 def random_unitary(n, rng):
     """Haar-distributed unitary from QR of a complex Gaussian matrix."""
-    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    # each Gaussian is drawn straight into its part: the draws, and bits, of
+    # rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    z = np.empty((n, n), dtype=complex)
+    z.real = rng.normal(size=(n, n))
+    z.imag = rng.normal(size=(n, n))
     q, r = np.linalg.qr(z)
-    d = np.diag(r)
-    return q * (d / np.abs(d))
+    del z
+    d = r.diagonal().copy()
+    del r
+    q *= d / np.abs(d)
+    return q
 
 
 def matrix_to_json(a):

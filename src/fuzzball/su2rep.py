@@ -15,6 +15,7 @@ adjoints of jmat[0][1] and jbar[0][1], so J_1, J_2 and their barred pair are
 exactly Hermitian; the evaluators rely on that pairing.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,6 +64,17 @@ for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
     EPS3[_j, _i, _k] = -1.0
 
 
+def _contract(sig, entry):
+    """sum_{a,b} sig[b, a] entry(b, a) over the two nonzero entries of sig,
+    summed from 0 in this order; each entry is read at its own term."""
+    total = 0
+    for a in range(2):
+        for b in range(2):
+            if sig[b, a]:
+                total = total + sig[b, a] * entry(b, a)
+    return total
+
+
 def pauli_contract(blocks):
     """sum_{a,b} sigma_i[b, a] blocks[b][a] for i = 1, 2, 3.
 
@@ -71,8 +83,7 @@ def pauli_contract(blocks):
     J_i and Jbar_i, the caller supplies the matching block table.  Only the
     two nonzero entries of each sigma_i enter the sum.
     """
-    return [sum(sig[b, a] * blocks[b][a] for a in range(2) for b in range(2) if sig[b, a])
-            for sig in PAULI]
+    return [_contract(sig, lambda b, a: blocks[b][a]) for sig in PAULI]
 
 
 @dataclass(frozen=True)
@@ -243,12 +254,30 @@ class BilinearSet:
     trace_jbar: np.ndarray
 
 
+def _entries(x, y, swap=False):
+    """Entry (row, col) of ``_table(x, y)``, or with ``swap`` of its
+    transpose, formed when read: the (0, 1) product is kept for the (1, 0)
+    entry, its adjoint."""
+    off = []
+
+    def entry(row, col):
+        if swap:
+            row, col = col, row
+        if row == col:
+            return x[row] @ y[row]
+        if not off:
+            off.append(x[0] @ y[1])
+        return off[0] if row == 0 else dagger(off[0])
+
+    return entry
+
+
 def _table(x, y):
     """((x_0 y_0, x_0 y_1), ((x_0 y_1)^dag, x_1 y_1)) from 3 products: the
     (1, 0) entry is the exact adjoint of the (0, 1) entry when y_a = x_a^dag.
     ``_table(g, gd)`` is jmat and ``_table(gd, g)`` is jbar."""
-    off = x[0] @ y[1]
-    return ((x[0] @ y[0], off), (dagger(off), x[1] @ y[1]))
+    entry = _entries(x, y)
+    return ((entry(0, 0), entry(0, 1)), (entry(1, 0), entry(1, 1)))
 
 
 def _transposed(t):
@@ -288,10 +317,14 @@ def _tables(sol):
     yield _kbar(sol)
 
 
-def _triples(sol):
-    """(J_i, Jbar_i) of ``bilinears(sol)``, bit for bit, one table at a time."""
-    j, jb = map(pauli_contract, _tables(sol))
-    return tuple(j), tuple(jb)
+def _pairs(g, gd):
+    """(J_i, Jbar_i) of ``bilinears`` of the doublet g with adjoints gd, bit
+    for bit, for i = 1, 2, 3 in turn.  Each generator is contracted from the
+    table entries sigma_i reads, formed for it alone: J_1 and J_2 both form
+    the off-diagonal product.  A caller that drops a pair before asking for
+    the next holds two generators at a time."""
+    for sig in PAULI:
+        yield _contract(sig, _entries(g, gd)), _contract(sig, _entries(gd, g, swap=True))
 
 
 def su2_from_bilinears(b, partition=(), barred=False):
@@ -306,19 +339,29 @@ _U2_PAIRS = (((0, 0), (0, 1)), ((0, 0), (1, 1)), ((0, 1), (1, 0)), ((0, 1), (1, 
 def _u2_table_residual(t):
     """Worst u(2) residual of one table T^a_b = t[a][b] over the four pairs
     of ``_U2_PAIRS``, after the guard of ``u2_structure_residual``."""
-    if not np.array_equal(t[1][0], dagger(t[0][1]), equal_nan=True):
+    low, up = t[1][0], t[0][1].T
+    if not (np.array_equal(low.real, up.real, equal_nan=True)
+            and np.array_equal(low.imag, -up.imag, equal_nan=True)):
         raise ValueError("bilinear table is not adjoint-paired: "
                          "its (1, 0) entry must be the adjoint of its (0, 1) entry")
     for a in range(2):
         d = t[a][a]
-        defect = frobenius_norm(d - dagger(d))
+        # ||D - D^dag||_F from its real and imaginary parts, one at a time
+        defect = math.hypot(np.linalg.norm(d.real - d.real.T),
+                            np.linalg.norm(d.imag + d.imag.T))
         if defect > len(d) * _EPS * frobenius_norm(d):
             raise ValueError(f"bilinear table entry ({a}, {a}) is not Hermitian: "
                              f"||D - D^dag||_F = {defect:.3e} exceeds N eps ||D||_F")
-    return max_frobenius(
-        commutator(t[a][bb], t[m][n]) - ((m == bb) * t[a][n] - (a == n) * t[m][bb])
-        for (a, bb), (m, n) in _U2_PAIRS
-    )
+
+    def defect(a, bb, m, n):
+        # [T^a_b, T^m_n] - (d^m_b T^a_n - d^a_n T^m_b), each difference
+        # formed in the buffer of its first operand
+        rhs = (m == bb) * t[a][n]
+        rhs -= (a == n) * t[m][bb]
+        comm = commutator(t[a][bb], t[m][n])
+        return np.subtract(comm, rhs, out=comm)
+
+    return max_frobenius(defect(a, bb, m, n) for (a, bb), (m, n) in _U2_PAIRS)
 
 
 def u2_structure_residual(b):
@@ -385,13 +428,18 @@ def doublet_covariance_residual(sol, b=None):
 def intertwiner_residual(sol, b=None):
     """Residuals of gd_c J_i g^c = (N+1) Jb_i and g^c Jb_i gd_c = (N-2) J_i,
     each side formed directly: 4 products per side and generator, 24 in all.
-    Without ``b`` only the two triples of ``bilinears(sol)`` are kept."""
+    Without ``b`` the pair (J_i, Jb_i) of ``bilinears(sol)`` is formed for
+    its two sides and dropped before the next i (``_pairs``)."""
     if not sol.is_irreducible():
         raise ValueError("intertwiner factors are only stated for one block")
-    j, jb = _triples(sol) if b is None else (b.j, b.jbar_i)
     n = sol.size
     g = sol.matrices
     gd = sol.daggers
-    sides = ((gd, j, g, n + 1, jb), (g, jb, gd, n - 2, j))
-    return max_frobenius(sum(x[c] @ m[i] @ y[c] for c in range(2)) - f * mt[i]
-                         for i in range(3) for x, m, y, f, mt in sides)
+
+    def defects():
+        for j, jb in _pairs(g, gd) if b is None else zip(b.j, b.jbar_i):
+            yield sum(gd[c] @ j @ g[c] for c in range(2)) - (n + 1) * jb
+            yield sum(g[c] @ jb @ gd[c] for c in range(2)) - (n - 2) * j
+            del j, jb
+
+    return max_frobenius(defects())

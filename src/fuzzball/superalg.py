@@ -30,10 +30,10 @@ block-structured, so it is evaluated as two N x N blocks; a residual is the
 Frobenius norm of the whole 2N x 2N defect, the hypot of the two block
 norms, and a family's residual is NaN if any of its brackets is.
 ``calibrate`` never forms a supermatrix: it takes the blocks J_i and Jbar_i
-from ``su2rep._triples`` (one bilinear table at a time) and forms each
-product with T_a = +-g^(1-a) and B_a = -gd_a once, from the doublet itself
-with the sign taken exactly.  It then scores every (c, convention)
-candidate with O(N^2) work, one odd-odd right-hand side at a time.
+from ``su2rep._pairs`` (one pair at a time) and forms each product with
+T_a = +-g^(1-a) and B_a = -gd_a once, from the doublet itself with the sign
+taken exactly.  It then scores every (c, convention) candidate with O(N^2)
+work, one anticommutator block and one odd-odd right-hand side at a time.
 """
 
 import math
@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .matcore import _nan_max, commutator
-from .su2rep import EPS3, EPS_LOWER, PAULI, _triples
+from .su2rep import EPS3, EPS_LOWER, PAULI, _pairs
 
 __all__ = [
     "EPS_LOWER",
@@ -70,8 +70,10 @@ def _sigma_lowered(i, convention):
 
 
 def _norm(upper, lower):
-    """Frobenius norm of a 2N x 2N matrix from its two nonzero N x N blocks."""
-    return math.hypot(np.linalg.norm(upper), np.linalg.norm(lower))
+    """Frobenius norm of a 2N x 2N matrix from its two nonzero N x N blocks,
+    given as the functions that form them: the upper block is formed,
+    normed and dropped before the lower one is formed."""
+    return math.hypot(np.linalg.norm(upper()), np.linalg.norm(lower()))
 
 
 def _signed_sum(p, sp, q, sq):
@@ -95,21 +97,20 @@ class _Brackets:
     that of the products with T_a and B_a to the last bit.  ``ee`` and
     ``eo`` are the even-even and even-odd residuals; ``odd_odd`` scores the
     odd-odd bracket with the odd generators multiplied by a further ``c``.
-    Only J_i, Jbar_i and the anticommutator blocks of the three keys of
-    ``_ODD_KEYS`` are kept, the latter formed last; the doublet is released
-    with the caller's references.
+    Every bracket is formed one N x N block at a time, and each block is
+    dropped once its norms are taken; only the four lists are held.
     """
 
     def __init__(self, j, jb, g, gd):
         self.even = (j, jb)
-        self._defect = None
+        self.doublet = (g, gd)
 
         # [E_i, E_i] = 0 and [E_j, E_i] = -[E_i, E_j] hold exactly in
         # floating point, so three pairs carry the whole family
         self.ee = _nan_max(
             _norm(
-                commutator(j[i], j[k]) - 2j * EPS3[i, k, m] * j[m],
-                commutator(jb[i], jb[k]) - 2j * EPS3[i, k, m] * jb[m],
+                lambda: commutator(j[i], j[k]) - 2j * EPS3[i, k, m] * j[m],
+                lambda: commutator(jb[i], jb[k]) - 2j * EPS3[i, k, m] * jb[m],
             )
             for i, k, m in ((0, 1, 2), (0, 2, 1), (1, 2, 0))
         )
@@ -118,67 +119,73 @@ class _Brackets:
         # Jbar_i B_a - B_a J_i + sigma_i[a, d] B_d; a block times the sign of
         # its operand T_a or B_a has the same norm, and is formed from g^(1-a)
         # or gd_a with the signs folded into the exact sigma coefficients
-        eo = []
-        for i in range(3):
-            for a in range(2):
-                x, sa = g[1 - a], _T_SIGN[a]
-                upper = j[i] @ x - x @ jb[i] + sum(
-                    sa * _T_SIGN[d] * PAULI[i][a, d] * g[1 - d] for d in range(2)
-                )
-                lower = jb[i] @ gd[a] - gd[a] @ j[i] + sum(
+        self.eo = _nan_max(
+            _norm(
+                lambda: j[i] @ g[1 - a] - g[1 - a] @ jb[i] + sum(
+                    _T_SIGN[a] * _T_SIGN[d] * PAULI[i][a, d] * g[1 - d] for d in range(2)
+                ),
+                lambda: jb[i] @ gd[a] - gd[a] @ j[i] + sum(
                     PAULI[i][a, d] * gd[d] for d in range(2)
-                )
-                eo.append(_norm(upper, lower))
-                del upper, lower
-        self.eo = _nan_max(eo)
+                ),
+            )
+            for i in range(3)
+            for a in range(2)
+        )
 
+    def _anti(self, key, side):
+        """Block ``side`` (0 upper, 1 lower) of {Q_a, Q_b} at (a, b) = ``key``."""
         # {Q_a, Q_b} = diag(T_a B_b + T_b B_a, B_a T_b + B_b T_a), where
         # T_a B_b = -_T_SIGN[a] g^(1-a) gd_b and B_a T_b = -_T_SIGN[b] gd_a g^(1-b);
         # at a = b the two terms are one product
-        self.anti = {}
-        for a, c in _ODD_KEYS:
-            sa, sc = -_T_SIGN[a], -_T_SIGN[c]
-            pu = g[1 - a] @ gd[c]
-            pl = gd[a] @ g[1 - c]
-            if a == c:
-                self.anti[a, c] = (_signed_sum(pu, sa, pu, sa), _signed_sum(pl, sc, pl, sc))
-            else:
-                self.anti[a, c] = (
-                    _signed_sum(pu, sa, g[1 - c] @ gd[a], sc),
-                    _signed_sum(pl, sc, gd[c] @ g[1 - a], sa),
-                )
+        g, gd = self.doublet
+        a, c = key
+        sa, sc = -_T_SIGN[a], -_T_SIGN[c]
+        if side == 0:
+            p = g[1 - a] @ gd[c]
+            return _signed_sum(p, sa, p, sa) if a == c else _signed_sum(p, sa, g[1 - c] @ gd[a], sc)
+        p = gd[a] @ g[1 - c]
+        return _signed_sum(p, sc, p, sc) if a == c else _signed_sum(p, sc, gd[c] @ g[1 - a], sa)
 
-    def odd_odd_rhs(self, convention, key):
-        """The blocks of -(sigma_i)_{ab} E_i at (a, b) = ``key``, with the
+    def _rhs(self, convention, key, side):
+        """Block ``side`` of -(sigma_i)_{ab} E_i at (a, b) = ``key``, with the
         lowered symbol read per ``convention``."""
+        e = self.even[side]
         low = [_sigma_lowered(i, convention)[key] for i in range(3)]
-        return tuple(-sum(low[i] * e[i] for i in range(3)) for e in self.even)
+        return -sum(low[i] * e[i] for i in range(3))
 
-    def odd_odd(self, convention, scales=(1.0,)):
-        """Odd-odd residual at each scale c of ``scales``, with the odd
-        generators scaled by c: one key's right-hand side is formed at a
-        time and scored at every scale."""
+    def odd_odd(self, scales=(1.0,)):
+        """{convention: odd-odd residual at each scale c of ``scales``}, with
+        the odd generators scaled by c.  Each anticommutator block is formed
+        once, one key and block at a time, and scored under both conventions
+        at every scale before the next is formed."""
         c2s = [c * c for c in scales]
         # each block defect c^2 {Q_a, Q_b} - rhs is formed in one reused
         # buffer: fresh N x N temporaries for every candidate are handed back
         # to the system and faulted in again, which costs more than the
         # arithmetic
-        if self._defect is None:
-            self._defect = np.empty(self.even[0][0].shape, dtype=complex)
-        out = self._defect
+        out = np.empty(self.even[0][0].shape, dtype=complex)
 
         def defect(c2, anti, r):
             np.multiply(c2, anti, out=out)
             return np.linalg.norm(np.subtract(out, r, out=out))
 
-        scores = [[] for _ in scales]
+        scores = {convention: [[] for _ in scales] for convention in CONVENTIONS}
         for key in _ODD_KEYS:
-            anti = self.anti[key]
-            rhs = self.odd_odd_rhs(convention, key)
-            for c2, score in zip(c2s, scores):
-                score.append(math.hypot(defect(c2, anti[0], rhs[0]), defect(c2, anti[1], rhs[1])))
-            del rhs
-        return [_nan_max(score) for score in scores]
+            # (upper, lower) block norms per convention and scale
+            norms = {convention: [[] for _ in scales] for convention in CONVENTIONS}
+            for side in range(2):
+                anti = self._anti(key, side)
+                for convention in CONVENTIONS:
+                    r = self._rhs(convention, key, side)
+                    for c2, pair in zip(c2s, norms[convention]):
+                        pair.append(defect(c2, anti, r))
+                    del r
+                del anti
+            for convention in CONVENTIONS:
+                for score, pair in zip(scores[convention], norms[convention]):
+                    score.append(math.hypot(*pair))
+        return {convention: [_nan_max(score) for score in scores[convention]]
+                for convention in CONVENTIONS}
 
 
 @dataclass(frozen=True)
@@ -213,7 +220,7 @@ def calibrate(sol, scales=None, tol=1e-10):
     and its residual. An empty ``scales`` raises ``ValueError``.
 
     The brackets are evaluated on the N x N blocks: J_i and Jbar_i from
-    ``su2rep._triples`` and the doublet, from which each product with the
+    ``su2rep._pairs`` and the doublet, from which each product with the
     odd blocks T_a = sum_c eps_{ac} g^c and B_a = -gd_a is formed with its
     exact sign; no 2N x 2N matrix, and no T_a or B_a, is formed.
     """
@@ -226,17 +233,24 @@ def calibrate(sol, scales=None, tol=1e-10):
         )
     if len(scales) == 0:
         raise ValueError("empty scale grid: calibrate needs at least one scale")
-    # row-major blocks: J_1, J_2 and gd_a come out column-major (transposed
-    # adjoints), and mixing layouts makes every O(N^2) update stride across
-    # rows
-    j, jb = ([np.ascontiguousarray(m) for m in ms] for ms in _triples(sol))
-    gd = [np.ascontiguousarray(m) for m in sol.daggers]
-    br = _Brackets(j, jb, sol.matrices, gd)
-    del gd
+    # row-major blocks, each copied as it is formed and its original dropped
+    # before the next is formed: Jbar_1, Jbar_2 and gd_a can come out
+    # column-major, and mixing layouts makes every O(N^2) update stride
+    # across rows
+    g, gd = sol.matrices, list(sol.daggers)
+    j, jb = [], []
+    for ji, jbi in _pairs(g, gd):
+        j.append(np.ascontiguousarray(ji))
+        jb.append(np.ascontiguousarray(jbi))
+        del ji, jbi
+    for a in range(2):
+        gd[a] = np.ascontiguousarray(gd[a])
+    br = _Brackets(j, jb, g, gd)
+    oo = br.odd_odd(scales)
     scores = {
-        (float(c), convention): (br.ee, abs(float(c)) * br.eo, oo)
+        (float(c), convention): (br.ee, abs(float(c)) * br.eo, res)
         for convention in CONVENTIONS
-        for c, oo in zip(scales, br.odd_odd(convention, scales))
+        for c, res in zip(scales, oo[convention])
     }
     # min keeps the first of equal totals, and a NaN total is never less
     (scale, convention), res = min(scores.items(), key=lambda item: _nan_max(item[1]))

@@ -14,7 +14,10 @@ by brackets on the N x N blocks themselves, and the spin-map and graded-closure
 evaluators that hold every bilinear table at once (the whole
 ``BilinearSet``, the odd blocks T_a and B_a, all four odd-odd keys and a
 convention's whole right-hand side), which ``su2rep`` and ``superalg``
-replace by evaluators that form one table, one key, at a time."""
+replace by evaluators that form one table, one key, at a time, and the
+gauge dressing with its Gaussians, its QR factor and its Gram defect held
+whole, which ``matcore`` and ``grvv`` replace by a dressing that holds one
+of each at a time."""
 
 import math
 from dataclasses import dataclass
@@ -36,6 +39,7 @@ from fuzzball.geometry import (
     unit_vector,
     weyl_plus,
 )
+from fuzzball.grvv import GrvvSolution, ground_state
 from fuzzball.matcore import as_matrix, commutator, dagger, frobenius_norm, max_frobenius
 from fuzzball.su2rep import _EPS, EPS3, EPS_LOWER, PAULI, bilinears
 from fuzzball.superalg import CalibrationResult
@@ -547,3 +551,47 @@ def identification_check(grid, h=1e-4, phi_window=0.02):
         order_b=float(np.log2(fd_b(h_ord) / fd_b(h_ord / 2))),
         order_c=float(np.log2(fd_c(h_ord) / fd_c(h_ord / 2))),
     )
+
+
+# ---------------------------------------------------------------------------
+# the gauge dressing with every intermediate held: both Gaussians and their
+# complex sum, both QR factors, q scaled out of place and the identity
+# subtracted as a dense matrix
+
+
+def held_random_unitary(n, rng):
+    """``matcore.random_unitary``: Haar unitary from QR of a Gaussian matrix."""
+    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    q, r = np.linalg.qr(z)
+    d = np.diag(r)
+    return q * (d / np.abs(d))
+
+
+def held_is_unitary(a, tol=1e-10):
+    """``matcore.is_unitary``: ||a^dag a - 1||_F <= tol * n."""
+    a = as_matrix(a)
+    if a.shape[0] != a.shape[1]:
+        return False
+    n = a.shape[0]
+    return frobenius_norm(dagger(a) @ a - np.eye(n)) <= tol * n
+
+
+def held_gauge_dress(sol, u, uhat, tol=1e-10):
+    """``grvv.gauge_dress``: g^a -> u g^a uhat^dag."""
+    if not (held_is_unitary(u, tol) and held_is_unitary(uhat, tol)):
+        raise ValueError("factor is not unitary within tolerance")
+    uh = dagger(uhat)
+    return GrvvSolution(g1=u @ sol.g1 @ uh, g2=u @ sol.g2 @ uh,
+                        partition=sol.partition, dressed=True)
+
+
+def held_dress(sol, seed):
+    """``cli._dress``: sol in the random gauge (U, V) drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    return held_gauge_dress(sol, held_random_unitary(sol.size, rng),
+                            held_random_unitary(sol.size, rng))
+
+
+def held_dressed(n, seed):
+    """``cli._dressed``: the ground state of size n dressed from seed + n."""
+    return held_dress(ground_state(n), seed + n)

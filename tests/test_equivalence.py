@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from fuzzball import su2rep
+from fuzzball import equivalence, grvv, su2rep
 from fuzzball.equivalence import (
     RoundTripReport,
     barred_generators,
@@ -23,6 +23,7 @@ from fuzzball.grvv import (
     block_solution,
     gauge_dress,
     ground_state,
+    require_solution,
     sphere_constraints,
 )
 from fuzzball.matcore import dagger, frobenius_norm, random_unitary
@@ -386,6 +387,33 @@ def test_round_trip_forms_each_table_once(monkeypatch, make, tables, svds):
     monkeypatch.setattr(np.linalg, "svd", counted(svd, "svds"))
     assert round_trip(make(12)).passed
     assert counts == {"tables": tables, "svds": svds}
+
+
+@pytest.mark.parametrize("make, cubic", [
+    # the input's residual, then the rebuilt doublet's
+    (ground_state, 2),
+    # the rebuilt doublet's, reported as grvv_algebra and judged again by
+    # the re-extraction: it was formed twice
+    (irrep, 1),
+], ids=["sol", "rep"])
+def test_round_trip_forms_each_cubic_residual_once(monkeypatch, make, cubic):
+    residual, calls = grvv.grvv_residual, []
+
+    def counted(sol):
+        calls.append(sol.size)
+        return residual(sol)
+
+    monkeypatch.setattr(grvv, "grvv_residual", counted)
+    monkeypatch.setattr(equivalence, "grvv_residual", counted)
+    assert round_trip(make(12)).passed
+    assert calls == [12] * cubic
+
+
+def test_require_solution_judges_a_given_residual():
+    sol = ground_state(4)
+    assert require_solution(sol, res=1e-12) == 1e-12
+    with pytest.raises(ValueError, match="does not solve"):
+        require_solution(sol, res=1.0)
 
 
 @pytest.mark.parametrize("make, bound", [

@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from dense_oracles import held_dress, held_dressed, held_is_unitary
 from numpy.testing import assert_allclose
 
+from fuzzball.cli import _dress, _dressed
 from fuzzball.grvv import (
     GrvvSolution,
     block_solution,
@@ -12,7 +16,7 @@ from fuzzball.grvv import (
     require_solution,
     sphere_constraints,
 )
-from fuzzball.matcore import dagger, frobenius_norm, random_unitary
+from fuzzball.matcore import dagger, frobenius_norm, is_unitary, random_unitary
 
 
 def test_ground_state_small_cases():
@@ -176,3 +180,47 @@ def test_overflowing_doublet_is_not_a_solution():
     assert np.isnan(grvv_residual(big))
     with pytest.raises(ValueError, match="does not solve"):
         require_solution(big)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 64, 130])
+@pytest.mark.parametrize("seed", [0, 5, 2**31 + 7])
+def test_dressing_is_byte_equal_to_the_held_dressing(n, seed):
+    # the Gaussians drawn into their parts, q scaled in place, the Gram
+    # defect formed in place and uhat dropped early change no bit
+    got, want = _dressed(n, seed), held_dressed(n, seed)
+    assert got.g1.tobytes() == want.g1.tobytes()
+    assert got.g2.tobytes() == want.g2.tobytes()
+    assert got.partition == want.partition and got.dressed
+
+
+@pytest.mark.parametrize("seed", [1, 9])
+def test_partition_dressing_is_byte_equal_to_the_held_dressing(seed):
+    sol = block_solution((3, 7, 12))
+    got, want = _dress(sol, seed), held_dress(sol, seed)
+    assert got.g1.tobytes() == want.g1.tobytes()
+    assert got.g2.tobytes() == want.g2.tobytes()
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-12, 1e-9, 1e-6])
+def test_is_unitary_agrees_with_the_held_check(eps):
+    u = random_unitary(20, np.random.default_rng(8))
+    a = u + eps * np.random.default_rng(9).normal(size=(20, 20))
+    for tol in (1e-12, 1e-10, 1e-8):
+        assert is_unitary(a, tol) == held_is_unitary(a, tol)
+    assert not is_unitary(np.ones((2, 3))) and not held_is_unitary(np.ones((2, 3)))
+
+
+def test_dressing_memory_is_bounded():
+    # the ground state (2), the first unitary (1) and the second one's QR
+    # (the Gaussian matrix, numpy's copy of it and both factors, 4); with
+    # the Gaussians and the Gram defect held whole, and uhat kept beside its
+    # adjoint through the products, it peaked at 8
+    n = 128
+    _dressed(4, 0)  # the lazy imports, made apart
+    tracemalloc.start()
+    try:
+        _dressed(n, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7.5 * 16 * n**2, peak / (16 * n**2)

@@ -20,8 +20,10 @@ from fuzzball.su2rep import direct_sum, irrep
 
 def gram_matrix(basis):
     keys = basis.keys()
+    # indexing builds the element on every call: build each one once
+    ys = {k: basis[k] for k in keys}
     return np.array(
-        [[np.trace(dagger(basis[a]) @ basis[b]) for b in keys] for a in keys]
+        [[np.trace(dagger(ys[a]) @ ys[b]) for b in keys] for a in keys]
     )
 
 

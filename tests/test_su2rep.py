@@ -13,7 +13,7 @@ from fuzzball.grvv import GrvvSolution, block_solution, gauge_dress, ground_stat
 from fuzzball.matcore import dagger, frobenius_norm, random_unitary
 from fuzzball.su2rep import (
     BilinearSet,
-    _triples,
+    _pairs,
     _u2_residual,
     Su2Representation,
     bilinears,
@@ -221,7 +221,7 @@ def test_streamed_spin_maps_equal_the_held_tables(n, dressed, seed):
     # one table at a time, the same products in the same order: the same bits
     sol = _dressed(n, seed) if dressed else ground_state(n)
     b = bilinears(sol)
-    j, jb = _triples(sol)
+    j, jb = zip(*_pairs(sol.matrices, sol.daggers))
     for new, old in zip(j + jb, b.j + b.jbar_i):
         assert np.array_equal(new, old)
     assert _u2_residual(sol) == u2_structure_residual(b) == held_u2_structure(sol)
@@ -240,12 +240,13 @@ def _traced_blocks(fn, n):
 
 
 @pytest.mark.parametrize("evaluator, bound", [
-    # jmat (4) and the daggers (2), then jbar (4), plus a commutator's
-    # temporaries; the whole BilinearSet peaked at 21
-    (_u2_residual, 11),
-    # the triples (6) and the daggers (2) plus one side's temporaries, and
-    # the same while jbar (4) is contracted; with the BilinearSet, 18
-    (intertwiner_residual, 12),
+    # one table (4) and a defect with its right-hand side and the commutator's
+    # second product; out-of-place commutators peaked at 8, and the whole
+    # BilinearSet at 21
+    (_u2_residual, 7.5),
+    # the daggers (2) and one pair (J_i, Jbar_i) plus one side's temporaries
+    # (3); with both triples held, 11, and with the BilinearSet, 18
+    (intertwiner_residual, 7.5),
     # jmat (4) and one defect with its two products; both defects held, 8.01
     (doublet_covariance_residual, 8),
 ])
