@@ -73,16 +73,8 @@ def grvv_to_su2(sol, tol=1e-8):
     defects max_ij ||[J_i, J_j] - 2i eps_ijk J_k||_F and the commutation of
     the u(1) traces with the triples.
     """
-    return _grvv_to_su2(sol, tol)[:3]
-
-
-def _grvv_to_su2(sol, tol=1e-8, jside=None, spectra=False, res=None):
-    """``grvv_to_su2`` plus the spectra ``_forms`` takes of sol's jmat (None
-    without ``spectra``).  ``jside`` is the ``_forms`` of sol's jmat and
-    ``res`` its ``grvv_residual`` when the caller has formed them already:
-    then only jbar is formed, and the residual is only judged."""
-    res0 = require_solution(sol, tol, res)
-    j, trace_j, spec = _forms(_jmat(sol), spectra) if jside is None else jside
+    res0 = require_solution(sol, tol)
+    j, trace_j, _ = _forms(_jmat(sol))
     jb, trace_jb, _ = _forms(_kbar(sol))
     residuals = {
         "input": res0,
@@ -93,7 +85,7 @@ def _grvv_to_su2(sol, tol=1e-8, jside=None, spectra=False, res=None):
     }
     rep = Su2Representation(*j, partition=sol.partition)
     rep_bar = Su2Representation(*jb, partition=())
-    return rep, rep_bar, residuals, spec
+    return rep, rep_bar, residuals
 
 
 def canonicalize(rep):
@@ -161,41 +153,39 @@ class Su2ToGrvvResult:
     residuals: dict
 
 
+def _rebuild(rep):
+    """The doublet g1 = (J + J3) T^+ / 2, g2 = (J1 - i J2) T^+ / 2 of a
+    canonical representation; T^+ is diagonal and scales the columns."""
+    _require_canonical(rep)
+    jtr = canonical_traces(rep.partition)[0]
+    _, tp = _half_step(rep.partition)
+    return GrvvSolution(g1=(jtr + rep.j3) * tp / 2, g2=(rep.j1 - 1j * rep.j2) * tp / 2,
+                        partition=rep.partition)
+
+
+def _kernel_columns(sol):
+    """Largest norm of a column of g1 or g2 at a block's lowest-weight state."""
+    offsets = np.cumsum((0,) + sol.partition[:-1])
+    return max(float(np.linalg.norm(g[:, o])) for o in offsets for g in sol.matrices)
+
+
 def su2_to_grvv(rep):
     """Rebuild the doublet from a canonical block-diagonal representation."""
-    return _su2_to_grvv(rep)[0]
-
-
-def _su2_to_grvv(rep, spectra=False):
-    """``su2_to_grvv`` and the ``_forms`` of the rebuilt doublet's jmat, the
-    one table it forms."""
-    _require_canonical(rep)
-    partition = rep.partition
-    jtr, jbtr = canonical_traces(partition)
-    jb = barred_generators(partition)
-    _, tp = _half_step(partition)  # T^+ = Ttilde^+, diagonal: scales columns or rows
-    g1 = (jtr + rep.j3) * tp / 2
-    g2 = (rep.j1 - 1j * rep.j2) * tp / 2
-    sol = GrvvSolution(g1=g1, g2=g2, partition=partition)
-
+    sol = _rebuild(rep)
+    _, jbtr = canonical_traces(rep.partition)
+    jb = barred_generators(rep.partition)
+    _, tp = _half_step(rep.partition)  # Ttilde^+ = T^+, diagonal: scales the rows
     ghat1 = tp[:, None] * (jbtr + jb[2]) / 2
     ghat2 = tp[:, None] * (jb[0] - 1j * jb[1]) / 2
-    del jtr, jbtr, jb
-
-    jside = _forms(_jmat(sol), spectra)
-    offsets = np.cumsum((0,) + partition[:-1])
-    kernel_cols = max(
-        float(np.linalg.norm(g[:, o])) for o in offsets for g in sol.matrices
-    )
+    del jbtr, jb
     residuals = {
         "grvv": grvv_residual(sol),
         "j_rebuilt": max(
-            frobenius_norm(m - g) for m, g in zip(jside[0], rep.generators)
+            frobenius_norm(m - g) for m, g in zip(pauli_contract(_jmat(sol)), rep.generators)
         ),
-        "kernel_columns": kernel_cols,
+        "kernel_columns": _kernel_columns(sol),
     }
-    result = Su2ToGrvvResult(solution=sol, ghat1=ghat1, ghat2=ghat2, residuals=residuals)
-    return result, jside
+    return Su2ToGrvvResult(solution=sol, ghat1=ghat1, ghat2=ghat2, residuals=residuals)
 
 
 def compatibility_residual(rep, u, tol=1e-10):
@@ -278,36 +268,35 @@ def round_trip(obj, tol=1e-10):
         steps.append(("barred_closure", su2_closure_residual(jb)))
         del jtr, jbtr, jb
         steps.append(("compatibility_u1", compatibility_residual(canon, np.eye(canon.dim))))
-        # the rebuilt doublet's jmat and cubic residual serve the
-        # re-extraction, which forms only jbar
-        result, jside = _su2_to_grvv(canon)
-        steps.append(("grvv_algebra", result.residuals["grvv"]))
-        steps.append(("kernel_columns", result.residuals["kernel_columns"]))
-        rep2, _, res2, _ = _grvv_to_su2(result.solution, jside=jside,
-                                        res=result.residuals["grvv"])
-        steps.append(("reextraction_closure", res2["closure_j"]))
+        sol = _rebuild(canon)
+        steps.append(("grvv_algebra", grvv_residual(sol)))
+        steps.append(("kernel_columns", _kernel_columns(sol)))
+        j = pauli_contract(_jmat(sol))
+        steps.append(("reextraction_closure", su2_closure_residual(j)))
         c1 = _casimir_multiset(rep)
-        c2 = _casimir_multiset(rep2)
+        c2 = _casimir_multiset(Su2Representation(*j))
         steps.append(("casimir_multiset", float(np.max(np.abs(c1 - c2)))))
         return RoundTripReport(steps=tuple(steps), tol=tol)
 
     if isinstance(obj, GrvvSolution):
         sol = obj
-        rep, _, res, spec1 = _grvv_to_su2(sol, spectra=True)
-        steps.append(("input_grvv", res["input"]))
-        steps.append(("closure_j", res["closure_j"]))
-        steps.append(("closure_jbar", res["closure_jbar"]))
+        steps.append(("input_grvv", require_solution(sol)))
+        j, spec1 = _forms(_jmat(sol), spectra=True)[::2]  # the u(1) trace is not read
+        steps.append(("closure_j", su2_closure_residual(j)))
+        steps.append(("closure_jbar", su2_closure_residual(pauli_contract(_kbar(sol)))))
+        rep = Su2Representation(*j, partition=sol.partition)
         _, canon, defect = weight_frame(rep)
         steps.append(("canonical_frame", defect))
         c1 = _casimir_multiset(rep)
-        del rep
-        result, (j2, _, spec2) = _su2_to_grvv(canon, spectra=True)
-        steps.append(("rebuilt_grvv", result.residuals["grvv"]))
+        sol = _rebuild(canon)
+        del canon
+        steps.append(("rebuilt_grvv", grvv_residual(sol)))
         # gauge moves the bilinears by unitary conjugation, so jmat keeps the
         # spectra ``_forms`` takes
+        j, spec2 = _forms(_jmat(sol), spectra=True)[::2]
         steps.append(("bilinear_spectra",
                       _nan_max(float(np.max(np.abs(s1 - s2))) for s1, s2 in zip(spec1, spec2))))
-        c2 = _casimir_multiset(Su2Representation(*j2))
+        c2 = _casimir_multiset(Su2Representation(*j))
         steps.append(("casimir_multiset", float(np.max(np.abs(c1 - c2)))))
         return RoundTripReport(steps=tuple(steps), tol=tol)
 

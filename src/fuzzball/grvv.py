@@ -156,12 +156,10 @@ def grvv_residual(sol):
     return max_frobenius(g[a] - (g[a] @ right - left @ g[a]) for a in range(2))
 
 
-def require_solution(sol, tol=1e-8, res=None):
-    """``grvv_residual`` of sol, or ``res`` if the caller has formed it;
-    raises ValueError unless it is at most tol times
-    max(1, ||g^1|| + ||g^2||)."""
-    if res is None:
-        res = grvv_residual(sol)
+def require_solution(sol, tol=1e-8):
+    """``grvv_residual`` of sol; raises ValueError unless it is at most tol
+    times max(1, ||g^1|| + ||g^2||)."""
+    res = grvv_residual(sol)
     scale = max(1.0, frobenius_norm(sol.g1) + frobenius_norm(sol.g2))
     if not res <= tol * scale:
         raise ValueError(f"input does not solve the cubic equation (residual {res:.3e})")

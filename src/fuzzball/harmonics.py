@@ -186,16 +186,22 @@ def decompose_adjoint(a, basis):
 
 def reconstruct_adjoint(coeffs, basis):
     """sum_lm c_lm Y_lm as a dense matrix, summed on the weight-frame
-    diagonals and rotated back once."""
+    diagonals and rotated back once.  Coefficients that are arrays of one
+    shape give one matrix per entry, of shape ``shape + (N, N)``."""
     n = basis.dim
-    cs = {m: np.zeros(len(ys), dtype=complex) for m, ys in basis.diagonals.items()}
+    shape = np.shape(next(iter(coeffs.values()), 0))
+    cs = {m: np.zeros((len(ys),) + shape, dtype=complex) for m, ys in basis.diagonals.items()}
     for (l, m), c in coeffs.items():
         if not 0 <= abs(m) <= l < n:
             raise KeyError((l, m))
         cs[m][l - abs(m)] += c
-    w = np.zeros((n, n), dtype=complex)
+    w = np.zeros(shape + (n, n), dtype=complex)
+    mats = w.reshape(-1, n, n)  # one n x n view per entry
     for m, ys in basis.diagonals.items():
-        w[_diagonal_index(n, m)] = cs[m] @ ys
+        idx = _diagonal_index(n, m)
+        # one contiguous row per entry: a strided row can change the product bits
+        for mat, c in zip(mats, cs[m].reshape(len(ys), -1).T.copy()):
+            mat[idx] = c @ ys
     u = basis.frame
     return u @ w @ dagger(u)
 
@@ -380,13 +386,8 @@ def reconstruct_bifundamental(modes, sol, basis=None):
         basis = _default_basis(sol)
     g = sol.matrices
     a_mat = reconstruct_adjoint(modes.r_coeffs, basis)
-    s_mat = [
-        [
-            reconstruct_adjoint({k: s[a, b] for k, s in modes.s_coeffs.items()}, basis)
-            for b in range(2)
-        ]
-        for a in range(2)
-    ]
+    # n = 1 has no s modes: its one zero matrix serves all four entries
+    s_mat = np.broadcast_to(reconstruct_adjoint(modes.s_coeffs, basis), (2, 2) + a_mat.shape)
     out = [a_mat @ g[a] + s_mat[a][0] @ g[0] + s_mat[a][1] @ g[1] for a in range(2)]
     for a in range(2):
         out[a][:, 0] += modes.t_coeffs[a]

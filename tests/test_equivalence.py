@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from fuzzball import equivalence, grvv, su2rep
+from fuzzball import cli, equivalence, grvv, su2rep
 from fuzzball.equivalence import (
     RoundTripReport,
     barred_generators,
@@ -23,7 +23,6 @@ from fuzzball.grvv import (
     block_solution,
     gauge_dress,
     ground_state,
-    require_solution,
     sphere_constraints,
 )
 from fuzzball.matcore import dagger, frobenius_norm, random_unitary
@@ -369,9 +368,9 @@ def test_round_trip_worst_keeps_nan():
     # per jmat, of its (0, 1) entry (10 tables and 8 SVDs with every
     # BilinearSet formed again)
     (ground_state, 3, 2),
-    # the rebuilt doublet's jmat, whose triple the re-extraction reuses, and
-    # its jbar (4 tables before)
-    (irrep, 2, 0),
+    # the rebuilt doublet's jmat, whose triple the re-extraction closes
+    # (4 tables with every BilinearSet formed, 2 with its unread jbar)
+    (irrep, 1, 0),
 ], ids=["sol", "rep"])
 def test_round_trip_forms_each_table_once(monkeypatch, make, tables, svds):
     counts = {"tables": 0, "svds": 0}
@@ -387,6 +386,36 @@ def test_round_trip_forms_each_table_once(monkeypatch, make, tables, svds):
     monkeypatch.setattr(np.linalg, "svd", counted(svd, "svds"))
     assert round_trip(make(12)).passed
     assert counts == {"tables": tables, "svds": svds}
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(2, 24),
+    kind=st.sampled_from(["plain", "dressed", "blocks"]),
+    cuts=st.sets(st.integers(1, 23), max_size=3),
+    seed=st.integers(0, 2**16),
+)
+def test_round_trip_steps_are_the_converters_residuals(n, kind, cuts, seed):
+    # round_trip forms its steps from the primitives; each keeps the meaning
+    # of the converter residual it stands for, bit for bit
+    if kind == "plain":
+        sol = ground_state(n)
+    elif kind == "dressed":
+        sol = cli._dressed(n, seed)
+    else:
+        ends = sorted(c for c in cuts if c < n) + [n]
+        sol = block_solution([b - a for a, b in zip([0] + ends, ends)])
+    rep, _, res = grvv_to_su2(sol)
+    canon, _ = canonicalize(rep)
+    rebuilt = su2_to_grvv(canon).residuals
+    steps = dict(round_trip(sol).steps)
+    assert steps["input_grvv"] == res["input"]
+    assert steps["closure_j"] == res["closure_j"]
+    assert steps["closure_jbar"] == res["closure_jbar"]
+    assert steps["rebuilt_grvv"] == rebuilt["grvv"]
+    steps = dict(round_trip(rep).steps)
+    assert steps["grvv_algebra"] == rebuilt["grvv"]
+    assert steps["kernel_columns"] == rebuilt["kernel_columns"]
 
 
 @pytest.mark.parametrize("make, cubic", [
@@ -409,21 +438,15 @@ def test_round_trip_forms_each_cubic_residual_once(monkeypatch, make, cubic):
     assert calls == [12] * cubic
 
 
-def test_require_solution_judges_a_given_residual():
-    sol = ground_state(4)
-    assert require_solution(sol, res=1e-12) == 1e-12
-    with pytest.raises(ValueError, match="does not solve"):
-        require_solution(sol, res=1.0)
-
-
 @pytest.mark.parametrize("make, bound", [
-    # the rebuild (g, ghat, the jmat triple and its products) beside the
-    # canonical triple peaks at 19.3 N x N matrices; with both BilinearSets
-    # held it peaked at 64
-    (ground_state, 21),
-    # the rebuild beside the canonical triple, 20.0; 40 with the canonical
+    # the input's triple beside the weight frame peaks at 16.3 N x N
+    # matrices; 19.3 with its barred triple held too, 64 with both
+    # BilinearSets held
+    (ground_state, 17),
+    # the barred triple formed beside the canonical triple and traces, 14.9;
+    # 20.0 with the rebuild's hatted doublet and jbar, 40 with the canonical
     # traces and barred triple held throughout and jmat formed twice
-    (irrep, 22),
+    (irrep, 16),
 ], ids=["sol", "rep"])
 def test_round_trip_memory_is_bounded(make, bound):
     n = 128

@@ -90,6 +90,20 @@ def test_decompose_adjoint():
     assert frobenius_norm(back - a) < 1e-12
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 33])
+def test_reconstruct_adjoint_takes_array_coefficients(n):
+    basis = build_basis(irrep(n))
+    rng = np.random.default_rng(n)
+    coeffs = {k: rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for k in basis.keys()}
+    mats = reconstruct_adjoint(coeffs, basis)
+    assert mats.shape == (2, 2, n, n)
+    for a in range(2):
+        for b in range(2):
+            scalar = reconstruct_adjoint({k: c[a, b] for k, c in coeffs.items()}, basis)
+            assert np.array_equal(mats[a, b], scalar)
+    assert np.array_equal(reconstruct_adjoint({}, basis), np.zeros((n, n)))
+
+
 def test_decompose_adjoint_shape_check():
     basis = build_basis(irrep(3))
     with pytest.raises(ValueError):
