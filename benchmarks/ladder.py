@@ -30,7 +30,12 @@ the ``geometry_grid`` rung times ``geometry.grid_report`` followed by
 ``build_basis``, ``fuzzy_laplacian_spectrum`` and ``scalar_kinetic_spectrum``
 rungs call the kernel on ``irrep(N)`` for N in ``SPECTRA_SIZES``; a size the
 measured tree refuses (``ValueError``, as a size cap raises) is recorded as
-null, with the message under ``refused``.  The ``decompose_bifundamental``
+null, with the message under ``refused``.  ``build_basis`` also records
+``tracemalloc_held_mb``, the traced size of one more basis while it is held.
+The ``harmonics_suite`` rung times the rows of ``verify --suite harmonics``
+(``cli._suite_harmonics``: the basis, its two checks, the Laplacian spectrum
+and the mode fit) for N in ``SPECTRA_SIZES``, with the
+``tracemalloc_peak_mb`` of one more call.  The ``decompose_bifundamental``
 rung fits one fixed random fluctuation pair on the undressed ground state for
 N in ``DECOMPOSE_SIZES``, with the basis built once outside the timed calls
 (as ``verify`` passes it); the ``weight_frame`` rung times
@@ -253,6 +258,16 @@ def geometry_grid(size):
     }}, {}
 
 
+def traced_held_mb(fn):
+    """tracemalloc size (MiB) of what one call of fn returns, while it is held."""
+    tracemalloc.start()
+    try:
+        held = fn()  # noqa: F841  (held while the size is read)
+        return tracemalloc.get_traced_memory()[0] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def irrep_kernel(name):
     def rung(n):
         from fuzzball import harmonics, spectra
@@ -261,11 +276,22 @@ def irrep_kernel(name):
         fn = getattr(harmonics if name == "build_basis" else spectra, name)
         rep = irrep(n)
         try:
-            return {name: {"irrep": timed(lambda: fn(rep))}}, {}
+            samples = {name: {"irrep": timed(lambda: fn(rep))}}
         except ValueError as exc:
             return {name: {"irrep": None}}, {"refused": str(exc)}
+        if name != "build_basis":
+            return samples, {}
+        return samples, {"tracemalloc_held_mb": traced_held_mb(lambda: fn(rep))}
 
     return rung
+
+
+def harmonics_suite(n):
+    from fuzzball.cli import _suite_harmonics
+
+    ts = timed(lambda: list(_suite_harmonics(n, SEED)))
+    peak = traced_peak_mb(lambda: list(_suite_harmonics(n, SEED)))
+    return {"harmonics_suite": {"cli": ts}}, {"tracemalloc_peak_mb": peak}
 
 
 def decompose(n):
@@ -342,6 +368,7 @@ RUNGS = {
         for name in ("build_basis", "fuzzy_laplacian_spectrum", "scalar_kinetic_spectrum")
     },
     "decompose_bifundamental": (decompose, DECOMPOSE_SIZES, int),
+    "harmonics_suite": (harmonics_suite, SPECTRA_SIZES, int),
     "weight_frame": (frame, SIZES, int),
     "round_trip": (equivalence_round_trip, SIZES, int),
     "su2_to_grvv": (rebuild, SIZES, int),

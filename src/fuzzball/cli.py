@@ -230,39 +230,15 @@ def _suite_harmonics(n, seed):
     import numpy as np
 
     from .grvv import ground_state
-    from .harmonics import _diagonal_index, build_basis, decompose_bifundamental
-    from .matcore import dagger
+    from .harmonics import basis_residuals, build_basis, decompose_bifundamental
     from .spectra import fuzzy_laplacian_spectrum
     from .su2rep import irrep
 
     rep = irrep(n)
     basis = build_basis(rep)
-    u = basis.frame
-    # Y_lm = U D U^dag with D on the m diagonal: Tr(Y^dag Y') is the product
-    # of the stored vectors when U is unitary, and a defect d of U^dag U
-    # moves it by about N d
-    gram = n * np.max(np.abs(dagger(u) @ u - np.eye(n)))
-    # ||U^dag (J_3 Y - Y J_3 - 2 m Y) U|| with the full W = U^dag J_3 U =
-    # diag(w) + E: the diag(w) part lives on the entries of D, where
-    # E D - D E vanishes (E has a zero diagonal), so the parts add in squares
-    # and ||E D - D E||^2 = ||E D||^2 + ||D E||^2 - 2 Re <E D, D E>
-    wf = dagger(u) @ rep.j3 @ u
-    w = np.diagonal(wf)
-    e = wf - np.diag(w)
-    col2, row2 = np.sum(np.abs(e) ** 2, axis=0), np.sum(np.abs(e) ** 2, axis=1)
-    adj = 0.0
-    for m, ys in basis.diagonals.items():
-        gram = max(gram, np.max(np.abs(ys.conj() @ ys.T - n * np.eye(len(ys)))))
-        rows, cols = _diagonal_index(n, m)
-        a2 = np.abs(ys) ** 2
-        cross = e[np.ix_(rows, rows)].conj() * e[np.ix_(cols, cols)]
-        off = a2 @ (col2[rows] + row2[cols]) - 2 * np.real(
-            np.sum((ys.conj() @ cross.T) * ys, axis=1)
-        )
-        on = a2 @ np.abs(w[rows] - w[cols] - 2 * m) ** 2
-        adj = max(adj, np.max(np.sqrt(on + np.maximum(off, 0.0))))
-    yield ("gram", n, float(gram))
-    yield ("adjoint_j3", n, float(adj))
+    gram, adj = basis_residuals(basis)
+    yield ("gram", n, gram)
+    yield ("adjoint_j3", n, adj)
     ev = fuzzy_laplacian_spectrum(rep)
     ref = np.sort(np.concatenate([[4 * l * (l + 1)] * (2 * l + 1) for l in range(n)]))
     yield ("laplacian_spectrum", n, float(np.max(np.abs(ev - ref)) / max(ref[-1], 1)))

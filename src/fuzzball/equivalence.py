@@ -110,17 +110,9 @@ def canonical_traces(partition):
 
 
 def barred_generators(partition):
-    """Blockwise triple with each N_k block carrying irrep(N_k - 1) on rows 2..N_k."""
-    total = sum(partition)
-    gens = [np.zeros((total, total), dtype=complex) for _ in range(3)]
-    offset = 0
-    for n in partition:
-        if n > 1:
-            sub = irrep(n - 1)
-            for i, g in enumerate(sub.generators):
-                gens[i][offset + 1 : offset + n, offset + 1 : offset + n] = g
-        offset += n
-    return tuple(gens)
+    """Blockwise triple with each N_k block carrying irrep(N_k - 1) on rows
+    2..N_k: the direct sum of irrep(1), the 1x1 zero block, and irrep(N_k - 1)."""
+    return direct_sum([irrep(m) for n in partition for m in (1, n - 1) if m]).generators
 
 
 def _half_step(partition):

@@ -9,13 +9,14 @@ Weight-frame storage: the unitary U is ``su2rep.weight_frame``, the frame
 ``equivalence.canonicalize`` uses too: J_3 eigenvectors in ascending order,
 phased so that U^dag J_+ U has a positive real first sub-diagonal (the
 convention of ``irrep``); an input whose derived partition is not one block
-is refused.  In that frame every Y_lm is nonzero only on the diagonal
-row - column = m, so a basis stores one length-(N-|m|) vector per (l, m)
-together with U; indexing builds one dense U D U^dag on every call, and a
-caller that reads an element again holds it itself.  J_3 is
-diagonal there and J_+- bidiagonal, so the Laplacian's tridiagonal block on
-each diagonal and the ad(J_k) maps between diagonals are read off those bands
-in O(N), with no matrix product.  Decompositions and reconstructions work on
+is refused.  There J_3 is the real diagonal w and J_+ = J_-^T the real
+sub-diagonal s > 0, and every Y_lm lies on the diagonal row - column = m,
+real, with Y_{l,-m} = (-1)^m Y_lm^dag: a basis stores U and one real
+(N-m) x (N-m) array per m = 0..N-1, and serves m < 0 by the sign.  Indexing
+builds one dense U D U^dag on every call, and a caller that reads an element
+again holds it itself.  The Laplacian's tridiagonal block on each diagonal
+and the ad(J_k) maps between diagonals are read off the bands (w, s) in
+O(N), with no matrix product.  Decompositions and reconstructions work on
 the diagonals of U^dag A U: O(N^3) per call, the bifundamental fit too: its
 columns are scalings of the stored vectors, fitted in closed form by one
 projection per m and one Woodbury solve per diagonal.
@@ -28,9 +29,9 @@ lowered repeatedly by ad(J_-)/(2 alpha_{l,m}) and held at Tr(Y^dag Y) = N,
 which makes the entries sqrt(2l+1) times SU(2) Clebsch-Gordan coefficients.
 The (-1)^l prefix keeps the coherent-state symbol of every element aligned
 with the Condon-Shortley phases of the classical Y_lm.  The vectors are
-computed as eigenvectors of the Laplacian's tridiagonal block on each
-diagonal and only take their phases from the ladder, because running the
-ladder itself loses digits at every step.
+computed as eigenvectors of the Laplacian's real block on each diagonal and
+only take their signs from the ladder, because running the ladder itself
+loses digits at every step.
 """
 
 import math
@@ -45,6 +46,7 @@ from .su2rep import Su2Representation, _jmat, irrep, pauli_contract, weight_fram
 __all__ = [
     "HarmonicBasis",
     "build_basis",
+    "basis_residuals",
     "decompose_adjoint",
     "reconstruct_adjoint",
     "UbarModes",
@@ -64,29 +66,32 @@ def _diagonal_index(n, c):
 
 
 def _weight_frame(rep):
-    """U = ``su2rep.weight_frame`` of ``rep`` and the rotated
-    U^dag (J_3, J_+, J_-) U; raises ValueError unless the derived partition
-    is one block, so a direct sum is refused even when labelled irreducible."""
+    """U = ``su2rep.weight_frame`` of ``rep`` and the real bands (w, s) =
+    (diag J_3, Re diag(J_1 + i J_2, -1)) in that frame; the defect it
+    certifies bounds the imaginary parts and off-band entries left out.
+    Raises ValueError unless the derived partition is one block, so a direct
+    sum is refused even when labelled irreducible."""
     u, canon, _ = weight_frame(rep)
     if canon.partition != (rep.dim,):
         raise ValueError(f"partition {canon.partition}: not an irreducible representation")
     j1, j2, j3 = canon.generators
-    return u, [j3, j1 + 1j * j2, j1 - 1j * j2]
+    return u, (np.diagonal(j3).real.copy(), np.diagonal(j1, -1).real - np.diagonal(j2, -1).imag)
 
 
 @dataclass(frozen=True)
 class HarmonicBasis:
     """Family {Y_lm} for one irreducible block, Tr(Y_lm^dag Y_l'm') = N d d.
 
-    ``frame`` is the weight-frame unitary U; row l - |m| of ``diagonals[m]``
-    holds the entries of U^dag Y_lm U on its diagonal row - column = m.
+    ``frame`` is the weight-frame unitary U; row l - m of ``diagonals[m]``,
+    m = 0..N-1, holds the real entries of U^dag Y_lm U on its diagonal
+    row - column = m, and ``diagonal`` serves negative m by the sign.
     Indexing builds the dense element on every call and keeps nothing: a
     sweep over all N^2 keys would otherwise hold N^2 dense N x N matrices.
     """
 
     rep: Su2Representation
     frame: np.ndarray
-    diagonals: dict  # m -> (N - |m|) x (N - |m|) array
+    diagonals: tuple  # m -> real (N - m) x (N - m) array, m = 0..N-1
 
     @property
     def dim(self):
@@ -95,12 +100,17 @@ class HarmonicBasis:
     def keys(self):
         return [(l, m) for l in range(self.dim) for m in range(-l, l + 1)]
 
+    def diagonal(self, m):
+        """Rows l - |m|: the diagonals of Y_lm, by Y_{l,-m} = (-1)^m Y_lm^dag for m < 0."""
+        ys = self.diagonals[abs(m)]
+        return -ys if m < 0 and m % 2 else ys
+
     def vector(self, key):
         """Weight-frame diagonal of Y_lm, length N - |m|."""
         l, m = key
         if not 0 <= abs(m) <= l < self.dim:
             raise KeyError(key)
-        return self.diagonals[m][l - abs(m)]
+        return self.diagonal(m)[l - abs(m)]
 
     def __getitem__(self, key):
         # U D U^dag with the vector on the m diagonal of D
@@ -110,63 +120,82 @@ class HarmonicBasis:
         return (u[:, rows] * vec) @ dagger(u[:, cols])
 
 
-def _ad(gens, k, c):
-    """ad(J_k) = [J_k, .] from the c to the c + k diagonal, gens[k] picking
-    J_3, J_+, J_- for k = 0, 1, -1: E_pq -> x_p E_{p+k,q} - x_{q-k} E_{p,q-k}
-    with x_r = J_k[r + k, r], so J_k is read on its own band only."""
-    j, n = gens[k], gens[k].shape[0]
+def _ad(bands, k, c):
+    """ad(J_k) = [J_k, .] from the c to the c + k diagonal for J_3, J_+, J_-
+    at k = 0, 1, -1: E_pq -> x_p E_{p+k,q} - x_{q-k} E_{p,q-k} with
+    x_r = J_k[r + k, r], read off the bands (w, s) of ``_weight_frame``."""
+    w, s = bands
+    n = w.size
+    x = {0: w, 1: np.append(s, 0.0), -1: np.append(0.0, s)}[k]  # 0 off the matrix
     p, q = _diagonal_index(n, c)
-    out = np.zeros((max(n - abs(c + k), 0), p.size), dtype=complex)
+    out = np.zeros((max(n - abs(c + k), 0), p.size))
     ok = np.flatnonzero((p + k >= 0) & (p + k < n))
-    out[q[ok] - max(-c - k, 0), ok] += j[p[ok] + k, p[ok]]
+    out[q[ok] - max(-c - k, 0), ok] += x[p[ok]]
     ok = np.flatnonzero((q - k >= 0) & (q - k < n))
-    out[p[ok] - max(c + k, 0), ok] -= j[q[ok], q[ok] - k]
+    out[p[ok] - max(c + k, 0), ok] -= x[q[ok] - k]
     return out
 
 
-def _laplacian_block(gens, c):
+def _laplacian_block(bands, c):
     """The adjoint Laplacian ad(J_3)^2 + (ad(J_+) ad(J_-) + ad(J_-) ad(J_+)) / 2
-    on the c diagonal of the weight frame: tridiagonal of size N - |c|, read
-    off the bands w = diag(J_3), s = diag(J_+, -1) and t = diag(J_-, 1) at
-    the (p, q) of each row, with a_r = s_{r-1} t_{r-1} + s_r t_r."""
-    w, s, t = np.diagonal(gens[0]), np.diagonal(gens[1], -1), np.diagonal(gens[2], 1)
-    a = np.append(0, s * t) + np.append(s * t, 0)
+    on the c diagonal of the weight frame: real symmetric tridiagonal of size
+    N - |c|, read off the bands (w, s) at the (p, q) of each row, with
+    a_r = s_{r-1}^2 + s_r^2."""
+    w, s = bands
+    a = np.append(0, s * s) + np.append(s * s, 0)
     p, q = _diagonal_index(w.size, c)
-    lap = np.diag((w[p] - w[q]) ** 2 + (a[p] + a[q]) / 2)
-    lap += np.diag(-s[p[:-1]] * t[q[:-1]], -1) + np.diag(-t[p[:-1]] * s[q[:-1]], 1)
-    return (lap + dagger(lap)) / 2
+    off = -s[p[:-1]] * s[q[:-1]]
+    return np.diag((w[p] - w[q]) ** 2 + (a[p] + a[q]) / 2) + np.diag(off, -1) + np.diag(off, 1)
 
 
 def build_basis(rep):
     """Eigenvectors of the Laplacian block on each diagonal m >= 0 give
     Y_lm for l = m..N-1 in ascending order of 4 l (l + 1); each takes the
-    phase of its ladder reference, (-1)^l (J_+)^l for l = m and
+    sign of its ladder reference, (-1)^l (J_+)^l for l = m and
     [J_-, Y_{l,m+1}] below, so no rounding accumulates down the ladder."""
     return _basis_in_frame(rep, *_weight_frame(rep))
 
 
-def _basis_in_frame(rep, u, gens):
-    """``build_basis`` on the frame ``(u, gens) = _weight_frame(rep)``."""
+def _basis_in_frame(rep, u, bands):
+    """``build_basis`` on the frame ``(u, bands) = _weight_frame(rep)``."""
     n = rep.dim
-    s = np.diagonal(gens[1], -1)  # J_+ e_k = s_k e_{k+1}
-    # (-1)^l (J_+)^l on the l diagonal, rescaled at every step so that the
-    # products of sub-diagonal entries cannot overflow
-    tops = [np.ones(n, dtype=complex)]
-    for l in range(1, n):
-        top = -tops[-1][:-1] * s[l - 1 :]
-        tops.append(top / np.linalg.norm(top))
-    diagonals = {}
+    diagonals = [None] * n
     for m in range(n - 1, -1, -1):
-        _, v = np.linalg.eigh(_laplacian_block(gens, m))
-        ref = tops[m][:, None]
+        _, v = np.linalg.eigh(_laplacian_block(bands, m))
+        # (J_+)^m is positive on the m diagonal, as s > 0: any positive
+        # vector gives the sign of (-1)^m (J_+)^m
+        ref = np.full((n - m, 1), (-1.0) ** m)
         if m < n - 1:
-            ref = np.hstack([ref, _ad(gens, -1, m + 1) @ diagonals[m + 1].T])
-        overlap = np.sum(v.conj() * ref, axis=0)
-        diagonals[m] = (v * (math.sqrt(n) * overlap / np.abs(overlap))).T
-    # negative m from the exact conjugation symmetry Y_{l,-m} = (-1)^m Y_lm^dag
-    for m in range(1, n):
-        diagonals[-m] = (-1) ** m * diagonals[m].conj()
-    return HarmonicBasis(rep=rep, frame=u, diagonals=diagonals)
+            ref = np.hstack([ref, _ad(bands, -1, m + 1) @ diagonals[m + 1].T])
+        diagonals[m] = (v * (math.sqrt(n) * np.sign(np.sum(v * ref, axis=0)))).T
+    return HarmonicBasis(rep=rep, frame=u, diagonals=tuple(diagonals))
+
+
+def basis_residuals(basis):
+    """(gram, adjoint_j3), each formed one stored diagonal at a time.  gram is
+    max |Tr(Y_lm^dag Y_l'm') - N d d|, the product of the stored vectors when
+    U is unitary, which a defect d of U^dag U moves by about N d; adjoint_j3
+    is max_lm ||U^dag (J_3 Y - Y J_3 - 2 m Y) U|| with the full W = U^dag J_3 U
+    = diag(w) + E: the diag(w) part lives on the entries of D, where E D - D E
+    vanishes (E has a zero diagonal), so the parts add in squares and
+    ||E D - D E||^2 = ||E D||^2 + ||D E||^2 - 2 Re <E D, D E>."""
+    n, u = basis.dim, basis.frame
+    gram = n * np.max(np.abs(dagger(u) @ u - np.eye(n)))
+    wf = dagger(u) @ basis.rep.j3 @ u
+    w = np.diagonal(wf)
+    e = wf - np.diag(w)
+    col2, row2 = np.sum(np.abs(e) ** 2, axis=0), np.sum(np.abs(e) ** 2, axis=1)
+    adj = 0.0
+    for m in range(1 - n, n):
+        ys = basis.diagonal(m)
+        if m >= 0:  # the diagonal -m has the Gram of m
+            gram = max(gram, np.max(np.abs(ys @ ys.T - n * np.eye(len(ys)))))
+        rows, cols = _diagonal_index(n, m)
+        cross = np.real(e[np.ix_(rows, rows)].conj() * e[np.ix_(cols, cols)])
+        off = ys**2 @ (col2[rows] + row2[cols]) - 2 * np.sum((ys @ cross.T) * ys, axis=1)
+        on = ys**2 @ np.abs(w[rows] - w[cols] - 2 * m) ** 2
+        adj = max(adj, np.max(np.sqrt(on + np.maximum(off, 0.0))))
+    return float(gram), float(adj)
 
 
 def decompose_adjoint(a, basis):
@@ -178,8 +207,8 @@ def decompose_adjoint(a, basis):
     u = basis.frame
     w = dagger(u) @ a @ u
     out = {}
-    for m, ys in basis.diagonals.items():
-        coeffs = ys.conj() @ w[_diagonal_index(n, m)] / n
+    for m in range(1 - n, n):
+        coeffs = basis.diagonal(m) @ w[_diagonal_index(n, m)] / n
         out.update(((abs(m) + i, m), complex(c)) for i, c in enumerate(coeffs))
     return out
 
@@ -190,18 +219,20 @@ def reconstruct_adjoint(coeffs, basis):
     shape give one matrix per entry, of shape ``shape + (N, N)``."""
     n = basis.dim
     shape = np.shape(next(iter(coeffs.values()), 0))
-    cs = {m: np.zeros((len(ys),) + shape, dtype=complex) for m, ys in basis.diagonals.items()}
+    cs = {m: np.zeros((n - abs(m),) + shape, dtype=complex) for m in range(1 - n, n)}
     for (l, m), c in coeffs.items():
         if not 0 <= abs(m) <= l < n:
             raise KeyError((l, m))
         cs[m][l - abs(m)] += c
     w = np.zeros(shape + (n, n), dtype=complex)
     mats = w.reshape(-1, n, n)  # one n x n view per entry
-    for m, ys in basis.diagonals.items():
-        idx = _diagonal_index(n, m)
-        # one contiguous row per entry: a strided row can change the product bits
-        for mat, c in zip(mats, cs[m].reshape(len(ys), -1).T.copy()):
-            mat[idx] = c @ ys
+    for m, c_m in cs.items():
+        rows, cols = _diagonal_index(n, m)
+        # each entry's coefficients as a contiguous block of (re, im) pairs,
+        # one real product per block: c @ ys would cast ys to complex, and a
+        # strided row can change the product bits
+        pairs = c_m.reshape(len(c_m), -1).T.copy().view(float).reshape(len(mats), -1, 2)
+        mats[:, rows, cols] = (basis.diagonal(m).T @ pairs).view(complex)[..., 0]
     u = basis.frame
     return u @ w @ dagger(u)
 
@@ -313,41 +344,41 @@ def decompose_bifundamental(r1, r2, sol, basis=None):
     h1 = np.sum(u.conj() * g[0], axis=0)
     h2 = np.sum(u[:, :-1].conj() * g[1][:, 1:], axis=0)
 
-    # columns Y_lm g^1 (m diagonal) and Y_lm g^2 (m - 1 diagonal), l = |m|..N-1, the
-    # stored vectors scaled: E_pq h^2 = h^2[q, q + 1] E_{p, q + 1} moves one row
-    # down for m > 0 and drops the last row for m <= 0; the modes are l <= N-2
-    p1, p2 = {}, {}
-    for m in range(1 - n, n):
-        ys = basis.diagonals[m].T
-        q = _diagonal_index(n, m)[1]
-        p1[m] = h1[q, None] * ys
-        band = h2[q[: n - abs(m) - (m <= 0)], None]
-        p2[m] = np.concatenate([np.zeros((int(m > 0), ys.shape[1])), band * ys[: band.size]])
-
-    # shared trace fit: rows (a=1, diagonal m) and (a=2, diagonal m-1) meet
-    # only the columns of that m, whose Gram is N(N-1) I (|h^1_qq|^2 +
-    # |h^2_{q,q+1}|^2 = N - 1, stored vectors orthogonal of norm^2 N): a projection
-    r_m = {}
-    for m in range(2 - n, n - 1):
-        i1, i2 = _diagonal_index(n, m), _diagonal_index(n, m - 1)
-        a1, a2 = p1[m][:, :-1], p2[m][:, :-1]
-        r_m[m] = (a1.conj().T @ rem[0][i1] + a2.conj().T @ rem[1][i2]) / (n * (n - 1))
-        rem[0][i1] -= a1 @ r_m[m]
-        rem[1][i2] -= a2 @ r_m[m]
-
-    # traceless remainder, one system per diagonal c with both rows a as
-    # right-hand sides, A = [Y_{l,c} g^1, Y_{l,c+1} g^2]: with the l = N-1
-    # columns E, A A^H + E E^H = N^2 off the zero edge row, so the minimum-norm
-    # fit is A^H z, z = (b + E w) / N^2 with (N^2 - E^H E) w = E^H b (Woodbury),
+    # one descending pass over the diagonals c, holding the columns of c and
+    # c + 1 only.  The trace fit of m = c: rows (a=1, diagonal m) and (a=2,
+    # diagonal m-1) meet only the columns of that m, whose Gram is N(N-1) I
+    # (|h^1_qq|^2 + |h^2_{q,q+1}|^2 = N - 1, stored vectors orthogonal of
+    # norm^2 N): a projection.  Then the traceless fit on diagonal c, which
+    # the trace fits of c and c + 1 have reached, both rows a as right-hand
+    # sides, A = [Y_{l,c} g^1, Y_{l,c+1} g^2]: with the l = N-1 columns E,
+    # A A^H + E E^H = N^2 off the zero edge row, so the minimum-norm fit is
+    # A^H z, z = (b + E w) / N^2 with (N^2 - E^H E) w = E^H b (Woodbury),
     # refined once as the gap N^2 - ||E||^2 is only of order N
-    s_m = {m: np.zeros((n - 1 - abs(m), 2, 2), dtype=complex) for m in p1}
-    for c in range(1 - n, n):
-        parts = [(p[m], m, b) for p, m, b in ((p1, c, 0), (p2, c + 1, 1)) if m in p]
+    r_m = {}
+    s_m = {m: np.zeros((n - 1 - abs(m), 2, 2), dtype=complex) for m in range(1 - n, n)}
+    above = []  # the columns Y_{l,c+1} g^2
+    for c in range(n - 1, -n, -1):
+        # columns Y_lc g^1 (diagonal c) and Y_lc g^2 (diagonal c - 1), l =
+        # |c|..N-1, the stored vectors scaled: E_pq h^2 = h^2[q, q + 1]
+        # E_{p, q + 1} moves one row down for c > 0 and drops the last row for
+        # c <= 0; the modes are l <= N-2
+        ys = basis.diagonal(c).T
+        idx = _diagonal_index(n, c)
+        band = h2[idx[1][: n - abs(c) - (c <= 0)], None]
+        p1 = h1[idx[1], None] * ys
+        p2 = np.concatenate([np.zeros((int(c > 0), ys.shape[1])), band * ys[: band.size]])
+        if abs(c) < n - 1:
+            i2 = _diagonal_index(n, c - 1)
+            a1, a2 = p1[:, :-1], p2[:, :-1]
+            r_m[c] = (rem[0][idx].conj() @ a1 + rem[1][i2].conj() @ a2).conj() / (n * (n - 1))
+            rem[0][idx] -= a1 @ r_m[c]
+            rem[1][i2] -= a2 @ r_m[c]
+        parts = [(p1, c, 0)] + above
+        above = [(p2, c, 1)]
         amat = np.hstack([cols[:, :-1] for cols, _, _ in parts])
         ah = amat.conj().T
         e = np.hstack([cols[:, -1:] for cols, _, _ in parts])
         w = np.linalg.solve(n * n * np.eye(e.shape[1]) - e.conj().T @ e, e.conj().T)
-        idx = _diagonal_index(n, c)
         rhs = np.stack([rem[0][idx], rem[1][idx]], axis=1)
         z = np.zeros_like(rhs)
         for _ in range(2):
@@ -360,7 +391,7 @@ def decompose_bifundamental(r1, r2, sol, basis=None):
             i += len(s_m[m])
     # enforce tracelessness by shifting any residual trace into r
     r_coeffs, s_coeffs = {}, {}
-    for m, x in r_m.items():
+    for m, x in sorted(r_m.items()):
         tr = (s_m[m][:, 0, 0] + s_m[m][:, 1, 1]) / 2
         s_m[m] -= tr[:, None, None] * np.eye(2)
         keys = [(abs(m) + i, m) for i in range(len(tr))]

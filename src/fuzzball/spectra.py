@@ -4,6 +4,10 @@ Laplacian, the three-component fluctuation kinetic operator, classical
 vector/spinor harmonics, the Dirac-square identity, and coherent-state
 symbol maps with their convergence sweeps.
 
+The Laplacian and kinetic operators are read off the real bands of the
+weight frame (``harmonics._weight_frame``): each of their blocks is real and
+exactly symmetric, and the Laplacian's -m block is its m block.
+
 Only the spinor and Dirac helpers read ``fuzzball.geometry`` (the Killing
 spinor, the batched 2x2 product and the central difference), so they import
 it where they run: the Laplacian, kinetic, commutator and mode commands do
@@ -24,7 +28,7 @@ from .harmonics import (
     classical_ylm,
     classical_ylm_dtheta,
 )
-from .matcore import commutator, dagger, spectral_norm
+from .matcore import commutator, spectral_norm
 from .su2rep import EPS3, PAULI, irrep
 
 __all__ = [
@@ -47,12 +51,14 @@ def fuzzy_laplacian_spectrum(rep):
     """Eigenvalues of A -> sum_i [J_i, [J_i, A]]: 4 l (l+1), each 2l+1 times.
 
     The operator keeps each weight-frame diagonal of A, so the spectrum is
-    the union of 2N - 1 tridiagonal blocks of size N - |m|.
+    the union of 2N - 1 tridiagonal blocks of size N - |m|; on the real
+    bands the -m block equals the m block entry for entry, so the N blocks
+    m >= 0 are solved and each m > 0 spectrum is counted twice.
     """
     n = rep.dim
-    _, gens = _weight_frame(rep)
-    blocks = [np.linalg.eigvalsh(_laplacian_block(gens, m)) for m in range(1 - n, n)]
-    return np.sort(np.concatenate(blocks))
+    _, bands = _weight_frame(rep)
+    blocks = [np.linalg.eigvalsh(_laplacian_block(bands, m)) for m in range(n)]
+    return np.sort(np.concatenate(blocks + blocks[1:]))
 
 
 def commutator_decay(n_list):
@@ -95,45 +101,35 @@ class KineticSpectrum:
     ji_triple_residual: float
 
 
-# spherical components of the vector index: columns e_{+1} = (1, i, 0)/sqrt2,
-# e_0 = (0, 0, 1) and e_{-1} = (1, -i, 0)/sqrt2 diagonalise the spin-1 S_3
-_SPHERICAL = np.array([[1, 0, 1], [1j, 0, -1j], [0, math.sqrt(2), 0]]) / math.sqrt(2)
+# spherical components sigma = 1, 0, -1 of the vector index, with
+# e_{+1} = (1, i, 0)/sqrt2, e_0 = (0, 0, 1) and e_{-1} = (1, -i, 0)/sqrt2,
+# which diagonalise the spin-1 S_3 = diag(1, 0, -1)
 _SIGMAS = (1, 0, -1)
+# sum_i S_i ad(J_i) = S_3 ad(J_3) + S_- ad(J_+) / 2 + S_+ ad(J_-) / 2 on them,
+# as (real coefficients, charge shift k of ad(J_k), ``harmonics._ad``): S_- / 2
+# lowers sigma with entries -+1/sqrt2, and S_+ / 2 is its transpose
+_LOWER = np.array([[0.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]) / math.sqrt(2)
+_SPIN_TERMS = ((np.diag([1.0, 0.0, -1.0]), 0), (_LOWER, 1), (_LOWER.T, -1))
 
 
-def _spherical(coeffs):
-    """C^dag (sum_i coeffs[i] S_i) C for the spin-1 matrices (S_i)_jk = -i eps_ijk."""
-    s = sum(c * -1j * EPS3[i] for i, c in enumerate(coeffs))
-    return dagger(_SPHERICAL) @ s @ _SPHERICAL
-
-
-# sum_i S_i ad(J_i) = S_3 ad(J_3) + S_- ad(J_+) / 2 + S_+ ad(J_-) / 2 as
-# (spherical coefficients, charge shift k of ad(J_k), ``harmonics._ad``)
-_SPIN_TERMS = (
-    (_spherical((0, 0, 1)), 0),
-    (_spherical((0.5, -0.5j, 0)), 1),
-    (_spherical((0.5, 0.5j, 0)), -1),
-)
-
-
-def _kinetic_block(gens, total):
+def _kinetic_block(bands, total):
     """The kinetic operator on spherical components of total charge M: the
     sigma component sits on the diagonal c = M - sigma of the weight frame."""
-    n = gens[0].shape[0]
+    n = bands[0].size
     charges = [total - sig for sig in _SIGMAS]
     sizes = [max(n - abs(c), 0) for c in charges]
     starts = np.concatenate([[0], np.cumsum(sizes)])
-    k = np.zeros((starts[-1], starts[-1]), dtype=complex)
+    k = np.zeros((starts[-1], starts[-1]))
     for b, c in enumerate(charges):
         if not sizes[b]:
             continue
         cols = slice(starts[b], starts[b + 1])
-        k[cols, cols] += np.eye(sizes[b]) + _laplacian_block(gens, c)
+        k[cols, cols] += np.eye(sizes[b]) + _laplacian_block(bands, c)
         for coef, shift in _SPIN_TERMS:
             a = b + shift  # the component on the c + shift diagonal
             if 0 <= a < 3 and sizes[a]:
-                k[starts[a] : starts[a + 1], cols] += coef[a, b] * _ad(gens, shift, c)
-    return (k + dagger(k)) / 2, starts
+                k[starts[a] : starts[a + 1], cols] += coef[a, b] * _ad(bands, shift, c)
+    return k, starts
 
 
 def _cg1(l, dj, total, sig):
@@ -154,14 +150,14 @@ def _cg1(l, dj, total, sig):
 
 def _coupled_block(basis, total, starts):
     """Unit vectors |l j M> = sum_sigma <l, M - sigma; 1, sigma | j, M>
-    Y_{l, M - sigma} e_sigma in the layout of ``_kinetic_block(gens, M)``,
+    Y_{l, M - sigma} e_sigma in the layout of ``_kinetic_block(bands, M)``,
     as columns, with their l and j; for j in {l - 1, l, l + 1} (only j = 1
-    at l = 0) and j >= |M| they fill the block.  ``_SPHERICAL``'s e_{+1} =
+    at l = 0) and j >= |M| they fill the block.  The spherical e_{+1} =
     (1, i, 0)/sqrt2 lacks the Condon-Shortley sign, so sigma = +1 takes a
     factor -1."""
     n = basis.dim
     ls = [np.arange(max(abs(total) - dj, int(dj < 1)), n) for dj in (-1, 0, 1)]
-    v = np.zeros((starts[-1], sum(l.size for l in ls)), dtype=complex)
+    v = np.zeros((starts[-1], sum(l.size for l in ls)))
     end = 0
     for dj, l in zip((-1, 0, 1), ls):
         end += l.size
@@ -170,7 +166,7 @@ def _coupled_block(basis, total, starts):
             l_c = l[l >= abs(c)]  # the l whose Y_{l, c} exist, a tail of l
             if l_c.size:
                 coef = (-1 if sig == 1 else 1) * _cg1(l_c, dj, total, sig)
-                ys = basis.diagonals[c][l_c - abs(c)]
+                ys = basis.diagonal(c)[l_c - abs(c)]
                 v[starts[b] : starts[b + 1], end - l_c.size : end] = (coef[:, None] * ys).T
     l = np.concatenate(ls)
     return v / math.sqrt(n), l, l + np.repeat([-1, 0, 1], [x.size for x in ls])
@@ -202,17 +198,17 @@ def scalar_kinetic_spectrum(rep):
     gives no families.
     """
     n = rep.dim
-    u, gens = _weight_frame(rep)
-    basis = _basis_in_frame(rep, u, gens)
+    u, bands = _weight_frame(rep)
+    basis = _basis_in_frame(rep, u, bands)
     norm = 4 * n * n - 2 * n - 1  # the top level: K is positive
     parts = []
     for total in range(-n, n + 1):
-        k, starts = _kinetic_block(gens, total)
+        k, starts = _kinetic_block(bands, total)
         v, l, j = _coupled_block(basis, total, starts)
         kv = k @ v
         lam = 3 * l * (l + 1) + j * (j + 1) - 1
         res = np.linalg.norm(kv - lam * v, axis=0) / norm
-        parts.append((l, j, np.real(np.sum(v.conj() * kv, axis=0)), res))
+        parts.append((l, j, np.sum(v * kv, axis=0), res))
     l, j, quotients, res = (np.concatenate(x) for x in zip(*parts))
     levels, level = np.unique(np.stack([l, j]), axis=1, return_inverse=True)
     worst = np.zeros(levels.shape[1])

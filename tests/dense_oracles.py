@@ -14,10 +14,12 @@ by brackets on the N x N blocks themselves, and the spin-map and graded-closure
 evaluators that hold every bilinear table at once (the whole
 ``BilinearSet``, the odd blocks T_a and B_a, all four odd-odd keys and a
 convention's whole right-hand side), which ``su2rep`` and ``superalg``
-replace by evaluators that form one table, one key, at a time, and the
+replace by evaluators that form one table, one key, at a time, the
 gauge dressing with its Gaussians, its QR factor and its Gram defect held
 whole, which ``matcore`` and ``grvv`` replace by a dressing that holds one
-of each at a time."""
+of each at a time, and the complex harmonics basis on a dense generator
+triple with every diagonal stored, which ``harmonics`` replaces by real
+m >= 0 diagonals read off the weight frame's real bands."""
 
 import math
 from dataclasses import dataclass
@@ -41,7 +43,8 @@ from fuzzball.geometry import (
 )
 from fuzzball.grvv import GrvvSolution, ground_state
 from fuzzball.matcore import as_matrix, commutator, dagger, frobenius_norm, max_frobenius
-from fuzzball.su2rep import _EPS, EPS3, EPS_LOWER, PAULI, bilinears
+from fuzzball.harmonics import _diagonal_index
+from fuzzball.su2rep import _EPS, EPS3, EPS_LOWER, PAULI, bilinears, weight_frame
 from fuzzball.superalg import CalibrationResult
 
 
@@ -139,6 +142,77 @@ def group_eigenvalues(ev, tol=1e-8):
         runs.append((i, j))
         i = j
     return runs
+
+
+# ---------------------------------------------------------------------------
+# the complex harmonics basis that ``harmonics`` replaces by real m >= 0
+# diagonals read off the real bands: a dense complex [J_3, J_+, J_-] triple,
+# Hermitian-averaged Laplacian blocks, phases fixed against rescaled (J_+)^l
+# products, every one of the 2N - 1 diagonals stored and solved
+
+
+def complex_weight_frame(rep):
+    """U = ``su2rep.weight_frame`` of ``rep`` and the rotated U^dag (J_3, J_+, J_-) U."""
+    u, canon, _ = weight_frame(rep)
+    if canon.partition != (rep.dim,):
+        raise ValueError(f"partition {canon.partition}: not an irreducible representation")
+    j1, j2, j3 = canon.generators
+    return u, [j3, j1 + 1j * j2, j1 - 1j * j2]
+
+
+def complex_ad(gens, k, c):
+    """ad(J_k) from the c to the c + k diagonal, gens[k] picking J_3, J_+, J_-
+    for k = 0, 1, -1, read on J_k's own band."""
+    j, n = gens[k], gens[k].shape[0]
+    p, q = _diagonal_index(n, c)
+    out = np.zeros((max(n - abs(c + k), 0), p.size), dtype=complex)
+    ok = np.flatnonzero((p + k >= 0) & (p + k < n))
+    out[q[ok] - max(-c - k, 0), ok] += j[p[ok] + k, p[ok]]
+    ok = np.flatnonzero((q - k >= 0) & (q - k < n))
+    out[p[ok] - max(c + k, 0), ok] -= j[q[ok], q[ok] - k]
+    return out
+
+
+def complex_laplacian_block(gens, c):
+    """The adjoint Laplacian on the c diagonal from the complex bands
+    s = diag(J_+, -1) and t = diag(J_-, 1), Hermitian-averaged."""
+    w, s, t = np.diagonal(gens[0]), np.diagonal(gens[1], -1), np.diagonal(gens[2], 1)
+    a = np.append(0, s * t) + np.append(s * t, 0)
+    p, q = _diagonal_index(w.size, c)
+    lap = np.diag((w[p] - w[q]) ** 2 + (a[p] + a[q]) / 2)
+    lap += np.diag(-s[p[:-1]] * t[q[:-1]], -1) + np.diag(-t[p[:-1]] * s[q[:-1]], 1)
+    return (lap + dagger(lap)) / 2
+
+
+def complex_basis(rep):
+    """{m: rows l - |m| of the complex weight-frame diagonals of Y_lm} for
+    m = -(N-1)..N-1, the -m ones from Y_{l,-m} = (-1)^m Y_lm^dag."""
+    n = rep.dim
+    _, gens = complex_weight_frame(rep)
+    s = np.diagonal(gens[1], -1)
+    tops = [np.ones(n, dtype=complex)]
+    for l in range(1, n):
+        top = -tops[-1][:-1] * s[l - 1 :]
+        tops.append(top / np.linalg.norm(top))
+    diagonals = {}
+    for m in range(n - 1, -1, -1):
+        _, v = np.linalg.eigh(complex_laplacian_block(gens, m))
+        ref = tops[m][:, None]
+        if m < n - 1:
+            ref = np.hstack([ref, complex_ad(gens, -1, m + 1) @ diagonals[m + 1].T])
+        overlap = np.sum(v.conj() * ref, axis=0)
+        diagonals[m] = (v * (math.sqrt(n) * overlap / np.abs(overlap))).T
+    for m in range(1, n):
+        diagonals[-m] = (-1) ** m * diagonals[m].conj()
+    return diagonals
+
+
+def complex_laplacian_spectrum(rep):
+    """The Laplacian spectrum from all 2N - 1 complex blocks."""
+    n = rep.dim
+    _, gens = complex_weight_frame(rep)
+    blocks = [np.linalg.eigvalsh(complex_laplacian_block(gens, m)) for m in range(1 - n, n)]
+    return np.sort(np.concatenate(blocks))
 
 
 # ---------------------------------------------------------------------------

@@ -328,6 +328,22 @@ def test_verify_harmonics_checks_every_size(tmp_path):
     assert report["skipped"] == [] and report["passed"] is True
 
 
+def test_verify_harmonics_memory_is_bounded():
+    # the basis holds the real diagonals m >= 0 (5.7 MiB at N=128), and the
+    # mode fit forms its scaled columns one diagonal at a time instead of
+    # holding two complex copies of every diagonal
+    from fuzzball.cli import _suite_harmonics
+
+    tracemalloc.start()
+    try:
+        rows = list(_suite_harmonics(128, 5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [name for name, _, _ in rows] == HARMONICS_ROWS
+    assert peak <= 24 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+
+
 @pytest.mark.parametrize(
     "frame, failing",
     [

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -14,8 +16,9 @@ from fuzzball.harmonics import (
     reconstruct_bifundamental,
     reconstruct_ubar,
 )
-from fuzzball.matcore import commutator, dagger, frobenius_norm
-from fuzzball.su2rep import direct_sum, irrep
+from fuzzball.matcore import commutator, dagger, frobenius_norm, random_unitary
+from fuzzball.spectra import coherent_state, fuzzy_laplacian_spectrum, scalar_kinetic_spectrum
+from fuzzball.su2rep import Su2Representation, direct_sum, irrep
 
 
 def gram_matrix(basis):
@@ -55,6 +58,47 @@ def test_basis_counts_and_gram(n):
 def test_basis_rejects_reducible():
     with pytest.raises(ValueError):
         build_basis(direct_sum([irrep(2), irrep(2)]))
+
+
+def planted_phase(n, phase, seed=7):
+    """A rotated irrep(n) whose J_+ takes the phase e^{i phase} on one band
+    entry while J_- keeps its own: no longer a representation."""
+    j1, j2, j3 = irrep(n).generators
+    jp, jm = j1 + 1j * j2, j1 - 1j * j2
+    jp[n // 2, n // 2 - 1] *= np.exp(1j * phase)
+    u = random_unitary(n, np.random.default_rng(seed))
+    gens = ((jp + jm) / 2, (jp - jm) / 2j, j3)
+    return Su2Representation(*(u @ g @ dagger(u) for g in gens), partition=(n,))
+
+
+@pytest.mark.parametrize("phase", [1e-3, 1e-6, 1e-9])
+@pytest.mark.parametrize(
+    "kernel",
+    [build_basis, fuzzy_laplacian_spectrum, scalar_kinetic_spectrum,
+     lambda rep: coherent_state(rep, 0.3, 0.4)],
+    ids=["build_basis", "laplacian", "kinetic", "coherent_state"],
+)
+def test_planted_band_phase_is_refused(kernel, phase):
+    # the kernels read the weight frame's bands as real: that is checked by
+    # weight_frame's defect against the real exact irrep, never assumed
+    with pytest.raises(ValueError, match="not an su\\(2\\) representation"):
+        kernel(planted_phase(32, phase))
+
+
+def test_basis_holds_real_nonnegative_m_only():
+    n = 128
+    rep = irrep(n)
+    tracemalloc.start()
+    try:
+        basis = build_basis(rep)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert [(ys.dtype, ys.shape) for ys in basis.diagonals] == [
+        (np.float64, (n - m, n - m)) for m in range(n)
+    ]
+    # the real diagonals m = 0..N-1 and the complex frame U, nothing more
+    assert held <= 1.05 * (8 * sum((n - m) ** 2 for m in range(n)) + 16 * n * n)
 
 
 @pytest.mark.parametrize("n", [3, 8, 16])

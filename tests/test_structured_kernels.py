@@ -1,9 +1,10 @@
 """The weight-frame kernels against the dense oracles they replace.
 
 The oracles are the dense operators ``adjoint_laplacian_matrix`` and
-``scalar_kinetic_matrix`` and the closed-form kinetic levels
-(``dense_oracles``), a copy of the dense least-squares mode fit, and (at
-small size) SU(2) Clebsch-Gordan coefficients from sympy.
+``scalar_kinetic_matrix``, the closed-form kinetic levels and the complex
+basis on the dense generator triple (``dense_oracles``), a copy of the dense
+least-squares mode fit, and (at small size) SU(2) Clebsch-Gordan
+coefficients from sympy.
 """
 
 import json
@@ -13,6 +14,8 @@ import pytest
 from dense_oracles import (
     ad_matrix,
     adjoint_laplacian_matrix,
+    complex_basis,
+    complex_laplacian_spectrum,
     group_eigenvalues,
     kinetic_levels,
     scalar_kinetic_matrix,
@@ -150,15 +153,17 @@ def test_kinetic_groups_match_dense_oracle(n):
 @given(n=st.integers(min_value=1, max_value=24), seed=st.integers(0, 2**32 - 1),
        rotated=st.booleans())
 def test_band_blocks_match_dense_operators(n, seed, rotated):
-    # every block the weight-frame kernels form from the generators' bands is
-    # the dense operator restricted to its diagonals; unlike the spectra this
-    # sees a sign error in an off-diagonal band
+    # every block the weight-frame kernels form from the real bands is the
+    # dense operator, on the triple those bands stand for, restricted to its
+    # diagonals; unlike the spectra this sees a sign error in an off-diagonal
+    # band.  The kernels against the input's own complex triple:
+    # test_real_basis_matches_complex_oracle
     rep = rotated_irrep(n, seed)[0] if rotated else irrep(n)
-    _, gens = _weight_frame(rep)
-    j3, jp, jm = gens
-    frame = Su2Representation((jp + jm) / 2, (jp - jm) / 2j, j3)
+    _, bands = _weight_frame(rep)
+    j3, jp = np.diag(bands[0]), np.diag(bands[1], -1)
+    frame = Su2Representation((jp + jp.T) / 2, (jp - jp.T) / 2j, j3)
     lap = adjoint_laplacian_matrix(frame)
-    ads = {k: ad_matrix(gens[k], n) for k in (0, 1, -1)}
+    ads = {k: ad_matrix(g, n) for k, g in ((0, j3), (1, jp), (-1, jp.T))}
     scale = max(1.0, max(np.linalg.norm(g, 2) for g in frame.generators) ** 2)
 
     def vec(c):
@@ -166,12 +171,32 @@ def test_band_blocks_match_dense_operators(n, seed, rotated):
         return p * n + q
 
     for c in range(1 - n, n):
-        block = _laplacian_block(gens, c)
+        block = _laplacian_block(bands, c)
+        assert block.dtype == float and np.array_equal(block, block.T)
         assert np.max(np.abs(block - lap[np.ix_(vec(c), vec(c))])) < 1e-14 * scale
         for k, dense in ads.items():
             ref = dense[np.ix_(vec(c + k), vec(c))]
-            assert _ad(gens, k, c).shape == ref.shape
-            assert np.max(np.abs(_ad(gens, k, c) - ref), initial=0.0) < 1e-14 * scale
+            assert _ad(bands, k, c).shape == ref.shape
+            assert np.max(np.abs(_ad(bands, k, c) - ref), initial=0.0) < 1e-14 * scale
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(min_value=1, max_value=24), seed=st.integers(0, 2**32 - 1),
+       rotated=st.booleans())
+def test_real_basis_matches_complex_oracle(n, seed, rotated):
+    # the real m >= 0 diagonals serve every (l, m), both signs of m, of the
+    # complex basis built on the dense triple, and the N solved Laplacian
+    # blocks give the spectrum of all 2N - 1 complex blocks
+    rep = rotated_irrep(n, seed)[0] if rotated else irrep(n)
+    basis = build_basis(rep)
+    assert [ys.shape for ys in basis.diagonals] == [(n - m, n - m) for m in range(n)]
+    assert all(ys.dtype == float for ys in basis.diagonals)
+    ref = complex_basis(rep)
+    for l, m in basis.keys():
+        assert np.max(np.abs(basis.vector((l, m)) - ref[m][l - abs(m)])) <= 1e-13 * n
+    ev = fuzzy_laplacian_spectrum(rep)
+    assert ev.shape == (n * n,)
+    assert np.max(np.abs(ev - complex_laplacian_spectrum(rep))) <= 1e-14 * max(1, 4 * n * n)
 
 
 @pytest.mark.parametrize("l", range(6))
@@ -194,12 +219,13 @@ def test_spin_one_clebsch_gordan(l):
        rotated=st.booleans())
 def test_coupled_vectors_fill_each_block(n, seed, rotated):
     rep = rotated_irrep(n, seed)[0] if rotated else irrep(n)
-    u, gens = _weight_frame(rep)
-    basis = _basis_in_frame(rep, u, gens)
+    u, bands = _weight_frame(rep)
+    basis = _basis_in_frame(rep, u, bands)
     scale = 4 * n * n - 2 * n - 1
     count = 0
     for total in range(-n, n + 1):
-        k, starts = _kinetic_block(gens, total)
+        k, starts = _kinetic_block(bands, total)
+        assert k.dtype == float and np.array_equal(k, k.T)
         v, l, j = _coupled_block(basis, total, starts)
         # orthonormal and complete: a square unitary on the block
         assert v.shape == (starts[-1], starts[-1]) == (l.size, j.size)
