@@ -40,9 +40,10 @@ rung fits one fixed random fluctuation pair on the undressed ground state for
 N in ``DECOMPOSE_SIZES``, with the basis built once outside the timed calls
 (as ``verify`` passes it); the ``weight_frame`` rung times
 ``su2rep.weight_frame`` of ``irrep(N)`` under one fixed random rotation for N
-in ``SIZES``; the ``round_trip`` rung times ``equivalence.round_trip`` of
-``irrep(N)`` (``rep``) and of ``ground_state(N)`` (``sol``), the two calls
-of ``verify --suite equivalence``, for N in ``SIZES``, each with the
+in ``SIZES``, with the ``tracemalloc_peak_mb`` of one more call; the
+``round_trip`` rung times ``equivalence.round_trip`` of ``irrep(N)``
+(``rep``) and of ``ground_state(N)`` (``sol``), the two calls of ``verify
+--suite equivalence``, for N in ``SIZES``, each with the
 ``tracemalloc_peak_mb`` of one more call; the ``su2_to_grvv`` rung times
 ``equivalence.su2_to_grvv`` of ``irrep(N)`` for N in ``SIZES``; the ``canonicalize``
 rung times ``equivalence.canonicalize`` of the representation of the
@@ -312,7 +313,9 @@ def frame(n):
 
     u = random_unitary(n, np.random.default_rng(SEED))
     rep = Su2Representation(*(u @ g @ dagger(u) for g in irrep(n).generators), partition=(n,))
-    return {"weight_frame": {"rotated": timed(lambda: weight_frame(rep))}}, {}
+    ts = timed(lambda: weight_frame(rep))
+    peak = traced_peak_mb(lambda: weight_frame(rep))
+    return {"weight_frame": {"rotated": ts}}, {"tracemalloc_peak_mb": peak}
 
 
 def equivalence_round_trip(n):

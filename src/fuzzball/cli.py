@@ -142,10 +142,9 @@ def cmd_gen(args):
     if args.kind == "su2":
         if not args.dims:
             raise ValueError("gen su2 needs --dims")
-        from .su2rep import direct_sum, irrep
+        from .su2rep import _canonical_sum
 
-        rep = direct_sum([irrep(n) for n in args.dims])
-        _write_json(args.out, rep._record())
+        _write_json(args.out, _canonical_sum(args.dims)._record())
         return 0
     from .geometry import gamma_so5, gamma_so9
 

@@ -7,8 +7,10 @@ rebuild the doublet through the half-step square root
 
     T = sqrt((J + J3) / 2),   g1 = (J + J3) T^+ / 2,   g2 = (J1 - i J2) T^+ / 2.
 
-In the canonical form of ``su2rep.weight_frame``, (J + J3)/2 and its barred
-counterpart are diag(0, 1, ..., N_k - 1) on each block, so T and its
+In the canonical form of ``su2rep.weight_frame`` each matrix read here is a
+closed form in the rows' places k in their blocks (``matcore._block_rows``):
+the exact and barred triples (``su2rep._canonical_sum``), the diagonal u(1)
+traces, and (J + J3)/2 = diag(k - 1) and its barred counterpart, so T and its
 Moore-Penrose inverse are taken entrywise; T^+ is 0 on each lowest-weight
 state, so the kernel column of the result vanishes, as in the ground state.
 """
@@ -17,22 +19,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grvv import GrvvSolution, grvv_residual, require_solution
+from .grvv import GrvvSolution, _half_step, grvv_residual, require_solution
 from .matcore import (
+    _block_rows,
     _nan_max,
     as_matrix,
     commutator,
     dagger,
     frobenius_norm,
     is_unitary,
+    max_frobenius,
 )
 from .su2rep import (
     Su2Representation,
+    _canonical_sum,
     _jmat,
     _kbar,
     casimir,
-    direct_sum,
-    irrep,
     pauli_contract,
     su2_closure_residual,
     weight_frame,
@@ -102,38 +105,26 @@ def canonicalize(rep):
 
 
 def canonical_traces(partition):
-    """u(1) parts J = diag((N_k-1) 1) and Jbar = diag(N_k (1 - E_11))."""
-    size = np.repeat(partition, partition).astype(complex)
-    bar = size.copy()
-    bar[np.cumsum((0,) + tuple(partition[:-1]))] = 0  # each block's first row
-    return np.diag(size - 1), np.diag(bar)
+    """Diagonals of the u(1) parts J = (N_k - 1) 1 and Jbar = N_k (1 - E_11)
+    on each block, as two real arrays: both matrices are diagonal."""
+    k, size = _block_rows(partition)
+    return size - 1, size * (k > 1)
 
 
 def barred_generators(partition):
-    """Blockwise triple with each N_k block carrying irrep(N_k - 1) on rows
-    2..N_k: the direct sum of irrep(1), the 1x1 zero block, and irrep(N_k - 1)."""
-    return direct_sum([irrep(m) for n in partition for m in (1, n - 1) if m]).generators
-
-
-def _half_step(partition):
-    """Diagonals of T = sqrt(diag(k)) and of T^+, k = 0..N_k-1 on each block:
-    the canonical (J + J3)/2 and its barred counterpart both."""
-    k = np.concatenate([np.arange(n, dtype=float) for n in partition])
-    t = np.sqrt(k)
-    return t, np.divide(1.0, t, out=np.zeros_like(t), where=k > 0)
+    """Blockwise triple with irrep(N_k - 1) on rows 2..N_k of each N_k block:
+    the canonical sum of the partition that splits each block into 1, N_k - 1."""
+    return _canonical_sum([m for n in partition for m in (1, n - 1) if m]).generators
 
 
 def _require_canonical(rep, tol=1e-8):
     if not rep.partition:
         raise ValueError("rep not in canonical block form (no partition recorded); "
                          "run canonicalize first")
-    ref = direct_sum([irrep(n) for n in rep.partition])
-    if ref.dim != rep.dim:
+    if sum(rep.partition) != rep.dim:
         raise ValueError("partition does not match the dimension")
-    defect = max(
-        frobenius_norm(g - gr) for g, gr in zip(rep.generators, ref.generators)
-    )
-    if defect > tol * max(1.0, rep.dim):
+    exact = _canonical_sum(rep.partition).generators
+    if max_frobenius(g - e for g, e in zip(rep.generators, exact)) > tol * max(1.0, rep.dim):
         raise ValueError("rep not in canonical block form; run canonicalize first")
 
 
@@ -149,32 +140,32 @@ def _rebuild(rep):
     """The doublet g1 = (J + J3) T^+ / 2, g2 = (J1 - i J2) T^+ / 2 of a
     canonical representation; T^+ is diagonal and scales the columns."""
     _require_canonical(rep)
-    jtr = canonical_traces(rep.partition)[0]
     _, tp = _half_step(rep.partition)
-    return GrvvSolution(g1=(jtr + rep.j3) * tp / 2, g2=(rep.j1 - 1j * rep.j2) * tp / 2,
+    g1 = rep.j3.copy()
+    g1.flat[:: rep.dim + 1] += canonical_traces(rep.partition)[0]
+    return GrvvSolution(g1=g1 * tp / 2, g2=(rep.j1 - 1j * rep.j2) * tp / 2,
                         partition=rep.partition)
 
 
 def _kernel_columns(sol):
     """Largest norm of a column of g1 or g2 at a block's lowest-weight state."""
-    offsets = np.cumsum((0,) + sol.partition[:-1])
-    return max(float(np.linalg.norm(g[:, o])) for o in offsets for g in sol.matrices)
+    starts = np.flatnonzero(_block_rows(sol.partition)[0] == 1)
+    return max(float(np.linalg.norm(g[:, o])) for o in starts for g in sol.matrices)
 
 
 def su2_to_grvv(rep):
     """Rebuild the doublet from a canonical block-diagonal representation."""
     sol = _rebuild(rep)
-    _, jbtr = canonical_traces(rep.partition)
     jb = barred_generators(rep.partition)
+    jb[2].flat[:: rep.dim + 1] += canonical_traces(rep.partition)[1]
     _, tp = _half_step(rep.partition)  # Ttilde^+ = T^+, diagonal: scales the rows
-    ghat1 = tp[:, None] * (jbtr + jb[2]) / 2
+    ghat1 = tp[:, None] * jb[2] / 2
     ghat2 = tp[:, None] * (jb[0] - 1j * jb[1]) / 2
-    del jbtr, jb
+    del jb
     residuals = {
         "grvv": grvv_residual(sol),
-        "j_rebuilt": max(
-            frobenius_norm(m - g) for m, g in zip(pauli_contract(_jmat(sol)), rep.generators)
-        ),
+        "j_rebuilt": max_frobenius(
+            m - g for m, g in zip(pauli_contract(_jmat(sol)), rep.generators)),
         "kernel_columns": _kernel_columns(sol),
     }
     return Su2ToGrvvResult(solution=sol, ghat1=ghat1, ghat2=ghat2, residuals=residuals)
@@ -253,9 +244,10 @@ def round_trip(obj, tol=1e-10):
         steps.append(("canonical_frame", defect))
         jtr, jbtr = canonical_traces(canon.partition)
         jb = barred_generators(canon.partition)
+        # [diag(d), G] entrywise, d_i G_ij - G_ij d_j
         steps.append(("trace_commutes", max(
-            max(frobenius_norm(commutator(jtr, g)) for g in canon.generators),
-            max(frobenius_norm(commutator(jbtr, g)) for g in jb),
+            max(frobenius_norm(jtr[:, None] * g - g * jtr) for g in canon.generators),
+            max(frobenius_norm(jbtr[:, None] * g - g * jbtr) for g in jb),
         )))
         steps.append(("barred_closure", su2_closure_residual(jb)))
         del jtr, jbtr, jb

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .matcore import (
+    _block_rows,
     as_matrix,
     dagger,
     frobenius_norm,
@@ -94,36 +95,30 @@ class GrvvSolution:
         )
 
 
+def _half_step(partition):
+    """Diagonals of the half step T = sqrt((J + J_3)/2) of the canonical layout
+    (the root of k - 1, ``_block_rows``), g1 of ``block_solution``, and of its
+    pseudo-inverse T^+ (0 where k = 1); (Jbar + Jbar_3)/2 has the same."""
+    k, _ = _block_rows(partition)
+    t = np.sqrt(k - 1)
+    return t, np.divide(1.0, t, out=np.zeros_like(t), where=k > 1)
+
+
 def ground_state(n):
-    """Irreducible solution of size n:
+    """Irreducible solution of size n, ``block_solution((n,))``:
 
     (g1)_{m,m} = sqrt(m-1),  (g2)_{m,m+1} = sqrt(n-m)   (1-based m).
     """
-    if n < 1:
-        raise ValueError("size must be at least 1")
-    g1 = np.diag(np.sqrt(np.arange(n, dtype=float))).astype(complex)
-    g2 = np.zeros((n, n), dtype=complex)
-    m = np.arange(1, n)
-    g2[m - 1, m] = np.sqrt(n - m)
-    return GrvvSolution(g1=g1, g2=g2, partition=(n,))
+    return block_solution((n,))
 
 
 def block_solution(partition):
-    """Direct sum of ground states along the diagonal."""
+    """Direct sum of ground states: g1 is the half step (``_half_step``) and g2
+    has sqrt(N_k - k) on the super-diagonal, 0 across each block join."""
     partition = tuple(int(n) for n in partition)
-    if not partition:
-        raise ValueError("partition must be nonempty")
-    if any(n < 1 for n in partition):
-        raise ValueError("every block size must be at least 1")
-    total = sum(partition)
-    g1 = np.zeros((total, total), dtype=complex)
-    g2 = np.zeros((total, total), dtype=complex)
-    offset = 0
-    for n in partition:
-        blk = ground_state(n)
-        g1[offset : offset + n, offset : offset + n] = blk.g1
-        g2[offset : offset + n, offset : offset + n] = blk.g2
-        offset += n
+    k, size = _block_rows(partition)
+    g1 = np.diag(_half_step(partition)[0].astype(complex))
+    g2 = np.diag(np.sqrt(size - k)[:-1].astype(complex), 1)
     return GrvvSolution(g1=g1, g2=g2, partition=partition)
 
 
@@ -175,12 +170,9 @@ def sphere_constraints(sol):
     gd = sol.daggers
     left = g[0] @ gd[0] + g[1] @ gd[1]
     right = gd[0] @ g[0] + gd[1] @ g[1]
-    target = n * np.eye(n, dtype=complex)
-    target[0, 0] = 0.0
-    return (
-        frobenius_norm(left - (n - 1) * np.eye(n)),
-        frobenius_norm(right - target),
-    )
+    left.flat[:: n + 1] -= n - 1
+    right.flat[n + 1 :: n + 1] -= n
+    return frobenius_norm(left), frobenius_norm(right)
 
 
 def real_coordinates(sol):

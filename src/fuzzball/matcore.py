@@ -80,6 +80,17 @@ def max_frobenius(mats):
     return _nan_max(map(frobenius_norm, mats))
 
 
+def _block_rows(partition):
+    """(k, size) for each row of the block-diagonal layout of ``partition``,
+    as float arrays: the row's place k = 1..size in its block and that
+    block's size.  No block, or a block smaller than 1, is refused."""
+    sizes = np.asarray(partition, dtype=int)
+    if not sizes.size or sizes.min() < 1:
+        raise ValueError("a partition needs one or more blocks, each of size at least 1")
+    offset = np.repeat(np.cumsum(sizes) - sizes, sizes)  # each row's block start
+    return np.arange(1.0, len(offset) + 1) - offset, np.repeat(sizes, sizes).astype(float)
+
+
 def spectral_norm(a):
     return float(np.linalg.norm(a, 2))
 

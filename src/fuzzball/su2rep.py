@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .matcore import (
+    _block_rows,
     _nan_max,
     as_matrix,
     commutator,
@@ -134,22 +135,27 @@ class Su2Representation:
 
 
 def irrep(n):
-    """Irreducible generators of dimension n, J3 ascending along the diagonal.
+    """Irreducible generators of dimension n, J3 ascending along the diagonal,
+    built by ``_canonical_sum((n,))``.  Ladder entries are twice the textbook
+    alpha_{j,m} = sqrt((j+m)(j-m+1)), which gives the doubled structure constants."""
+    return _canonical_sum((n,))
 
-    Ladder entries are twice the textbook alpha_{j,m} = sqrt((j+m)(j-m+1)),
-    which is what produces the doubled structure constants.
-    """
-    if n < 1:
-        raise ValueError("dimension must be at least 1")
-    k = np.arange(1, n + 1)
-    j3 = np.diag(2.0 * (k - (n + 1) / 2)).astype(complex)
-    jp = np.zeros((n, n), dtype=complex)
-    rows = np.arange(2, n + 1)
-    jp[rows - 1, rows - 2] = 2.0 * np.sqrt((rows - 1) * (n - rows + 1))
-    jm = dagger(jp)
-    return Su2Representation(
-        j1=(jp + jm) / 2, j2=(jp - jm) / 2j, j3=j3, partition=(n,)
-    )
+
+def _canonical_sum(partition):
+    """direct_sum(irrep(n) for n in partition), bit for bit, written into three
+    zero matrices from the row places (k, size) of ``_block_rows``: J_3 is
+    diag(2k - size - 1), and J_1 + i J_2 has twice ``half`` on the sub-diagonal.
+    Only nonzero band entries are written: a block join keeps +0.0, not -0.0."""
+    k, size = _block_rows(partition)
+    n = len(k)
+    j1, j2, j3 = (np.zeros((n, n), dtype=complex) for _ in range(3))
+    j3.flat[:: n + 1] = 2 * k - size - 1
+    rows = np.flatnonzero(k > 1)
+    half = np.sqrt((k - 1) * (size - k + 1))[rows]
+    j1[rows, rows - 1] = j1[rows - 1, rows] = half
+    j2.imag[rows, rows - 1] = -half
+    j2.imag[rows - 1, rows] = half
+    return Su2Representation(j1, j2, j3, partition=partition)
 
 
 def direct_sum(reps):
@@ -223,8 +229,7 @@ def weight_frame(rep):
     v = np.column_stack([vec for _, vecs in chains for vec in vecs])
     partition = tuple(len(vecs) for _, vecs in chains)
     gens = [dagger(v) @ g @ v for g in rep.generators]
-    exact = direct_sum([irrep(size) for size in partition]).generators
-    defect = max_frobenius(g - e for g, e in zip(gens, exact))
+    defect = max_frobenius(g - e for g, e in zip(gens, _canonical_sum(partition).generators))
     if not defect <= tol:
         raise ValueError(f"generators leave the canonical direct sum by {defect:.3e} "
                          f"(tolerance {tol:.3e}): not an su(2) representation")

@@ -19,7 +19,12 @@ gauge dressing with its Gaussians, its QR factor and its Gram defect held
 whole, which ``matcore`` and ``grvv`` replace by a dressing that holds one
 of each at a time, and the complex harmonics basis on a dense generator
 triple with every diagonal stored, which ``harmonics`` replaces by real
-m >= 0 diagonals read off the weight frame's real bands."""
+m >= 0 diagonals read off the weight frame's real bands, and the canonical
+block layout built block by block (dense irreps from their ladder matrices,
+copied into zero matrices, ground states copied likewise and the u(1) traces
+as dense diagonal matrices), which ``su2rep._canonical_sum``,
+``grvv.block_solution`` and ``equivalence.canonical_traces`` replace by
+closed forms in each row's place in its block."""
 
 import math
 from dataclasses import dataclass
@@ -44,7 +49,16 @@ from fuzzball.geometry import (
 from fuzzball.grvv import GrvvSolution, ground_state
 from fuzzball.matcore import as_matrix, commutator, dagger, frobenius_norm, max_frobenius
 from fuzzball.harmonics import _diagonal_index
-from fuzzball.su2rep import _EPS, EPS3, EPS_LOWER, PAULI, bilinears, weight_frame
+from fuzzball.su2rep import (
+    _EPS,
+    EPS3,
+    EPS_LOWER,
+    PAULI,
+    Su2Representation,
+    bilinears,
+    direct_sum,
+    weight_frame,
+)
 from fuzzball.superalg import CalibrationResult
 
 
@@ -669,3 +683,60 @@ def held_dress(sol, seed):
 def held_dressed(n, seed):
     """``cli._dressed``: the ground state of size n dressed from seed + n."""
     return held_dress(ground_state(n), seed + n)
+
+
+# ---------------------------------------------------------------------------
+# the canonical block layout block by block: each irrep from its dense ladder
+# matrices J_+ and J_- = J_+^dag and copied into zero matrices by
+# ``su2rep.direct_sum``, the ground states copied likewise, and the u(1)
+# traces as diagonal matrices
+
+
+def dense_irrep(n):
+    """``su2rep.irrep`` from the dense J_3, J_+ and J_-."""
+    if n < 1:
+        raise ValueError("dimension must be at least 1")
+    k = np.arange(1, n + 1)
+    j3 = np.diag(2.0 * (k - (n + 1) / 2)).astype(complex)
+    jp = np.zeros((n, n), dtype=complex)
+    rows = np.arange(2, n + 1)
+    jp[rows - 1, rows - 2] = 2.0 * np.sqrt((rows - 1) * (n - rows + 1))
+    jm = dagger(jp)
+    return Su2Representation(j1=(jp + jm) / 2, j2=(jp - jm) / 2j, j3=j3, partition=(n,))
+
+
+def dense_canonical_sum(partition):
+    """``su2rep._canonical_sum``: the direct sum of the dense irreps."""
+    return direct_sum([dense_irrep(n) for n in partition])
+
+
+def dense_ground_state(n):
+    """``grvv.ground_state`` from its two dense matrices."""
+    g1 = np.diag(np.sqrt(np.arange(n, dtype=float))).astype(complex)
+    g2 = np.zeros((n, n), dtype=complex)
+    m = np.arange(1, n)
+    g2[m - 1, m] = np.sqrt(n - m)
+    return GrvvSolution(g1=g1, g2=g2, partition=(n,))
+
+
+def dense_block_solution(partition):
+    """``grvv.block_solution``: each ground state copied into zero matrices."""
+    total = sum(partition)
+    g1 = np.zeros((total, total), dtype=complex)
+    g2 = np.zeros((total, total), dtype=complex)
+    offset = 0
+    for n in partition:
+        blk = dense_ground_state(n)
+        g1[offset : offset + n, offset : offset + n] = blk.g1
+        g2[offset : offset + n, offset : offset + n] = blk.g2
+        offset += n
+    return GrvvSolution(g1=g1, g2=g2, partition=tuple(partition))
+
+
+def dense_canonical_traces(partition):
+    """``equivalence.canonical_traces`` as the dense matrices J = diag((N_k-1) 1)
+    and Jbar = diag(N_k (1 - E_11))."""
+    size = np.repeat(partition, partition).astype(complex)
+    bar = size.copy()
+    bar[np.cumsum((0,) + tuple(partition[:-1]))] = 0  # each block's first row
+    return np.diag(size - 1), np.diag(bar)

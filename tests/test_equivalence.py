@@ -2,7 +2,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from dense_oracles import hermitian_sqrt, pseudo_inverse
+from dense_oracles import (
+    dense_block_solution,
+    dense_canonical_sum,
+    dense_canonical_traces,
+    dense_ground_state,
+    dense_irrep,
+    hermitian_sqrt,
+    pseudo_inverse,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -173,6 +181,61 @@ def test_compatibility_rejects_non_unitary():
         compatibility_residual(irrep(3), 2.0 * np.eye(3))
 
 
+def moved_band(rep, row, delta):
+    """rep with the J_+ entry (row, row - 1) moved by delta, J_- = J_+^dag kept."""
+    jp = rep.j1 + 1j * rep.j2
+    jp[row, row - 1] += delta
+    jm = dagger(jp)
+    return Su2Representation((jp + jm) / 2, (jp - jm) / 2j, rep.j3, partition=rep.partition)
+
+
+@pytest.mark.parametrize("convert", [
+    su2_to_grvv,
+    lambda rep: compatibility_residual(rep, np.eye(rep.dim)),
+], ids=["su2_to_grvv", "compatibility_residual"])
+def test_canonical_form_refusals(convert):
+    gens = irrep(3).generators
+    with pytest.raises(ValueError, match="no partition recorded"):
+        convert(Su2Representation(*gens))
+    for partition in [(2,), (4,), (1, 1)]:
+        with pytest.raises(ValueError, match="partition does not match the dimension"):
+            convert(Su2Representation(*gens, partition=partition))
+    # the sizes sum to the dimension, so only the block size refuses them
+    for partition in [(0, 3), (3, 0), (-1, 4)]:
+        with pytest.raises(ValueError, match="each of size at least 1"):
+            convert(Su2Representation(*gens, partition=partition))
+    # the defect is delta / sqrt(2) against 1e-8 N
+    with pytest.raises(ValueError, match="not in canonical block form; run canonicalize"):
+        convert(moved_band(irrep(8), 5, 1e-6))
+    convert(moved_band(irrep(8), 5, 1e-12))
+
+
+@settings(max_examples=60, deadline=None)
+@given(partition=st.lists(st.integers(1, 9), min_size=1, max_size=4))
+def test_canonical_layout_is_byte_equal_to_the_dense_oracles(partition):
+    # the bytes, so the signed zeros of each block join count too
+    def same(ours, ref):
+        assert len(ours) == len(ref)
+        for a, b in zip(ours, ref):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+    exact = dense_canonical_sum(partition)
+    ours = su2rep._canonical_sum(partition)
+    assert ours.partition == exact.partition
+    same(ours.generators, exact.generators)
+    barred = [m for n in partition for m in (1, n - 1) if m]
+    same(barred_generators(partition), dense_canonical_sum(barred).generators)
+    sol, ref = block_solution(partition), dense_block_solution(partition)
+    assert sol.partition == ref.partition
+    same(sol.matrices, ref.matrices)
+    for n in partition:
+        same(irrep(n).generators, dense_irrep(n).generators)
+        same(ground_state(n).matrices, dense_ground_state(n).matrices)
+    for ours, ref in zip(canonical_traces(partition), dense_canonical_traces(partition)):
+        assert np.array_equal(ours, np.diagonal(ref))
+
+
 @pytest.mark.parametrize("partition", [[2], [3], [5], [2, 3], [2, 2, 4]])
 def test_round_trip_representations(partition, tol=1e-10):
     rep = direct_sum([irrep(n) for n in partition])
@@ -300,7 +363,7 @@ def dense_su2_to_grvv(rep):
     """The dense form su2_to_grvv used to take: eigensolver square roots and
     SVD pseudo-inverses of the full matrices (J + J3)/2 and its barred
     counterpart."""
-    jtr, jbtr = canonical_traces(rep.partition)
+    jtr, jbtr = map(np.diag, canonical_traces(rep.partition))
     jb = barred_generators(rep.partition)
     tp = pseudo_inverse(hermitian_sqrt((jtr + rep.j3) / 2))
     ttp = pseudo_inverse(hermitian_sqrt((jbtr + jb[2]) / 2))
@@ -313,7 +376,7 @@ def dense_su2_to_grvv(rep):
 
 
 def dense_compatibility_residual(rep, u):
-    jtr, jbtr = canonical_traces(rep.partition)
+    jtr, jbtr = map(np.diag, canonical_traces(rep.partition))
     jb = barred_generators(rep.partition)
     t = hermitian_sqrt((jtr + rep.j3) / 2)
     ttil = hermitian_sqrt((jbtr + jb[2]) / 2)
@@ -439,10 +502,10 @@ def test_round_trip_forms_each_cubic_residual_once(monkeypatch, make, cubic):
 
 
 @pytest.mark.parametrize("make, bound", [
-    # the input's triple beside the weight frame peaks at 16.3 N x N
-    # matrices; 19.3 with its barred triple held too, 64 with both
-    # BilinearSets held
-    (ground_state, 17),
+    # the input's triple beside the weight frame peaks at 14.2 N x N
+    # matrices; 16.3 with the exact triple built from dense irreps, 19.3 with
+    # its barred triple held too, 64 with both BilinearSets held
+    (ground_state, 15),
     # the barred triple formed beside the canonical triple and traces, 14.9;
     # 20.0 with the rebuild's hatted doublet and jbar, 40 with the canonical
     # traces and barred triple held throughout and jmat formed twice

@@ -256,6 +256,15 @@ def test_spin_map_memory_is_bounded(evaluator, bound):
     assert _traced_blocks(lambda: evaluator(sol), n) <= bound
 
 
+def test_weight_frame_memory_is_bounded():
+    # the rotated triple, the exact triple it is held against and the frame
+    # peak at 11.2 N x N matrices; 13.3 with the exact triple built from dense
+    # irreps and copied into a direct sum
+    n = 128
+    rep = irrep(n)
+    assert _traced_blocks(lambda: weight_frame(rep), n) <= 12
+
+
 def _perturbed_tables(monkeypatch, which, perturb):
     """Make su2rep._table perturb the table of its call number ``which``."""
     table = su2rep._table
