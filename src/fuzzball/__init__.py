@@ -18,12 +18,12 @@ __version__ = "0.1.0"
 _PUBLIC = {
     "equivalence": "canonicalize compatibility_residual grvv_to_su2 round_trip su2_to_grvv",
     "geometry": "SphereGrid gamma_so5 gamma_so9 hopf_s2 hopf_s4 hopf_s8 "
-        "identification_check killing_spinor killing_vectors s8_inversion s_matrix section",
+        "identification_check killing_spinor s8_inversion s_matrix section",
     "grvv": "GrvvSolution block_solution gauge_dress ground_state grvv_residual "
         "real_coordinates sphere_constraints",
     "harmonics": "BifundamentalModes HarmonicBasis build_basis classical_ylm "
         "decompose_adjoint decompose_bifundamental decompose_ubar reconstruct_adjoint "
-        "reconstruct_bifundamental reconstruct_ubar",
+        "reconstruct_bifundamental",
     "matcore": "dagger",
     "spectra": "commutator_decay dirac_square_check fuzzy_laplacian_spectrum "
         "mode_convergence scalar_kinetic_spectrum spherical_spinor spinorial_harmonic "

@@ -38,6 +38,14 @@ def _parse_int_list(text):
     return values
 
 
+def _parse_sizes(text):
+    """``--n-list``: matrix sizes, each at least 1."""
+    values = _parse_int_list(text)
+    if min(values) < 1:
+        raise argparse.ArgumentTypeError(f"sizes must be 1 or more, got {min(values)}")
+    return values
+
+
 def _parse_grid(text):
     try:
         nt, npz = text.lower().split("x")
@@ -448,15 +456,18 @@ def cmd_decompose(args):
     from .harmonics import decompose_bifundamental
     from .matcore import matrix_from_json
 
-    with open(args.solution) as fh:
-        sol = GrvvSolution.from_json(json.load(fh))
+    def load(path, reader):
+        with open(path) as fh:
+            try:
+                return reader(json.load(fh))
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from exc
+
+    sol = load(args.solution, GrvvSolution.from_json)
     paths = args.matrix.split(",")
     if len(paths) != 2:
         raise ValueError("--matrix wants two comma-separated files (r1, r2)")
-    mats = []
-    for p in paths:
-        with open(p) as fh:
-            mats.append(matrix_from_json(json.load(fh)))
+    mats = [load(p, matrix_from_json) for p in paths]
     modes = decompose_bifundamental(mats[0], mats[1], sol)
     obj = {
         "schema": 1,
@@ -519,7 +530,7 @@ def build_parser():
         "--grid-csv (geometry suite) writes rows: theta, phi, identity, residual.",
     )
     ver.add_argument("--suite", choices=SUITES, required=True)
-    ver.add_argument("--n-list", type=_parse_int_list, default=[2, 3, 4, 8])
+    ver.add_argument("--n-list", type=_parse_sizes, default=[2, 3, 4, 8])
     ver.add_argument("--tol", type=float, default=1e-10)
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--grid", type=_parse_grid, help="geometry suite only (default 64x128)")
@@ -549,7 +560,7 @@ def build_parser():
         "modes columns: n, l, m, sup_error (exit 1 if not monotone).",
     )
     conv.add_argument("which", choices=("commutator", "modes"))
-    conv.add_argument("--n-list", type=_parse_int_list, required=True)
+    conv.add_argument("--n-list", type=_parse_sizes, required=True)
     conv.add_argument("--l", type=int, default=1)
     conv.add_argument("--m", type=int, default=0)
     conv.add_argument("--out", default=None)

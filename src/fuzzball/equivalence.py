@@ -182,15 +182,19 @@ def compatibility_residual(rep, u, tol=1e-10):
     u = as_matrix(u)
     if not is_unitary(u, tol):
         raise ValueError("compatibility requires a unitary argument")
-    jb = barred_generators(rep.partition)
     # T and Ttilde share their diagonal t, and so do their pseudo-inverses
     t, tp = _half_step(rep.partition)
     uhat = t[:, None] * u * tp
     support = t * tp  # diagonal of Ttilde Ttilde^+
     r1 = frobenius_norm(support[:, None] * (dagger(uhat) @ uhat) * support - np.diag(support))
+    del uhat
 
-    jm = rep.j1 - 1j * rep.j2
+    # the barred triple is formed after the r1 check, which reads none of
+    # it, and only its J_- is kept
+    jb = barred_generators(rep.partition)
     jbm = jb[0] - 1j * jb[1]
+    del jb
+    jm = rep.j1 - 1j * rep.j2
     r2 = frobenius_norm(jbm - (t**2)[:, None] * (dagger(u) @ (tp[:, None] * jm * tp) @ u))
     return max(r1, r2)
 

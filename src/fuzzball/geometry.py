@@ -1,6 +1,6 @@
 """
 Classical sphere geometry: Hopf maps (S2, S4, S8), the phase-fixed section,
-the frame rotation S(theta, phi), Killing vectors and spinors, and the
+the frame rotation S(theta, phi), the Killing spinors, and the
 finite-difference verification of every derivative identity.
 
 Frame conventions, fixed once and verified by the test suite:
@@ -36,32 +36,23 @@ trailing-axis layout of the public functions, which assemble their results
 from these kernels: the rows, report and grid CSV do not move by a bit.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .matcore import _map_blocks
-from .su2rep import EPS_LOWER, PAULI
+from .su2rep import PAULI
 
 __all__ = [
     "SphereGrid",
-    "SpinorField",
-    "sample_section",
-    "sample_projected_spinor",
     "A_PHASE",
-    "EPS_LOWER",
-    "C_MINUS",
     "hopf_s2",
     "unit_vector",
     "section",
     "s_matrix",
-    "killing_vectors",
     "killing_spinor",
     "weyl_plus",
-    "spinor_dual",
-    "modified_majorana_residual",
-    "random_majorana_spinor",
-    "rotation_reality_residual",
     "killing_equation_residual",
     "identification_check",
     "IdentificationReport",
@@ -77,7 +68,6 @@ SIGMA = np.stack(PAULI)  # (3, 2, 2)
 SIGMA_T = np.stack([s.T for s in PAULI])
 
 A_PHASE = np.exp(-0.25j * np.pi)
-C_MINUS = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)  # i sigma_2
 ID_PHASE = np.exp(0.25j * np.pi)  # constant phase in the section/spinor match
 
 # theta rows per grid block: at n_phi = 512 a block's complex component
@@ -109,35 +99,6 @@ class SphereGrid:
 
     def mesh(self):
         return np.meshgrid(self.theta, self.phi, indexing="ij")
-
-
-@dataclass(frozen=True)
-class SpinorField:
-    """Two-component values sampled on a grid, tagged by which doublet index
-    they carry: the global multiplet index or the local frame index."""
-
-    values: np.ndarray  # (..., 2)
-    kind: str  # "global_index" or "lorentz_index"
-
-    def __post_init__(self):
-        if self.kind not in ("global_index", "lorentz_index"):
-            raise ValueError(f"unknown spinor kind {self.kind!r}")
-        v = np.asarray(self.values, dtype=complex)
-        if v.shape[-1] != 2 or not np.all(np.isfinite(v)):
-            raise ValueError("values must be finite with a trailing doublet axis")
-        object.__setattr__(self, "values", v)
-
-
-def sample_section(grid):
-    """The fibre section over a grid; carries the local frame index."""
-    tt, pp = grid.mesh()
-    return SpinorField(values=section(unit_vector(tt, pp)), kind="lorentz_index")
-
-
-def sample_projected_spinor(grid):
-    """sqrt(2) P_+ eta over a grid; carries the global multiplet index."""
-    tt, pp = grid.mesh()
-    return SpinorField(values=weyl_plus(killing_spinor(tt, pp)), kind="global_index")
 
 
 # ---------------------------------------------------------------------------
@@ -242,21 +203,6 @@ def s_matrix(theta, phi):
     return _trailing(_s_columns(theta, phi), 2)
 
 
-def killing_vectors(theta, phi):
-    """Components K_i^a (a = theta, phi) of the three rotation fields."""
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    cot = np.cos(theta) / np.sin(theta)
-    out = np.empty(np.broadcast(theta, phi).shape + (3, 2), dtype=float)
-    out[..., 0, 0] = -np.sin(phi)
-    out[..., 0, 1] = -cot * np.cos(phi)
-    out[..., 1, 0] = np.cos(phi)
-    out[..., 1, 1] = -cot * np.sin(phi)
-    out[..., 2, 0] = 0.0
-    out[..., 2, 1] = 1.0
-    return out
-
-
 def _killing(theta, phi, alphas=(0, 1)):
     """Rows ``alphas`` of eta = S^dag E / sqrt(2), component-first: shape
     (len(alphas), 2, ...).  Row alpha reads column alpha of S only."""
@@ -284,36 +230,6 @@ def _projected(theta, phi):
     """sqrt(2) P_+ eta at (theta, phi), component-first: shape (2, ...)."""
     u = _killing(theta, phi, alphas=(0,))[0]
     return np.multiply(np.sqrt(2.0), u, out=u)
-
-
-def spinor_dual(eta):
-    """Dual spinors etabar[..., I, alpha] with eta etabar = -1.
-
-    Built as 2 eps^{-1} eta^T C_-; orthonormality reads
-    eta^T C_- eta = -eps/2 and completeness eta etabar = -identity.
-    """
-    etat = np.swapaxes(eta, -1, -2)
-    return 2.0 * np.einsum("ab,...bc,cd->...ad", np.linalg.inv(EPS_LOWER), etat, C_MINUS)
-
-
-def modified_majorana_residual(chi):
-    """Defect of conj(chi[a, ad]) = eps[a, b] eps[ad, bd] chi[b, bd]."""
-    chi = np.asarray(chi, dtype=complex)
-    image = np.einsum("ab,cd,...bd->...ac", EPS_LOWER, EPS_LOWER, chi)
-    return float(np.max(np.abs(np.conj(chi) - image)))
-
-
-def random_majorana_spinor(rng):
-    """Random 2x2 spinor satisfying the reality condition exactly."""
-    z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    image = np.einsum("ab,cd,bd->ac", EPS_LOWER, EPS_LOWER, z)
-    return (z + np.conj(image)) / 2
-
-
-def rotation_reality_residual(theta, phi, chi):
-    """Reality defect of chi after the frame rotation acts on its first index."""
-    chi = np.moveaxis(np.asarray(chi, dtype=complex), (-2, -1), (0, 1))
-    return modified_majorana_residual(_trailing(_mul2(_dag2(_s_columns(theta, phi)), chi), 2))
 
 
 # ---------------------------------------------------------------------------
@@ -704,6 +620,17 @@ def gamma_so9():
     return gammas
 
 
+@functools.cache
+def _tables(builder):
+    """``builder()``'s matrices, built once per process and read-only; the
+    public builders go on returning fresh lists, so no caller can change
+    these."""
+    tables = tuple(builder())
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
 def _require_unit(v, tol):
     n = float(np.linalg.norm(v))
     if abs(n - 1.0) > tol:
@@ -714,14 +641,14 @@ def hopf_s4(g, tol=1e-10):
     """x_A = g^dag Gamma_A g for a unit vector in C^4; lands on the unit S4."""
     g = np.asarray(g, dtype=complex).reshape(4)
     _require_unit(g, tol)
-    return np.array([np.real(g.conj() @ gm @ g) for gm in gamma_so5()])
+    return np.array([np.real(g.conj() @ gm @ g) for gm in _tables(gamma_so5)])
 
 
 def hopf_s8(g, tol=1e-10):
     """x_A = g^T Gamma_A g for a unit vector in R^16; lands on the unit S8."""
     g = np.asarray(g, dtype=float).reshape(16)
     _require_unit(g, tol)
-    return np.array([float(g @ np.real(gm) @ g) for gm in gamma_so9()])
+    return np.array([float(g @ np.real(gm) @ g) for gm in _tables(gamma_so9)])
 
 
 def s8_inversion(x, u, tol=1e-10):
@@ -735,7 +662,7 @@ def s8_inversion(x, u, tol=1e-10):
     _require_unit(u, tol)
     if x[8] <= -1.0 + tol:
         raise ValueError("inversion is singular at x_9 = -1")
-    lams = octonion_lambdas()
+    lams = _tables(octonion_lambdas)
     g = np.empty(16)
     g[:8] = np.sqrt((1.0 + x[8]) / 2.0) * u
     m = x[7] * np.eye(8) - sum(x[i] * lams[i] for i in range(7))

@@ -87,6 +87,11 @@ class GrvvSolution:
 
     @classmethod
     def from_json(cls, obj):
+        if not isinstance(obj, dict):
+            raise ValueError("malformed solution: not a JSON object")
+        for key in ("g1", "g2"):
+            if key not in obj:
+                raise ValueError(f"malformed solution: missing key {key!r}")
         return cls(
             g1=matrix_from_json(obj["g1"]),
             g2=matrix_from_json(obj["g2"]),

@@ -51,7 +51,6 @@ __all__ = [
     "reconstruct_adjoint",
     "UbarModes",
     "decompose_ubar",
-    "reconstruct_ubar",
     "BifundamentalModes",
     "decompose_bifundamental",
     "reconstruct_bifundamental",
@@ -269,17 +268,6 @@ def decompose_ubar(abar, sol):
         sub = build_basis(irrep(n - 1))
         a_lm = decompose_adjoint(inner, sub)
     return UbarModes(a0=a0, a_lm=a_lm, b=b, bbar=bbar)
-
-
-def reconstruct_ubar(modes, n):
-    out = np.zeros((n, n), dtype=complex)
-    out[0, 0] = modes.a0
-    out[0, 1:] = modes.b
-    out[1:, 0] = modes.bbar
-    if n >= 2 and modes.a_lm:
-        sub = build_basis(irrep(n - 1))
-        out[1:, 1:] += reconstruct_adjoint(modes.a_lm, sub)
-    return out
 
 
 @dataclass(frozen=True)

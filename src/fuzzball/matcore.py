@@ -142,6 +142,8 @@ def matrix_from_json(obj):
             names = sorted(k.__name__ for k in kinds)
             raise ValueError(f"data must be JSON numbers, got {names} entries")
         data = np.asarray(obj["data"], dtype=float)
+    except KeyError as exc:
+        raise ValueError(f"malformed matrix: missing key {exc}") from None
     except (TypeError, ValueError, OverflowError) as exc:  # ragged pairs land here too
         raise ValueError(f"malformed matrix: {exc}") from exc
     if data.shape != (rows * cols, 2):

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matcore import _nan_max, commutator
+from .matcore import _nan_max
 from .su2rep import EPS3, EPS_LOWER, PAULI, _pairs
 
 __all__ = [
@@ -78,7 +78,7 @@ def _norm(upper, lower):
 
 def _signed_sum(p, sp, q, sq):
     """sp p + sq q for signs sp, sq in {1, -1}, formed in the buffer of ``p``
-    (a fresh product), with each sign taken exactly: the value of
+    (a product), with each sign taken exactly: the value of
     (sp p) + (sq q), bit for bit."""
     if sp != sq:
         return np.subtract(p, q, out=p) if sp > 0 else np.subtract(q, p, out=p)
@@ -97,21 +97,37 @@ class _Brackets:
     that of the products with T_a and B_a to the last bit.  ``ee`` and
     ``eo`` are the even-even and even-odd residuals; ``odd_odd`` scores the
     odd-odd bracket with the odd generators multiplied by a further ``c``.
-    Every bracket is formed one N x N block at a time, and each block is
-    dropped once its norms are taken; only the four lists are held.
+
+    Every bracket is formed one N x N block at a time in four buffers
+    allocated here, with the operations, and their order, of the plain
+    expressions in the comments, so each norm is theirs to the last bit
+    (a partial sum may differ in the sign of a zero, never in a norm):
+    fresh N x N temporaries are handed back to the system and faulted in
+    again, which costs more than the arithmetic.
     """
 
     def __init__(self, j, jb, g, gd):
         self.even = (j, jb)
         self.doublet = (g, gd)
+        self.buffers = [np.empty(j[0].shape, dtype=complex) for _ in range(4)]
+        b0, b1, b2, _ = self.buffers
+
+        def ee(x, i, k, m):
+            # commutator(x[i], x[k]) - 2j * EPS3[i, k, m] * x[m]
+            np.subtract(np.matmul(x[i], x[k], out=b0), np.matmul(x[k], x[i], out=b1), out=b0)
+            return np.subtract(b0, np.multiply(2j * EPS3[i, k, m], x[m], out=b1), out=b0)
+
+        def eo(x, y, z, terms):
+            # x @ y - y @ z + sum(c * t for c, t in terms), of two terms
+            (c0, t0), (c1, t1) = terms
+            np.subtract(np.matmul(x, y, out=b0), np.matmul(y, z, out=b1), out=b0)
+            np.add(np.multiply(c0, t0, out=b1), np.multiply(c1, t1, out=b2), out=b1)
+            return np.add(b0, b1, out=b0)
 
         # [E_i, E_i] = 0 and [E_j, E_i] = -[E_i, E_j] hold exactly in
         # floating point, so three pairs carry the whole family
         self.ee = _nan_max(
-            _norm(
-                lambda: commutator(j[i], j[k]) - 2j * EPS3[i, k, m] * j[m],
-                lambda: commutator(jb[i], jb[k]) - 2j * EPS3[i, k, m] * jb[m],
-            )
+            _norm(lambda: ee(j, i, k, m), lambda: ee(jb, i, k, m))
             for i, k, m in ((0, 1, 2), (0, 2, 1), (1, 2, 0))
         )
 
@@ -121,37 +137,46 @@ class _Brackets:
         # or gd_a with the signs folded into the exact sigma coefficients
         self.eo = _nan_max(
             _norm(
-                lambda: j[i] @ g[1 - a] - g[1 - a] @ jb[i] + sum(
-                    _T_SIGN[a] * _T_SIGN[d] * PAULI[i][a, d] * g[1 - d] for d in range(2)
-                ),
-                lambda: jb[i] @ gd[a] - gd[a] @ j[i] + sum(
-                    PAULI[i][a, d] * gd[d] for d in range(2)
-                ),
+                lambda: eo(j[i], g[1 - a], jb[i], [
+                    (_T_SIGN[a] * _T_SIGN[d] * PAULI[i][a, d], g[1 - d]) for d in range(2)
+                ]),
+                lambda: eo(jb[i], gd[a], j[i], [(PAULI[i][a, d], gd[d]) for d in range(2)]),
             )
             for i in range(3)
             for a in range(2)
         )
 
     def _anti(self, key, side):
-        """Block ``side`` (0 upper, 1 lower) of {Q_a, Q_b} at (a, b) = ``key``."""
+        """Block ``side`` (0 upper, 1 lower) of {Q_a, Q_b} at (a, b) = ``key``,
+        in the first buffer."""
         # {Q_a, Q_b} = diag(T_a B_b + T_b B_a, B_a T_b + B_b T_a), where
         # T_a B_b = -_T_SIGN[a] g^(1-a) gd_b and B_a T_b = -_T_SIGN[b] gd_a g^(1-b);
         # at a = b the two terms are one product
         g, gd = self.doublet
+        p, q = self.buffers[:2]
         a, c = key
         sa, sc = -_T_SIGN[a], -_T_SIGN[c]
         if side == 0:
-            p = g[1 - a] @ gd[c]
-            return _signed_sum(p, sa, p, sa) if a == c else _signed_sum(p, sa, g[1 - c] @ gd[a], sc)
-        p = gd[a] @ g[1 - c]
-        return _signed_sum(p, sc, p, sc) if a == c else _signed_sum(p, sc, gd[c] @ g[1 - a], sa)
+            np.matmul(g[1 - a], gd[c], out=p)
+            return _signed_sum(p, sa, p, sa) if a == c else _signed_sum(
+                p, sa, np.matmul(g[1 - c], gd[a], out=q), sc
+            )
+        np.matmul(gd[a], g[1 - c], out=p)
+        return _signed_sum(p, sc, p, sc) if a == c else _signed_sum(
+            p, sc, np.matmul(gd[c], g[1 - a], out=q), sa
+        )
 
     def _rhs(self, convention, key, side):
         """Block ``side`` of -(sigma_i)_{ab} E_i at (a, b) = ``key``, with the
-        lowered symbol read per ``convention``."""
+        lowered symbol read per ``convention``, in the second buffer."""
+        # -sum(low[i] * e[i] for i in range(3))
         e = self.even[side]
         low = [_sigma_lowered(i, convention)[key] for i in range(3)]
-        return -sum(low[i] * e[i] for i in range(3))
+        _, r, term, _ = self.buffers
+        np.multiply(low[0], e[0], out=r)
+        for i in (1, 2):
+            np.add(r, np.multiply(low[i], e[i], out=term), out=r)
+        return np.negative(r, out=r)
 
     def odd_odd(self, scales=(1.0,)):
         """{convention: odd-odd residual at each scale c of ``scales``}, with
@@ -159,13 +184,10 @@ class _Brackets:
         once, one key and block at a time, and scored under both conventions
         at every scale before the next is formed."""
         c2s = [c * c for c in scales]
-        # each block defect c^2 {Q_a, Q_b} - rhs is formed in one reused
-        # buffer: fresh N x N temporaries for every candidate are handed back
-        # to the system and faulted in again, which costs more than the
-        # arithmetic
-        out = np.empty(self.even[0][0].shape, dtype=complex)
+        out = self.buffers[3]
 
         def defect(c2, anti, r):
+            # c2 * anti - r
             np.multiply(c2, anti, out=out)
             return np.linalg.norm(np.subtract(out, r, out=out))
 
@@ -179,8 +201,6 @@ class _Brackets:
                     r = self._rhs(convention, key, side)
                     for c2, pair in zip(c2s, norms[convention]):
                         pair.append(defect(c2, anti, r))
-                    del r
-                del anti
             for convention in CONVENTIONS:
                 for score, pair in zip(scores[convention], norms[convention]):
                     score.append(math.hypot(*pair))

@@ -14,7 +14,7 @@ from numpy.testing import assert_allclose
 
 import fuzzball
 from fuzzball import geometry, matcore
-from fuzzball.cli import _write_grid_csv, main
+from fuzzball.cli import SUITES, _write_grid_csv, main
 from fuzzball.geometry import GRID_BLOCK_ROWS
 from fuzzball.grvv import GrvvSolution, gauge_dress, ground_state
 from fuzzball.harmonics import build_basis
@@ -446,6 +446,60 @@ def test_decompose_refuses_malformed_matrix_json(tmp_path, capsys, entry):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "matrix" in err
+
+
+@pytest.mark.parametrize("key, message", [
+    ("g1", "missing key 'g1'"),
+    ("g2", "missing key 'g2'"),
+    (None, "not a JSON object"),
+])
+def test_decompose_names_the_solution_file_and_its_fault(tmp_path, capsys, key, message):
+    gfile = tmp_path / "g.json"
+    assert run(["gen", "grvv", "--n", "2", "--out", str(gfile)]) == 0
+    obj = json.loads(gfile.read_text())
+    if key is None:
+        obj = [obj]
+    else:
+        del obj[key]
+    gfile.write_text(json.dumps(obj))
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"rows": 2, "cols": 2, "data": [[0, 0]] * 4}))
+    capsys.readouterr()
+    assert run(["decompose", "--solution", str(gfile), "--matrix", f"{good},{good}"]) == 2
+    # was the bare key (error: 'g1'), or a traceback and exit 1
+    assert capsys.readouterr().err == f"error: {gfile}: malformed solution: {message}\n"
+
+
+@pytest.mark.parametrize("key", ["rows", "cols", "data"])
+def test_decompose_names_the_matrix_file_and_its_missing_key(tmp_path, capsys, key):
+    gfile = tmp_path / "g.json"
+    assert run(["gen", "grvv", "--n", "2", "--out", str(gfile)]) == 0
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"rows": 2, "cols": 2, "data": [[0, 0]] * 4}))
+    bad = tmp_path / "bad.json"
+    obj = json.loads(good.read_text())
+    del obj[key]
+    bad.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert run(["decompose", "--solution", str(gfile), "--matrix", f"{good},{bad}"]) == 2
+    # was the bare key: error: 'rows'
+    assert capsys.readouterr().err == f"error: {bad}: malformed matrix: missing key '{key}'\n"
+
+
+@pytest.mark.parametrize("size", ["0", "-1"])
+@pytest.mark.parametrize(
+    "command", [["verify", "--suite", suite] for suite in SUITES] + [["converge", "commutator"]],
+    ids=lambda command: command[-1],
+)
+def test_sizes_below_one_are_usage_errors(capsys, command, size):
+    # geometry used to pass its rows labelled n = 0, u2 to fail them, and
+    # harmonics to refuse an empty partition
+    with pytest.raises(SystemExit) as exc:
+        run([*command, "--n-list", f"4,{size}"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: argument --n-list: sizes must be 1 or more, got {size}\n")
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf", "-inf"])

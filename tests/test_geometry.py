@@ -9,8 +9,6 @@ from numpy.testing import assert_allclose
 
 from fuzzball import geometry, matcore
 from fuzzball.geometry import (
-    C_MINUS,
-    EPS_LOWER,
     GRID_BLOCK_ROWS,
     SphereGrid,
     gamma_so5,
@@ -22,22 +20,32 @@ from fuzzball.geometry import (
     identification_check,
     killing_equation_residual,
     killing_spinor,
-    killing_vectors,
-    modified_majorana_residual,
     octonion_lambdas,
-    random_majorana_spinor,
-    rotation_reality_residual,
     s8_inversion,
     s_matrix,
     s_unitarity,
     section,
-    spinor_dual,
     unit_vector,
     weyl_plus,
 )
-from fuzzball.su2rep import PAULI
+from fuzzball.su2rep import EPS_LOWER, PAULI
 
 SIGT = np.stack([s.T for s in PAULI])
+C_MINUS = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)  # i sigma_2
+
+
+def killing_vectors(theta, phi):
+    """Components K_i^a (a = theta, phi) of the three rotation fields: the
+    reference the frame rotation is checked against."""
+    cot = np.cos(theta) / np.sin(theta)
+    out = np.empty(np.broadcast(theta, phi).shape + (3, 2))
+    out[..., 0, 0] = -np.sin(phi)
+    out[..., 0, 1] = -cot * np.cos(phi)
+    out[..., 1, 0] = np.cos(phi)
+    out[..., 1, 1] = -cot * np.sin(phi)
+    out[..., 2, 0] = 0.0
+    out[..., 2, 1] = 1.0
+    return out
 
 
 def random_points(count, seed=0):
@@ -113,15 +121,6 @@ def test_s_matrix_relations():
         assert np.max(np.abs(rot - rhs)) < 1e-12
 
 
-def test_killing_vectors_values():
-    k = killing_vectors(1.0, 0.5)
-    assert_allclose(k[2], [0.0, 1.0])
-    # orthonormal-frame components stay bounded toward the pole
-    k = killing_vectors(1e-4, 0.3)
-    frame = np.stack([k[..., 0], np.sin(1e-4) * k[..., 1]], axis=-1)
-    assert np.max(np.abs(frame)) < 1.01
-
-
 def test_killing_contraction_identity():
     theta, phi = random_points(100, seed=3)
     s = s_matrix(theta, phi)
@@ -149,14 +148,18 @@ def test_killing_spinor_orthonormality_and_completeness():
     eta = killing_spinor(theta, phi)
     ortho = np.einsum("...aI,ab,...bJ->...IJ", eta, C_MINUS, eta)
     assert np.max(np.abs(ortho + EPS_LOWER / 2)) < 1e-13
-    comp = np.einsum("...aI,...Ib->...ab", eta, spinor_dual(eta))
+    # the dual etabar = 2 eps^{-1} eta^T C_-
+    dual = 2.0 * np.einsum("ab,...cb,cd->...ad", np.linalg.inv(EPS_LOWER), eta, C_MINUS)
+    comp = np.einsum("...aI,...Ib->...ab", eta, dual)
     assert np.max(np.abs(comp + np.eye(2))) < 1e-13
 
 
 def test_killing_spinor_majorana():
     theta, phi = random_points(20, seed=6)
     eta = killing_spinor(theta, phi)
-    assert modified_majorana_residual(eta) < 1e-13
+    # modified Majorana reality: conj(eta[a, I]) = eps[a, b] eps[I, J] eta[b, J]
+    image = np.einsum("ab,cd,...bd->...ac", EPS_LOWER, EPS_LOWER, eta)
+    assert np.max(np.abs(np.conj(eta) - image)) < 1e-13
 
 
 def test_killing_equation_and_negative_control():
@@ -176,14 +179,6 @@ def test_killing_equation_convergence_order():
     r2 = killing_equation_residual(theta, phi, h=2e-3)
     order = np.log2(r1 / r2)
     assert abs(order - 2.0) < 0.1
-
-
-def test_rotation_reality():
-    rng = np.random.default_rng(9)
-    for _ in range(10):
-        chi = random_majorana_spinor(rng)
-        assert modified_majorana_residual(chi) < 1e-14
-        assert rotation_reality_residual(1.1, 0.7, chi) < 1e-13
 
 
 def test_identification_report():
@@ -256,26 +251,37 @@ def test_hopf_s8_roundtrip():
         s8_inversion(south, u)
 
 
+def test_higher_hopf_maps_read_tables_no_caller_can_change(monkeypatch):
+    rng = np.random.default_rng(26)
+    g4 = rng.normal(size=4) + 1j * rng.normal(size=4)
+    x = rng.normal(size=9)
+    u = rng.normal(size=8)
+    g4, x, u = (v / np.linalg.norm(v) for v in (g4, x, u))
+
+    def maps():
+        g = s8_inversion(x, u)
+        return hopf_s4(g4), g, hopf_s8(g)
+
+    held = maps()
+    # every public builder returns fresh, writable matrices
+    for builder in (gamma_so5, gamma_so9, octonion_lambdas):
+        for table in builder():
+            table[...] = 0.0
+    with monkeypatch.context() as patch:
+        # the maps with every table rebuilt on each call
+        patch.setattr(geometry, "_tables", lambda builder: builder())
+        rebuilt = maps()
+    for before, after, want in zip(held, maps(), rebuilt):
+        assert np.array_equal(before, want) and np.array_equal(after, want)
+    assert not any(t.flags.writeable for t in geometry._tables(gamma_so9))
+
+
 def test_grid_is_interior():
     grid = SphereGrid.make(64, 128)
     assert grid.theta[0] > 0.0 and grid.theta[-1] < np.pi
     assert len(grid.theta) == 64 and len(grid.phi) == 128
     with pytest.raises(ValueError):
         SphereGrid.make(1, 8)
-
-
-def test_spinor_field_sampling():
-    from fuzzball.geometry import SpinorField, sample_projected_spinor, sample_section
-
-    grid = SphereGrid.make(8, 16)
-    sec = sample_section(grid)
-    proj = sample_projected_spinor(grid)
-    assert sec.kind == "lorentz_index" and proj.kind == "global_index"
-    assert sec.values.shape == (8, 16, 2)
-    # both carry the same base point
-    assert np.max(np.abs(hopf_s2(sec.values) - hopf_s2(proj.values))) < 1e-13
-    with pytest.raises(ValueError):
-        SpinorField(values=np.zeros((4, 2)), kind="nonsense")
 
 
 # ---------------------------------------------------------------------------
@@ -379,14 +385,6 @@ def test_unit_vector_broadcasts_like_s_matrix():
     assert np.array_equal(sep, unit_vector(tt, pp))
     assert s_matrix(grid.theta[:, None], grid.phi[None, :]).shape == (6, 10, 2, 2)
     assert unit_vector(0.3, grid.phi).shape == (10, 3)
-
-
-def test_rotation_reality_residual_batched():
-    theta, phi = random_points(2, seed=24)
-    chi = random_majorana_spinor(np.random.default_rng(25))
-    batched = rotation_reality_residual(theta, phi, chi)
-    assert batched < 1e-13
-    assert batched == max(rotation_reality_residual(t, p, chi) for t, p in zip(theta, phi))
 
 
 def test_grid_report_arrays():

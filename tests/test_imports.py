@@ -1,11 +1,15 @@
 """Start-up loads only what a command runs: the package serves its public
-names on first use, and the CLI imports the library inside each command."""
+names on first use, and the CLI imports the library inside each command.
+Every library function and class is reached from a command, a frozen
+acceptance test, a demo or a benchmark."""
 
+import ast
 import importlib
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -95,3 +99,66 @@ def test_package_names_resolve_to_their_submodule_objects():
     assert all(names[name] is getattr(fuzzball, name) for name in fuzzball.__all__)
     with pytest.raises(AttributeError, match="no_such_name"):
         fuzzball.no_such_name
+
+
+# the entry points whose names reach library code
+_ROOTS = (
+    "src/fuzzball/cli.py",
+    "tests/test_acceptance.py",
+    "demos/*.py",
+    "perfbench/*.py",
+    "benchmarks/ladder.py",
+)
+# top-level library names that no entry point reaches, kept on purpose: the
+# classical spinor and vector references held for the bifundamental Laplacian
+# and Dirac rows, and the PEP 562 hook, which Python calls without naming it
+_UNREACHED = {
+    "spherical_spinor",
+    "_cg_half",
+    "vector_harmonics",
+    "spinorial_harmonic",
+    "symbol_map",
+    "__getattr__",
+}
+
+
+def _names(node):
+    """Every name a syntax tree reads: variables, attributes and the names
+    it imports."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name.rpartition(".")[2])
+    return names
+
+
+def test_every_library_function_is_reached():
+    """Names are matched, not bindings, so this can miss dead code (a name
+    that some reached code reads for another object) but never invents it."""
+    repo = Path(fuzzball.__file__).resolve().parents[2]
+    defs, reached = {}, set()
+    for path in sorted(Path(fuzzball.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defs.setdefault(node.name, []).append(node)
+            else:
+                reached |= _names(node)  # module-level code runs on import
+    for pattern in _ROOTS:
+        paths = sorted(repo.glob(pattern))
+        assert paths, pattern
+        for path in paths:
+            reached |= _names(ast.parse(path.read_text()))
+    frontier = reached & defs.keys()
+    while frontier:
+        name = frontier.pop()
+        new = set().union(*map(_names, defs[name])) - reached
+        reached |= new
+        frontier |= new & defs.keys()
+    unreached = defs.keys() - reached
+    assert not unreached - _UNREACHED, f"reached by nothing: {sorted(unreached - _UNREACHED)}"
+    # an exception that is reached again, or gone, leaves the list
+    assert not _UNREACHED - unreached, f"no longer unreached: {sorted(_UNREACHED - unreached)}"

@@ -312,8 +312,8 @@ def test_overflowing_doublet_reads_nan():
 
 def test_calibrate_memory_is_bounded():
     # J_i, Jbar_i and the adjoints gd_a are 8 N x N matrices; beside them
-    # one anticommutator block, one right-hand-side block with its partial
-    # sums and the defect buffer, 12 in all; with the anticommutator blocks
+    # the four block buffers (an anticommutator block, a right-hand-side
+    # block, its partial sum and the defect), 12 in all; with the anticommutator blocks
     # of three keys held it peaked at 16, with T_a, B_a and a convention's
     # eight right-hand-side blocks at 22, and forming the five supermatrices
     # and slicing them at 46
@@ -334,3 +334,86 @@ def test_lowered_symbols_are_symmetric(convention):
     for i in range(3):
         low = _sigma_lowered(i, convention)
         assert np.array_equal(low, low.T)
+
+
+# calibrate(...).scores of the plain and dressed ground states at the default
+# scale grid, one line per (scale, convention) in scoring order: ee, eo, oo
+_PINNED_SCORES = {
+    (3, False): """
+        0x1.bb67ae8584cabp-50 0x1.94c583ada5b53p-53 0x1.0c54021de755ep+2
+        0x1.bb67ae8584cabp-50 0x1.94c583ada5b53p-52 0x1.ad5336963eefdp+1
+        0x1.bb67ae8584cabp-50 0x1.d363d1848dcc0p-52 0x1.7d9f4cf754634p+1
+        0x1.bb67ae8584cabp-50 0x1.1e3779b97f4a8p-51 0x1.1e3779b97f4a9p+1
+        0x1.bb67ae8584cabp-50 0x1.94c583ada5b53p-51 0x0.0p+0
+        0x1.bb67ae8584cabp-50 0x1.1e3779b97f4a8p-50 0x1.1e3779b97f4a9p+2
+        0x1.bb67ae8584cabp-50 0x1.5e8add236a58fp-50 0x1.1e3779b97f4a7p+3
+        0x1.bb67ae8584cabp-50 0x1.94c583ada5b53p-50 0x1.ad5336963eefdp+3
+        0x1.bb67ae8584cabp-50 0x1.94c583ada5b53p-53 0x1.1ec671c145243p+2
+        0x1.bb67ae8584cabp-50 0x1.94c583ada5b53p-52 0x1.2706821902e9ap+2
+        0x1.bb67ae8584cabp-50 0x1.d363d1848dcc0p-52 0x1.2db2eaabf5c80p+2
+        0x1.bb67ae8584cabp-50 0x1.1e3779b97f4a8p-51 0x1.4000000000000p+2
+        0x1.bb67ae8584cabp-50 0x1.94c583ada5b53p-51 0x1.94c583ada5b54p+2
+        0x1.bb67ae8584cabp-50 0x1.1e3779b97f4a8p-50 0x1.4000000000001p+3
+        0x1.bb67ae8584cabp-50 0x1.5e8add236a58fp-50 0x1.c48c6001f0abfp+3
+        0x1.bb67ae8584cabp-50 0x1.94c583ada5b53p-50 0x1.2706821902e9ap+4
+    """,
+    (3, True): """
+        0x1.d86ccad9db0f5p-48 0x1.34c266962c95dp-51 0x1.0c54021de755cp+2
+        0x1.d86ccad9db0f5p-48 0x1.34c266962c95dp-50 0x1.ad5336963eefap+1
+        0x1.d86ccad9db0f5p-48 0x1.64864d7c35a38p-50 0x1.7d9f4cf754632p+1
+        0x1.d86ccad9db0f5p-48 0x1.b4a6d5c9feaddp-50 0x1.1e3779b97f4a7p+1
+        0x1.d86ccad9db0f5p-48 0x1.34c266962c95dp-49 0x1.ae122819b33b2p-52
+        0x1.d86ccad9db0f5p-48 0x1.b4a6d5c9feadep-49 0x1.1e3779b97f4a8p+2
+        0x1.d86ccad9db0f5p-48 0x1.0b64ba1d283a9p-48 0x1.1e3779b97f4a5p+3
+        0x1.d86ccad9db0f5p-48 0x1.34c266962c95dp-48 0x1.ad5336963eef9p+3
+        0x1.d86ccad9db0f5p-48 0x1.34c266962c95dp-51 0x1.1ec671c145242p+2
+        0x1.d86ccad9db0f5p-48 0x1.34c266962c95dp-50 0x1.2706821902e99p+2
+        0x1.d86ccad9db0f5p-48 0x1.64864d7c35a38p-50 0x1.2db2eaabf5c7fp+2
+        0x1.d86ccad9db0f5p-48 0x1.b4a6d5c9feaddp-50 0x1.3fffffffffffep+2
+        0x1.d86ccad9db0f5p-48 0x1.34c266962c95dp-49 0x1.94c583ada5b52p+2
+        0x1.d86ccad9db0f5p-48 0x1.b4a6d5c9feadep-49 0x1.3ffffffffffffp+3
+        0x1.d86ccad9db0f5p-48 0x1.0b64ba1d283a9p-48 0x1.c48c6001f0abdp+3
+        0x1.d86ccad9db0f5p-48 0x1.34c266962c95dp-48 0x1.2706821902e99p+4
+    """,
+    (16, False): """
+        0x1.4b114f6ae4354p-43 0x1.9fe2751ad79b5p-48 0x1.081a2d3f684d5p+6
+        0x1.4b114f6ae4354p-43 0x1.9fe2751ad79b5p-47 0x1.a690486573aeep+5
+        0x1.4b114f6ae4354p-43 0x1.2613276e340e8p-46 0x1.19b58598f7ca0p+5
+        0x1.4b114f6ae4354p-43 0x1.9fe2751ad79b5p-46 0x0.0p+0
+        0x1.4b114f6ae4354p-43 0x1.2613276e340e9p-45 0x1.19b58598f7ca1p+6
+        0x1.4b114f6ae4354p-43 0x1.9fe2751ad79b5p-45 0x1.a690486573aeep+7
+        0x1.4b114f6ae4354p-43 0x1.9fe2751ad79b5p-44 0x1.081a2d3f684d5p+10
+        0x1.4b114f6ae4354p-43 0x1.9fe2751ad79b5p-48 0x1.1a423d36a3f1ap+6
+        0x1.4b114f6ae4354p-43 0x1.9fe2751ad79b5p-47 0x1.22610a3f385b1p+6
+        0x1.4b114f6ae4354p-43 0x1.2613276e340e8p-46 0x1.3af5d7338516bp+6
+        0x1.4b114f6ae4354p-43 0x1.9fe2751ad79b5p-46 0x1.8e6593d77b0b8p+6
+        0x1.4b114f6ae4354p-43 0x1.2613276e340e9p-45 0x1.3af5d7338516cp+7
+        0x1.4b114f6ae4354p-43 0x1.9fe2751ad79b5p-45 0x1.22610a3f385b1p+8
+        0x1.4b114f6ae4354p-43 0x1.9fe2751ad79b5p-44 0x1.1a423d36a3f1ap+10
+    """,
+    (16, True): """
+        0x1.d5b2b146af78fp-41 0x1.197569e769fb3p-45 0x1.081a2d3f684d5p+6
+        0x1.d5b2b146af78fp-41 0x1.197569e769fb3p-44 0x1.a690486573aefp+5
+        0x1.d5b2b146af78fp-41 0x1.8e0aea33bc5d7p-44 0x1.19b58598f7ca1p+5
+        0x1.d5b2b146af78fp-41 0x1.197569e769fb3p-43 0x1.254ebae21cbd4p-48
+        0x1.d5b2b146af78fp-41 0x1.8e0aea33bc5d8p-43 0x1.19b58598f7ca1p+6
+        0x1.d5b2b146af78fp-41 0x1.197569e769fb3p-42 0x1.a690486573aeep+7
+        0x1.d5b2b146af78fp-41 0x1.197569e769fb3p-41 0x1.081a2d3f684d5p+10
+        0x1.d5b2b146af78fp-41 0x1.197569e769fb3p-45 0x1.1a423d36a3f1ap+6
+        0x1.d5b2b146af78fp-41 0x1.197569e769fb3p-44 0x1.22610a3f385b1p+6
+        0x1.d5b2b146af78fp-41 0x1.8e0aea33bc5d7p-44 0x1.3af5d7338516bp+6
+        0x1.d5b2b146af78fp-41 0x1.197569e769fb3p-43 0x1.8e6593d77b0b9p+6
+        0x1.d5b2b146af78fp-41 0x1.8e0aea33bc5d8p-43 0x1.3af5d7338516cp+7
+        0x1.d5b2b146af78fp-41 0x1.197569e769fb3p-42 0x1.22610a3f385b1p+8
+        0x1.d5b2b146af78fp-41 0x1.197569e769fb3p-41 0x1.1a423d36a3f1ap+10
+    """,
+}
+
+
+@pytest.mark.parametrize("n, dressed", list(_PINNED_SCORES))
+def test_calibration_scores_are_pinned_to_the_bit(n, dressed):
+    # the brackets are formed in fixed buffers, by the operations, in the
+    # order, of the plain expressions whose scores these are
+    sol = _dressed(n, 0) if dressed else ground_state(n)
+    scores = calibrate(sol, tol=np.inf).scores
+    assert [x.hex() for res in scores.values() for x in res] == _PINNED_SCORES[n, dressed].split()
