@@ -278,20 +278,20 @@ def _suite_equivalence(n, seed):
     yield ("round_trip_sol", n, round_trip(ground_state(n)).worst())
 
 
-def _suite_geometry(n, seed, grid, residuals):
+def _suite_geometry(n, seed, grid_report):
     import numpy as np
 
     from . import geometry
 
     # the pointwise rows are the maxima of the grid_report arrays
     def worst(name):
-        return float(np.max(residuals[name]))
+        return float(np.max(grid_report.residuals[name]))
 
     yield ("hopf_section_roundtrip", 0, worst("hopf_section_roundtrip"))
-    yield ("s_unitarity", 0, geometry.s_unitarity(grid))
+    yield ("s_unitarity", 0, grid_report.s_unitarity)
     yield ("gamma3_relation", 0, worst("gamma3_relation"))
     yield ("killing_equation", 0, worst("killing_equation"))
-    rep = geometry.identification_check(max(n, 2), grid)
+    rep = grid_report.identification
     yield ("identification_coordinate", n, rep.coordinate)
     yield ("identification_local_phase", n, rep.local_phase)
     yield ("identification_dx", n, rep.dx_agreement)
@@ -329,7 +329,7 @@ def _suite_geometry(n, seed, grid, residuals):
     yield ("hopf_s8_roundtrip", 0, worst8)
 
 
-def _run_suite(suite, n_list, seed, grid, residuals):
+def _run_suite(suite, n_list, seed, grid_report):
     per_n = {
         "grvv": _suite_grvv,
         "u2": _suite_u2,
@@ -355,7 +355,7 @@ def _run_suite(suite, n_list, seed, grid, residuals):
                 skipped.append({"suite": suite, "n": n, "reason": str(why)})
     elif suite == "geometry":
         n = max(n_list) if n_list else 2
-        results.extend(normalize(item) for item in _suite_geometry(n, seed, grid, residuals))
+        results.extend(normalize(item) for item in _suite_geometry(n, seed, grid_report))
     else:
         raise ValueError(f"unknown suite {suite!r}")
     return results, skipped
@@ -369,21 +369,20 @@ def cmd_verify(args):
         if getattr(args, opt) is not None and "geometry" not in suites:
             raise ValueError(f"--{opt.replace('_', '-')} needs --suite geometry or all")
     shape = args.grid or DEFAULT_GRID
-    grid = residuals = None
+    grid = grid_report = None
     if "geometry" in suites:
-        # one evaluation of the per-point residuals feeds both the suite rows
-        # and the grid CSV
+        # one pass over the grid feeds the suite rows and the grid CSV
         from . import geometry
 
         grid = geometry.SphereGrid.make(*shape)
-        residuals = geometry.grid_report(grid)
+        grid_report = geometry.grid_report(grid)
     results, skipped = [], []
     for suite in suites:
-        rows, skips = _run_suite(suite, args.n_list, args.seed, grid, residuals)
+        rows, skips = _run_suite(suite, args.n_list, args.seed, grid_report)
         results.extend(rows)
         skipped.extend(skips)
     if args.grid_csv:
-        _write_grid_csv(args.grid_csv, grid, residuals)
+        _write_grid_csv(args.grid_csv, grid, grid_report.residuals)
     report = {
         "schema": 1,
         "suite": args.suite,

@@ -16,14 +16,11 @@ component u = sqrt(2) P_+ eta equals exp(i pi/4) exp(i phi / 2) section(x)
 identically, which is the local identification checked in
 ``identification_check`` (no phase choice makes it global).
 
-Every grid check (``grid_report``, ``identification_check``,
-``s_unitarity``) is pointwise in (theta, phi), so the grid is evaluated
-GRID_BLOCK_ROWS theta rows at a time: a block's temporaries stay
-cache-sized, and from matcore.POOL_MIN_ROWS theta rows on, with more than
-one usable CPU, the blocks run in forked workers (matcore._map_blocks).
-``grid_report`` copies each block's four per-point rows into arrays
-allocated before the first block; the other checks reduce each block's
-sups with max, which is exact.
+Every grid check is pointwise in (theta, phi), so ``grid_report``
+evaluates them all in one pass, GRID_BLOCK_ROWS theta rows at a time: a
+block's temporaries stay cache-sized, and from matcore.POOL_MIN_ROWS theta
+rows on, with more than one usable CPU, the blocks run in forked workers
+(matcore._map_blocks).
 
 The block kernels are component-first: a point x, a spinor v and a 2x2
 matrix m are held as x[i], v[a] and m[a, b] on leading axes, so every
@@ -37,7 +34,7 @@ from these kernels: the rows, report and grid CSV do not move by a bit.
 """
 
 import functools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -72,10 +69,14 @@ ID_PHASE = np.exp(0.25j * np.pi)  # constant phase in the section/spinor match
 
 # theta rows per grid block: at n_phi = 512 a block's complex component
 # arrays are 256 KiB (1 MiB for a 2x2 stack), inside a core's L2, where the
-# full grid's are 2 MiB (8 MiB).  At 256x512 on 2 CPUs, grid_report plus
-# identification_check take 0.36-0.40 s with 16, 32 or 64 rows per block,
-# 0.60 s with 4 and 1.04 s with 1, where the fixed cost per block dominates
+# full grid's are 2 MiB (8 MiB).  At 256x512 on 2 CPUs, the grid checks
+# took 0.36-0.40 s with 16, 32 or 64 rows per block, 0.60 s with 4 and
+# 1.04 s with 1, where the fixed cost per block dominates
 GRID_BLOCK_ROWS = 32
+# the finite-difference step of the grid checks, and the half-width of the
+# phi window of the local phase check
+GRID_STEP = 1e-4
+PHASE_WINDOW = 0.02
 
 
 @dataclass(frozen=True)
@@ -335,19 +336,23 @@ def killing_equation_residual(theta, phi, h=1e-4, connection_sign=-1.0, extrapol
     return float(np.max(_killing_defect(theta, phi, h, connection_sign, extrapolate)))
 
 
+def _fibre_phase(theta, phi):
+    """The phase that turns section() into _aligned_section()."""
+    return np.exp(0.5j * np.asarray(phi) * (1.0 - np.cos(theta)))
+
+
 def _aligned_section(theta, phi):
     """Local representative carrying the fibre phase that the adjoint-action
     derivative identity requires; coincides with section() at phi = 0 and is
     not single-valued in phi (the known global obstruction).  Component-first:
     shape (2, ...)."""
     g = _section(*_unit(theta, phi))
-    phase = np.exp(0.5j * np.asarray(phi) * (1.0 - np.cos(theta)))
-    return np.multiply(phase, g, out=g)
+    return np.multiply(_fibre_phase(theta, phi), g, out=g)
 
 
-def _rotated_gamma(theta, phi):
-    """M_a = S gamma_a S^dag for a = theta, phi, component-first."""
-    s = _s_columns(theta, phi)
+def _rotated_gamma(s, theta):
+    """M_a = S gamma_a S^dag for a = theta, phi, component-first, from the
+    columns ``s`` of S(theta, phi) (_s_columns)."""
     sd = _dag2(s)
     gth, gph = _gamma_a(theta)
     return _mul2(_mul2(s, gth), sd), _mul2(_mul2(s, gph), sd)
@@ -374,59 +379,56 @@ class IdentificationReport:
     order_c: float  # measured convergence order of (c)
 
     def to_json(self):
-        return {
-            "schema": 1,
-            "coordinate": self.coordinate,
-            "projected_derivative": self.projected_derivative,
-            "section_derivative": self.section_derivative,
-            "local_phase": self.local_phase,
-            "dx_agreement": self.dx_agreement,
-            "order_b": self.order_b,
-            "order_c": self.order_c,
-        }
+        return {"schema": 1, **asdict(self)}
 
 
-def _grid_blocks(grid, kernel, take):
-    """Call ``take(kernel(theta, phi))`` for the theta rows of ``grid``,
-    GRID_BLOCK_ROWS at a time and in order, with theta of shape (rows, 1)
-    and phi of shape (1, n_phi).  Every residual is pointwise (the central
-    differences shift the angle they pass, never reading a neighbouring
-    row), so the blocks are independent; they run through
-    matcore._map_blocks, in forked workers from POOL_MIN_ROWS theta rows
-    on.  ``kernel`` returns a float64 array, which ``take`` receives flat
-    from a worker."""
-    theta, phi = grid.theta, grid.phi[None, :]
-
-    def block(index):
-        start = index * GRID_BLOCK_ROWS
-        return kernel(theta[start : start + GRID_BLOCK_ROWS, None], phi)
-
-    _map_blocks(block, -(-len(theta) // GRID_BLOCK_ROWS), len(theta), take)
+GRID_IDENTITIES = (
+    "hopf_section_roundtrip",
+    "gamma3_relation",
+    "spinor_coordinates",
+    "killing_equation",
+)
+# a grid block's sups after its per-point rows: sup |S S^dag - 1|, the
+# identification checks (a)..(e), then (b) and (c) at the two order steps
+BLOCK_SUPS = 10
 
 
-def _grid_sups(grid, kernel, count):
-    """Elementwise maxima over the blocks of the ``count`` sups that
-    ``kernel`` returns per block, as a list of floats."""
-    sups = np.full(count, -np.inf)
-    _grid_blocks(grid, kernel, lambda block: np.maximum(sups, block, out=sups))
-    return sups.tolist()
-
-
-def _identification_block(theta, phi, h, phi_window):
-    """The sups of one block: (a), (b) and (c) at ``h``, (d), (e), then (b)
-    and (c) at the two order-measuring steps."""
+def _grid_block(theta, phi):
+    """One block of theta rows, flat: its per-point rows in GRID_IDENTITIES
+    order, then its BLOCK_SUPS sups.  Each intermediate (the points, the
+    columns of S, the section and the projected spinor) is formed once, and
+    check (a) is the sup of the spinor_coordinates row."""
     xs = _unit(theta, phi)
     x = _points(xs)
-    u0 = _projected(theta, phi)
+    s = _s_columns(theta, phi)
     g0 = _section(*xs)
-    a0 = _aligned_section(theta, phi)
-    a0c = a0.conj()
-    mth, mph = _rotated_gamma(theta, phi)
+    u0 = _projected(theta, phi)
+    out = np.empty(len(GRID_IDENTITIES) * x[0].size + BLOCK_SUPS)
+    point = out[:-BLOCK_SUPS].reshape((len(GRID_IDENTITIES),) + x[0].shape)
+    sups = out[-BLOCK_SUPS:]
+
+    # S gamma_3 S^dag + x_i sigma_i^T vanishes pointwise; the sum is
+    # spelled out (entries 0, +-1, +-i: exact) so that no BLAS call is made
+    g3 = _mul2(_mul2(s, SIGMA[2]), _dag2(s))
+    for i, j in np.ndindex(2, 2):
+        g3[i, j] += x[0] * SIGMA_T[0, i, j] + x[1] * SIGMA_T[1, i, j] + x[2] * SIGMA_T[2, i, j]
+    point[0] = np.max(np.abs(_hopf(g0) - x), axis=0)
+    point[1] = np.max(np.abs(g3), axis=(0, 1))
+    point[2] = np.max(np.abs(_hopf(u0) - x), axis=0)
+    point[3] = _killing_defect(theta, phi, GRID_STEP, richardson=True)
+
+    # einsum without optimize calls no BLAS; _mul2 rounds the products
+    # differently (5.556e-16 against 5.551e-16 at 256x512)
+    st = _trailing(s, 2)
+    sups[0] = _sup(np.einsum("...ab,...cb->...ac", st, st.conj()) - np.eye(2))
 
     # (a) coordinates from the projected spinor
-    res_a = _sup(_hopf(u0) - x)
+    sups[1] = np.max(point[2])
 
     # (b), (c) finite-difference derivative laws
+    a0 = _fibre_phase(theta, phi) * g0
+    a0c = a0.conj()
+    mth, mph = _rotated_gamma(s, theta)
     law_bt = 0.5j * _mul_vec2(mth, u0)
     law_bp = 0.5j * _mul_vec2(mph, u0)
     law_bc = 0.5j * np.cos(theta) * u0
@@ -447,121 +449,87 @@ def _identification_block(theta, phi, h, phi_window):
             res = max(res, _sup(defect - 1j * coeff * a0[:, rows]))
         return res
 
+    sups[2:4] = fd_b(GRID_STEP), fd_c(GRID_STEP)
+
     # (d) local phase match near phi = 0: the projected spinor equals the
     # aligned representative times exp(i phi cos(theta) / 2) and one fixed
     # constant phase
-    phis = np.linspace(-phi_window, phi_window, 9)[None, :]
+    phis = np.linspace(-PHASE_WINDOW, PHASE_WINDOW, 9)[None, :]
     match = ID_PHASE * np.exp(0.5j * phis * np.cos(theta)) * _aligned_section(theta, phis)
-    res_d = _sup(_projected(theta, phis) - match)
+    sups[4] = _sup(_projected(theta, phis) - match)
 
     # (e) d_a x_i from either derivative law: (i/2) v^dag [M_a, sigma~_i] v
-    res_e = max(_sup(_dx_from_law(m, u0) - _dx_from_law(m, g0)) for m in (mth, mph))
+    sups[5] = max(_sup(_dx_from_law(m, u0) - _dx_from_law(m, g0)) for m in (mth, mph))
 
     # orders are measured at steps large enough that truncation beats roundoff,
     # on the rows whose steps stay in (0, pi) and in the chart of _section
     # (every row of a grid below 785 theta rows)
-    h_ord = max(h, 2e-3)
+    h_ord = 2e-3
     t = theta[:, 0]
     keep = np.flatnonzero((t > h_ord) & (t + h_ord < np.pi) & (np.cos(t + h_ord) > -1 + 1e-12))
-    orders = [-np.inf] * 4  # a block with no such row
+    sups[6:] = -np.inf  # a block with no such row
     if keep.size:
         rows = slice(keep[0], keep[-1] + 1)
-        orders = [f(s, rows) for f in (fd_b, fd_c) for s in (h_ord, h_ord / 2)]
-    return np.array([res_a, fd_b(h), fd_c(h), res_d, res_e, *orders])
+        sups[6:] = [f(step, rows) for f in (fd_b, fd_c) for step in (h_ord, h_ord / 2)]
+    return out
 
 
-def identification_check(n, grid, h=1e-4, phi_window=0.02):
-    """Run the five identification checks on the interior of a grid.
+@dataclass(frozen=True)
+class GridReport:
+    """Every grid check: one per-point residual array per identity (in the
+    row order of the grid CSV), sup |S S^dag - 1| and checks (a)..(e)."""
 
-    ``n`` is the matrix size whose large-size limit is being probed; it
-    gates validity (n >= 2) and is recorded by callers, the residuals
-    themselves are classical.  Each block of theta rows returns its sups
-    (_identification_block); the report holds their maxima, and the
-    convergence orders are taken from the maxima at the two order steps.
-    """
-    if n < 2:
-        raise ValueError("identification needs n >= 2")
-    a, b, c, d, e, b_ord, b_half, c_ord, c_half = _grid_sups(
-        grid, lambda theta, phi: _identification_block(theta, phi, h, phi_window), 9
-    )
-    return IdentificationReport(
-        coordinate=a,
-        projected_derivative=b,
-        section_derivative=c,
-        local_phase=d,
-        dx_agreement=e,
-        order_b=float(np.log2(b_ord / b_half)),
-        order_c=float(np.log2(c_ord / c_half)),
-    )
+    residuals: dict
+    s_unitarity: float
+    identification: IdentificationReport
 
 
-def _report_block(theta, phi, h):
-    """The four per-point rows of one block, stacked in GRID_IDENTITIES
-    order: shape (4, rows, n_phi)."""
-    xs = _unit(theta, phi)
-    x = _points(xs)
-    s = _s_columns(theta, phi)
-    # S gamma_3 S^dag + x_i sigma_i^T vanishes pointwise; the sum is
-    # spelled out (entries 0, +-1, +-i: exact) so that no BLAS call is made
-    g3 = _mul2(_mul2(s, SIGMA[2]), _dag2(s))
-    for i in range(2):
-        for j in range(2):
-            g3[i, j] += (
-                x[0] * SIGMA_T[0, i, j] + x[1] * SIGMA_T[1, i, j] + x[2] * SIGMA_T[2, i, j]
-            )
-    return np.stack(
-        [
-            np.max(np.abs(_hopf(_section(*xs)) - x), axis=0),
-            np.max(np.abs(g3), axis=(0, 1)),
-            np.max(np.abs(_hopf(_projected(theta, phi)) - x), axis=0),
-            _killing_defect(theta, phi, h, richardson=True),
-        ]
-    )
+def grid_report(grid):
+    """Evaluate every grid check in one pass, block by block.
 
-
-GRID_IDENTITIES = (
-    "hopf_section_roundtrip",
-    "gamma3_relation",
-    "spinor_coordinates",
-    "killing_equation",
-)
-
-
-def grid_report(grid, h=1e-4):
-    """Per-point residuals: one (n_theta, n_phi) array per identity, keyed by
-    identity name in the row order of the grid CSV.
-
-    Covers the pointwise identities: chart round trip, the rotated gamma_3
+    The per-point residuals cover the chart round trip, the rotated gamma_3
     relation, coordinate reproduction from the projected spinor, and the
-    Killing equation (Richardson-extrapolated derivative).  The arrays are
-    allocated before the first block is computed, so a grid too large to
-    hold them fails at once with MemoryError.
+    Killing equation (Richardson-extrapolated derivative).  Every residual
+    is pointwise (the central differences shift the angle they pass, never
+    reading a neighbouring row), so the blocks are independent.  Their rows
+    are copied into arrays allocated before the first block, so a grid too
+    large to hold them fails at once with MemoryError; their sups are
+    reduced with max, which is exact, and the convergence orders are taken
+    from the maxima at the two order steps.
     """
-    n_theta, n_phi = len(grid.theta), len(grid.phi)
+    theta, phi, n_phi = grid.theta, grid.phi[None, :], len(grid.phi)
     # one allocation for the four arrays, so their total is what is refused
-    out = np.empty((len(GRID_IDENTITIES), n_theta, n_phi))
+    out = np.empty((len(GRID_IDENTITIES), len(theta), n_phi))
+    sups = np.full(BLOCK_SUPS, -np.inf)
     filled = 0
 
-    def take(block):
+    def block(index):
+        start = index * GRID_BLOCK_ROWS
+        return _grid_block(theta[start : start + GRID_BLOCK_ROWS, None], phi)
+
+    def take(flat):
+        # from a worker the block arrives read-only
         nonlocal filled
-        block = block.reshape(len(GRID_IDENTITIES), -1, n_phi)
-        out[:, filled : filled + block.shape[1]] = block
-        filled += block.shape[1]
+        rows = flat[:-BLOCK_SUPS].reshape(len(GRID_IDENTITIES), -1, n_phi)
+        out[:, filled : filled + rows.shape[1]] = rows
+        filled += rows.shape[1]
+        np.maximum(sups, flat[-BLOCK_SUPS:], out=sups)
 
-    _grid_blocks(grid, lambda theta, phi: _report_block(theta, phi, h), take)
-    return dict(zip(GRID_IDENTITIES, out))
+    _map_blocks(block, -(-len(theta) // GRID_BLOCK_ROWS), len(theta), take)
+    unitarity, *checks, b_ord, b_half, c_ord, c_half = sups.tolist()
+    orders = float(np.log2(b_ord / b_half)), float(np.log2(c_ord / c_half))
+    return GridReport(
+        dict(zip(GRID_IDENTITIES, out)), unitarity, IdentificationReport(*checks, *orders)
+    )
 
 
-def s_unitarity(grid):
-    """Sup over the grid of |S S^dag - 1|, one block of theta rows at a time."""
-
-    def block(theta, phi):
-        s = s_matrix(theta, phi)
-        # einsum without optimize calls no BLAS; _mul2 rounds the products
-        # differently (5.556e-16 against 5.551e-16 at 256x512)
-        return np.array([_sup(np.einsum("...ab,...cb->...ac", s, s.conj()) - np.eye(2))])
-
-    return _grid_sups(grid, block, 1)[0]
+def identification_check(n, grid):
+    """The five identification checks on the interior of a grid (from
+    ``grid_report``).  ``n``, the matrix size whose large-size limit is
+    probed, gates validity (n >= 2); the residuals themselves are classical."""
+    if n < 2:
+        raise ValueError("identification needs n >= 2")
+    return grid_report(grid).identification
 
 
 # ---------------------------------------------------------------------------

@@ -92,9 +92,16 @@ class GrvvSolution:
         for key in ("g1", "g2"):
             if key not in obj:
                 raise ValueError(f"malformed solution: missing key {key!r}")
+
+        def matrix(key):
+            try:
+                return matrix_from_json(obj[key])
+            except ValueError as exc:
+                raise ValueError(f"malformed solution: {key}: {exc}") from exc
+
         return cls(
-            g1=matrix_from_json(obj["g1"]),
-            g2=matrix_from_json(obj["g2"]),
+            g1=matrix("g1"),
+            g2=matrix("g2"),
             partition=tuple(obj.get("partition", ())),
             dressed=bool(obj.get("dressed", False)),
         )

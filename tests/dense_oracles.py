@@ -5,9 +5,9 @@ of measured eigenvalues into levels by a tolerance, the dense
 matrix helpers the compatibility relations and the superalgebra brackets are
 checked with (SVD pseudo-inverse, eigensolver square root, anticommutator,
 Frobenius distance), the geometry grid checks evaluated over the whole grid
-at once, which the blocked ``grid_report`` and ``identification_check``
-replace, and the trailing-axis (array-of-structures) 2x2 kernels and grid
-blocks that the component-first ones in ``fuzzball.geometry`` replace, and
+at once, which the one blocked pass of ``grid_report`` replaces, and the
+trailing-axis (array-of-structures) 2x2 kernels and grid blocks that the
+component-first ones in ``fuzzball.geometry`` replace, and
 the 2N x 2N supermatrices of the graded closure (``build``) with the
 brackets evaluated on blocks sliced out of them, which ``superalg`` replaces
 by brackets on the N x N blocks themselves, and the spin-map and graded-closure
@@ -443,8 +443,9 @@ def held_intertwiner(sol):
 
 # ---------------------------------------------------------------------------
 # trailing-axis 2x2 kernels: every matrix on (..., 2, 2), every spinor on
-# (..., 2); the grid blocks below are the component-first
-# geometry._report_block and geometry._identification_block in this layout
+# (..., 2); the grid blocks below are the per-point rows and the
+# identification sups of the component-first geometry._grid_block in this
+# layout
 
 
 def _mul2(a, b):
@@ -512,7 +513,8 @@ def _dx_from_law(m, v):
 
 
 def _identification_block(theta, phi, h, phi_window):
-    """geometry._identification_block in the trailing-axis layout."""
+    """The identification sups of geometry._grid_block in the trailing-axis
+    layout."""
     x = unit_vector(theta, phi)
     u0 = _projected(theta, phi)
     g0 = section(x)
@@ -553,7 +555,8 @@ def _identification_block(theta, phi, h, phi_window):
 
 
 def _report_block(theta, phi, h):
-    """geometry._report_block in the trailing-axis layout."""
+    """The per-point rows of geometry._grid_block in the trailing-axis
+    layout."""
     x = unit_vector(theta, phi)
     s = geometry.s_matrix(theta, phi)
     x_sigma_t = (
@@ -588,10 +591,15 @@ def grid_report(grid, h=1e-4):
     }
 
 
+def _s_unitarity_block(theta, phi):
+    """sup |S S^dag - 1| at the points (theta, phi)."""
+    s = geometry.s_matrix(theta, phi)
+    return float(np.max(np.abs(np.einsum("...ab,...cb->...ac", s, s.conj()) - np.eye(2))))
+
+
 def s_unitarity(grid):
     """sup |S S^dag - 1| over the whole grid at once."""
-    s = geometry.s_matrix(grid.theta[:, None], grid.phi[None, :])
-    return float(np.max(np.abs(np.einsum("...ab,...cb->...ac", s, s.conj()) - np.eye(2))))
+    return _s_unitarity_block(grid.theta[:, None], grid.phi[None, :])
 
 
 def identification_check(grid, h=1e-4, phi_window=0.02):

@@ -129,7 +129,7 @@ def test_verify_geometry_rows_are_grid_maxima(tmp_path):
     args = ["verify", "--suite", "geometry", "--grid", "8x16", "--n-list", "2"]
     assert run(args + ["--out", str(out), "--grid-csv", str(grid_csv)]) == 0
     rows = {r["name"]: r["residual"] for r in json.loads(out.read_text())["results"]}
-    residuals = geometry.grid_report(geometry.SphereGrid.make(8, 16))
+    residuals = geometry.grid_report(geometry.SphereGrid.make(8, 16)).residuals
     for name in GRID_ROWS:
         assert rows[name] == float(np.max(residuals[name]))
     lines = grid_csv.read_text().splitlines()
@@ -141,7 +141,7 @@ def _grid_csv_pair(tmp_path, n_theta, n_phi):
     """(our grid CSV, the csv.writer reference) of the residual magnitudes
     spread over logspace(-300, 300), so every exponent width is exercised."""
     grid = geometry.SphereGrid.make(n_theta, n_phi)
-    residuals = geometry.grid_report(grid)
+    residuals = geometry.grid_report(grid).residuals
     residuals["killing_equation"] = residuals["killing_equation"] * np.logspace(
         -300, 300, n_theta * n_phi
     ).reshape(n_theta, n_phi)
@@ -470,6 +470,22 @@ def test_decompose_names_the_solution_file_and_its_fault(tmp_path, capsys, key, 
     assert capsys.readouterr().err == f"error: {gfile}: malformed solution: {message}\n"
 
 
+@pytest.mark.parametrize("key", ["g1", "g2"])
+def test_decompose_names_the_faulty_solution_matrix(tmp_path, capsys, key):
+    gfile = tmp_path / "g.json"
+    assert run(["gen", "grvv", "--n", "2", "--out", str(gfile)]) == 0
+    obj = json.loads(gfile.read_text())
+    del obj[key]["cols"]
+    gfile.write_text(json.dumps(obj))
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"rows": 2, "cols": 2, "data": [[0, 0]] * 4}))
+    capsys.readouterr()
+    assert run(["decompose", "--solution", str(gfile), "--matrix", f"{good},{good}"]) == 2
+    # was error: FILE: malformed matrix: missing key 'cols', naming neither matrix
+    expected = f"error: {gfile}: malformed solution: {key}: malformed matrix: missing key 'cols'\n"
+    assert capsys.readouterr().err == expected
+
+
 @pytest.mark.parametrize("key", ["rows", "cols", "data"])
 def test_decompose_names_the_matrix_file_and_its_missing_key(tmp_path, capsys, key):
     gfile = tmp_path / "g.json"
@@ -646,10 +662,10 @@ def test_verify_grid_needs_geometry(capsys):
 def test_out_of_memory_is_a_usage_error(monkeypatch, capsys):
     # grid_report allocates its arrays before the first block: a grid too
     # large to hold them fails there, before any block runs
-    def block(theta, phi, h):
+    def block(theta, phi):
         raise AssertionError("a grid block ran before the arrays were allocated")
 
-    monkeypatch.setattr(geometry, "_report_block", block)
+    monkeypatch.setattr(geometry, "_grid_block", block)
     assert run(["verify", "--suite", "geometry", "--grid", "100000x100000"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: out of memory: Unable to allocate")
@@ -731,22 +747,45 @@ def test_grid_worker_failure_is_a_usage_error(tmp_path, capsys, forks, monkeypat
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     parent = os.getpid()
     first = geometry.SphereGrid.make(160, 512).theta[0]
-    report_block = geometry._report_block
+    grid_block = geometry._grid_block
 
-    def failing(theta, phi, h):
+    def failing(theta, phi):
         if os.getpid() != parent and theta[0, 0] == first:
             failure(0)
-        return report_block(theta, phi, h)
+        return grid_block(theta, phi)
 
-    monkeypatch.setattr(geometry, "_report_block", failing)
+    monkeypatch.setattr(geometry, "_grid_block", failing)
     out = tmp_path / "geo.json"
     args = ["verify", "--suite", "geometry", "--grid", "160x512", "--n-list", "2"]
     assert run(args + ["--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(message)
     assert not out.exists()
-    # grid_report failed, so no other grid pass forked; the forks fixture
+    # the grid pass failed, so no other worker forked; the forks fixture
     # checks that the three were reaped
     assert len(forks) == 3
+
+
+@pytest.mark.parametrize("csv_out, workers", [(True, 4), (False, 2)], ids=["csv", "no_csv"])
+def test_verify_geometry_evaluates_the_grid_once(tmp_path, forks, csv_out, workers):
+    # two workers for the one grid pass, two for the CSV writer; the grid
+    # used to be evaluated in three pooled passes (8 and 6 workers)
+    args = ["verify", "--suite", "geometry", "--n-list", "2", "--grid", "128x16",
+            "--out", str(tmp_path / "geo.json")]
+    if csv_out:
+        args += ["--grid-csv", str(tmp_path / "grid.csv")]
+    assert run(args) == 0
+    assert len(forks) == workers
+
+
+def test_identification_coordinate_is_the_spinor_coordinates_maximum(tmp_path, forks):
+    # check (a) is read off the per-point spinor_coordinates rows, also when
+    # the blocks come from forked workers
+    out = tmp_path / "geo.json"
+    args = ["verify", "--suite", "geometry", "--grid", "160x48", "--n-list", "3"]
+    assert run(args + ["--out", str(out)]) == 0
+    rows = {r["name"]: r["residual"] for r in json.loads(out.read_text())["results"]}
+    residuals = geometry.grid_report(geometry.SphereGrid.make(160, 48)).residuals
+    assert rows["identification_coordinate"] == float(np.max(residuals["spinor_coordinates"]))
 
 
 def test_verify_geometry_rows_equal_full_grid_oracles(tmp_path):

@@ -23,7 +23,6 @@ from fuzzball.geometry import (
     octonion_lambdas,
     s8_inversion,
     s_matrix,
-    s_unitarity,
     section,
     unit_vector,
     weyl_plus,
@@ -332,7 +331,8 @@ def test_2x2_kernels_match_dense_oracles(case):
     g = section(unit_vector(theta, phi))
     assert np.max(np.abs(hopf_s2(u) - dense_hopf_s2(u))) < 1e-14
     assert np.max(np.abs(hopf_s2(g) - dense_hopf_s2(g))) < 1e-14
-    for m, ref in zip(geometry._rotated_gamma(theta, phi), dense_rotated_gamma(theta, phi)):
+    rotated = geometry._rotated_gamma(geometry._s_columns(theta, phi), theta)
+    for m, ref in zip(rotated, dense_rotated_gamma(theta, phi)):
         m_aos = geometry._trailing(m, 2)
         assert m_aos.shape == ref.shape
         assert np.max(np.abs(m_aos - ref)) < 1e-14
@@ -390,7 +390,7 @@ def test_unit_vector_broadcasts_like_s_matrix():
 def test_grid_report_arrays():
     grid = SphereGrid.make(12, 24)
     tt, pp = grid.mesh()
-    res = grid_report(grid)
+    res = grid_report(grid).residuals
     assert list(res) == [
         "hopf_section_roundtrip",
         "gamma3_relation",
@@ -435,19 +435,28 @@ def test_blocked_grid_checks_match_full_grid_oracles(
     monkeypatch.setattr(matcore, "POOL_MIN_ROWS", pool_min_rows)
     forked = len(forks)
     grid = SphereGrid.make(n_theta, n_phi)
-    res = grid_report(grid)
+    report = grid_report(grid)
+    res = report.residuals
     ref = dense_oracles.grid_report(grid)
     assert list(res) == list(ref)
     for name, arr in ref.items():
         assert res[name].shape == arr.shape and res[name].dtype == float
         assert np.max(np.abs(res[name] - arr)) <= 4 * EPS, name
-    rep = dataclasses.asdict(identification_check(2, grid))
+    rep = dataclasses.asdict(report.identification)
     for field, value in dataclasses.asdict(dense_oracles.identification_check(grid)).items():
         assert abs(rep[field] - value) <= 4 * EPS, field
-    assert abs(s_unitarity(grid) - dense_oracles.s_unitarity(grid)) <= 4 * EPS
-    # three grid passes, each on two workers once there are two blocks
+    assert abs(report.s_unitarity - dense_oracles.s_unitarity(grid)) <= 4 * EPS
+    # one grid pass, on two workers once there are two blocks
     pooled = n_theta >= pool_min_rows and n_theta > GRID_BLOCK_ROWS
-    assert len(forks) - forked == (3 * 2 if pooled else 0)
+    assert len(forks) - forked == (2 if pooled else 0)
+
+
+def grid_block(theta, phi):
+    """geometry._grid_block of one block, split: (its four per-point rows,
+    its sup |S S^dag - 1|, its nine identification sups)."""
+    flat = geometry._grid_block(theta, phi)
+    sups = flat[-geometry.BLOCK_SUPS :]
+    return flat[: -geometry.BLOCK_SUPS].reshape(4, len(theta), -1), sups[0], sups[1:]
 
 
 # The grid kernels hold every component as its own array; the blocks must
@@ -470,12 +479,12 @@ def test_component_blocks_equal_trailing_axis_blocks(rows, n_phi, n_theta, where
     grid = SphereGrid.make(n_theta, n_phi)
     start = {"north": 0, "middle": (n_theta - rows) // 2, "south": n_theta - rows}[where]
     theta, phi = grid.theta[start : start + rows, None], grid.phi[None, :]
-    report = geometry._report_block(theta, phi, 1e-4)
+    report, unitarity, identification = grid_block(theta, phi)
     assert report.shape == (4, rows, n_phi)
     assert np.array_equal(report, dense_oracles._report_block(theta, phi, 1e-4))
+    assert unitarity == dense_oracles._s_unitarity_block(theta, phi)
     assert np.array_equal(
-        geometry._identification_block(theta, phi, 1e-4, 0.02),
-        dense_oracles._identification_block(theta, phi, 1e-4, 0.02),
+        identification, dense_oracles._identification_block(theta, phi, 1e-4, 0.02)
     )
 
 
@@ -485,7 +494,7 @@ def test_order_sups_leave_out_the_rows_next_to_the_poles():
     # other rows, and every other sup keeps the first row
     grid = SphereGrid.make(786, 8)
     theta, phi = grid.theta[:16, None], grid.phi[None, :]
-    ours = geometry._identification_block(theta, phi, 1e-4, 0.02)
+    ours = grid_block(theta, phi)[2]
     assert np.array_equal(ours[:5], dense_oracles._identification_block(theta, phi, 1e-4, 0.02)[:5])
     assert np.array_equal(
         ours[5:], dense_oracles._identification_block(theta[1:], phi, 1e-4, 0.02)[5:]
@@ -496,7 +505,7 @@ def test_order_sups_leave_out_the_rows_next_to_the_poles():
     south = SphereGrid.make(785, 8).theta[-1:, None]
     with pytest.raises(ValueError, match="singular"):
         dense_oracles._identification_block(south, phi, 1e-4, 0.02)
-    block = geometry._identification_block(south, phi, 1e-4, 0.02)
+    block = grid_block(south, phi)[2]
     assert np.all(np.isfinite(block[:5])) and np.all(block[5:] == -np.inf)
 
 
