@@ -46,6 +46,13 @@ def _parse_sizes(text):
     return values
 
 
+def _parse_seed(text):
+    """``--seed`` and ``--dress``: a seed of numpy's generator, 0 or more."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"seeds must be integers 0 or more, got {text!r}")
+    return int(text)
+
+
 def _parse_grid(text):
     try:
         nt, npz = text.lower().split("x")
@@ -270,6 +277,7 @@ def _suite_superalgebra(n, seed):
 
 
 def _suite_equivalence(n, seed):
+    _require_doublet(n)
     from .equivalence import round_trip
     from .grvv import ground_state
     from .su2rep import irrep
@@ -437,6 +445,9 @@ def cmd_converge(args):
     from .spectra import commutator_decay, mode_convergence
 
     if args.which == "commutator":
+        if min(args.n_list) < 2:
+            raise ValueError("converge commutator needs --n-list sizes of 2 or more: at n = 1, "
+                             "J = 0 and x_i = J_i / sqrt(n^2 - 1) is undefined")
         table = commutator_decay(args.n_list)
         rows = [[n, f"{v:.15g}", f"{2.0 / (n + 1):.15g}"] for n, v in table]
         _write_csv(args.out, ["n", "spectral_norm", "closed_form"], rows)
@@ -514,7 +525,7 @@ def build_parser():
     gen.add_argument("--n", type=int)
     gen.add_argument("--partition", type=_parse_int_list)
     gen.add_argument("--dims", type=_parse_int_list)
-    gen.add_argument("--dress", type=int, help="seed for a random gauge dressing")
+    gen.add_argument("--dress", type=_parse_seed, help="seed for a random gauge dressing")
     gen.add_argument("--group", choices=("so5", "so9"), help="gamma only (default so5)")
     gen.add_argument("--out", default=None)
     gen.set_defaults(func=cmd_gen)
@@ -531,7 +542,7 @@ def build_parser():
     ver.add_argument("--suite", choices=SUITES, required=True)
     ver.add_argument("--n-list", type=_parse_sizes, default=[2, 3, 4, 8])
     ver.add_argument("--tol", type=float, default=1e-10)
-    ver.add_argument("--seed", type=int, default=0)
+    ver.add_argument("--seed", type=_parse_seed, default=0)
     ver.add_argument("--grid", type=_parse_grid, help="geometry suite only (default 64x128)")
     ver.add_argument("--grid-csv", default=None, help="per-point geometry residual CSV")
     ver.add_argument("--out", default=None)

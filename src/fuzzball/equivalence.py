@@ -69,14 +69,14 @@ def _forms(t, spectra=False):
     return tuple(pauli_contract(t)), t[0][0] + t[1][1], spec
 
 
-def grvv_to_su2(sol, tol=1e-8):
+def grvv_to_su2(sol):
     """Extract (J_i, Jbar_i) from a doublet and certify both su(2) closures.
 
-    Returns (rep, rep_bar, residuals) where residuals holds the closure
-    defects max_ij ||[J_i, J_j] - 2i eps_ijk J_k||_F and the commutation of
-    the u(1) traces with the triples.
+    The input must pass ``require_solution`` (1e-8).  Returns (rep, rep_bar,
+    residuals), residuals holding the closure defects max_ij ||[J_i, J_j] -
+    2i eps_ijk J_k||_F and the commutation of the u(1) traces with the triples.
     """
-    res0 = require_solution(sol, tol)
+    res0 = require_solution(sol)
     j, trace_j, _ = _forms(_jmat(sol))
     jb, trace_jb, _ = _forms(_kbar(sol))
     residuals = {
@@ -117,14 +117,14 @@ def barred_generators(partition):
     return _canonical_sum([m for n in partition for m in (1, n - 1) if m]).generators
 
 
-def _require_canonical(rep, tol=1e-8):
+def _require_canonical(rep):
     if not rep.partition:
         raise ValueError("rep not in canonical block form (no partition recorded); "
                          "run canonicalize first")
     if sum(rep.partition) != rep.dim:
         raise ValueError("partition does not match the dimension")
     exact = _canonical_sum(rep.partition).generators
-    if max_frobenius(g - e for g, e in zip(rep.generators, exact)) > tol * max(1.0, rep.dim):
+    if max_frobenius(g - e for g, e in zip(rep.generators, exact)) > 1e-8 * max(1.0, rep.dim):
         raise ValueError("rep not in canonical block form; run canonicalize first")
 
 
@@ -171,8 +171,8 @@ def su2_to_grvv(rep):
     return Su2ToGrvvResult(solution=sol, ghat1=ghat1, ghat2=ghat2, residuals=residuals)
 
 
-def compatibility_residual(rep, u, tol=1e-10):
-    """Joint residual of the two compatibility relations for a given unitary.
+def compatibility_residual(rep, u):
+    """Joint residual of the two compatibility relations for a unitary u (to 1e-10 N).
 
     With Uhat = T U Ttilde^+ the first relation is tested as unitarity of
     Uhat on the support of Ttilde; the second compares Jbar_- against
@@ -180,7 +180,7 @@ def compatibility_residual(rep, u, tol=1e-10):
     """
     _require_canonical(rep)
     u = as_matrix(u)
-    if not is_unitary(u, tol):
+    if not is_unitary(u):
         raise ValueError("compatibility requires a unitary argument")
     # T and Ttilde share their diagonal t, and so do their pseudo-inverses
     t, tp = _half_step(rep.partition)
@@ -231,8 +231,8 @@ def _casimir_multiset(rep):
     return np.sort(w.real)
 
 
-def round_trip(obj, tol=1e-10):
-    """Both directions of the correspondence, reported step by step.
+def round_trip(obj):
+    """Both directions of the correspondence, reported step by step (tol 1e-10).
 
     A representation is pushed to a doublet and back; a doublet is pushed to
     its representation and rebuilt.  Equality is asserted on unitary
@@ -264,9 +264,7 @@ def round_trip(obj, tol=1e-10):
         c1 = _casimir_multiset(rep)
         c2 = _casimir_multiset(Su2Representation(*j))
         steps.append(("casimir_multiset", float(np.max(np.abs(c1 - c2)))))
-        return RoundTripReport(steps=tuple(steps), tol=tol)
-
-    if isinstance(obj, GrvvSolution):
+    elif isinstance(obj, GrvvSolution):
         sol = obj
         steps.append(("input_grvv", require_solution(sol)))
         j, spec1 = _forms(_jmat(sol), spectra=True)[::2]  # the u(1) trace is not read
@@ -286,6 +284,6 @@ def round_trip(obj, tol=1e-10):
                       _nan_max(float(np.max(np.abs(s1 - s2))) for s1, s2 in zip(spec1, spec2))))
         c2 = _casimir_multiset(Su2Representation(*j))
         steps.append(("casimir_multiset", float(np.max(np.abs(c1 - c2)))))
-        return RoundTripReport(steps=tuple(steps), tol=tol)
-
-    raise TypeError("round_trip expects a representation or a doublet solution")
+    else:
+        raise TypeError("round_trip expects a representation or a doublet solution")
+    return RoundTripReport(steps=tuple(steps), tol=1e-10)

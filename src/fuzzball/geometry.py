@@ -77,6 +77,8 @@ GRID_BLOCK_ROWS = 32
 # phi window of the local phase check
 GRID_STEP = 1e-4
 PHASE_WINDOW = 0.02
+# the unit-norm tolerance of the higher Hopf maps and s8_inversion's S8 pole guard
+UNIT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -85,18 +87,13 @@ class SphereGrid:
 
     theta: np.ndarray
     phi: np.ndarray
-    h_theta: float
-    h_phi: float
 
     @classmethod
     def make(cls, n_theta, n_phi):
         if n_theta < 2 or n_phi < 2:
             raise ValueError("grid needs at least two points per direction")
-        h_t = np.pi / n_theta
-        h_p = 2 * np.pi / n_phi
-        theta = (np.arange(n_theta) + 0.5) * h_t
-        phi = np.arange(n_phi) * h_p
-        return cls(theta=theta, phi=phi, h_theta=h_t, h_phi=h_p)
+        return cls(theta=(np.arange(n_theta) + 0.5) * (np.pi / n_theta),
+                   phi=np.arange(n_phi) * (2 * np.pi / n_phi))
 
     def mesh(self):
         return np.meshgrid(self.theta, self.phi, indexing="ij")
@@ -156,10 +153,10 @@ def unit_vector(theta, phi):
     return _trailing(_points(_unit(theta, phi)))
 
 
-def _section(x1, x2, x3, tol=1e-12):
+def _section(x1, x2, x3):
     """``section`` of the point (x1, x2, x3), whose components broadcast:
     shape (2, ...)."""
-    if np.any(x3 <= -1.0 + tol):
+    if np.any(x3 <= -1.0 + 1e-12):
         raise ValueError("section is singular at x3 = -1")
     denom = np.sqrt(2.0 * (1.0 + x3))
     g1 = (x1 - 1j * x2) / denom
@@ -169,13 +166,13 @@ def _section(x1, x2, x3, tol=1e-12):
     return g
 
 
-def section(x, tol=1e-12):
+def section(x):
     """Phase-fixed fibre coordinate (1 + x3, x1 - i x2) / sqrt(2(1 + x3)).
 
-    Inverts hopf_s2 on the unit sphere; singular at the south pole.
+    Inverts hopf_s2 on the unit sphere; refuses x3 <= -1 + 1e-12 (the south pole).
     """
     x = np.asarray(x, dtype=float)
-    return _trailing(_section(*np.moveaxis(x, -1, 0), tol))
+    return _trailing(_section(*np.moveaxis(x, -1, 0)))
 
 
 def _s_columns(theta, phi, columns=(0, 1)):
@@ -325,15 +322,14 @@ def _killing_defect(theta, phi, h, connection_sign=-1.0, richardson=False):
     return np.maximum(np.max(np.abs(rt), axis=(0, 1)), np.max(np.abs(rp), axis=(0, 1)))
 
 
-def killing_equation_residual(theta, phi, h=1e-4, connection_sign=-1.0, extrapolate=False):
-    """Finite-difference residual of D_a eta = (i/2) gamma_a eta.
+def killing_equation_residual(theta, phi, h=1e-4, connection_sign=-1.0):
+    """Central-difference residual of D_a eta = (i/2) gamma_a eta at step h.
 
     D_phi carries the spin connection omega^{12}_phi = connection_sign *
     cos(theta); the geometric value is -cos(theta) and flipping the sign is
-    the negative control.  With ``extrapolate`` the derivative uses a
-    Richardson pair (h, h/2), pushing truncation below roundoff.
+    the negative control.
     """
-    return float(np.max(_killing_defect(theta, phi, h, connection_sign, extrapolate)))
+    return float(np.max(_killing_defect(theta, phi, h, connection_sign)))
 
 
 def _fibre_phase(theta, phi):
@@ -599,36 +595,37 @@ def _tables(builder):
     return tables
 
 
-def _require_unit(v, tol):
+def _require_unit(v):
     n = float(np.linalg.norm(v))
-    if abs(n - 1.0) > tol:
+    if abs(n - 1.0) > UNIT_TOL:
         raise ValueError(f"input must be unit-norm (got {n})")
 
 
-def hopf_s4(g, tol=1e-10):
-    """x_A = g^dag Gamma_A g for a unit vector in C^4; lands on the unit S4."""
+def hopf_s4(g):
+    """x_A = g^dag Gamma_A g for g in C^4 of norm 1 (to 1e-10); lands on the unit S4."""
     g = np.asarray(g, dtype=complex).reshape(4)
-    _require_unit(g, tol)
+    _require_unit(g)
     return np.array([np.real(g.conj() @ gm @ g) for gm in _tables(gamma_so5)])
 
 
-def hopf_s8(g, tol=1e-10):
-    """x_A = g^T Gamma_A g for a unit vector in R^16; lands on the unit S8."""
+def hopf_s8(g):
+    """x_A = g^T Gamma_A g for g in R^16 of norm 1 (to 1e-10); lands on the unit S8."""
     g = np.asarray(g, dtype=float).reshape(16)
-    _require_unit(g, tol)
+    _require_unit(g)
     return np.array([float(g @ np.real(gm) @ g) for gm in _tables(gamma_so9)])
 
 
-def s8_inversion(x, u, tol=1e-10):
+def s8_inversion(x, u):
     """Lift a point of S8 and a fibre spinor u in S7 back to R^16.
 
-    Singular where x_9 = -1 (the fibre coordinates degenerate there).
+    Both must have norm 1 to UNIT_TOL = 1e-10.  Singular where x_9 = -1 (the
+    fibre coordinates degenerate there), so x_9 <= -1 + UNIT_TOL is refused.
     """
     x = np.asarray(x, dtype=float).reshape(9)
     u = np.asarray(u, dtype=float).reshape(8)
-    _require_unit(x, tol)
-    _require_unit(u, tol)
-    if x[8] <= -1.0 + tol:
+    _require_unit(x)
+    _require_unit(u)
+    if x[8] <= -1.0 + UNIT_TOL:
         raise ValueError("inversion is singular at x_9 = -1")
     lams = _tables(octonion_lambdas)
     g = np.empty(16)

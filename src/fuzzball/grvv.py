@@ -134,15 +134,15 @@ def block_solution(partition):
     return GrvvSolution(g1=g1, g2=g2, partition=partition)
 
 
-def gauge_dress(sol, u, uhat, tol=1e-10):
-    """Apply g^a -> u . g^a . uhat^dagger with unitary u, uhat.  ``uhat``
-    is dropped once its adjoint is formed, so a caller that passes a
-    temporary does not hold both through the products."""
+def gauge_dress(sol, u, uhat):
+    """Apply g^a -> u . g^a . uhat^dagger with u, uhat unitary to 1e-10 N
+    (``matcore.is_unitary``).  ``uhat`` is dropped once its adjoint is formed,
+    so a caller that passes a temporary does not hold both through the products."""
     u = as_matrix(u)
     uhat = as_matrix(uhat)
-    if not is_unitary(u, tol):
+    if not is_unitary(u):
         raise ValueError("left factor is not unitary within tolerance")
-    if not is_unitary(uhat, tol):
+    if not is_unitary(uhat):
         raise ValueError("right factor is not unitary within tolerance")
     uh = dagger(uhat)
     del uhat
@@ -163,12 +163,12 @@ def grvv_residual(sol):
     return max_frobenius(g[a] - (g[a] @ right - left @ g[a]) for a in range(2))
 
 
-def require_solution(sol, tol=1e-8):
-    """``grvv_residual`` of sol; raises ValueError unless it is at most tol
+def require_solution(sol):
+    """``grvv_residual`` of sol; raises ValueError unless it is at most 1e-8
     times max(1, ||g^1|| + ||g^2||)."""
     res = grvv_residual(sol)
     scale = max(1.0, frobenius_norm(sol.g1) + frobenius_norm(sol.g2))
-    if not res <= tol * scale:
+    if not res <= 1e-8 * scale:
         raise ValueError(f"input does not solve the cubic equation (residual {res:.3e})")
     return res
 

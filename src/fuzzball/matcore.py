@@ -95,8 +95,8 @@ def spectral_norm(a):
     return float(np.linalg.norm(a, 2))
 
 
-def is_unitary(a, tol=1e-10):
-    """||a^dag a - 1||_F <= tol * n for a square n x n matrix."""
+def is_unitary(a):
+    """||a^dag a - 1||_F <= 1e-10 n for a square n x n matrix."""
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         return False
@@ -105,7 +105,7 @@ def is_unitary(a, tol=1e-10):
     # the identity is subtracted in place, from the diagonal alone: the
     # entries of gram - np.eye(n), bit for bit
     gram.flat[:: n + 1] -= 1
-    return frobenius_norm(gram) <= tol * n
+    return frobenius_norm(gram) <= 1e-10 * n
 
 
 def random_unitary(n, rng):

@@ -473,10 +473,10 @@ def _expectation(a, psi):
     return np.einsum("...n,nm,...m->...", psi.conj(), np.asarray(a, dtype=complex), psi)
 
 
-def mode_convergence(n_list, l, m, n_theta=24, n_phi=48):
-    """Sup distance between the symbol of Y_lm(J) and classical Y_lm per size."""
-    theta = (np.arange(n_theta) + 0.5) * np.pi / n_theta
-    phi = np.arange(n_phi) * 2 * np.pi / n_phi
+def mode_convergence(n_list, l, m):
+    """Per size, the sup over a 24 x 48 grid of |symbol of Y_lm(J) - classical Y_lm|."""
+    theta = (np.arange(24) + 0.5) * np.pi / 24
+    phi = np.arange(48) * 2 * np.pi / 48
     tt, pp = np.meshgrid(theta, phi, indexing="ij")
     ref = classical_ylm(l, m, tt, pp)
     out = []

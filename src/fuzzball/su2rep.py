@@ -332,9 +332,8 @@ def _pairs(g, gd):
         yield _contract(sig, _entries(g, gd)), _contract(sig, _entries(gd, g, swap=True))
 
 
-def su2_from_bilinears(b, partition=(), barred=False):
-    gens = b.jbar_i if barred else b.j
-    return Su2Representation(*gens, partition=partition)
+def su2_from_bilinears(b, partition=()):
+    return Su2Representation(*b.j, partition=partition)
 
 
 # the pairs (a, b) < (m, n) that are not the adjoint image of another one

@@ -178,7 +178,7 @@ class _Brackets:
             np.add(r, np.multiply(low[i], e[i], out=term), out=r)
         return np.negative(r, out=r)
 
-    def odd_odd(self, scales=(1.0,)):
+    def odd_odd(self, scales):
         """{convention: odd-odd residual at each scale c of ``scales``}, with
         the odd generators scaled by c.  Each anticommutator block is formed
         once, one key and block at a time, and scored under both conventions

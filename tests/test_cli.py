@@ -233,6 +233,17 @@ def test_converge_commutator(tmp_path):
     assert float(rows[2][1]) == pytest.approx(0.02, abs=1e-13)
 
 
+@pytest.mark.parametrize("sizes", ["1", "1,4"])
+def test_converge_commutator_refuses_size_one(capsys, tmp_path, sizes):
+    # at n = 1, J = 0: the row read 1,0,1 and the command exited 0
+    out = tmp_path / "c.csv"
+    assert run(["converge", "commutator", "--n-list", sizes, "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: converge commutator needs --n-list sizes of 2 or more")
+    assert "undefined" in err
+
+
 def test_converge_modes(tmp_path):
     out = tmp_path / "m.csv"
     assert (
@@ -407,6 +418,7 @@ def test_verify_lists_skipped_sizes_apart_from_results(tmp_path):
     ("covariance", ["doublet_covariance", "doublet_covariance_dressed"]),
     ("intertwiner", ["intertwiner", "intertwiner_dressed"]),
     ("grvv", ["grvv_residual", "sphere_left", "sphere_right"]),
+    ("equivalence", ["round_trip_rep", "round_trip_sol"]),
 ])
 def test_verify_skips_the_zero_doublet(tmp_path, suite, names):
     # the n = 1 ground state is zero: its bilinear rows read 0.0 having
@@ -516,6 +528,23 @@ def test_sizes_below_one_are_usage_errors(capsys, command, size):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.endswith(f"error: argument --n-list: sizes must be 1 or more, got {size}\n")
+
+
+@pytest.mark.parametrize("args, option", [
+    (["verify", "--suite", "u2", "--n-list", "2", "--seed", "-1"], "--seed"),
+    (["verify", "--suite", "u2", "--n-list", "2", "--seed", "-5"], "--seed"),
+    (["verify", "--suite", "geometry", "--seed", "-1"], "--seed"),
+    (["gen", "grvv", "--n", "3", "--dress", "-1"], "--dress"),
+])
+def test_negative_seeds_are_usage_errors(capsys, args, option):
+    # -1 used to pass u2 at n = 2 (seed + n = 1), -5 to exit 2 naming no option
+    with pytest.raises(SystemExit) as exc:
+        run(args)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        f"error: argument {option}: seeds must be integers 0 or more, got '{args[-1]}'\n")
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf", "-inf"])

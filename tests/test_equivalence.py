@@ -181,6 +181,27 @@ def test_compatibility_rejects_non_unitary():
         compatibility_residual(irrep(3), 2.0 * np.eye(3))
 
 
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+def test_unitarity_guards_sit_at_1e_10_n(factor):
+    # ||U^dag U - 1||_F of U = diag(sqrt(1 + d), 1, ...) is d; the guards of
+    # gauge_dress and compatibility_residual accept d up to 1e-10 N
+    n = 4
+    u = np.eye(n, dtype=complex)
+    u[0, 0] = np.sqrt(1.0 + factor * 1e-10 * n)
+    assert frobenius_norm(dagger(u) @ u - np.eye(n)) == pytest.approx(factor * 1e-10 * n)
+    calls = {
+        "left factor": lambda: gauge_dress(ground_state(n), u, np.eye(n)),
+        "right factor": lambda: gauge_dress(ground_state(n), np.eye(n), u),
+        "unitary argument": lambda: compatibility_residual(irrep(n), u),
+    }
+    for message, call in calls.items():
+        if factor < 1:
+            call()
+        else:
+            with pytest.raises(ValueError, match=message):
+                call()
+
+
 def moved_band(rep, row, delta):
     """rep with the J_+ entry (row, row - 1) moved by delta, J_- = J_+^dag kept."""
     jp = rep.j1 + 1j * rep.j2
@@ -208,6 +229,10 @@ def test_canonical_form_refusals(convert):
     with pytest.raises(ValueError, match="not in canonical block form; run canonicalize"):
         convert(moved_band(irrep(8), 5, 1e-6))
     convert(moved_band(irrep(8), 5, 1e-12))
+    # at half and at twice the threshold
+    convert(moved_band(irrep(8), 5, 0.5 * 8e-8 * np.sqrt(2)))
+    with pytest.raises(ValueError, match="not in canonical block form; run canonicalize"):
+        convert(moved_band(irrep(8), 5, 2.0 * 8e-8 * np.sqrt(2)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -239,8 +264,8 @@ def test_canonical_layout_is_byte_equal_to_the_dense_oracles(partition):
 @pytest.mark.parametrize("partition", [[2], [3], [5], [2, 3], [2, 2, 4]])
 def test_round_trip_representations(partition, tol=1e-10):
     rep = direct_sum([irrep(n) for n in partition])
-    report = round_trip(rep, tol=tol)
-    assert report.passed, report.to_json()
+    report = round_trip(rep)
+    assert report.tol == tol and report.passed, report.to_json()
 
 
 def test_round_trip_trivial():

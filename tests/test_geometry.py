@@ -250,6 +250,50 @@ def test_hopf_s8_roundtrip():
         s8_inversion(south, u)
 
 
+@pytest.mark.parametrize("defect", [5e-11, -5e-11, 2e-10, -2e-10])
+def test_higher_hopf_maps_hold_their_inputs_to_unit_norm_within_1e_10(defect):
+    rng = np.random.default_rng(28)
+    g4 = rng.normal(size=4) + 1j * rng.normal(size=4)
+    g16, x, u = rng.normal(size=16), rng.normal(size=9), rng.normal(size=8)
+    x[8] = abs(x[8])  # away from the S8 south pole
+    g4, g16, x, u = (v / np.linalg.norm(v) for v in (g4, g16, x, u))
+    scaled = 1.0 + defect
+    calls = (
+        lambda: hopf_s4(scaled * g4),
+        lambda: hopf_s8(scaled * g16),
+        lambda: s8_inversion(scaled * x, u),
+        lambda: s8_inversion(x, scaled * u),
+    )
+    for call in calls:
+        if abs(defect) < 1e-10:
+            call()
+        else:
+            with pytest.raises(ValueError, match="unit-norm"):
+                call()
+
+
+def _near_south_pole(dim, gap):
+    """A unit vector of R^dim whose last coordinate is -1 + gap."""
+    x = np.zeros(dim)
+    x[-1] = -1.0 + gap
+    x[0] = np.sqrt((1.0 - x[-1]) * (1.0 + x[-1]))
+    return x
+
+
+@pytest.mark.parametrize("factor", [2.0, 0.5])
+def test_pole_guards_sit_at_their_thresholds(factor):
+    # section refuses x3 <= -1 + 1e-12, s8_inversion x_9 <= -1 + 1e-10
+    u = np.eye(8)[0]
+    guards = ((section, 3, 1e-12), (lambda x: s8_inversion(x, u), 9, 1e-10))
+    for call, dim, threshold in guards:
+        x = _near_south_pole(dim, factor * threshold)
+        if factor > 1:
+            call(x)
+        else:
+            with pytest.raises(ValueError, match="singular"):
+                call(x)
+
+
 def test_higher_hopf_maps_read_tables_no_caller_can_change(monkeypatch):
     rng = np.random.default_rng(26)
     g4 = rng.normal(size=4) + 1j * rng.normal(size=4)
@@ -407,11 +451,12 @@ def test_grid_report_arrays():
     u = weyl_plus(killing_spinor(tt, pp))
     coords = np.max(np.abs(hopf_s2(u) - x), axis=-1)
     assert np.max(np.abs(res["spinor_coordinates"] - coords)) < 1e-15
-    # the Killing array holds the per-point value of killing_equation_residual
+    # the Killing array holds the per-point Richardson-extrapolated defect
     for i, j in ((0, 0), (5, 7), (11, 23)):
-        point = killing_equation_residual(tt[i, j], pp[i, j], extrapolate=True)
+        point = geometry._killing_defect(tt[i, j], pp[i, j], geometry.GRID_STEP, richardson=True)
         assert abs(res["killing_equation"][i, j] - point) < 1e-15
-    assert np.max(res["killing_equation"]) == killing_equation_residual(tt, pp, extrapolate=True)
+    assert np.max(res["killing_equation"]) == np.max(
+        geometry._killing_defect(tt, pp, geometry.GRID_STEP, richardson=True))
 
 
 EPS = np.finfo(float).eps

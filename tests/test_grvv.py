@@ -119,6 +119,26 @@ def test_gauge_dress_rejects_non_unitary():
         gauge_dress(s, 2.0 * np.eye(2), np.eye(2))
 
 
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+def test_require_solution_refuses_just_above_1e_8_of_the_scale(factor):
+    sol = ground_state(3)
+    scale = frobenius_norm(sol.g1) + frobenius_norm(sol.g2)
+    bump = np.zeros((3, 3))
+    bump[2, 0] = 1.0
+
+    def moved(eps):
+        return GrvvSolution(g1=sol.g1 + eps * bump, g2=sol.g2, partition=(3,))
+
+    # the residual is linear in a small move, so one probe sets the step
+    eps = factor * 1e-8 * scale * 1e-6 / grvv_residual(moved(1e-6))
+    assert grvv_residual(moved(eps)) == pytest.approx(factor * 1e-8 * scale, rel=1e-3)
+    if factor < 1:
+        require_solution(moved(eps))
+    else:
+        with pytest.raises(ValueError, match="does not solve"):
+            require_solution(moved(eps))
+
+
 def test_sphere_constraints():
     left, right = sphere_constraints(ground_state(5))
     assert left < 1e-12 and right < 1e-12
@@ -205,8 +225,7 @@ def test_partition_dressing_is_byte_equal_to_the_held_dressing(seed):
 def test_is_unitary_agrees_with_the_held_check(eps):
     u = random_unitary(20, np.random.default_rng(8))
     a = u + eps * np.random.default_rng(9).normal(size=(20, 20))
-    for tol in (1e-12, 1e-10, 1e-8):
-        assert is_unitary(a, tol) == held_is_unitary(a, tol)
+    assert is_unitary(a) == held_is_unitary(a, 1e-10)
     assert not is_unitary(np.ones((2, 3))) and not held_is_unitary(np.ones((2, 3)))
 
 

@@ -1,7 +1,8 @@
 """Start-up loads only what a command runs: the package serves its public
 names on first use, and the CLI imports the library inside each command.
 Every library function and class is reached from a command, a frozen
-acceptance test, a demo or a benchmark."""
+acceptance test, a demo or a benchmark, and every parameter default is
+overridden by some caller there or in the library."""
 
 import ast
 import importlib
@@ -101,6 +102,7 @@ def test_package_names_resolve_to_their_submodule_objects():
         fuzzball.no_such_name
 
 
+_LIBRARY = "src/fuzzball/*.py"
 # the entry points whose names reach library code
 _ROOTS = (
     "src/fuzzball/cli.py",
@@ -122,6 +124,18 @@ _UNREACHED = {
 }
 
 
+def _parsed(patterns):
+    """The syntax trees of the files that the glob patterns name in the
+    repository; each pattern must name at least one."""
+    repo = Path(fuzzball.__file__).resolve().parents[2]
+    trees = []
+    for pattern in patterns:
+        paths = sorted(repo.glob(pattern))
+        assert paths, pattern
+        trees += [ast.parse(path.read_text()) for path in paths]
+    return trees
+
+
 def _names(node):
     """Every name a syntax tree reads: variables, attributes and the names
     it imports."""
@@ -139,19 +153,15 @@ def _names(node):
 def test_every_library_function_is_reached():
     """Names are matched, not bindings, so this can miss dead code (a name
     that some reached code reads for another object) but never invents it."""
-    repo = Path(fuzzball.__file__).resolve().parents[2]
     defs, reached = {}, set()
-    for path in sorted(Path(fuzzball.__file__).parent.glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
+    for tree in _parsed([_LIBRARY]):
+        for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 defs.setdefault(node.name, []).append(node)
             else:
                 reached |= _names(node)  # module-level code runs on import
-    for pattern in _ROOTS:
-        paths = sorted(repo.glob(pattern))
-        assert paths, pattern
-        for path in paths:
-            reached |= _names(ast.parse(path.read_text()))
+    for tree in _parsed(_ROOTS):
+        reached |= _names(tree)
     frontier = reached & defs.keys()
     while frontier:
         name = frontier.pop()
@@ -162,3 +172,49 @@ def test_every_library_function_is_reached():
     assert not unreached - _UNREACHED, f"reached by nothing: {sorted(unreached - _UNREACHED)}"
     # an exception that is reached again, or gone, leaves the list
     assert not _UNREACHED - unreached, f"no longer unreached: {sorted(_UNREACHED - unreached)}"
+
+
+# defaults that no caller overrides, kept on purpose, with the reason
+_UNSET = {
+    "calibrate.scales": "the search grid that the tests score against the dense oracle",
+    "dirac_square_check.fd_step": "the plain-difference refinement test sets it; it stays "
+    "with the classical Dirac code until ROADMAP item 11",
+}
+
+
+def test_every_parameter_is_set_by_a_caller():
+    """A default that no call overrides is a constant in disguise.  Calls
+    from the library and the entry points count, other tests do not; a
+    call passes a parameter by keyword, by position, or through ``*`` or
+    ``**``.  Calls are matched by the called name, as above."""
+    defaults = {}  # function -> [(parameter, its position or None)]
+    for tree in _parsed([_LIBRARY]):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                first = len(positional) - len(args.defaults)
+                keyword_only = zip(args.kwonlyargs, args.kw_defaults)
+                defaults.setdefault(node.name, []).extend(
+                    [(arg.arg, i) for i, arg in enumerate(positional) if i >= first]
+                    + [(arg.arg, None) for arg, default in keyword_only if default is not None]
+                )
+    passed = set()
+    for tree in _parsed((_LIBRARY, *_ROOTS[1:])):
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            keywords = {k.arg for k in call.keywords}  # None for **
+            starred = any(isinstance(a, ast.Starred) for a in call.args)
+            for param, i in defaults.get(name, ()):
+                if param in keywords or None in keywords or (
+                    i is not None and (starred or i < len(call.args))
+                ):
+                    passed.add(f"{name}.{param}")
+    unset = {f"{name}.{param}" for name, params in defaults.items() for param, _ in params}
+    unset -= passed
+    assert not unset - _UNSET.keys(), f"set by no caller: {sorted(unset - _UNSET.keys())}"
+    # an exception that a caller sets again, or that is gone, leaves the list
+    assert not _UNSET.keys() - unset, f"no longer unset: {sorted(_UNSET.keys() - unset)}"

@@ -301,7 +301,7 @@ def test_overflowing_doublet_reads_nan():
     # every bracket family reads NaN
     br = _Brackets(*zip(*_pairs(big.matrices, big.daggers)), big.matrices, big.daggers)
     assert math.isnan(br.ee) and math.isnan(br.eo)
-    oo = br.odd_odd()
+    oo = br.odd_odd((1.0,))
     assert all(map(math.isnan, oo["eps_left"] + oo["eps_right"]))
     # a NaN residual is within no tolerance, not even an infinite one
     for tol in (1e-10, np.inf):
