@@ -30,7 +30,8 @@ the one pass that evaluates every grid check, so the per-point rows, sup
 rungs call the kernel on ``irrep(N)`` for N in ``SPECTRA_SIZES``; a size the
 measured tree refuses (``ValueError``, as a size cap raises) is recorded as
 null, with the message under ``refused``.  ``build_basis`` also records
-``tracemalloc_held_mb``, the traced size of one more basis while it is held.
+``tracemalloc_held_mb``, the traced size of one more basis while it is held,
+and the two spectra the ``tracemalloc_peak_mb`` of one more call.
 The ``harmonics_suite`` rung times the rows of ``verify --suite harmonics``
 (``cli._suite_harmonics``: the basis, its two checks, the Laplacian spectrum
 and the mode fit) for N in ``SPECTRA_SIZES``, with the
@@ -269,9 +270,9 @@ def irrep_kernel(name):
             samples = {name: {"irrep": timed(lambda: fn(rep))}}
         except ValueError as exc:
             return {name: {"irrep": None}}, {"refused": str(exc)}
-        if name != "build_basis":
-            return samples, {}
-        return samples, {"tracemalloc_held_mb": traced_held_mb(lambda: fn(rep))}
+        if name == "build_basis":
+            return samples, {"tracemalloc_held_mb": traced_held_mb(lambda: fn(rep))}
+        return samples, {"tracemalloc_peak_mb": traced_peak_mb(lambda: fn(rep))}
 
     return rung
 

@@ -38,6 +38,14 @@ def _parse_int_list(text):
     return values
 
 
+def _parse_size(text):
+    """``--n``: a matrix size, refused below 1 as ``--n-list`` refuses one."""
+    try:
+        return _parse_sizes(str(int(text)))[0]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from exc
+
+
 def _parse_sizes(text):
     """``--n-list``: matrix sizes, each at least 1."""
     values = _parse_int_list(text)
@@ -522,7 +530,7 @@ def build_parser():
 
     gen = sub.add_parser("gen", help="generate solutions, representations, gammas")
     gen.add_argument("kind", choices=("grvv", "su2", "gamma"))
-    gen.add_argument("--n", type=int)
+    gen.add_argument("--n", type=_parse_size)
     gen.add_argument("--partition", type=_parse_int_list)
     gen.add_argument("--dims", type=_parse_int_list)
     gen.add_argument("--dress", type=_parse_seed, help="seed for a random gauge dressing")
@@ -559,7 +567,7 @@ def build_parser():
         "of its coupled vectors relative to the top level.",
     )
     spect.add_argument("which", choices=("laplacian", "kinetic"))
-    spect.add_argument("--n", type=int, required=True)
+    spect.add_argument("--n", type=_parse_size, required=True)
     spect.add_argument("--out", default=None)
     spect.set_defaults(func=cmd_spectrum)
 

@@ -79,6 +79,8 @@ GRID_STEP = 1e-4
 PHASE_WINDOW = 0.02
 # the unit-norm tolerance of the higher Hopf maps and s8_inversion's S8 pole guard
 UNIT_TOL = 1e-10
+# the chart of ``section``, x3 > -1 + CHART_TOL: off the singular south pole
+CHART_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -156,7 +158,7 @@ def unit_vector(theta, phi):
 def _section(x1, x2, x3):
     """``section`` of the point (x1, x2, x3), whose components broadcast:
     shape (2, ...)."""
-    if np.any(x3 <= -1.0 + 1e-12):
+    if np.any(x3 <= -1.0 + CHART_TOL):
         raise ValueError("section is singular at x3 = -1")
     denom = np.sqrt(2.0 * (1.0 + x3))
     g1 = (x1 - 1j * x2) / denom
@@ -169,7 +171,7 @@ def _section(x1, x2, x3):
 def section(x):
     """Phase-fixed fibre coordinate (1 + x3, x1 - i x2) / sqrt(2(1 + x3)).
 
-    Inverts hopf_s2 on the unit sphere; refuses x3 <= -1 + 1e-12 (the south pole).
+    Inverts hopf_s2 on the unit sphere; refuses x3 <= -1 + CHART_TOL = -1 + 1e-12 (the south pole).
     """
     x = np.asarray(x, dtype=float)
     return _trailing(_section(*np.moveaxis(x, -1, 0)))
@@ -462,7 +464,7 @@ def _grid_block(theta, phi):
     # (every row of a grid below 785 theta rows)
     h_ord = 2e-3
     t = theta[:, 0]
-    keep = np.flatnonzero((t > h_ord) & (t + h_ord < np.pi) & (np.cos(t + h_ord) > -1 + 1e-12))
+    keep = np.flatnonzero((t > h_ord) & (t + h_ord < np.pi) & (np.cos(t + h_ord) > -1 + CHART_TOL))
     sups[6:] = -np.inf  # a block with no such row
     if keep.size:
         rows = slice(keep[0], keep[-1] + 1)

@@ -5,8 +5,9 @@ vector/spinor harmonics, the Dirac-square identity, and coherent-state
 symbol maps with their convergence sweeps.
 
 The Laplacian and kinetic operators are read off the real bands of the
-weight frame (``harmonics._weight_frame``): each of their blocks is real and
-exactly symmetric, and the Laplacian's -m block is its m block.
+weight frame (``harmonics._weight_frame``): the Laplacian's blocks are real
+and exactly symmetric, its -m block its m block, and K is applied to each
+diagonal's stored Y_lm through the same band maps, O(N^3) per diagonal.
 
 Only the spinor and Dirac helpers read ``fuzzball.geometry`` (the Killing
 spinor, the batched 2x2 product and the central difference), so they import
@@ -22,6 +23,7 @@ import numpy as np
 from .harmonics import (
     _ad,
     _basis_in_frame,
+    _diagonal_index,
     _laplacian_block,
     _weight_frame,
     build_basis,
@@ -105,31 +107,10 @@ class KineticSpectrum:
 # e_{+1} = (1, i, 0)/sqrt2, e_0 = (0, 0, 1) and e_{-1} = (1, -i, 0)/sqrt2,
 # which diagonalise the spin-1 S_3 = diag(1, 0, -1)
 _SIGMAS = (1, 0, -1)
-# sum_i S_i ad(J_i) = S_3 ad(J_3) + S_- ad(J_+) / 2 + S_+ ad(J_-) / 2 on them,
-# as (real coefficients, charge shift k of ad(J_k), ``harmonics._ad``): S_- / 2
-# lowers sigma with entries -+1/sqrt2, and S_+ / 2 is its transpose
+# sum_i S_i ad(J_i) = S_3 ad(J_3) + S_- ad(J_+) / 2 + S_+ ad(J_-) / 2 on them:
+# S_- / 2 lowers sigma with the real entries -+1/sqrt2 below, and S_+ / 2 is
+# its transpose
 _LOWER = np.array([[0.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]) / math.sqrt(2)
-_SPIN_TERMS = ((np.diag([1.0, 0.0, -1.0]), 0), (_LOWER, 1), (_LOWER.T, -1))
-
-
-def _kinetic_block(bands, total):
-    """The kinetic operator on spherical components of total charge M: the
-    sigma component sits on the diagonal c = M - sigma of the weight frame."""
-    n = bands[0].size
-    charges = [total - sig for sig in _SIGMAS]
-    sizes = [max(n - abs(c), 0) for c in charges]
-    starts = np.concatenate([[0], np.cumsum(sizes)])
-    k = np.zeros((starts[-1], starts[-1]))
-    for b, c in enumerate(charges):
-        if not sizes[b]:
-            continue
-        cols = slice(starts[b], starts[b + 1])
-        k[cols, cols] += np.eye(sizes[b]) + _laplacian_block(bands, c)
-        for coef, shift in _SPIN_TERMS:
-            a = b + shift  # the component on the c + shift diagonal
-            if 0 <= a < 3 and sizes[a]:
-                k[starts[a] : starts[a + 1], cols] += coef[a, b] * _ad(bands, shift, c)
-    return k, starts
 
 
 def _cg1(l, dj, total, sig):
@@ -148,28 +129,15 @@ def _cg1(l, dj, total, sig):
     return np.sign(t) * np.sqrt(np.abs(t) / d)
 
 
-def _coupled_block(basis, total, starts):
-    """Unit vectors |l j M> = sum_sigma <l, M - sigma; 1, sigma | j, M>
-    Y_{l, M - sigma} e_sigma in the layout of ``_kinetic_block(bands, M)``,
-    as columns, with their l and j; for j in {l - 1, l, l + 1} (only j = 1
-    at l = 0) and j >= |M| they fill the block.  The spherical e_{+1} =
-    (1, i, 0)/sqrt2 lacks the Condon-Shortley sign, so sigma = +1 takes a
-    factor -1."""
+def _images(basis, bands, c):
+    """Row l of each: Y_{l,c} (zero for l < |c|) and its images under
+    1 + ad(J)^2, ad(J_3), ad(J_+) (on c + 1) and ad(J_-) (on c - 1)."""
     n = basis.dim
-    ls = [np.arange(max(abs(total) - dj, int(dj < 1)), n) for dj in (-1, 0, 1)]
-    v = np.zeros((starts[-1], sum(l.size for l in ls)))
-    end = 0
-    for dj, l in zip((-1, 0, 1), ls):
-        end += l.size
-        for b, sig in enumerate(_SIGMAS):
-            c = total - sig
-            l_c = l[l >= abs(c)]  # the l whose Y_{l, c} exist, a tail of l
-            if l_c.size:
-                coef = (-1 if sig == 1 else 1) * _cg1(l_c, dj, total, sig)
-                ys = basis.diagonal(c)[l_c - abs(c)]
-                v[starts[b] : starts[b + 1], end - l_c.size : end] = (coef[:, None] * ys).T
-    l = np.concatenate(ls)
-    return v / math.sqrt(n), l, l + np.repeat([-1, 0, 1], [x.size for x in ls])
+    y = np.zeros((n, n - abs(c)))
+    y[abs(c) :] = basis.diagonal(c)
+    p, q = _diagonal_index(n, c)
+    lap = y + y @ _laplacian_block(bands, c)  # the block is symmetric
+    return y, lap, y * (bands[0][p] - bands[0][q]), y @ _ad(bands, 1, c).T, y @ _ad(bands, -1, c).T
 
 
 def scalar_kinetic_spectrum(rep):
@@ -181,9 +149,12 @@ def scalar_kinetic_spectrum(rep):
     K commutes with the orbital l and with the total j (l coupled to 1), so
     every level is 3 l(l+1) + j(j+1) - 1 with multiplicity 2j + 1, for j in
     {l - 1, l, l + 1} (only j = 1 at l = 0); no two (l, j) share a value.
-    In each total-charge block M (weight-frame diagonal plus spherical
-    component, ``_kinetic_block``) the coupled vectors |l j M> of
-    ``_coupled_block`` are applied to K.  ``groups`` lists (eigenvalue,
+    The sigma component of |l j M> = sum_sigma <l, M - sigma; 1, sigma | j, M>
+    Y_{l, M - sigma} e_sigma (-1 at sigma = 1: e_{+1} lacks the Condon-Shortley
+    sign) lies on the weight-frame diagonal c = M - sigma, which K reaches
+    only through 1 + ad(J)^2 + sigma ad(J_3) and ad(J_+-) from c -+ 1: each
+    diagonal's images (``_images``, O(N^3)) are formed once and held for
+    the three charges that read them.  ``groups`` lists (eigenvalue,
     multiplicity, l, j, residual) in ascending order: the exact level, the
     number of vectors carrying it, and the largest ||K v - lambda v|| over
     them relative to ||K||, the top level (N - 1, N).  ``eigenvalues`` holds
@@ -201,14 +172,32 @@ def scalar_kinetic_spectrum(rep):
     u, bands = _weight_frame(rep)
     basis = _basis_in_frame(rep, u, bands)
     norm = 4 * n * n - 2 * n - 1  # the top level: K is positive
-    parts = []
+    images, parts = {}, []
     for total in range(-n, n + 1):
-        k, starts = _kinetic_block(bands, total)
-        v, l, j = _coupled_block(basis, total, starts)
-        kv = k @ v
-        lam = 3 * l * (l + 1) + j * (j + 1) - 1
-        res = np.linalg.norm(kv - lam * v, axis=0) / norm
-        parts.append((l, j, np.sum(v * kv, axis=0), res))
+        # hold the diagonals c = M - sigma, sigma = 1, 0, -1, of this charge only
+        images.pop(total - 2, None)
+        if abs(total + 1) < n:
+            images[total + 1] = _images(basis, bands, total + 1)
+        for dj in (-1, 0, 1):
+            l = np.arange(max(abs(total) - dj, int(dj < 1)), n)  # j >= |M|
+            rows = slice(n - l.size, None)
+            lam = (3 * l * (l + 1) + (l + dj) * (l + dj + 1) - 1)[:, None]
+            coef = [(-1 if sig == 1 else 1) * _cg1(l, dj, total, sig)[:, None] for sig in _SIGMAS]
+            res2 = quot = 0.0
+            for a, sig in enumerate(_SIGMAS):
+                c = total - sig
+                if c not in images:
+                    continue
+                y, lap, ad3, _, _ = images[c]
+                v = coef[a] * y[rows]
+                kv = coef[a] * (lap[rows] + sig * ad3[rows])
+                if a > 0 and c - 1 in images:  # S_- ad(J_+) / 2 of component a - 1
+                    kv += _LOWER[a, a - 1] * coef[a - 1] * images[c - 1][3][rows]
+                if a < 2 and c + 1 in images:  # S_+ ad(J_-) / 2 of component a + 1
+                    kv += _LOWER[a + 1, a] * coef[a + 1] * images[c + 1][4][rows]
+                res2 = res2 + np.sum((kv - lam * v) ** 2, axis=1)
+                quot = quot + np.sum(v * kv, axis=1)
+            parts.append((l, l + dj, quot / n, np.sqrt(res2 / n) / norm))  # |l j M> = v / sqrt(N)
     l, j, quotients, res = (np.concatenate(x) for x in zip(*parts))
     levels, level = np.unique(np.stack([l, j]), axis=1, return_inverse=True)
     worst = np.zeros(levels.shape[1])

@@ -1,7 +1,9 @@
 """Test oracles: the dense N^2 x N^2 operators that the weight-frame kernels
 replace (the adjoint Laplacian and the fluctuation kinetic operator on
-row-major vectorized matrices), the closed-form kinetic levels, the grouping
-of measured eigenvalues into levels by a tolerance, the dense
+row-major vectorized matrices), the dense per-charge kinetic blocks and
+their coupled vectors, which ``spectra`` replaces by the images of each
+weight-frame diagonal's stored vectors, the closed-form kinetic levels, the
+grouping of measured eigenvalues into levels by a tolerance, the dense
 matrix helpers the compatibility relations and the superalgebra brackets are
 checked with (SVD pseudo-inverse, eigensolver square root, anticommutator,
 Frobenius distance), the geometry grid checks evaluated over the whole grid
@@ -48,7 +50,8 @@ from fuzzball.geometry import (
 )
 from fuzzball.grvv import GrvvSolution, ground_state
 from fuzzball.matcore import as_matrix, commutator, dagger, frobenius_norm, max_frobenius
-from fuzzball.harmonics import _diagonal_index
+from fuzzball.harmonics import _ad, _diagonal_index, _laplacian_block
+from fuzzball.spectra import _LOWER, _SIGMAS, _cg1
 from fuzzball.su2rep import (
     _EPS,
     EPS3,
@@ -157,6 +160,61 @@ def group_eigenvalues(ev, tol=1e-8):
         i = j
     return runs
 
+
+
+# ---------------------------------------------------------------------------
+# the per-charge kinetic blocks that ``spectra.scalar_kinetic_spectrum``
+# replaces by the images of each diagonal's stored vectors: for each total
+# charge M a dense 3(N - |M|)-square block of K and a dense matrix of the
+# coupled vectors |l j M> as its columns
+
+# sum_i S_i ad(J_i) on the spherical components, as (real coefficients,
+# charge shift k of ad(J_k), ``harmonics._ad``)
+_SPIN_TERMS = ((np.diag([1.0, 0.0, -1.0]), 0), (_LOWER, 1), (_LOWER.T, -1))
+
+
+def _kinetic_block(bands, total):
+    """The kinetic operator on spherical components of total charge M: the
+    sigma component sits on the diagonal c = M - sigma of the weight frame."""
+    n = bands[0].size
+    charges = [total - sig for sig in _SIGMAS]
+    sizes = [max(n - abs(c), 0) for c in charges]
+    starts = np.concatenate([[0], np.cumsum(sizes)])
+    k = np.zeros((starts[-1], starts[-1]))
+    for b, c in enumerate(charges):
+        if not sizes[b]:
+            continue
+        cols = slice(starts[b], starts[b + 1])
+        k[cols, cols] += np.eye(sizes[b]) + _laplacian_block(bands, c)
+        for coef, shift in _SPIN_TERMS:
+            a = b + shift  # the component on the c + shift diagonal
+            if 0 <= a < 3 and sizes[a]:
+                k[starts[a] : starts[a + 1], cols] += coef[a, b] * _ad(bands, shift, c)
+    return k, starts
+
+
+def _coupled_block(basis, total, starts):
+    """Unit vectors |l j M> = sum_sigma <l, M - sigma; 1, sigma | j, M>
+    Y_{l, M - sigma} e_sigma in the layout of ``_kinetic_block(bands, M)``,
+    as columns, with their l and j; for j in {l - 1, l, l + 1} (only j = 1
+    at l = 0) and j >= |M| they fill the block.  The spherical e_{+1} =
+    (1, i, 0)/sqrt2 lacks the Condon-Shortley sign, so sigma = +1 takes a
+    factor -1."""
+    n = basis.dim
+    ls = [np.arange(max(abs(total) - dj, int(dj < 1)), n) for dj in (-1, 0, 1)]
+    v = np.zeros((starts[-1], sum(l.size for l in ls)))
+    end = 0
+    for dj, l in zip((-1, 0, 1), ls):
+        end += l.size
+        for b, sig in enumerate(_SIGMAS):
+            c = total - sig
+            l_c = l[l >= abs(c)]  # the l whose Y_{l, c} exist, a tail of l
+            if l_c.size:
+                coef = (-1 if sig == 1 else 1) * _cg1(l_c, dj, total, sig)
+                ys = basis.diagonal(c)[l_c - abs(c)]
+                v[starts[b] : starts[b + 1], end - l_c.size : end] = (coef[:, None] * ys).T
+    l = np.concatenate(ls)
+    return v / math.sqrt(n), l, l + np.repeat([-1, 0, 1], [x.size for x in ls])
 
 # ---------------------------------------------------------------------------
 # the complex harmonics basis that ``harmonics`` replaces by real m >= 0

@@ -41,8 +41,28 @@ def test_gen_grvv(tmp_path):
 
 
 def test_gen_grvv_invalid_size(capsys):
-    assert run(["gen", "grvv", "--n", "0"]) == 2
-    assert "error" in capsys.readouterr().err
+    # a block size below 1 keeps the partition's message; --n below 1:
+    # test_size_below_one_names_the_option
+    for args in (["grvv", "--partition", "2,0"], ["su2", "--dims", "2,0"]):
+        assert run(["gen", *args]) == 2
+        assert capsys.readouterr().err.startswith("error: a partition needs one or more blocks")
+
+
+@pytest.mark.parametrize("args", [
+    ["gen", "grvv", "--n", "0"],
+    ["gen", "grvv", "--n", "-2"],
+    ["spectrum", "laplacian", "--n", "0"],
+    ["spectrum", "kinetic", "--n", "0"],
+])
+def test_size_below_one_names_the_option(capsys, args):
+    # these used to exit 2 with the partition's message, which names neither
+    # --n nor the size
+    with pytest.raises(SystemExit) as exc:
+        run(args)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument --n: sizes must be 1 or more, got {args[-1]}\n" in err
+    assert "Traceback" not in err
 
 
 def test_gen_su2_partition(tmp_path):

@@ -504,6 +504,25 @@ def grid_block(theta, phi):
     return flat[: -geometry.BLOCK_SUPS].reshape(4, len(theta), -1), sups[0], sups[1:]
 
 
+def test_one_constant_guards_the_south_pole(monkeypatch):
+    # section's refusal and the rows the grid takes its orders on move
+    # together: a guard wider than the order step's reach from theta = pi -
+    # 0.1 refuses the section there and leaves the row out of the orders
+    t, h_ord = np.pi - 0.1, 2e-3
+    x3 = np.cos(t + h_ord)
+    point = np.array([np.sqrt(1 - x3 * x3), 0.0, x3])
+    theta, phi = np.array([[t]]), np.zeros((1, 8))
+    rows, _, sups = grid_block(theta, phi)
+    assert np.all(np.isfinite(sups[-4:]))
+    section(point)
+    monkeypatch.setattr(geometry, "CHART_TOL", 1 + (x3 + np.cos(t)) / 2)
+    wide_rows, _, wide_sups = grid_block(theta, phi)
+    assert np.all(wide_sups[-4:] == -np.inf)
+    assert np.array_equal(wide_rows, rows) and np.array_equal(wide_sups[:-4], sups[:-4])
+    with pytest.raises(ValueError, match="singular"):
+        section(point)
+
+
 # The grid kernels hold every component as its own array; the blocks must
 # equal the trailing-axis blocks (dense_oracles) bit for bit, since the grid
 # rows, report and CSV are compared byte for byte.  Grids below 785 theta

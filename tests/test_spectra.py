@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from dense_oracles import kinetic_levels, scalar_kinetic_matrix
 from numpy.testing import assert_allclose
 
+from fuzzball import spectra
 from fuzzball.geometry import SphereGrid
 from fuzzball.matcore import commutator
 from fuzzball.spectra import (
@@ -16,7 +19,7 @@ from fuzzball.spectra import (
     symbol_map,
     vector_harmonics,
 )
-from fuzzball.harmonics import build_basis
+from fuzzball.harmonics import _basis_in_frame, build_basis
 from fuzzball.su2rep import direct_sum, irrep
 
 # brute-force fixture: sorted kinetic spectrum at size 2, frozen from the
@@ -94,6 +97,23 @@ def test_kinetic_levels_are_exact(n):
     assert ks.eigenvalues.size == 3 * n * n
     assert np.max(np.abs(ks.eigenvalues - ref)) <= 1e-13 * ref[-1]
 
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_planted_basis_defect_shows_in_the_residual(monkeypatch, n):
+    # Y_{3,2} scaled by 1 + 1e-8 is still a Laplacian eigenvector, but its
+    # coupled vectors are no longer kinetic ones: K must be applied to the
+    # stored vectors, not read off their Laplacian levels
+    def planted(rep, u, bands):
+        basis = _basis_in_frame(rep, u, bands)
+        ys = basis.diagonals[2].copy()
+        ys[3 - 2] *= 1 + 1e-8
+        return replace(basis, diagonals=basis.diagonals[:2] + (ys,) + basis.diagonals[3:])
+
+    monkeypatch.setattr(spectra, "_basis_in_frame", planted)
+    groups = scalar_kinetic_spectrum(irrep(n)).groups
+    assert sorted(g[3] for g in groups if g[2] == 3) == [2, 3, 4]
+    for _, _, l, _, res in groups:
+        assert res > 1e-12 if l == 3 else res <= 1e-13
 
 @pytest.mark.parametrize("n", [3, 6, 12])
 def test_adjoint_triples_are_the_j_equals_l_family(n):

@@ -1,10 +1,11 @@
 """The weight-frame kernels against the dense oracles they replace.
 
 The oracles are the dense operators ``adjoint_laplacian_matrix`` and
-``scalar_kinetic_matrix``, the closed-form kinetic levels and the complex
-basis on the dense generator triple (``dense_oracles``), a copy of the dense
-least-squares mode fit, and (at small size) SU(2) Clebsch-Gordan
-coefficients from sympy.
+``scalar_kinetic_matrix``, the dense per-charge kinetic blocks
+(``_kinetic_block``, ``_coupled_block``), the closed-form kinetic levels
+and the complex basis on the dense generator triple (``dense_oracles``), a
+copy of the dense least-squares mode fit, and (at small size) SU(2)
+Clebsch-Gordan coefficients from sympy.
 """
 
 import json
@@ -12,6 +13,8 @@ import json
 import numpy as np
 import pytest
 from dense_oracles import (
+    _coupled_block,
+    _kinetic_block,
     ad_matrix,
     adjoint_laplacian_matrix,
     complex_basis,
@@ -39,8 +42,6 @@ from fuzzball.harmonics import (
 from fuzzball.matcore import dagger, matrix_to_json, random_unitary
 from fuzzball.spectra import (
     _cg1,
-    _coupled_block,
-    _kinetic_block,
     fuzzy_laplacian_spectrum,
     mode_convergence,
     scalar_kinetic_spectrum,
@@ -235,6 +236,32 @@ def test_coupled_vectors_fill_each_block(n, seed, rotated):
         count += l.size
     assert count == 3 * n * n
 
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(min_value=1, max_value=24), seed=st.integers(0, 2**32 - 1),
+       rotated=st.booleans())
+def test_kinetic_images_match_dense_blocks(n, seed, rotated):
+    # the per-diagonal images give each level the residual and each coupled
+    # vector the Rayleigh quotient of the dense per-charge block
+    rep = rotated_irrep(n, seed)[0] if rotated else irrep(n)
+    u, bands = _weight_frame(rep)
+    basis = _basis_in_frame(rep, u, bands)
+    scale = 4 * n * n - 2 * n - 1
+    worst, quotients = {}, []
+    for total in range(-n, n + 1):
+        k, starts = _kinetic_block(bands, total)
+        v, l, j = _coupled_block(basis, total, starts)
+        kv = k @ v
+        res = np.linalg.norm(kv - (3 * l * (l + 1) + j * (j + 1) - 1) * v, axis=0) / scale
+        quotients.extend(np.sum(v * kv, axis=0))
+        for key, r in zip(zip(l.tolist(), j.tolist()), res):
+            worst[key] = max(worst.get(key, 0.0), r)
+    ks = scalar_kinetic_spectrum(rep)
+    assert sorted((g[2], g[3]) for g in ks.groups) == sorted(worst)
+    for _, _, l, j, res in ks.groups:
+        assert abs(res - worst[l, j]) <= 1e-15
+    assert np.max(np.abs(ks.eigenvalues - np.sort(quotients))) <= 1e-13 * scale
 
 @pytest.mark.parametrize("n", SIZES)
 def test_decompose_matches_dense_lstsq(n):
