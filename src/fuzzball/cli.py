@@ -608,7 +608,9 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
-        print(f"error: out of memory: {exc}", file=sys.stderr)
+        detail = str(exc) or "no detail from the allocator"
+        command = " ".join(sys.argv[1:] if argv is None else argv)
+        print(f"error: out of memory: {detail} (in: {command})", file=sys.stderr)
         return 2
 
 

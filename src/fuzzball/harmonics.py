@@ -14,9 +14,10 @@ sub-diagonal s > 0, and every Y_lm lies on the diagonal row - column = m,
 real, with Y_{l,-m} = (-1)^m Y_lm^dag: a basis stores U and one real
 (N-m) x (N-m) array per m = 0..N-1, and serves m < 0 by the sign.  Indexing
 builds one dense U D U^dag on every call, and a caller that reads an element
-again holds it itself.  The Laplacian's tridiagonal block on each diagonal
-and the ad(J_k) maps between diagonals are read off the bands (w, s) in
-O(N), with no matrix product.  Decompositions and reconstructions work on
+again holds it itself.  The Laplacian's tridiagonal block on each diagonal,
+kept as its (diagonal, sub-diagonal) pair, and the ad(J_k) maps between
+diagonals, two-term stencils, are read off the bands (w, s) in O(N) per
+vector, with no matrix built.  Decompositions and reconstructions work on
 the diagonals of U^dag A U: O(N^3) per call, the bifundamental fit too: its
 columns are scalings of the stored vectors, fitted in closed form by one
 projection per m and one Woodbury solve per diagonal.
@@ -119,32 +120,29 @@ class HarmonicBasis:
         return (u[:, rows] * vec) @ dagger(u[:, cols])
 
 
-def _ad(bands, k, c):
-    """ad(J_k) = [J_k, .] from the c to the c + k diagonal for J_3, J_+, J_-
-    at k = 0, 1, -1: E_pq -> x_p E_{p+k,q} - x_{q-k} E_{p,q-k} with
-    x_r = J_k[r + k, r], read off the bands (w, s) of ``_weight_frame``."""
-    w, s = bands
-    n = w.size
-    x = {0: w, 1: np.append(s, 0.0), -1: np.append(0.0, s)}[k]  # 0 off the matrix
-    p, q = _diagonal_index(n, c)
-    out = np.zeros((max(n - abs(c + k), 0), p.size))
-    ok = np.flatnonzero((p + k >= 0) & (p + k < n))
-    out[q[ok] - max(-c - k, 0), ok] += x[p[ok]]
-    ok = np.flatnonzero((q - k >= 0) & (q - k < n))
-    out[p[ok] - max(c + k, 0), ok] -= x[q[ok] - k]
-    return out
+def _ad(bands, k, c, y):
+    """ad(J_k) = [J_k, .] for J_3, J_+, J_- at k = 0, 1, -1, from rows y of the
+    c diagonal to rows of the c + k one: x_{q+c} y_q - x_q y_{q+k} at column
+    q, x_r = J_k[r + k, r] read off the bands (w, s) and zero off the matrix."""
+    n = bands[0].size
+    x = np.zeros(n + 2)  # x_r at r + 1: w_r, s_r (k = 1) or s_{r-1} (k = -1)
+    x[1 + (k < 0) : n + 1 - (k > 0)] = bands[k != 0]
+    lo = max(-c, 0)  # the first column of the c diagonal
+    y = np.hstack([np.zeros((len(y), 1)), y, np.zeros((len(y), 1))])  # y_q at q - lo + 1
+    a, b = max(-c - k, 0) + 1, n - max(c + k, 0) + 1  # the columns q + 1 of the c + k diagonal
+    return x[a + c : b + c] * y[:, a - lo : b - lo] - x[a:b] * y[:, a + k - lo : b + k - lo]
 
 
 def _laplacian_block(bands, c):
     """The adjoint Laplacian ad(J_3)^2 + (ad(J_+) ad(J_-) + ad(J_-) ad(J_+)) / 2
-    on the c diagonal of the weight frame: real symmetric tridiagonal of size
-    N - |c|, read off the bands (w, s) at the (p, q) of each row, with
-    a_r = s_{r-1}^2 + s_r^2."""
+    on the c diagonal of the weight frame, real symmetric tridiagonal of size
+    N - |c|: its diagonal d and sub-diagonal off, read off the bands (w, s) at
+    the (p, q) of each row, a_r = s_{r-1}^2 + s_r^2.  Solvers get the lower
+    triangle np.diag(d) + np.diag(off, -1), all that LAPACK reads (UPLO="L")."""
     w, s = bands
     a = np.append(0, s * s) + np.append(s * s, 0)
     p, q = _diagonal_index(w.size, c)
-    off = -s[p[:-1]] * s[q[:-1]]
-    return np.diag((w[p] - w[q]) ** 2 + (a[p] + a[q]) / 2) + np.diag(off, -1) + np.diag(off, 1)
+    return (w[p] - w[q]) ** 2 + (a[p] + a[q]) / 2, -s[p[:-1]] * s[q[:-1]]
 
 
 def build_basis(rep):
@@ -160,12 +158,13 @@ def _basis_in_frame(rep, u, bands):
     n = rep.dim
     diagonals = [None] * n
     for m in range(n - 1, -1, -1):
-        _, v = np.linalg.eigh(_laplacian_block(bands, m))
+        d, off = _laplacian_block(bands, m)
+        _, v = np.linalg.eigh(np.diag(d) + np.diag(off, -1))
         # (J_+)^m is positive on the m diagonal, as s > 0: any positive
         # vector gives the sign of (-1)^m (J_+)^m
         ref = np.full((n - m, 1), (-1.0) ** m)
         if m < n - 1:
-            ref = np.hstack([ref, _ad(bands, -1, m + 1) @ diagonals[m + 1].T])
+            ref = np.hstack([ref, _ad(bands, -1, m + 1, diagonals[m + 1]).T])
         diagonals[m] = (v * (math.sqrt(n) * np.sign(np.sum(v * ref, axis=0)))).T
     return HarmonicBasis(rep=rep, frame=u, diagonals=tuple(diagonals))
 

@@ -7,7 +7,7 @@ symbol maps with their convergence sweeps.
 The Laplacian and kinetic operators are read off the real bands of the
 weight frame (``harmonics._weight_frame``): the Laplacian's blocks are real
 and exactly symmetric, its -m block its m block, and K is applied to each
-diagonal's stored Y_lm through the same band maps, O(N^3) per diagonal.
+diagonal's stored Y_lm through the same band maps, O(N^2) per diagonal.
 
 Only the spinor and Dirac helpers read ``fuzzball.geometry`` (the Killing
 spinor, the batched 2x2 product and the central difference), so they import
@@ -23,7 +23,6 @@ import numpy as np
 from .harmonics import (
     _ad,
     _basis_in_frame,
-    _diagonal_index,
     _laplacian_block,
     _weight_frame,
     build_basis,
@@ -57,9 +56,9 @@ def fuzzy_laplacian_spectrum(rep):
     bands the -m block equals the m block entry for entry, so the N blocks
     m >= 0 are solved and each m > 0 spectrum is counted twice.
     """
-    n = rep.dim
     _, bands = _weight_frame(rep)
-    blocks = [np.linalg.eigvalsh(_laplacian_block(bands, m)) for m in range(n)]
+    pairs = (_laplacian_block(bands, m) for m in range(rep.dim))
+    blocks = [np.linalg.eigvalsh(np.diag(d) + np.diag(off, -1)) for d, off in pairs]
     return np.sort(np.concatenate(blocks + blocks[1:]))
 
 
@@ -132,12 +131,12 @@ def _cg1(l, dj, total, sig):
 def _images(basis, bands, c):
     """Row l of each: Y_{l,c} (zero for l < |c|) and its images under
     1 + ad(J)^2, ad(J_3), ad(J_+) (on c + 1) and ad(J_-) (on c - 1)."""
-    n = basis.dim
-    y = np.zeros((n, n - abs(c)))
-    y[abs(c) :] = basis.diagonal(c)
-    p, q = _diagonal_index(n, c)
-    lap = y + y @ _laplacian_block(bands, c)  # the block is symmetric
-    return y, lap, y * (bands[0][p] - bands[0][q]), y @ _ad(bands, 1, c).T, y @ _ad(bands, -1, c).T
+    y = np.vstack([np.zeros((abs(c), basis.dim - abs(c))), basis.diagonal(c)])
+    d, off = _laplacian_block(bands, c)
+    lap = y + y * d
+    lap[:, 1:] += y[:, :-1] * off
+    lap[:, :-1] += y[:, 1:] * off
+    return (y, lap) + tuple(_ad(bands, k, c, y) for k in (0, 1, -1))
 
 
 def scalar_kinetic_spectrum(rep):
@@ -153,7 +152,7 @@ def scalar_kinetic_spectrum(rep):
     Y_{l, M - sigma} e_sigma (-1 at sigma = 1: e_{+1} lacks the Condon-Shortley
     sign) lies on the weight-frame diagonal c = M - sigma, which K reaches
     only through 1 + ad(J)^2 + sigma ad(J_3) and ad(J_+-) from c -+ 1: each
-    diagonal's images (``_images``, O(N^3)) are formed once and held for
+    diagonal's images (``_images``, O(N^2)) are formed once and held for
     the three charges that read them.  ``groups`` lists (eigenvalue,
     multiplicity, l, j, residual) in ascending order: the exact level, the
     number of vectors carrying it, and the largest ||K v - lambda v|| over
@@ -172,7 +171,8 @@ def scalar_kinetic_spectrum(rep):
     u, bands = _weight_frame(rep)
     basis = _basis_in_frame(rep, u, bands)
     norm = 4 * n * n - 2 * n - 1  # the top level: K is positive
-    images, parts = {}, []
+    images, quotients = {}, []
+    worst, count = np.zeros((n, 3)), np.zeros((n, 3), dtype=int)  # at [l, j - l + 1]
     for total in range(-n, n + 1):
         # hold the diagonals c = M - sigma, sigma = 1, 0, -1, of this charge only
         images.pop(total - 2, None)
@@ -197,15 +197,13 @@ def scalar_kinetic_spectrum(rep):
                     kv += _LOWER[a + 1, a] * coef[a + 1] * images[c + 1][4][rows]
                 res2 = res2 + np.sum((kv - lam * v) ** 2, axis=1)
                 quot = quot + np.sum(v * kv, axis=1)
-            parts.append((l, l + dj, quot / n, np.sqrt(res2 / n) / norm))  # |l j M> = v / sqrt(N)
-    l, j, quotients, res = (np.concatenate(x) for x in zip(*parts))
-    levels, level = np.unique(np.stack([l, j]), axis=1, return_inverse=True)
-    worst = np.zeros(levels.shape[1])
-    np.maximum.at(worst, level, res)
-    groups = sorted(
-        (3 * ll * (ll + 1) + jj * (jj + 1) - 1.0, int(mult), ll, jj, float(w))
-        for (ll, jj), mult, w in zip(levels.T.tolist(), np.bincount(level), worst)
-    )
+            quotients.append(quot / n)  # |l j M> = v / sqrt(N)
+            worst[l, dj + 1] = np.maximum(worst[l, dj + 1], np.sqrt(res2 / n) / norm)
+            count[l, dj + 1] += 1
+    l, d = np.argwhere(count).T
+    j = l + d - 1
+    lam = 3 * l * (l + 1) + j * (j + 1) - 1.0
+    groups = sorted(zip(*(x.tolist() for x in (lam, count[l, d], l, j, worst[l, d]))))
 
     triple = np.stack(rep.generators).reshape(-1)
     image = np.stack(_kinetic_apply(rep, rep.generators)).reshape(-1)
@@ -215,7 +213,7 @@ def scalar_kinetic_spectrum(rep):
         float(np.linalg.norm(image - eig * triple) / np.sqrt(nrm2)) if nrm2 > 0 else 0.0
     )
     return KineticSpectrum(
-        eigenvalues=np.sort(quotients),
+        eigenvalues=np.sort(np.concatenate(quotients)),
         groups=tuple(groups),
         ji_triple_eigenvalue=eig,
         ji_triple_residual=residual,

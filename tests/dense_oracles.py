@@ -185,11 +185,13 @@ def _kinetic_block(bands, total):
         if not sizes[b]:
             continue
         cols = slice(starts[b], starts[b + 1])
-        k[cols, cols] += np.eye(sizes[b]) + _laplacian_block(bands, c)
+        d, off = _laplacian_block(bands, c)
+        k[cols, cols] += np.diag(1 + d) + np.diag(off, -1) + np.diag(off, 1)
         for coef, shift in _SPIN_TERMS:
             a = b + shift  # the component on the c + shift diagonal
             if 0 <= a < 3 and sizes[a]:
-                k[starts[a] : starts[a + 1], cols] += coef[a, b] * _ad(bands, shift, c)
+                ad = _ad(bands, shift, c, np.eye(sizes[b])).T
+                k[starts[a] : starts[a + 1], cols] += coef[a, b] * ad
     return k, starts
 
 

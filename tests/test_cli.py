@@ -721,6 +721,20 @@ def test_out_of_memory_is_a_usage_error(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def test_out_of_memory_names_the_command(monkeypatch, capsys):
+    # an allocator failure with no text of its own still says what failed
+    def bare(rep):
+        raise MemoryError()
+
+    monkeypatch.setattr("fuzzball.spectra.scalar_kinetic_spectrum", bare)
+    assert run(["spectrum", "kinetic", "--n", "1024"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: no detail from the allocator")
+    assert "spectrum kinetic --n 1024" in err
+    assert not err.rstrip().endswith(":") and ": \n" not in err
+    assert "Traceback" not in err
+
+
 def test_gen_grvv_stdout_matches_out_file(tmp_path):
     # stdout block-buffered, as in a pipe: bytes written before the workers
     # fork must reach the output once

@@ -115,6 +115,31 @@ def test_planted_basis_defect_shows_in_the_residual(monkeypatch, n):
     for _, _, l, _, res in groups:
         assert res > 1e-12 if l == 3 else res <= 1e-13
 
+
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("where", [None, "first", "middle", "last"])
+def test_planted_band_defect_shows_in_both_spectra(monkeypatch, n, where):
+    # bands with one J_+ entry s_k scaled by 1 + 1e-8 are no longer an su(2)
+    # triple: both spectra are computed from the bands, so both must move off
+    # their exact levels, by about 1e-9 of the top level; unplanted, neither
+    frame = spectra._weight_frame
+
+    def planted(rep):
+        u, (w, s) = frame(rep)
+        s = s.copy()
+        if where:
+            s[{"first": 0, "middle": n // 2, "last": n - 2}[where]] *= 1 + 1e-8
+        return u, (w, s)
+
+    monkeypatch.setattr(spectra, "_weight_frame", planted)
+    rep = irrep(n)
+    kinetic = max(g[4] for g in scalar_kinetic_spectrum(rep).groups)
+    lap = np.max(np.abs(fuzzy_laplacian_spectrum(rep) - laplacian_reference(n)))
+    lap /= 4 * n * (n - 1)
+    for err in (kinetic, lap):
+        assert err > 1e-10 if where else err <= 1e-13
+
+
 @pytest.mark.parametrize("n", [3, 6, 12])
 def test_adjoint_triples_are_the_j_equals_l_family(n):
     rep = irrep(n)
