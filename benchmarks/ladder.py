@@ -63,15 +63,16 @@ interpreter start-up and imports.  ``--rung`` (repeatable) measures only the
 named rungs.
 
 Each (rung, size) is measured in fresh child processes, one per tree and
-round: ``ROUNDS`` rounds with the trees in the order given, so two trees run
-A B A B and host drift falls on both alike.  A child makes one warm-up call
-(first-touch allocation) and ``REPEATS`` timed calls; each entry is the
-median of a tree's ``ROUNDS * REPEATS`` calls with its quartiles (``q1_s``,
-``q3_s``).  ``n_exp`` is the least-squares slope of log t against log N (grid
-points for ``grid_csv``) over the sizes from ``FIT_FROM`` on, below which
-call overhead dominates.  The evaluators are handed precomputed bilinears,
-so their times exclude ``bilinears``; ``_u2_residual`` takes the doublet and
-forms its own tables.
+round: ``ROUNDS`` rounds, round r with the trees in the order given rotated
+by r, so three trees (a parent, the change and an A/A control) each run
+first, middle and last once, and host drift falls on all alike.  A child
+makes one warm-up call (first-touch allocation) and ``REPEATS`` timed calls;
+each entry is the median of a tree's ``ROUNDS * REPEATS`` calls with its
+quartiles (``q1_s``, ``q3_s``).  ``n_exp`` is the least-squares slope of log
+t against log N (grid points for ``grid_csv``) over the sizes from
+``FIT_FROM`` on, below which call overhead dominates.  The evaluators are
+handed precomputed bilinears, so their times exclude ``bilinears``;
+``_u2_residual`` takes the doublet and forms its own tables.
 
 ``fuzzball`` is imported from each ``--src`` (default: this checkout's
 ``src``), paired in order with the ``--label`` options.  One tree may be
@@ -100,10 +101,10 @@ import numpy as np
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEFAULT_SRC = os.path.join(ROOT, "src")
 SIZES = [16, 32, 64, 128, 256, 512]
-SPECTRA_SIZES = [16, 32, 64, 128, 256]
+SPECTRA_SIZES = [16, 32, 64, 128, 256, 512]
 DECOMPOSE_SIZES = [16, 32, 64, 128, 256]
 GRID_SIZES = ["64x128", "128x256", "256x512"]
-ROUNDS = 2
+ROUNDS = 3
 REPEATS = 4
 SEED = 0
 FIT_FROM = 64
@@ -408,7 +409,7 @@ def row(cells, sizes, xs):
 
 def measure(trees, rungs):
     """{label: {kernel: {kind: row}}} over the named rungs for the (label,
-    src) trees, alternating them per (rung, size) in ROUNDS rounds."""
+    src) trees, rotating their order per (rung, size) over ROUNDS rounds."""
     results = {label: {} for label, _ in trees}
     for rung in rungs:
         _, sizes, x_of = RUNGS[rung]
@@ -416,8 +417,8 @@ def measure(trees, rungs):
         extras = {label: {} for label, _ in trees}  # extra -> size -> value
         kind_extras = {label: {} for label, _ in trees}  # kind -> extra -> size -> value
         for size in sizes:
-            for _ in range(ROUNDS):
-                for label, src in trees:
+            for r in range(ROUNDS):
+                for label, src in trees[r % len(trees):] + trees[: r % len(trees)]:
                     out = child(src, rung, size)
                     for name, kinds in out["samples"].items():
                         for kind, ts in kinds.items():

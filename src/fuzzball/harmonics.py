@@ -12,12 +12,12 @@ convention of ``irrep``); an input whose derived partition is not one block
 is refused.  There J_3 is the real diagonal w and J_+ = J_-^T the real
 sub-diagonal s > 0, and every Y_lm lies on the diagonal row - column = m,
 real, with Y_{l,-m} = (-1)^m Y_lm^dag: a basis stores U and one real
-(N-m) x (N-m) array per m = 0..N-1, and serves m < 0 by the sign.  Indexing
-builds one dense U D U^dag on every call, and a caller that reads an element
-again holds it itself.  The Laplacian's tridiagonal block on each diagonal,
-kept as its (diagonal, sub-diagonal) pair, and the ad(J_k) maps between
-diagonals, two-term stencils, are read off the bands (w, s) in O(N) per
-vector, with no matrix built.  Decompositions and reconstructions work on
+(N-m) x (N-m) array per m = 0..N-1, streamed from m = N-1 down, and serves
+m < 0 by the sign.  Indexing builds one dense U D U^dag on every call, and a
+caller that reads an element again holds it.  The Laplacian's block on
+each diagonal, as its (diagonal, sub-diagonal) pair, and the ad(J_k) maps
+between diagonals, two-term stencils, are read off the bands (w, s) in O(N)
+per vector, with no matrix built.  Decompositions and reconstructions work on
 the diagonals of U^dag A U: O(N^3) per call, the bifundamental fit too: its
 columns are scalings of the stored vectors, fitted in closed form by one
 projection per m and one Woodbury solve per diagonal.
@@ -146,27 +146,25 @@ def _laplacian_block(bands, c):
 
 
 def build_basis(rep):
-    """Eigenvectors of the Laplacian block on each diagonal m >= 0 give
-    Y_lm for l = m..N-1 in ascending order of 4 l (l + 1); each takes the
-    sign of its ladder reference, (-1)^l (J_+)^l for l = m and
-    [J_-, Y_{l,m+1}] below, so no rounding accumulates down the ladder."""
-    return _basis_in_frame(rep, *_weight_frame(rep))
+    """The stream ``_diagonals`` of ``rep``'s bands, held as one basis."""
+    u, bands = _weight_frame(rep)
+    return HarmonicBasis(rep=rep, frame=u, diagonals=tuple(_diagonals(bands))[::-1])
 
 
-def _basis_in_frame(rep, u, bands):
-    """``build_basis`` on the frame ``(u, bands) = _weight_frame(rep)``."""
-    n = rep.dim
-    diagonals = [None] * n
+def _diagonals(bands):
+    """Stored rows of diagonals m = N-1 down to 0: Laplacian-block eigenvectors,
+    Y_lm for l = m..N-1 in ascending order of 4 l (l + 1), each with the sign of
+    its ladder reference, (-1)^l (J_+)^l for l = m and [J_-, Y_{l,m+1}] from the
+    diagonal yielded before, so no rounding accumulates down the ladder."""
+    n, ys = bands[0].size, np.zeros((0, 0))  # diagonal N is off the matrix: no rows
     for m in range(n - 1, -1, -1):
         d, off = _laplacian_block(bands, m)
         _, v = np.linalg.eigh(np.diag(d) + np.diag(off, -1))
         # (J_+)^m is positive on the m diagonal, as s > 0: any positive
         # vector gives the sign of (-1)^m (J_+)^m
-        ref = np.full((n - m, 1), (-1.0) ** m)
-        if m < n - 1:
-            ref = np.hstack([ref, _ad(bands, -1, m + 1, diagonals[m + 1]).T])
-        diagonals[m] = (v * (math.sqrt(n) * np.sign(np.sum(v * ref, axis=0)))).T
-    return HarmonicBasis(rep=rep, frame=u, diagonals=tuple(diagonals))
+        ref = np.hstack([np.full((n - m, 1), (-1.0) ** m), _ad(bands, -1, m + 1, ys).T])
+        ys = (v * (math.sqrt(n) * np.sign(np.sum(v * ref, axis=0)))).T
+        yield ys
 
 
 def basis_residuals(basis):

@@ -6,8 +6,8 @@ symbol maps with their convergence sweeps.
 
 The Laplacian and kinetic operators are read off the real bands of the
 weight frame (``harmonics._weight_frame``): the Laplacian's blocks are real
-and exactly symmetric, its -m block its m block, and K is applied to each
-diagonal's stored Y_lm through the same band maps, O(N^2) per diagonal.
+and exactly symmetric, its -m block its m block, and K is applied to the
+stream ``harmonics._diagonals`` by the same band maps, O(N^2) per diagonal.
 
 Only the spinor and Dirac helpers read ``fuzzball.geometry`` (the Killing
 spinor, the batched 2x2 product and the central difference), so they import
@@ -22,7 +22,7 @@ import numpy as np
 
 from .harmonics import (
     _ad,
-    _basis_in_frame,
+    _diagonals,
     _laplacian_block,
     _weight_frame,
     build_basis,
@@ -128,10 +128,10 @@ def _cg1(l, dj, total, sig):
     return np.sign(t) * np.sqrt(np.abs(t) / d)
 
 
-def _images(basis, bands, c):
-    """Row l of each: Y_{l,c} (zero for l < |c|) and its images under
-    1 + ad(J)^2, ad(J_3), ad(J_+) (on c + 1) and ad(J_-) (on c - 1)."""
-    y = np.vstack([np.zeros((abs(c), basis.dim - abs(c))), basis.diagonal(c)])
+def _images(ys, bands, c):
+    """Row l of each: Y_{l,c} (zero for l < |c|, the stored rows ys below) and
+    its images under 1 + ad(J)^2, ad(J_3), ad(J_+) (on c + 1) and ad(J_-) (on c - 1)."""
+    y = np.vstack([np.zeros((abs(c), ys.shape[1])), ys])
     d, off = _laplacian_block(bands, c)
     lap = y + y * d
     lap[:, 1:] += y[:, :-1] * off
@@ -151,13 +151,13 @@ def scalar_kinetic_spectrum(rep):
     The sigma component of |l j M> = sum_sigma <l, M - sigma; 1, sigma | j, M>
     Y_{l, M - sigma} e_sigma (-1 at sigma = 1: e_{+1} lacks the Condon-Shortley
     sign) lies on the weight-frame diagonal c = M - sigma, which K reaches
-    only through 1 + ad(J)^2 + sigma ad(J_3) and ad(J_+-) from c -+ 1: each
-    diagonal's images (``_images``, O(N^2)) are formed once and held for
-    the three charges that read them.  ``groups`` lists (eigenvalue,
-    multiplicity, l, j, residual) in ascending order: the exact level, the
-    number of vectors carrying it, and the largest ||K v - lambda v|| over
-    them relative to ||K||, the top level (N - 1, N).  ``eigenvalues`` holds
-    the 3N^2 Rayleigh quotients v^dag K v, sorted.
+    only through 1 + ad(J)^2 + sigma ad(J_3) and ad(J_+-) from c -+ 1.  M
+    runs from N down to 0 over the stream ``_diagonals``, holding the images
+    (``_images``, O(N^2)) of four diagonals at most, never the basis, and
+    counts each M > 0 vector for -M too.  ``groups`` lists (eigenvalue,
+    multiplicity, l, j, residual) ascending: the exact level, its number of
+    vectors and the largest ||K v - lambda v|| over them relative to ||K||,
+    the top level (N - 1, N); ``eigenvalues`` the sorted quotients v^dag K v.
 
     The paper's families hold exactly: the triples ([J_1, Y_lm], [J_2, Y_lm],
     [J_3, Y_lm]) are eigenvectors with eigenvalue 4 l(l+1) - 1, which is
@@ -168,18 +168,19 @@ def scalar_kinetic_spectrum(rep):
     gives no families.
     """
     n = rep.dim
-    u, bands = _weight_frame(rep)
-    basis = _basis_in_frame(rep, u, bands)
+    _, bands = _weight_frame(rep)
+    stream = _diagonals(bands)
     norm = 4 * n * n - 2 * n - 1  # the top level: K is positive
     images, quotients = {}, []
     worst, count = np.zeros((n, 3)), np.zeros((n, 3), dtype=int)  # at [l, j - l + 1]
-    for total in range(-n, n + 1):
+    for total in range(n, -1, -1):
         # hold the diagonals c = M - sigma, sigma = 1, 0, -1, of this charge only
-        images.pop(total - 2, None)
-        if abs(total + 1) < n:
-            images[total + 1] = _images(basis, bands, total + 1)
+        images.pop(total + 2, None)
+        if abs(total - 1) < n:  # the rows of diagonal -1 are -1 times those of 1
+            ys = next(stream) if total else -images[1][0][1:]
+            images[total - 1] = _images(ys, bands, total - 1)
         for dj in (-1, 0, 1):
-            l = np.arange(max(abs(total) - dj, int(dj < 1)), n)  # j >= |M|
+            l = np.arange(max(total - dj, int(dj < 1)), n)  # j >= |M|
             rows = slice(n - l.size, None)
             lam = (3 * l * (l + 1) + (l + dj) * (l + dj + 1) - 1)[:, None]
             coef = [(-1 if sig == 1 else 1) * _cg1(l, dj, total, sig)[:, None] for sig in _SIGMAS]
@@ -197,9 +198,10 @@ def scalar_kinetic_spectrum(rep):
                     kv += _LOWER[a + 1, a] * coef[a + 1] * images[c + 1][4][rows]
                 res2 = res2 + np.sum((kv - lam * v) ** 2, axis=1)
                 quot = quot + np.sum(v * kv, axis=1)
-            quotients.append(quot / n)  # |l j M> = v / sqrt(N)
+            quotients += [quot / n] * (1 + (total > 0))  # |l j M> = v / sqrt(N), and -M
             worst[l, dj + 1] = np.maximum(worst[l, dj + 1], np.sqrt(res2 / n) / norm)
-            count[l, dj + 1] += 1
+            count[l, dj + 1] += 1 + (total > 0)
+    del images, stream  # before the dense triple below
     l, d = np.argwhere(count).T
     j = l + d - 1
     lam = 3 * l * (l + 1) + j * (j + 1) - 1.0

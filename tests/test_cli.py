@@ -128,6 +128,21 @@ def test_verify_geometry_grid(tmp_path):
     assert "hopf_section_roundtrip" in names and "clifford_so9" in names
 
 
+def test_verify_geometry_skips_identification_below_two(tmp_path):
+    # the five identification rows used to pass labelled n = 1, a size that
+    # identification_check refuses; the eight fixed rows stay
+    out = tmp_path / "geo.json"
+    args = ["verify", "--suite", "geometry", "--grid", "32x64", "--n-list", "1"]
+    assert run(args + ["--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert len(report["results"]) == 8 and {r["n"] for r in report["results"]} == {0}
+    assert not any(r["name"].startswith("identification") for r in report["results"])
+    reason = "identification needs n >= 2"
+    assert report["skipped"] == [{"suite": "geometry", "n": 1, "reason": reason}]
+    with pytest.raises(ValueError, match=reason):
+        geometry.identification_check(1, geometry.SphereGrid.make(32, 64))
+
+
 @pytest.mark.parametrize("n_theta", [785, 786])
 def test_verify_geometry_orders_near_the_poles(tmp_path, n_theta):
     # from 785 theta rows on, the order steps of the rows next to the poles

@@ -31,7 +31,6 @@ from fuzzball.cli import main as cli_main
 from fuzzball.grvv import GrvvSolution, gauge_dress, ground_state
 from fuzzball.harmonics import (
     _ad,
-    _basis_in_frame,
     _diagonal_index,
     _laplacian_block,
     _weight_frame,
@@ -223,7 +222,7 @@ def test_spin_one_clebsch_gordan(l):
 def test_coupled_vectors_fill_each_block(n, seed, rotated):
     rep = rotated_irrep(n, seed)[0] if rotated else irrep(n)
     u, bands = _weight_frame(rep)
-    basis = _basis_in_frame(rep, u, bands)
+    basis = build_basis(rep)
     scale = 4 * n * n - 2 * n - 1
     count = 0
     for total in range(-n, n + 1):
@@ -248,7 +247,7 @@ def test_kinetic_images_match_dense_blocks(n, seed, rotated):
     # vector the Rayleigh quotient of the dense per-charge block
     rep = rotated_irrep(n, seed)[0] if rotated else irrep(n)
     u, bands = _weight_frame(rep)
-    basis = _basis_in_frame(rep, u, bands)
+    basis = build_basis(rep)
     scale = 4 * n * n - 2 * n - 1
     worst, quotients = {}, []
     for total in range(-n, n + 1):
